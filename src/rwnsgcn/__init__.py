@@ -5,7 +5,6 @@ and a reproducible experiment harness."""
 from rwnsgcn.graph import (
     Graph,
     LinearOperator,
-    apply,
     build_graph,
     sym_normalized_operator,
     transition_operator,

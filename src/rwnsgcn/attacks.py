@@ -47,15 +47,15 @@ def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
     entry keyed (u, v) with u < v.
     """
     n = g.num_nodes
-    indptr, indices = g.indptr, g.indices
-    # CSR position -> undirected edge id
+    indices = g.indices
+    rows = np.repeat(np.arange(n), g.unweighted_degrees())
+    # CSR position -> undirected edge id; ids follow the sorted (u < v) keys
+    # of g.edges()
+    _, pos_edge = np.unique(
+        np.minimum(rows, indices) * n + np.maximum(rows, indices),
+        return_inverse=True,
+    )
     edge_keys = g.edges()
-    key_to_id = {(u, v): i for i, (u, v, _) in enumerate(edge_keys)}
-    pos_edge = np.empty(indices.size, dtype=np.int64)
-    for u in range(n):
-        for p in range(indptr[u], indptr[u + 1]):
-            v = indices[p]
-            pos_edge[p] = key_to_id[(u, v) if u < v else (v, u)]
     acc = np.zeros(len(edge_keys))
 
     for s in range(n):
@@ -67,13 +67,11 @@ def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
         frontier = levels[0]
         d = 0
         while frontier.size:
-            pos = np.concatenate(
-                [np.arange(indptr[u], indptr[u + 1]) for u in frontier]
-            )
+            pos = g.neighbor_positions(frontier)
             if pos.size == 0:
                 break
             nbr = indices[pos]
-            src = np.repeat(frontier, np.diff(indptr)[frontier])
+            src = rows[pos]
             fresh = dist[nbr] == -1
             dist[nbr[fresh]] = d + 1
             onpath = dist[nbr] == d + 1
@@ -86,11 +84,10 @@ def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
         # dependency accumulation, deepest level first
         delta = np.zeros(n)
         for lev in range(len(levels) - 1, 0, -1):
-            ws = levels[lev]
-            pos = np.concatenate([np.arange(indptr[w], indptr[w + 1]) for w in ws])
+            pos = g.neighbor_positions(levels[lev])
             nbr = indices[pos]  # potential predecessors
-            wrep = np.repeat(ws, np.diff(indptr)[ws])
-            pred = dist[nbr] == dist[wrep] - 1
+            wrep = rows[pos]
+            pred = dist[nbr] == lev - 1
             contrib = sigma[nbr[pred]] / sigma[wrep[pred]] * (1.0 + delta[wrep[pred]])
             np.add.at(delta, nbr[pred], contrib)
             np.add.at(acc, pos_edge[pos[pred]], contrib)

@@ -266,12 +266,9 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
     selected: list[int] = [int(seed_node)]
     frontier = np.array([seed_node], dtype=np.int64)
     while len(selected) < target_size:
-        if frontier.size:
-            nbrs = np.concatenate([g.neighbors(u) for u in frontier])
-            cand = np.unique(nbrs)  # sorted: ascending-id order within the level
-            cand = cand[~visited[cand]]
-        else:
-            cand = np.empty(0, dtype=np.int64)
+        # sorted: ascending-id order within the level
+        cand = np.unique(g.indices[g.neighbor_positions(frontier)])
+        cand = cand[~visited[cand]]
         if cand.size == 0:
             cand = np.flatnonzero(~visited)[:1]  # restart at lowest unvisited id
         room = target_size - len(selected)

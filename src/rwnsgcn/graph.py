@@ -25,7 +25,6 @@ __all__ = [
     "build_graph",
     "sym_normalized_operator",
     "transition_operator",
-    "apply",
 ]
 
 
@@ -65,15 +64,29 @@ class Graph:
         """Neighbor counts (edges kept even if their weight is 0)."""
         return np.diff(self.indptr)
 
+    def neighbor_positions(self, nodes: np.ndarray) -> np.ndarray:
+        """CSR positions of the edges leaving ``nodes``, node by node in input order.
+
+        ``indices[pos]`` are the neighbors; zero-weight edges are included.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        # position = row start + offset of the entry within its node's run
+        run_starts = np.cumsum(counts) - counts
+        return np.arange(counts.sum()) + np.repeat(starts - run_starts, counts)
+
     def edges(self) -> list[tuple[int, int, float]]:
         """Canonical undirected edge list, (u, v, w) with u < v, sorted."""
-        out = []
-        for u in range(self.num_nodes):
-            row = slice(self.indptr[u], self.indptr[u + 1])
-            for v, w in zip(self.indices[row], self.weights[row]):
-                if u < v:
-                    out.append((int(u), int(v), float(w)))
-        return out
+        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+        upper = rows < self.indices
+        return list(
+            zip(
+                rows[upper].tolist(),
+                self.indices[upper].tolist(),
+                self.weights[upper].tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +206,3 @@ def transition_operator(g: Graph) -> LinearOperator:
     out.sort_indices()
     return LinearOperator(kind="row-stochastic", matrix=out, self_loops=False)
 
-
-def apply(op: LinearOperator, x: np.ndarray) -> np.ndarray:
-    """Sparse product op @ x for a vector or column block.
-
-    CSR indices are stored in ascending column order, so single-threaded
-    accumulation order is fixed and repeated runs are bit-stable.
-    """
-    x = np.asarray(x)
-    if x.shape[0] != op.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: operator is {op.shape}, input has leading size {x.shape[0]}"
-        )
-    return op.matrix @ x

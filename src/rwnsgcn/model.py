@@ -246,7 +246,8 @@ def backward(
 
     The combination h = a_pos - lam * a_neg routes a -lam-scaled cotangent
     through the negative branch; ReLU gates on the stored pre-activation
-    signs; each propagation step applies the operator transpose.
+    signs; each propagation step multiplies by the operator, which equals
+    its own transpose.
     """
     mask = np.asarray(mask)
     if mask.size == 0:
@@ -261,12 +262,15 @@ def backward(
     num_layers = len(params.W)
     dW: list[np.ndarray] = [np.zeros_like(w) for w in params.W]
     dW_dpp: list[np.ndarray] = [np.zeros_like(w) for w in params.W_dpp]
-    pos_t = trace.pos_op.matrix.T
-    neg_t = trace.neg_op.matrix.T
+    # No transpose: both operators come from sym_normalized_operator on an
+    # undirected graph, which computes the (u,v) and (v,u) entries
+    # identically, so each matrix equals its transpose bit for bit.
+    op_pos = trace.pos_op.matrix
+    op_neg = trace.neg_op.matrix
 
     # classifier layer: logits = A_pos (h W_last)
     h = trace.inputs[-1]
-    du = pos_t @ dlogits
+    du = op_pos @ dlogits
     dW[-1] = h.T @ du
     dx = du @ params.W[-1].T
 
@@ -276,12 +280,12 @@ def backward(
             g = g * trace.drop_masks[l]
         x = trace.inputs[l]
         dz_pos = g * (trace.z_pos[l] > 0)
-        du_pos = pos_t @ dz_pos
+        du_pos = op_pos @ dz_pos
         dW[l] = x.T @ du_pos
         du_neg = None
         if trace.z_neg[l] is not None:
             dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0)
-            du_neg = neg_t @ dz_neg
+            du_neg = op_neg @ dz_neg
             dW_dpp[l] = x.T @ du_neg
         if l > 0:
             dx = du_pos @ params.W[l].T

@@ -42,19 +42,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LayeredNeighborhood:
-    """Exact-distance layers around a source plus the widened pool.
+    """Exact-distance layers around a source.
 
-    ``layers[l]`` holds the nodes at hop distance exactly l (1 <= l <=
-    l_max, empty layers included).  ``pool`` widens mid-range layers by
-    one hop: layers l_max and l_max-1 enter directly, every other layer
-    contributes the neighbors of its members.  ``all_reached`` is the
-    union of the layers.
+    ``layers[l]`` holds the nodes at hop distance exactly l, in ascending
+    id order (1 <= l <= l_max, empty layers included).  Hops ignore edge
+    weights: a zero-weight edge still links its endpoints.
     """
 
     source: int
     layers: dict[int, np.ndarray]
-    pool: np.ndarray
-    all_reached: np.ndarray
 
     @property
     def l_max(self) -> int:
@@ -84,51 +80,26 @@ class CandidateSet:
         return len(self.chosen)
 
 
-def hop_distances(g: Graph, source: int, cutoff: int | None = None) -> np.ndarray:
-    """BFS hop distances from source; unreached nodes get -1.
-
-    Edge weights are ignored (zero-weight edges still count as hops).
-    """
-    dist = np.full(g.num_nodes, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size and (cutoff is None or d < cutoff):
-        nbrs = np.concatenate([g.neighbors(u) for u in frontier])
-        nbrs = np.unique(nbrs)
-        nbrs = nbrs[dist[nbrs] < 0]
-        d += 1
-        dist[nbrs] = d
-        frontier = nbrs
-    return dist
-
-
 def bfs_layers(g: Graph, source: int, l_max: int) -> LayeredNeighborhood:
-    """Group nodes by exact hop distance and build the widened pool."""
+    """Group nodes by exact hop distance from ``source``, up to ``l_max``.
+
+    ``layers[l]`` is the BFS frontier found at step l.  Edge weights are
+    ignored, so zero-weight edges still count as hops.
+    """
     if not 0 <= source < g.num_nodes:
         raise ValueError(f"source {source} out of range")
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-    dist = hop_distances(g, source, cutoff=l_max)
-    layers = {
-        l: np.flatnonzero(dist == l).astype(np.int64) for l in range(1, l_max + 1)
-    }
-    pool_parts = []
+    seen = np.zeros(g.num_nodes, dtype=bool)
+    seen[source] = True
+    frontier = np.array([source], dtype=np.int64)
+    layers = {}
     for l in range(1, l_max + 1):
-        members = layers[l]
-        if l in (l_max, l_max - 1):
-            pool_parts.append(members)
-        elif members.size:
-            pool_parts.append(np.concatenate([g.neighbors(j) for j in members]))
-    pool = (
-        np.unique(np.concatenate(pool_parts))
-        if pool_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    reached = np.flatnonzero((dist > 0)).astype(np.int64)
-    return LayeredNeighborhood(
-        source=int(source), layers=layers, pool=pool, all_reached=reached
-    )
+        nbrs = np.unique(g.indices[g.neighbor_positions(frontier)])
+        frontier = nbrs[~seen[nbrs]]
+        seen[frontier] = True
+        layers[l] = frontier
+    return LayeredNeighborhood(source=int(source), layers=layers)
 
 
 def _transition_transpose(g: Graph) -> sp.csr_array:

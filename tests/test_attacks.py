@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rwnsgcn.attacks import AttackSpec, ctbca_remove, edge_betweenness, twpa_perturb
+from rwnsgcn.data import Dataset, bfs_subgraph
 from rwnsgcn.graph import build_graph
+from rwnsgcn.scoring import bfs_layers
 
 from conftest import random_graph
 
@@ -174,6 +176,30 @@ def test_twpa_pure():
     before = g.edges()
     twpa_perturb(g, 2.0, seed=0)
     assert g.edges() == before
+
+
+def test_zero_weight_edges_still_count_as_hops():
+    # path 0-1-2-3-4-5; this draw clamps edge (3, 4), and only it, to 0
+    g = twpa_perturb(build_graph(6, [(i, i + 1, 0.5) for i in range(5)]), 1.0, seed=1)
+    assert [(u, v) for u, v, w in g.edges() if w == 0.0] == [(3, 4)]
+
+    layers = bfs_layers(g, 0, 5)
+    assert {l: layers.layers[l].tolist() for l in layers.layers} == {
+        1: [1], 2: [2], 3: [3], 4: [4], 5: [5]
+    }
+    # edge (i, i+1) of a path separates i+1 nodes from 5-i
+    assert edge_betweenness(g) == {(i, i + 1): float((i + 1) * (5 - i)) for i in range(5)}
+    ds = Dataset(
+        graph=g,
+        features=np.eye(6),
+        labels=np.zeros(6, dtype=np.int64),
+        class_count=1,
+        feature_dim=6,
+    )
+    # skipping (3, 4) would restart the walk at node 0
+    sub = bfs_subgraph(ds, 5, 3)
+    assert sub.features.tolist() == np.eye(6)[[3, 4, 5]].tolist()
+    assert sub.graph.edges() == [(0, 1, 0.0), (1, 2, g.edges()[-1][2])]
 
 
 def test_attack_spec_validation():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from rwnsgcn.graph import (
-    apply,
     build_graph,
     sym_normalized_operator,
     transition_operator,
 )
 
-from conftest import dense_adjacency, random_graph
+from conftest import dense_adjacency, random_edge_list, random_graph
 
 
 def test_path_graph_degrees():
@@ -86,7 +85,7 @@ def test_transition_single_edge_swaps():
     g = build_graph(2, [(0, 1, 1.0)])
     p = transition_operator(g)
     assert np.allclose(p.matrix.toarray(), [[0, 1], [1, 0]])
-    assert np.allclose(apply(p, np.array([1.0, 0.0])), [0.0, 1.0])
+    assert np.allclose(p.matrix @ np.array([1.0, 0.0]), [0.0, 1.0])
 
 
 def test_transition_star_rows():
@@ -103,13 +102,7 @@ def test_transition_triangle_applied_to_indicator():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     p = transition_operator(g)
     assert np.allclose(p.matrix.toarray(), (np.ones((3, 3)) - np.eye(3)) / 2)
-    assert np.allclose(apply(p, np.array([1.0, 0.0, 0.0])), [0.0, 0.5, 0.5])
-
-
-def test_apply_dimension_mismatch():
-    g = build_graph(2, [(0, 1, 1.0)])
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        apply(transition_operator(g), np.ones(3))
+    assert np.allclose(p.matrix @ np.array([1.0, 0.0, 0.0]), [0.0, 0.5, 0.5])
 
 
 def test_apply_identity_like():
@@ -117,7 +110,7 @@ def test_apply_identity_like():
     g = build_graph(3, [])
     op = sym_normalized_operator(g, self_loops=True)
     x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.allclose(apply(op, x), x, atol=1e-12)
+    assert np.allclose(op.matrix @ x, x, atol=1e-12)
 
 
 def test_row_stochastic_rows_sum_to_one():
@@ -162,3 +155,43 @@ def test_operators_match_dense_oracle(self_loops):
         expected_p = dinv[:, None] * a
         got_p = transition_operator(g).matrix.toarray()
         assert np.allclose(got_p, expected_p, atol=1e-12)
+
+
+# ------------------------------------------------------------- traversal
+
+
+def test_neighbor_positions_match_per_node_ranges():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        # three trailing ids are always isolated, on top of any the draw leaves
+        g = build_graph(n + 3, random_edge_list(rng, n, 0.15))
+        nodes = rng.integers(0, n + 3, size=int(rng.integers(0, 12)))
+        expected = [np.arange(g.indptr[u], g.indptr[u + 1]) for u in nodes]
+        got = g.neighbor_positions(nodes)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, np.concatenate(expected + [np.empty(0, np.int64)]))
+        assert g.neighbor_positions(np.empty(0, dtype=np.int64)).size == 0
+        assert g.neighbor_positions([]).size == 0
+
+
+def test_edges_match_upper_triangle_scan():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        n = int(rng.integers(0, 25))
+        edges = random_edge_list(rng, n, 0.2, weighted=True)
+        # some zero weights: the edge must stay in the list
+        edges = [(u, v, 0.0 if rng.random() < 0.2 else w) for u, v, w in edges]
+        g = build_graph(n, edges)
+        dense = g.adjacency().toarray()
+        present = {(u, int(v)) for u in range(n) for v in g.neighbors(u)}
+        expected = [
+            (u, v, float(dense[u, v]))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) in present
+        ]
+        got = g.edges()
+        assert got == expected
+        for u, v, w in got:
+            assert type(u) is int and type(v) is int and type(w) is float

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from rwnsgcn import harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
 from rwnsgcn.data import save_json_bundle
 from rwnsgcn.harness import (
@@ -126,6 +127,32 @@ def test_attack_comparison_row_schema():
                 row["clean_accuracy_rwnsgcn"] - row["attacked_accuracy_rwnsgcn"]
             )
             assert row["rwnsgcn_no_worse"] in (0, 1)
+
+
+class _TickClock:
+    """Stands in for the harness's ``time`` module: each reading is 1.0 later."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+def test_attack_reports_time_only_their_own_cell(monkeypatch):
+    monkeypatch.setattr(harness, "time", _TickClock())
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=1, epochs=4)
+    ctbca, twpa = run_attack_comparison(
+        ds, cfg, attack_grid=[("ctbca", 0.1), ("twpa", 0.5)]
+    )
+    # every timed block lasts one tick; each report covers the two clean
+    # trainings plus its own cell's two attacked ones
+    assert ctbca.timings["training"] == 4.0
+    assert twpa.timings["training"] == 4.0
+    assert ctbca.timings["betweenness"] == 1.0
+    assert "betweenness" not in twpa.timings
 
 
 def test_ablation_variants_share_per_run_seeds():

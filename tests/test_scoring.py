@@ -56,13 +56,6 @@ def test_layers_triangle_with_empty_level():
     assert layers.layers[2].size == 0
 
 
-def test_pool_widens_mid_range_levels():
-    layers = bfs_layers(path_graph(6), 0, 5)
-    # far levels enter directly, near levels contribute their neighbors
-    assert sorted(layers.pool) == [0, 1, 2, 3, 4, 5]
-    assert sorted(layers.all_reached) == [1, 2, 3, 4, 5]
-
-
 def test_layers_match_floyd_warshall():
     rng = np.random.default_rng(21)
     for _ in range(40):
