@@ -11,7 +11,8 @@ sampled pairs forms the negative-sample graph the model propagates over.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "kdpp_sample_exact",
     "dpp_map_greedy",
     "build_negative_graph",
+    "build_negative_kernels",
     "draw_negative_samples",
 ]
 
@@ -47,7 +49,12 @@ class CommunityAssignment:
 
 @dataclass(frozen=True, eq=False)
 class DppKernel:
-    """Candidate-indexed PSD kernel with its assembly factors."""
+    """Candidate-indexed PSD kernel with its assembly factors.
+
+    The spectrum and the eigenvector-selection probabilities the exact
+    sampler reads are computed on first use and kept, so every draw from
+    one kernel shares a single ``eigh``.
+    """
 
     source: int
     items: list[int]
@@ -56,6 +63,37 @@ class DppKernel:
     S_com: np.ndarray
     Q: np.ndarray
     jitter: float
+    _selection: dict[int, list] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Eigenvalues clipped at 0 (ascending), eigenvectors, numerical rank."""
+        eigvals, eigvecs = np.linalg.eigh(self.L)
+        eigvals = np.maximum(eigvals, 0.0)
+        return eigvals, eigvecs, int(np.sum(eigvals > RANK_TOL))
+
+    def selection_probabilities(self, k: int) -> list[list[float | None]]:
+        """``P[rem][m]``: probability that eigenvector m-1 is selected when
+        rem of the first m are still to be chosen for a size-k draw; None
+        where e_rem of the first m eigenvalues vanishes (never selected).
+
+        Read from the elementary symmetric polynomials of the clipped
+        eigenvalues, computed once per k.
+        """
+        table = self._selection.get(k)
+        if table is None:
+            eigvals = self.spectrum[0]
+            n = eigvals.size
+            E = _elem_sympoly(eigvals, k)
+            table = [[None] * (n + 1) for _ in range(k + 1)]
+            for rem in range(1, k + 1):
+                for m in range(rem, n + 1):
+                    if m == rem:
+                        table[rem][m] = 1.0
+                    elif E[rem, m] > 0.0:
+                        table[rem][m] = float(eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m])
+            self._selection[k] = table
+        return table
 
 
 def label_propagation(
@@ -111,11 +149,14 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column mismatch: {a.shape[1]} vs {b.shape[1]}")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    an = np.where(na[:, None] > 0, a / np.where(na[:, None] > 0, na[:, None], 1.0), 0.0)
-    bn = np.where(nb[:, None] > 0, b / np.where(nb[:, None] > 0, nb[:, None], 1.0), 0.0)
-    return an @ bn.T
+    return _unit_rows(a) @ _unit_rows(b).T
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm; zero-norm rows stay zero."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    na = np.linalg.norm(a, axis=1)[:, None]
+    return np.where(na > 0, a / np.where(na > 0, na, 1.0), 0.0)
 
 
 def build_dpp_kernel(
@@ -140,11 +181,16 @@ def build_dpp_kernel(
     items = candidates.nodes()
     if not items:
         raise ValueError("candidate set is empty")
-    x = features[items]
-    s_node = cosine_rows(x, x)
-    cf = comm.community_features[comm.labels[items]]
-    s_com = cosine_rows(cf, cf)
-    q = cosine_rows(features[source][None, :], cf)[0]
+    # each row block is normalised once and reused: these are exactly the
+    # cosine_rows values.  The second operand of a Gram product is a copy,
+    # because numpy sends ``a @ a.T`` on one buffer to syrk, whose last bits
+    # can differ from the gemm that cosine_rows(x, x) runs
+    rows = _unit_rows(features[[source] + items])
+    x, src = rows[1:], rows[:1]
+    cf = _unit_rows(comm.community_features[comm.labels[items]])
+    s_node = x @ x.copy().T
+    s_com = cf @ cf.copy().T
+    q = (src @ cf.T)[0]
     quality = np.diag(q)
     core = quality @ (s_com @ s_com.T) @ quality.T
     L = core * np.exp(s_node - 1.0)
@@ -190,9 +236,7 @@ def kdpp_sample_exact(
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"k={k} exceeds candidate count {n}")
-    eigvals, eigvecs = np.linalg.eigh(kernel.L)
-    eigvals = np.maximum(eigvals, 0.0)
-    rank = int(np.sum(eigvals > RANK_TOL))
+    _, eigvecs, rank = kernel.spectrum
     if k > rank:
         warnings.warn(
             f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=2
@@ -201,38 +245,35 @@ def kdpp_sample_exact(
         if k == 0:
             return []
 
-    E = _elem_sympoly(eigvals, k)
+    marg = kernel.selection_probabilities(k)
     picked: list[int] = []
     rem = k
     for m in range(n, 0, -1):
         if rem == 0:
             break
-        if m == rem:
-            marg = 1.0
-        elif E[rem, m] <= 0.0:
-            continue
-        else:
-            marg = eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m]
-        if rng.random() < marg:
+        if marg[rem][m] is not None and rng.random() < marg[rem][m]:
             picked.append(m - 1)
             rem -= 1
 
     V = eigvecs[:, picked]
     chosen: list[int] = []
     while V.shape[1] > 0:
-        probs = np.sum(V**2, axis=1)
-        probs = np.maximum(probs, 0.0)
+        probs = (V**2).sum(axis=1)  # sums of squares: never negative
         total = probs.sum()
         if total <= 0:
             break
-        i = int(rng.choice(n, p=probs / total))
+        # Generator.choice(n, p=probs / total), spelled out: the same
+        # arithmetic and the same single uniform draw, without its checks
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(rng.random(), "right"))
         chosen.append(i)
         if V.shape[1] == 1:
             break
         # project the basis onto the subspace with zero coordinate i
         j = int(np.argmax(np.abs(V[i, :])))
         vj = V[:, j].copy()
-        V = np.delete(V, j, axis=1)
+        V = V[:, np.arange(V.shape[1]) != j]
         V = V - np.outer(vj, V[i, :] / vj[i])
         V, _ = np.linalg.qr(V)
     return sorted(kernel.items[i] for i in chosen)
@@ -294,10 +335,59 @@ def build_negative_graph(
     return build_graph(num_nodes, edges)
 
 
-def draw_negative_samples(
+def _draw_is_forced(n: int, k: int, method: str, jitter: float) -> bool:
+    """True when a size-min(k, n) draw from n candidates can only be all of them.
+
+    An empty set has only the empty draw, and the greedy picker always
+    returns k distinct items.  The exact sampler returns all n only when
+    the kernel has full numerical rank, which the jitter alone guarantees
+    here.  Weyl: lambda_min(C + E + jitter I) >= lambda_min(C) + jitter -
+    ||E||_2 for the PSD core C and its roundoff E (assembly and eigh).
+    Kernel entries are at most n in magnitude, so ||C||_2 <= n**2 and
+    ||E||_2 is of order n**3 eps.  With jitter >= 100 RANK_TOL and n**3 eps <=
+    jitter / 2, every eigenvalue is at least jitter / 2 > RANK_TOL.  Below
+    that bound the sampler runs, so a rank-deficient kernel still warns
+    and clamps.
+    """
+    if k < n:
+        return False
+    if n == 0 or method == "greedy":
+        return True
+    return jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2
+
+
+def _check_method(method: str) -> None:
+    if method not in ("exact", "greedy"):
+        raise ValueError(f"unknown sampling method {method!r}")
+
+
+def build_negative_kernels(
     candidates: Mapping[int, CandidateSet],
     features: np.ndarray,
     comm: CommunityAssignment,
+    k: int = 3,
+    method: str = "exact",
+    jitter: float = 1e-8,
+) -> dict[int, DppKernel]:
+    """Kernels of the sources whose draw actually chooses.
+
+    Sources whose draw can only return every candidate (none included)
+    get none.  Build once per candidate map and community
+    assignment, then pass the result to every ``draw_negative_samples``
+    call with the same candidates, k, method and jitter, so redraws reuse
+    each kernel and its eigendecomposition.
+    """
+    _check_method(method)
+    return {
+        src: build_dpp_kernel(src, candidates[src], features, comm, jitter=jitter)
+        for src in sorted(candidates)
+        if not _draw_is_forced(len(candidates[src]), k, method, jitter)
+    }
+
+
+def draw_negative_samples(
+    candidates: Mapping[int, CandidateSet],
+    kernels: Mapping[int, DppKernel],
     k: int = 3,
     method: str = "exact",
     jitter: float = 1e-8,
@@ -305,20 +395,25 @@ def draw_negative_samples(
 ) -> dict[int, list[int]]:
     """Per-source negative draws over all candidate sets.
 
+    ``kernels`` are ``build_negative_kernels`` of the same candidates, k,
+    method and jitter; build them once and pass them to every redraw.
     ``k`` is clamped to each source's candidate count.  ``rng_for_source``
     maps a source id to the generator used for its draw, so results do
     not depend on iteration order; it is required for the exact sampler.
+    A draw that can only return every candidate returns them, ascending,
+    without a kernel or a generator.
     """
-    if method not in ("exact", "greedy"):
-        raise ValueError(f"unknown sampling method {method!r}")
+    _check_method(method)
     out: dict[int, list[int]] = {}
     for src in sorted(candidates):
         cs = candidates[src]
-        if len(cs) == 0:
-            out[src] = []
-            continue
-        kernel = build_dpp_kernel(src, cs, features, comm, jitter=jitter)
         k_eff = min(k, len(cs))
+        if _draw_is_forced(len(cs), k, method, jitter):
+            out[src] = sorted(cs.nodes())
+            continue
+        kernel = kernels[src]
+        if kernel.items != cs.nodes():
+            raise ValueError(f"kernel for source {src} was built from other candidates")
         if method == "greedy":
             out[src] = dpp_map_greedy(kernel, k_eff)
         else:

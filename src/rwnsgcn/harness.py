@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,7 @@ from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
 from rwnsgcn.data import Dataset, degree_filtered_nodes, planetoid_split
 from rwnsgcn.dpp import (
     build_negative_graph,
+    build_negative_kernels,
     draw_negative_samples,
     label_propagation,
 )
@@ -35,6 +37,7 @@ from rwnsgcn.graph import Graph, build_graph, sym_normalized_operator
 from rwnsgcn.metrics import accuracy, mad
 from rwnsgcn.model import TrainConfig, _maybe_sparse, predict, train
 from rwnsgcn.scoring import (
+    SCORER_VERSION,
     CandidateSet,
     candidate_map_from_json,
     candidate_map_to_json,
@@ -98,6 +101,7 @@ def _scoring_key(g: Graph, config: ExperimentConfig, sources: Sequence[int]) -> 
             "levels": list(config.levels),
             "k_per_level": config.k_per_level,
             "pgr_mode": config.pgr_mode,
+            "scorer_version": SCORER_VERSION,
             "sources": hashlib.sha256(
                 np.asarray(sorted(sources), dtype=np.int64).tobytes()
             ).hexdigest()[:16],
@@ -113,6 +117,19 @@ def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
     if config.sources == "degree-range":
         return [int(v) for v in degree_filtered_nodes(g, config.degree_lo, config.degree_hi)]
     raise ValueError(f"unknown sources mode {config.sources!r}")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it into
+    place, so readers see either no file or the complete one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # one writer per process
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _CandidateCache:
@@ -148,9 +165,9 @@ class _CandidateCache:
         )
         self.memory[key] = cands
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps({"key": key, "candidates": candidate_map_to_json(cands)})
+            _write_atomic(
+                path,
+                json.dumps({"key": key, "candidates": candidate_map_to_json(cands)}),
             )
         return cands
 
@@ -192,15 +209,15 @@ def _run_once(
 
         t0 = time.perf_counter()
         comm = label_propagation(ds.graph, features=ds.features, seed=lp_seed)
+        sampling = dict(k=config.k_dpp, method=config.sampler, jitter=config.jitter)
+        # built once per run: every redraw samples from the same kernels
+        kernels = build_negative_kernels(candidates, ds.features, comm, **sampling)
 
         def draw(*rng_tags):
             sampled = draw_negative_samples(
                 candidates,
-                ds.features,
-                comm,
-                k=config.k_dpp,
-                method=config.sampler,
-                jitter=config.jitter,
+                kernels,
+                **sampling,
                 rng_for_source=lambda src: substream(seed, "dpp", src, *rng_tags),
             )
             return sampled, build_negative_graph(sampled, n)

@@ -27,7 +27,12 @@ __all__ = [
     "combined_scores",
     "select_candidates",
     "score_all_sources",
+    "SCORER_VERSION",
 ]
+
+# Part of every candidate-cache key: bump it whenever a change moves the
+# candidate sets score_all_sources returns, so cached sets go stale.
+SCORER_VERSION = 1
 
 
 class ConvergenceError(RuntimeError):
@@ -211,11 +216,9 @@ def select_candidates(
     vals = scores.values
     for l in levels:
         members = layers.layers[l]
-        if members.size == 0:
-            continue
-        order = sorted(members, key=lambda j: (-vals[j], j))
-        for j in order[:k_per_level]:
-            chosen.append((int(j), float(vals[j]), l))
+        # highest score first, ties to the smaller id
+        top = members[np.lexsort((members, -vals[members]))[:k_per_level]]
+        chosen.extend((j, v, l) for j, v in zip(top.tolist(), vals[top].tolist()))
     return CandidateSet(source=layers.source, chosen=chosen, levels_used=levels)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -365,3 +366,202 @@ def test_negative_graph_round_trips_sample_pairs():
             expected.add((min(src, j), max(src, j)))
     got = {(u, v) for u, v, _ in g.edges()}
     assert got == expected
+
+
+# ------------------------------------------------------ kernel reuse, skips
+
+
+def test_kernel_factors_equal_cosine_rows_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n_nodes, feat = 14, int(rng.choice([3, 40]))
+        x = (rng.random((n_nodes, feat)) < 0.3) * rng.random((n_nodes, feat))
+        x[rng.integers(0, n_nodes, size=2)] = 0.0  # zero-norm rows, source included
+        labels = rng.integers(0, 4, size=n_nodes)
+        cf = rng.random((4, feat))
+        cf[int(rng.integers(0, 4))] = 0.0  # a zero-norm community row
+        from rwnsgcn.dpp import CommunityAssignment
+
+        comm = CommunityAssignment(labels=labels, community_features=cf, iterations_run=1)
+        items = [int(v) for v in rng.choice(n_nodes, size=int(rng.integers(1, 7)), replace=False)]
+        src = int(rng.integers(0, n_nodes))
+        kernel = build_dpp_kernel(src, make_candidates(src, items), x, comm)
+        cfi = cf[labels[items]]
+        assert np.array_equal(kernel.S_node, cosine_rows(x[items], x[items]))
+        assert np.array_equal(kernel.S_com, cosine_rows(cfi, cfi))
+        assert np.array_equal(kernel.Q, np.diag(cosine_rows(x[src][None, :], cfi)[0]))
+
+
+def _redraws_match(make, k, draws=6):
+    """Draws from one reused kernel equal draws from fresh kernels, and
+    leave the generator in the same state."""
+    reused = make()
+    rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
+    for _ in range(draws):
+        assert kdpp_sample_exact(reused, k, rng_a) == kdpp_sample_exact(make(), k, rng_b)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _kdpp_reference(L, k, rng):
+    """The sampler recomputing everything per draw: eigh, polynomial
+    table, Generator.choice and np.delete (indices, not node ids)."""
+    from rwnsgcn.dpp import RANK_TOL, _elem_sympoly
+
+    n = L.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(L)
+    eigvals = np.maximum(eigvals, 0.0)
+    k = min(k, int(np.sum(eigvals > RANK_TOL)))
+    if k == 0:
+        return []
+    E = _elem_sympoly(eigvals, k)
+    picked, rem = [], k
+    for m in range(n, 0, -1):
+        if rem == 0:
+            break
+        if m == rem:
+            marg = 1.0
+        elif E[rem, m] <= 0.0:
+            continue
+        else:
+            marg = eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m]
+        if rng.random() < marg:
+            picked.append(m - 1)
+            rem -= 1
+    V = eigvecs[:, picked]
+    chosen = []
+    while V.shape[1] > 0:
+        probs = np.maximum(np.sum(V**2, axis=1), 0.0)
+        total = probs.sum()
+        if total <= 0:
+            break
+        i = int(rng.choice(n, p=probs / total))
+        chosen.append(i)
+        if V.shape[1] == 1:
+            break
+        j = int(np.argmax(np.abs(V[i, :])))
+        vj = V[:, j].copy()
+        V = np.delete(V, j, axis=1)
+        V = V - np.outer(vj, V[i, :] / vj[i])
+        V, _ = np.linalg.qr(V)
+    return sorted(chosen)
+
+
+def test_kdpp_matches_per_draw_reference_bit_for_bit():
+    rng_l = np.random.default_rng(37)
+    for trial in range(40):
+        n = int(rng_l.integers(1, 8))
+        b = rng_l.normal(size=(n, int(rng_l.integers(1, n + 1))))  # rank-deficient too
+        kernel = make_kernel(b @ b.T)
+        for k in range(1, n + 1):
+            rng_a, rng_b = np.random.default_rng([trial, k]), np.random.default_rng([trial, k])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for _ in range(10):
+                    assert kdpp_sample_exact(kernel, k, rng_a) == _kdpp_reference(kernel.L, k, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_reused_kernel_draws_equal_fresh_kernel_draws():
+    for seed in range(8):
+        g, x, comm = _scenario(seed=seed, n_nodes=15, feat=5)
+        cand = make_candidates(0, [3, 5, 8, 11, 14][: 3 + seed % 3])
+        for k in range(1, len(cand) + 1):
+            _redraws_match(lambda: build_dpp_kernel(0, cand, x, comm), k)
+
+
+def test_reused_rank_deficient_kernel_clamps_like_fresh():
+    g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    x = np.ones((6, 4))
+    comm = label_propagation(g, features=x, seed=0)
+    cand = make_candidates(0, [3, 4, 5])
+    with pytest.warns(UserWarning, match="rank"):
+        _redraws_match(lambda: build_dpp_kernel(0, cand, x, comm, jitter=0.0), 2)
+
+
+def test_kernels_built_once_give_the_draws_of_rebuilt_kernels():
+    from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
+
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+    cands = {s: make_candidates(s, [(s + d) % 15 for d in (2, 5, 7, 9)]) for s in range(6)}
+    cands[6] = make_candidates(6, [])
+    kernels = build_negative_kernels(cands, x, comm, k=2)
+    assert sorted(kernels) == list(range(6))
+    for tag in range(3):
+        def rngs(src):
+            return np.random.default_rng([tag, src])
+
+        rebuilt = build_negative_kernels(cands, x, comm, k=2)
+        fresh = draw_negative_samples(cands, rebuilt, k=2, rng_for_source=rngs)
+        assert draw_negative_samples(cands, kernels, k=2, rng_for_source=rngs) == fresh
+        assert fresh[6] == []
+
+
+def test_kernel_from_other_candidates_rejected():
+    from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
+
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+    kernels = build_negative_kernels({0: make_candidates(0, [2, 4, 6])}, x, comm, k=2)
+    with pytest.raises(ValueError, match="other candidates"):
+        draw_negative_samples(
+            {0: make_candidates(0, [2, 4, 7])}, kernels, k=2,
+            rng_for_source=np.random.default_rng,
+        )
+
+
+def _no_kernels(monkeypatch):
+    from rwnsgcn import dpp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw that cannot choose built a kernel")
+
+    monkeypatch.setattr(dpp, "build_dpp_kernel", refuse)
+    monkeypatch.setattr(dpp, "kdpp_sample_exact", refuse)
+    monkeypatch.setattr(dpp, "dpp_map_greedy", refuse)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-8])
+def test_greedy_draw_of_every_candidate_builds_no_kernel(monkeypatch, jitter):
+    from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
+
+    g, x, comm = _scenario(seed=2)
+    cands = {0: make_candidates(0, [9, 3, 7]), 1: make_candidates(1, [4])}
+    _no_kernels(monkeypatch)
+    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
+    assert kernels == {}
+    out = draw_negative_samples(cands, kernels, k=3, method="greedy", jitter=jitter)
+    assert out == {0: [3, 7, 9], 1: [4]}
+
+
+def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeypatch):
+    from rwnsgcn.dpp import RANK_TOL, build_negative_kernels, draw_negative_samples
+
+    g, x, comm = _scenario(seed=2)
+    cands = {0: make_candidates(0, [9, 3, 7])}
+    # the skipped draw is the one the sampler would have made
+    kernel = build_dpp_kernel(0, cands[0], x, comm, jitter=100 * RANK_TOL)
+    assert kdpp_sample_exact(kernel, 3, np.random.default_rng(0)) == [3, 7, 9]
+
+    def no_rng(src):
+        raise AssertionError("a draw that cannot choose asked for a generator")
+
+    _no_kernels(monkeypatch)
+    kernels = build_negative_kernels(cands, x, comm, k=3, jitter=100 * RANK_TOL)
+    assert kernels == {}
+    out = draw_negative_samples(cands, kernels, k=3, jitter=100 * RANK_TOL, rng_for_source=no_rng)
+    assert out == {0: [3, 7, 9]}
+
+
+def test_exact_draw_below_jitter_bound_still_warns_and_clamps():
+    from rwnsgcn.dpp import RANK_TOL, build_negative_kernels, draw_negative_samples
+
+    g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+    x = np.ones((6, 4))  # identical candidates: rank one without jitter
+    comm = label_propagation(g, features=x, seed=0)
+    cands = {0: make_candidates(0, [3, 4])}
+    assert list(build_negative_kernels(cands, x, comm, k=2, jitter=99 * RANK_TOL)) == [0]
+    kernels = build_negative_kernels(cands, x, comm, k=2, jitter=0.0)
+    with pytest.warns(UserWarning, match="rank"):
+        out = draw_negative_samples(
+            cands, kernels, k=2, jitter=0.0, rng_for_source=np.random.default_rng
+        )
+    assert len(out[0]) == 1

@@ -210,6 +210,89 @@ def test_candidate_cache_round_trip(tmp_path):
     assert r1.rows == r2.rows
 
 
+def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
+    from rwnsgcn import dpp
+
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=12, resample_every=3, k_per_level=2)
+    built = []
+    original = dpp.build_dpp_kernel
+
+    def counting(source, candidates, *args, **kwargs):
+        built.append(source)
+        return original(source, candidates, *args, **kwargs)
+
+    draws = []
+
+    def counting_draw(*args, **kwargs):
+        draws.append(1)
+        return dpp.draw_negative_samples(*args, **kwargs)
+
+    monkeypatch.setattr(dpp, "build_dpp_kernel", counting)
+    monkeypatch.setattr(harness, "draw_negative_samples", counting_draw)
+    run_baseline(ds, cfg)
+    cands = harness._CACHE.get(ds.graph, cfg)
+    choosing = [s for s, cs in cands.items() if len(cs) > cfg.k_dpp]
+    assert choosing  # some draws really choose
+    assert len(draws) == cfg.runs * 4  # the first draw and three redraws per run
+    assert sorted(built) == sorted(choosing * cfg.runs)
+
+
+def _counting_scorer(monkeypatch):
+    calls = []
+    original = harness.score_all_sources
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "score_all_sources", counting)
+    return calls
+
+
+def test_scorer_version_change_misses_disk_cache(tmp_path, monkeypatch):
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(cache_dir=str(tmp_path))
+    calls = _counting_scorer(monkeypatch)
+    first = harness._CandidateCache().get(ds.graph, cfg)
+    assert harness._CandidateCache().get(ds.graph, cfg) is not first  # read from disk
+    assert len(calls) == 1
+    monkeypatch.setattr(harness, "SCORER_VERSION", harness.SCORER_VERSION + 1)
+    harness._CandidateCache().get(ds.graph, cfg)
+    assert len(calls) == 2
+    assert len(list(tmp_path.glob("candidates-*.json"))) == 2
+
+
+def test_cache_never_reads_a_partial_write(tmp_path, monkeypatch):
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(cache_dir=str(tmp_path))
+    calls = _counting_scorer(monkeypatch)
+    real_replace = harness.os.replace
+    seen = []
+
+    def interrupted(src, dst):
+        # the complete document sits beside the target, which does not exist yet
+        seen.append(json.loads(harness.Path(src).read_text())["key"])
+        assert not harness.Path(dst).exists()
+        assert harness.Path(src).parent == harness.Path(dst).parent
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(harness.os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        harness._CandidateCache().get(ds.graph, cfg)
+    assert seen and list(tmp_path.iterdir()) == []  # no target, no temp file left
+
+    # a writer killed mid-write leaves only a temp file, which is never read
+    key = seen[0]
+    (tmp_path / f".candidates-{key}.json.x1.tmp").write_text('{"key": "')
+    monkeypatch.setattr(harness.os, "replace", real_replace)
+    fresh = harness._CandidateCache().get(ds.graph, cfg)
+    assert len(calls) == 2
+    again = harness._CandidateCache().get(ds.graph, cfg)
+    assert len(calls) == 2  # the renamed file is complete and read back
+    assert {s: c.chosen for s, c in again.items()} == {s: c.chosen for s, c in fresh.items()}
+
+
 # ---------------------------------------------------------------- reporting
 
 

@@ -280,3 +280,30 @@ def test_score_all_sources_bounds_and_determinism():
     for src, cs in out1.items():
         assert len(cs) <= 3  # k_per_level * |levels|
         assert cs.chosen == out2[src].chosen
+
+
+def test_select_matches_sorted_oracle_on_tie_heavy_layers():
+    from rwnsgcn.scoring import LayeredNeighborhood, ScoreVector
+
+    rng = np.random.default_rng(29)
+    for _ in range(3000):
+        n = int(rng.integers(1, 25))
+        perm = rng.permutation(n)
+        cuts = np.sort(rng.integers(0, n + 1, size=3))
+        parts = np.split(perm, cuts)  # layers 1..4, some of them empty
+        layers = {l: np.sort(parts[l - 1]).astype(np.int64) for l in range(1, 5)}
+        vals = rng.choice([0.0, 0.125, 0.25, 0.5], size=n)  # few values: many ties
+        k = int(rng.integers(1, 5))
+        cs = select_candidates(
+            LayeredNeighborhood(source=0, layers=layers),
+            ScoreVector(values=vals, kind="combined"),
+            levels=(2, 3, 4),
+            k_per_level=k,
+        )
+        expected = [
+            (int(j), float(vals[j]), l)
+            for l in (2, 3, 4)
+            for j in sorted(layers[l], key=lambda j: (-vals[j], j))[:k]
+        ]
+        assert cs.chosen == expected
+        assert all(type(j) is int and type(v) is float for j, v, _ in cs.chosen)
