@@ -85,30 +85,101 @@ class CandidateSet:
         return len(self.chosen)
 
 
+# Sources scored together: one sparse x dense product per restart-walk
+# iteration and per BFS level serves the whole block.
+_BLOCK = 64
+
+
+def _check_source(g: Graph, source: int) -> None:
+    if not 0 <= source < g.num_nodes:
+        raise ValueError(f"source {source} out of range")
+
+
+def _check_l_max(l_max: int) -> None:
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1")
+
+
+def _hop_frontiers(g: Graph, block: np.ndarray, l_max: int) -> list[np.ndarray]:
+    """BFS frontiers of every source in ``block`` as level products.
+
+    Entry ``l - 1`` is an ``n x len(block)`` boolean array whose column i
+    marks the nodes at hop distance exactly l from ``block[i]``.  Hops run
+    over a unit-weight copy of the CSR structure, so zero-weight edges
+    still count.
+    """
+    n = g.num_nodes
+    hops = sp.csr_array(
+        (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n)
+    )
+    front = np.zeros((n, block.size), dtype=bool)
+    front[block, np.arange(block.size)] = True
+    seen = front.copy()
+    fronts = []
+    for _ in range(l_max):
+        front = (hops @ front) > 0
+        front &= ~seen
+        seen |= front
+        fronts.append(front)
+    return fronts
+
+
+def _layers(fronts: list[np.ndarray], col: int, source: int) -> LayeredNeighborhood:
+    return LayeredNeighborhood(
+        source=int(source),
+        layers={l: np.flatnonzero(f[:, col]) for l, f in enumerate(fronts, 1)},
+    )
+
+
 def bfs_layers(g: Graph, source: int, l_max: int) -> LayeredNeighborhood:
     """Group nodes by exact hop distance from ``source``, up to ``l_max``.
 
     ``layers[l]`` is the BFS frontier found at step l.  Edge weights are
     ignored, so zero-weight edges still count as hops.
     """
-    if not 0 <= source < g.num_nodes:
-        raise ValueError(f"source {source} out of range")
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    layers = {}
-    for l in range(1, l_max + 1):
-        nbrs = np.unique(g.indices[g.neighbor_positions(frontier)])
-        frontier = nbrs[~seen[nbrs]]
-        seen[frontier] = True
-        layers[l] = frontier
-    return LayeredNeighborhood(source=int(source), layers=layers)
+    _check_source(g, source)
+    _check_l_max(l_max)
+    return _layers(_hop_frontiers(g, np.array([source]), l_max), 0, source)
 
 
 def _transition_transpose(g: Graph) -> sp.csr_array:
     return sp.csr_array(transition_operator(g).matrix.T.tocsr())
+
+
+def _rwr_block(
+    pt: sp.csr_array, block: np.ndarray, alpha: float, tol: float, max_iter: int
+) -> np.ndarray:
+    """Restart-walk vectors of every source in ``block``, one per column.
+
+    Each column iterates r <- alpha P^T r + (1-alpha) e_source on its own
+    and is copied out at the first iterate whose max-norm change drops
+    below ``tol``; converged columns leave the working block.
+    """
+    n = pt.shape[0]
+    out = np.empty((block.size, n))  # row i is column i of the result
+    running = np.arange(block.size)  # block position of each working column
+    restart = (block, running)  # (source row, working column) pairs
+    r = np.zeros((n, block.size))
+    r[restart] = 1.0
+    residual = np.full(block.size, np.inf)
+    for _ in range(max_iter):
+        r_next = pt @ r
+        r_next *= alpha
+        r_next[restart] += 1.0 - alpha
+        r -= r_next  # r is not read again: its buffer holds |r - r_next|
+        residual = np.abs(r, out=r).max(axis=0)
+        r = r_next
+        done = residual < tol
+        if done.any():
+            out[running[done]] = r[:, done].T
+            keep = ~done
+            running = running[keep]
+            if running.size == 0:
+                return out.T
+            r = r[:, keep]
+            restart = (block[running], np.arange(running.size))
+    # converged columns sit below tol, so the largest residual is a running one
+    raise ConvergenceError("rwr_scores", float(residual.max()), max_iter)
 
 
 def rwr_scores(
@@ -127,17 +198,10 @@ def rwr_scores(
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must be in [0, 1)")
+    _check_source(g, source)
     pt = _transition_transpose(g) if _pt is None else _pt
-    e = np.zeros(g.num_nodes)
-    e[source] = 1.0
-    r = e.copy()
-    for _ in range(max_iter):
-        r_next = alpha * (pt @ r) + (1.0 - alpha) * e
-        delta = float(np.max(np.abs(r_next - r)))
-        r = r_next
-        if delta < tol:
-            return ScoreVector(values=r, kind="rwr")
-    raise ConvergenceError("rwr_scores", delta, max_iter)
+    block = _rwr_block(pt, np.array([source]), alpha, tol, max_iter)
+    return ScoreVector(values=block[:, 0], kind="rwr")
 
 
 def pagerank_scores(
@@ -146,6 +210,7 @@ def pagerank_scores(
     mode: str = "converged",
     tol: float = 1e-8,
     max_iter: int = 1000,
+    _pt: sp.csr_array | None = None,
 ) -> ScoreVector:
     """Global damped-walk importance with uniform teleport.
 
@@ -159,7 +224,7 @@ def pagerank_scores(
     if mode not in ("converged", "two-step"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.num_nodes
-    pt = _transition_transpose(g)
+    pt = _transition_transpose(g) if _pt is None else _pt
     dangling = g.degrees == 0
     e = np.full(n, 1.0 / n)
 
@@ -236,19 +301,29 @@ def score_all_sources(
 ) -> dict[int, CandidateSet]:
     """Candidate sets for many sources; the PageRank vector is shared.
 
-    Sources with no eligible candidates map to empty sets.
+    Sources are de-duplicated and scored in blocks of ``_BLOCK``: one
+    restart-walk iteration and one BFS level are a sparse x dense product
+    for the whole block.  Sources with no eligible candidates map to empty
+    sets.
     """
-    source_list = sorted(int(s) for s in sources)
+    source_list = sorted({int(s) for s in sources})
+    _check_l_max(l_max)
+    for src in source_list[:1] + source_list[-1:]:  # sorted: the ends bound the rest
+        _check_source(g, src)
     out: dict[int, CandidateSet] = {}
     if not source_list:
         return out
-    pgr = pagerank_scores(g, alpha, mode=pgr_mode, tol=tol, max_iter=max_iter)
     pt = _transition_transpose(g)
-    for src in source_list:
-        layers = bfs_layers(g, src, l_max)
-        rwr = rwr_scores(g, src, alpha, tol=tol, max_iter=max_iter, _pt=pt)
-        mixed = combined_scores(rwr, pgr, beta)
-        out[src] = select_candidates(layers, mixed, levels=levels, k_per_level=k_per_level)
+    pgr = pagerank_scores(g, alpha, mode=pgr_mode, tol=tol, max_iter=max_iter, _pt=pt)
+    for lo in range(0, len(source_list), _BLOCK):
+        block = np.array(source_list[lo : lo + _BLOCK])
+        fronts = _hop_frontiers(g, block, l_max)
+        rwr = _rwr_block(pt, block, alpha, tol, max_iter)
+        for i, src in enumerate(block.tolist()):
+            mixed = combined_scores(ScoreVector(values=rwr[:, i], kind="rwr"), pgr, beta)
+            out[src] = select_candidates(
+                _layers(fronts, i, src), mixed, levels=levels, k_per_level=k_per_level
+            )
     return out
 
 

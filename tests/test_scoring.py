@@ -1,8 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rwnsgcn.graph import build_graph, transition_operator
 from rwnsgcn.scoring import (
+    ConvergenceError,
+    LayeredNeighborhood,
+    ScoreVector,
+    _rwr_block,
+    _transition_transpose,
     bfs_layers,
     combined_scores,
     pagerank_scores,
@@ -11,7 +22,7 @@ from rwnsgcn.scoring import (
     select_candidates,
 )
 
-from conftest import floyd_warshall, random_graph
+from conftest import floyd_warshall, random_edge_list, random_graph
 
 
 def path_graph(n):
@@ -307,3 +318,181 @@ def test_select_matches_sorted_oracle_on_tie_heavy_layers():
         ]
         assert cs.chosen == expected
         assert all(type(j) is int and type(v) is float for j, v, _ in cs.chosen)
+
+
+# ------------------------------------------- blocks vs single-source loops
+#
+# score_all_sources scores sources in blocks (one sparse x dense product
+# per restart-walk iteration and per BFS level).  The references below are
+# the single-source loops it replaced, kept verbatim; the block code must
+# reproduce them bit for bit, so candidate sets never move.
+
+
+def reference_bfs_layers(g, source, l_max):
+    seen = np.zeros(g.num_nodes, dtype=bool)
+    seen[source] = True
+    frontier = np.array([source], dtype=np.int64)
+    layers = {}
+    for l in range(1, l_max + 1):
+        nbrs = np.unique(g.indices[g.neighbor_positions(frontier)])
+        frontier = nbrs[~seen[nbrs]]
+        seen[frontier] = True
+        layers[l] = frontier
+    return LayeredNeighborhood(source=int(source), layers=layers)
+
+
+def reference_rwr(g, source, alpha, tol=1e-8, max_iter=1000, _pt=None):
+    pt = _transition_transpose(g) if _pt is None else _pt
+    e = np.zeros(g.num_nodes)
+    e[source] = 1.0
+    r = e.copy()
+    for _ in range(max_iter):
+        r_next = alpha * (pt @ r) + (1.0 - alpha) * e
+        delta = float(np.max(np.abs(r_next - r)))
+        r = r_next
+        if delta < tol:
+            return ScoreVector(values=r, kind="rwr")
+    raise ConvergenceError("rwr_scores", delta, max_iter)
+
+
+def reference_score_all_sources(g, sources, alpha, beta, l_max, levels, k_per_level):
+    pgr = pagerank_scores(g, alpha)
+    pt = _transition_transpose(g)
+    out = {}
+    for src in sorted(int(s) for s in sources):
+        layers = reference_bfs_layers(g, src, l_max)
+        rwr = reference_rwr(g, src, alpha, _pt=pt)
+        mixed = combined_scores(rwr, pgr, beta)
+        out[src] = select_candidates(layers, mixed, levels=levels, k_per_level=k_per_level)
+    return out
+
+
+def oracle_graphs():
+    """~50 random graphs: isolated nodes, a zero-weight edge, one node."""
+    rng = np.random.default_rng(41)
+    graphs = [build_graph(1, []), build_graph(5, [(0, 1, 0.0), (1, 2, 1.0)])]
+    for t in range(48):
+        n = int(rng.integers(2, 150))
+        edges = random_edge_list(rng, n, float(rng.uniform(0.005, 0.08)), weighted=t % 2 == 1)
+        if edges and t % 3 == 0:
+            u, v, _ = edges[int(rng.integers(len(edges)))]
+            edges.append((u, v, 0.0))  # the last weight wins: a zero-weight edge
+        graphs.append(build_graph(n, edges))
+    return rng, graphs
+
+
+def test_score_all_sources_matches_single_source_loops():
+    rng, graphs = oracle_graphs()
+    for g in graphs:
+        n = g.num_nodes
+        sources = rng.integers(0, n, size=int(rng.integers(65, 200))).tolist()
+        alpha = float(rng.uniform(0.0, 0.95))
+        beta = float(rng.uniform(0.0, 1.0))
+        k = int(rng.integers(1, 4))
+        got = score_all_sources(g, sources, alpha=alpha, beta=beta, l_max=5, k_per_level=k)
+        want = reference_score_all_sources(g, sources, alpha, beta, 5, (2, 3, 4), k)
+        assert list(got) == list(want)
+        for src, cs in want.items():
+            assert got[src].chosen == cs.chosen
+            assert got[src].levels_used == cs.levels_used
+
+
+def test_bfs_layers_and_rwr_match_single_source_loops():
+    rng, graphs = oracle_graphs()
+    for g in graphs:
+        src = int(rng.integers(0, g.num_nodes))
+        l_max = int(rng.integers(1, 7))
+        got, want = bfs_layers(g, src, l_max), reference_bfs_layers(g, src, l_max)
+        assert list(got.layers) == list(want.layers)
+        for l, nodes in want.layers.items():
+            assert np.array_equal(got.layers[l], nodes)
+        alpha = float(rng.uniform(0.0, 0.95))
+        assert np.array_equal(rwr_scores(g, src, alpha).values, reference_rwr(g, src, alpha).values)
+
+
+def test_rwr_block_columns_stop_at_their_own_iterate():
+    # node 30 is isolated (stops at iteration 2); path ends need many more
+    g = build_graph(31, [(i, i + 1, 1.0) for i in range(29)])
+    pt = _transition_transpose(g)
+    block = np.array([30, 0, 15, 29, 7])
+    for alpha in (0.0, 0.5, 0.85, 0.95):
+        cols = _rwr_block(pt, block, alpha, 1e-8, 1000)
+        assert cols.shape == (31, block.size)
+        for i, src in enumerate(block.tolist()):
+            want = reference_rwr(g, src, alpha).values
+            assert np.array_equal(cols[:, i], want)
+            assert np.array_equal(rwr_scores(g, src, alpha).values, want)
+
+
+def test_rwr_block_nonconvergence_names_largest_running_residual():
+    g = build_graph(31, [(i, i + 1, 1.0) for i in range(29)])  # 30 isolated
+    pt = _transition_transpose(g)
+    residuals = []
+    for src in (0, 15):
+        with pytest.raises(ConvergenceError) as ref:
+            reference_rwr(g, src, 0.99, tol=1e-14, max_iter=3)
+        residuals.append(ref.value.residual)
+    for block in ([0, 15], [30, 0, 15]):
+        with pytest.raises(ConvergenceError, match="rwr_scores") as err:
+            _rwr_block(pt, np.array(block), 0.99, 1e-14, 3)
+        assert err.value.residual == max(residuals)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_score_all_sources_rejects_out_of_range_source_before_work(monkeypatch, bad):
+    import rwnsgcn.scoring as scoring
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scored before validating")
+
+    monkeypatch.setattr(scoring, "_transition_transpose", no_work)
+    monkeypatch.setattr(scoring, "pagerank_scores", no_work)
+    with pytest.raises(ValueError, match=f"source {bad} out of range"):
+        score_all_sources(path_graph(6), [2, bad, 3])
+    with pytest.raises(ValueError, match="l_max"):
+        score_all_sources(path_graph(6), [2, 3], l_max=0)
+    with pytest.raises(ValueError, match=f"source {bad} out of range"):
+        bfs_layers(path_graph(6), bad, 3)
+    with pytest.raises(ValueError, match=f"source {bad} out of range"):
+        rwr_scores(path_graph(6), bad, 0.85, _pt=sp.csr_array((6, 6)))
+
+
+def test_score_all_sources_builds_one_transition_transpose(monkeypatch):
+    import rwnsgcn.scoring as scoring
+
+    calls = []
+    real = scoring._transition_transpose
+    monkeypatch.setattr(scoring, "_transition_transpose", lambda g: calls.append(g) or real(g))
+    rng = np.random.default_rng(3)
+    score_all_sources(random_graph(rng, 150, 0.03), range(150))
+    assert len(calls) == 1
+
+
+def test_pagerank_with_prebuilt_transpose_is_unchanged():
+    rng = np.random.default_rng(12)
+    for t in range(10):
+        g = random_graph(rng, int(rng.integers(1, 60)), 0.1, weighted=t % 2 == 1)
+        for mode in ("converged", "two-step"):
+            want = pagerank_scores(g, 0.85, mode=mode).values
+            got = pagerank_scores(g, 0.85, mode=mode, _pt=_transition_transpose(g)).values
+            assert np.array_equal(got, want)
+
+
+def test_scoring_loads_no_dense_linalg_or_csgraph():
+    # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg,
+    # ~11 MB of resident memory the scoring step does not need
+    code = (
+        "import sys\n"
+        "from rwnsgcn.graph import build_graph\n"
+        "from rwnsgcn.harness import score_all_sources\n"
+        "g = build_graph(80, [(i, (i * 7 + 1) % 80, 1.0) for i in range(80)])\n"
+        "assert len(score_all_sources(g, range(80))) == 80\n"
+        "heavy = ('scipy.sparse.csgraph', 'scipy.linalg', 'scipy.sparse.linalg')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
