@@ -96,6 +96,8 @@ class AdamState:
     v_W: list[np.ndarray] = field(default_factory=list)
     m_Wd: list[np.ndarray] = field(default_factory=list)
     v_Wd: list[np.ndarray] = field(default_factory=list)
+    # two flat work rows for the update, sized by adam_step to the largest weight
+    scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -130,6 +132,8 @@ def init_params(
     layer_dims: list[int], lam: float, seed: int, dropout_p: float = 0.5
 ) -> ModelParams:
     """Glorot-uniform weights for both branches, deterministic per seed."""
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {dropout_p}")
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
     if any(d <= 0 for d in layer_dims):
@@ -161,11 +165,17 @@ def forward(
     neg_op: LinearOperator,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
+    *,
+    first: tuple | None = None,
 ) -> ForwardTrace:
     """Run the two-branch propagation and record a gradient-ready trace.
 
     ``X`` may be dense or a scipy sparse array.  Dropout hits hidden
-    activations only, in train mode only.
+    activations only, in train mode only.  ``first`` may carry the
+    ``(z_pos, z_neg)`` of layer 0 from an earlier trace made with exactly
+    these params and operators; layer 0 has no dropout on its input, so
+    that pair does not depend on the mode, and reusing it skips the two
+    products with ``X``.
     """
     n = pos_op.shape[0]
     if X.shape[0] != n or X.shape[1] != params.layer_dims[0]:
@@ -187,17 +197,20 @@ def forward(
     x = X
     for l in range(num_layers - 1):
         inputs.append(x)
-        z_pos = pos_op.matrix @ (x @ params.W[l])
+        if l == 0 and first is not None:
+            z_pos, z_neg = first
+        else:
+            z_pos = pos_op.matrix @ (x @ params.W[l])
+            z_neg = neg_op.matrix @ (x @ params.W_dpp[l]) if use_neg else None
         a = np.maximum(z_pos, 0.0)
-        z_neg = None
         if use_neg:
-            z_neg = neg_op.matrix @ (x @ params.W_dpp[l])
             a = a - params.lam * np.maximum(z_neg, 0.0)
         mask = None
         if train_mode and params.dropout_p > 0:
             keep = 1.0 - params.dropout_p
-            mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-            a = a * mask
+            # a bool times 1 / keep is exactly 0 or 1 / keep
+            mask = (rng.random(a.shape) < keep) * (1.0 / keep)
+            a *= mask
         z_pos_all.append(z_pos)
         z_neg_all.append(z_neg)
         masks.append(mask)
@@ -260,8 +273,9 @@ def backward(
     dlogits /= mask.size
 
     num_layers = len(params.W)
-    dW: list[np.ndarray] = [np.zeros_like(w) for w in params.W]
-    dW_dpp: list[np.ndarray] = [np.zeros_like(w) for w in params.W_dpp]
+    dW: list = [None] * num_layers
+    # the classifier has no negative branch, so its W_dpp gradient is zero
+    dW_dpp: list = [None] * (num_layers - 1) + [np.zeros_like(params.W_dpp[-1])]
     # No transpose: both operators come from sym_normalized_operator on an
     # undirected graph, which computes the (u,v) and (v,u) entries
     # identically, so each matrix equals its transpose bit for bit.
@@ -287,6 +301,8 @@ def backward(
             dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0)
             du_neg = op_neg @ dz_neg
             dW_dpp[l] = x.T @ du_neg
+        else:
+            dW_dpp[l] = np.zeros_like(params.W_dpp[l])
         if l > 0:
             dx = du_pos @ params.W[l].T
             if du_neg is not None:
@@ -305,19 +321,37 @@ def init_adam_state(params: ModelParams, lr: float) -> AdamState:
 
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    Evaluates ``w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)`` in the
+    same operation order as the plain expression, so the result is the
+    same bit for bit, but into the state's two scratch rows instead of
+    fresh temporaries.
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
+    largest = max(w.size for w in params.W + params.W_dpp)
+    if state.scratch is None or state.scratch.shape[1] < largest:
+        state.scratch = np.empty((2, largest))
 
     def update(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
+        step = state.scratch[0, : w.size].reshape(w.shape)
+        denom = state.scratch[1, : w.size].reshape(w.shape)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * g * g
-        w -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        np.multiply(g, 1.0 - b2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, corr1, out=step)
+        step *= state.lr
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        w -= step
 
     for w, g, m, v in zip(params.W, grads.dW, state.m_W, state.v_W):
         update(w, g, m, v)
@@ -346,16 +380,24 @@ def train(
     may map an epoch index to a replacement negative graph (or None to
     keep the current one); the snapshot remembers the graph it was
     trained against.
+
+    The eval pass at the end of one epoch and the training pass of the
+    next see the same weights, so the next epoch takes its layer 0 from
+    the eval trace (dropped whenever the schedule swaps the negative
+    graph).  The trained weights are the same bit for bit as when every
+    pass computes its own layer 0.
     """
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.self_loops)
-    current_negatives = negatives
-    neg_op = sym_normalized_operator(current_negatives, self_loops=False)
+    if config.layers < 1:
+        raise ValueError(f"layers must be at least 1, got {config.layers}")
     dims = (
         [ds.feature_dim]
         + [config.hidden] * (config.layers - 1)
         + [ds.class_count]
     )
     params = init_params(dims, config.lam, seed=config.seed, dropout_p=config.dropout)
+    pos_op = sym_normalized_operator(ds.graph, self_loops=config.self_loops)
+    current_negatives = negatives
+    neg_op = sym_normalized_operator(current_negatives, self_loops=False)
     state = init_adam_state(params, lr=config.lr)
     drop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
 
@@ -366,13 +408,17 @@ def train(
         params=params.copy(), best_epoch=-1, best_val_acc=-1.0,
         negatives=current_negatives,
     )
+    first = None
     for epoch in range(config.epochs):
         if negatives_schedule is not None:
             refreshed = negatives_schedule(epoch)
             if refreshed is not None:
                 current_negatives = refreshed
                 neg_op = sym_normalized_operator(current_negatives, self_loops=False)
-        trace = forward(params, X, pos_op, neg_op, train_mode=True, rng=drop_rng)
+                first = None
+        trace = forward(
+            params, X, pos_op, neg_op, train_mode=True, rng=drop_rng, first=first
+        )
         loss = loss_cross_entropy(trace.logits, labels, masks.train)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
@@ -380,6 +426,8 @@ def train(
         adam_step(params, grads, state)
 
         eval_trace = forward(params, X, pos_op, neg_op, train_mode=False)
+        if eval_trace.z_pos:  # layers == 1 has no hidden layer to carry
+            first = (eval_trace.z_pos[0], eval_trace.z_neg[0])
         preds = np.argmax(eval_trace.logits, axis=1)
         val_acc = float(np.mean(preds[masks.val] == labels[masks.val]))
         history.train_loss.append(loss)

@@ -404,6 +404,20 @@ def test_cli_error_is_machine_readable(tmp_path):
     assert "error" in err
 
 
+def test_cli_baseline_rejects_zero_layers(tmp_path, toy_bundle):
+    res = run_cli(
+        "baseline",
+        "--dataset-path", str(toy_bundle),
+        "--per-class", "3", "--num-val", "12", "--num-test", "24",
+        "--layers", "0", "--epochs", "5", "--runs", "1",
+        "--out", str(tmp_path / "results"),
+    )
+    assert res.returncode == 1
+    err = json.loads(res.stderr.strip().splitlines()[-1])
+    assert err["error"].startswith("ValueError: layers")
+    assert not (tmp_path / "results").exists()
+
+
 def test_cli_report_round_trip(tmp_path, toy_bundle):
     out = tmp_path / "first"
     res = run_cli(

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rwnsgcn.data import SplitMasks
+from rwnsgcn import model
+from rwnsgcn.data import Dataset, SplitMasks
 from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.model import (
+    AdamState,
+    ForwardTrace,
+    Gradients,
+    History,
+    ModelParams,
     TrainConfig,
+    TrainedModel,
+    _maybe_sparse,
     adam_step,
     backward,
     forward,
@@ -341,6 +350,31 @@ def test_train_deterministic_history():
     assert h1.val_acc == h2.val_acc
 
 
+@pytest.mark.parametrize("layers", [0, -2])
+def test_train_rejects_fewer_than_one_layer(layers, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the layers check")
+
+    monkeypatch.setattr(model, "init_params", no_work)
+    monkeypatch.setattr(model, "sym_normalized_operator", no_work)
+    config = TrainConfig(epochs=3, hidden=4, layers=layers, dropout=0.0, lam=0.0)
+    with pytest.raises(ValueError, match="layers"):
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+
+
+@pytest.mark.parametrize("dropout", [1.5, -0.5, 1.0, float("nan")])
+def test_train_rejects_dropout_outside_unit_interval(dropout, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the dropout check")
+
+    with pytest.raises(ValueError, match="dropout"):
+        init_params([4, 3, 2], lam=0.1, seed=0, dropout_p=dropout)
+    monkeypatch.setattr(model, "sym_normalized_operator", no_work)
+    config = TrainConfig(epochs=3, hidden=4, layers=2, dropout=dropout, lam=0.0)
+    with pytest.raises(ValueError, match="dropout"):
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+
+
 def test_train_aborts_on_nonfinite_loss():
     ds = two_clique_dataset()
     bad = type(ds)(
@@ -426,3 +460,323 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.lam == params.lam
     for a, b in zip(params.W + params.W_dpp, back.W + back.W_dpp):
         assert np.array_equal(a, b)
+
+
+# ------------------------------------------- bit-for-bit training oracles
+#
+# Verbatim copies of the forward, backward, Adam step and epoch loop that
+# every pass computed from scratch with fresh temporaries.  train() reuses
+# layer 0 across passes and updates in place; it must give the same bits.
+
+
+def reference_forward(
+    params: ModelParams,
+    X,
+    pos_op,
+    neg_op,
+    train_mode: bool = False,
+    rng: np.random.Generator | None = None,
+) -> ForwardTrace:
+    n = pos_op.shape[0]
+    if X.shape[0] != n or X.shape[1] != params.layer_dims[0]:
+        raise ValueError(
+            f"feature matrix {X.shape} incompatible with operator {pos_op.shape} "
+            f"and input dim {params.layer_dims[0]}"
+        )
+    if neg_op.shape[0] != n:
+        raise ValueError("negative operator size mismatch")
+    num_layers = len(params.W)
+    use_neg = params.lam != 0.0 and neg_op.matrix.nnz > 0
+    if train_mode and params.dropout_p > 0 and rng is None:
+        raise ValueError("train-mode forward with dropout needs an rng")
+
+    inputs: list = []
+    z_pos_all: list = []
+    z_neg_all: list = []
+    masks: list = []
+    x = X
+    for l in range(num_layers - 1):
+        inputs.append(x)
+        z_pos = pos_op.matrix @ (x @ params.W[l])
+        a = np.maximum(z_pos, 0.0)
+        z_neg = None
+        if use_neg:
+            z_neg = neg_op.matrix @ (x @ params.W_dpp[l])
+            a = a - params.lam * np.maximum(z_neg, 0.0)
+        mask = None
+        if train_mode and params.dropout_p > 0:
+            keep = 1.0 - params.dropout_p
+            mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
+            a = a * mask
+        z_pos_all.append(z_pos)
+        z_neg_all.append(z_neg)
+        masks.append(mask)
+        x = a
+    inputs.append(x)
+    logits = pos_op.matrix @ (x @ params.W[-1])
+    return ForwardTrace(
+        inputs=inputs,
+        z_pos=z_pos_all,
+        z_neg=z_neg_all,
+        drop_masks=masks,
+        logits=logits,
+        train_mode=train_mode,
+        pos_op=pos_op,
+        neg_op=neg_op,
+    )
+
+
+def reference_backward(trace, params, labels, mask) -> Gradients:
+    mask = np.asarray(mask)
+    if mask.size == 0:
+        raise ValueError("mask is empty")
+    n, c = trace.logits.shape
+    rows = trace.logits[mask]
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    dlogits = np.zeros((n, c))
+    dlogits[mask] = probs
+    dlogits[mask, labels[mask]] -= 1.0
+    dlogits /= mask.size
+
+    num_layers = len(params.W)
+    dW: list[np.ndarray] = [np.zeros_like(w) for w in params.W]
+    dW_dpp: list[np.ndarray] = [np.zeros_like(w) for w in params.W_dpp]
+    op_pos = trace.pos_op.matrix
+    op_neg = trace.neg_op.matrix
+
+    h = trace.inputs[-1]
+    du = op_pos @ dlogits
+    dW[-1] = h.T @ du
+    dx = du @ params.W[-1].T
+
+    for l in range(num_layers - 2, -1, -1):
+        g = dx
+        if trace.drop_masks[l] is not None:
+            g = g * trace.drop_masks[l]
+        x = trace.inputs[l]
+        dz_pos = g * (trace.z_pos[l] > 0)
+        du_pos = op_pos @ dz_pos
+        dW[l] = x.T @ du_pos
+        du_neg = None
+        if trace.z_neg[l] is not None:
+            dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0)
+            du_neg = op_neg @ dz_neg
+            dW_dpp[l] = x.T @ du_neg
+        if l > 0:
+            dx = du_pos @ params.W[l].T
+            if du_neg is not None:
+                dx = dx + du_neg @ params.W_dpp[l].T
+    return Gradients(dW=dW, dW_dpp=dW_dpp)
+
+
+def reference_adam_step(params, grads, state) -> None:
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+
+    def update(w, g, m, v) -> None:
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        w -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+
+    for w, g, m, v in zip(params.W, grads.dW, state.m_W, state.v_W):
+        update(w, g, m, v)
+    for w, g, m, v in zip(params.W_dpp, grads.dW_dpp, state.m_Wd, state.v_Wd):
+        update(w, g, m, v)
+
+
+def reference_train(ds, masks, negatives, config, negatives_schedule=None):
+    pos_op = sym_normalized_operator(ds.graph, self_loops=config.self_loops)
+    current_negatives = negatives
+    neg_op = sym_normalized_operator(current_negatives, self_loops=False)
+    dims = (
+        [ds.feature_dim]
+        + [config.hidden] * (config.layers - 1)
+        + [ds.class_count]
+    )
+    params = init_params(dims, config.lam, seed=config.seed, dropout_p=config.dropout)
+    state = AdamState(
+        lr=config.lr,
+        m_W=[np.zeros_like(w) for w in params.W],
+        v_W=[np.zeros_like(w) for w in params.W],
+        m_Wd=[np.zeros_like(w) for w in params.W_dpp],
+        v_Wd=[np.zeros_like(w) for w in params.W_dpp],
+    )
+    drop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
+
+    X = _maybe_sparse(ds.features)
+    labels = ds.labels
+    history = History()
+    best = TrainedModel(
+        params=params.copy(), best_epoch=-1, best_val_acc=-1.0,
+        negatives=current_negatives,
+    )
+    for epoch in range(config.epochs):
+        if negatives_schedule is not None:
+            refreshed = negatives_schedule(epoch)
+            if refreshed is not None:
+                current_negatives = refreshed
+                neg_op = sym_normalized_operator(current_negatives, self_loops=False)
+        trace = reference_forward(params, X, pos_op, neg_op, train_mode=True, rng=drop_rng)
+        loss = loss_cross_entropy(trace.logits, labels, masks.train)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
+        grads = reference_backward(trace, params, labels, masks.train)
+        reference_adam_step(params, grads, state)
+
+        eval_trace = reference_forward(params, X, pos_op, neg_op, train_mode=False)
+        preds = np.argmax(eval_trace.logits, axis=1)
+        val_acc = float(np.mean(preds[masks.val] == labels[masks.val]))
+        history.train_loss.append(loss)
+        history.val_acc.append(val_acc)
+        if val_acc > best.best_val_acc:
+            best = TrainedModel(
+                params=params.copy(),
+                best_epoch=epoch,
+                best_val_acc=val_acc,
+                negatives=current_negatives,
+            )
+    return best, history
+
+
+def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
+    """Planted graph with features on the chosen side of _maybe_sparse's 25 %."""
+    rng = np.random.default_rng(31)
+    labels = np.repeat(np.arange(classes), n // classes)
+    edges = [
+        (i, j, 1.0)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < (0.3 if labels[i] == labels[j] else 0.04)
+    ]
+    x = rng.random((n, dim)) + 0.05 * labels[:, None]
+    if sparse:
+        x *= rng.random((n, dim)) < 0.1
+    ds = Dataset(
+        graph=build_graph(n, edges), features=x, labels=labels,
+        class_count=classes, feature_dim=dim,
+    )
+    order = rng.permutation(n)
+    masks = SplitMasks(train=order[:12], val=order[12:30], test=order[30:], seed=0)
+
+    def negative_graph(seed: int, p: float = 0.08):
+        return random_graph(np.random.default_rng(seed), n, p)
+
+    return ds, masks, negative_graph
+
+
+def assert_same_training(got, want):
+    (best, history), (ref_best, ref_history) = got, want
+    for a, b in zip(best.params.W + best.params.W_dpp,
+                    ref_best.params.W + ref_best.params.W_dpp):
+        assert np.array_equal(a, b)
+    assert best.best_epoch == ref_best.best_epoch
+    assert best.best_val_acc == ref_best.best_val_acc
+    assert history.train_loss == ref_history.train_loss
+    assert history.val_acc == ref_history.val_acc
+    assert best.negatives is ref_best.negatives
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize(
+    "lam, dropout, layers",
+    [(0.3, 0.5, 2), (0.0, 0.5, 2), (0.3, 0.0, 4), (0.3, 0.5, 4), (0.3, 0.5, 1),
+     (0.0, 0.0, 1)],
+)
+def test_train_matches_reference_loop_bit_for_bit(sparse, lam, dropout, layers):
+    ds, masks, negative_graph = oracle_problem(sparse)
+    assert sp.issparse(_maybe_sparse(ds.features)) == sparse
+    config = TrainConfig(epochs=25, lr=0.05, hidden=8, layers=layers,
+                         dropout=dropout, lam=lam, seed=11)
+    negatives = negative_graph(1)
+    assert_same_training(
+        train(ds, masks, negatives, config),
+        reference_train(ds, masks, negatives, config),
+    )
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("dropout, layers", [(0.5, 2), (0.0, 4), (0.5, 1)])
+def test_train_with_swapped_negatives_matches_reference(sparse, dropout, layers):
+    # the swaps include an empty graph (negative branch switches off, then
+    # on again) and the graph already active; every swap must drop the
+    # carried layer 0
+    ds, masks, negative_graph = oracle_problem(sparse)
+    first = negative_graph(1)
+    swaps = {3: negative_graph(2), 4: negative_graph(3, p=0.2),
+             9: build_graph(ds.num_nodes, []), 13: negative_graph(4), 14: None}
+    swaps[17] = swaps[13]
+
+    def schedule(epoch):
+        return swaps.get(epoch)
+
+    config = TrainConfig(epochs=22, lr=0.05, hidden=8, layers=layers,
+                         dropout=dropout, lam=0.4, seed=5)
+    assert_same_training(
+        train(ds, masks, first, config, negatives_schedule=schedule),
+        reference_train(ds, masks, first, config, negatives_schedule=schedule),
+    )
+
+
+def test_train_reuses_eval_layer_zero_between_swaps(monkeypatch):
+    ds, masks, negative_graph = oracle_problem(sparse=True)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("first") is not None)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", spy)
+    config = TrainConfig(epochs=10, hidden=8, layers=3, dropout=0.5, lam=0.4, seed=2)
+    swaps = {4: negative_graph(7)}
+    train(ds, masks, negative_graph(1), config, negatives_schedule=swaps.get)
+    carried = seen[0::2]  # training passes; the eval passes never take a layer
+    assert not any(seen[1::2])
+    assert carried == [e not in (0, 4) for e in range(10)]
+
+
+@pytest.mark.parametrize("scratch", ["fresh", "oversized", "undersized"])
+def test_adam_step_matches_fresh_temporaries_formula(scratch):
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (64, 7), (300, 16)]
+    params = ModelParams(
+        layer_dims=[1, 1, 1, 1],
+        W=[rng.normal(size=s) for s in shapes],
+        W_dpp=[rng.normal(size=s) for s in reversed(shapes)],
+        lam=0.1,
+    )
+    ref_params = params.copy()
+    state = init_adam_state(params, lr=0.01)
+    ref_state = init_adam_state(ref_params, lr=0.01)
+    # a fresh state sizes its scratch by the 300x16 weights on the first
+    # step, so the 1x1 and 64x7 updates also run on a larger scratch
+    state.scratch = {
+        "fresh": None,
+        "oversized": np.empty((2, 10_000)),
+        "undersized": np.empty((2, 7)),
+    }[scratch]
+    for step in range(50):
+        dW = [rng.normal(size=s) for s in shapes]
+        dW_dpp = [rng.normal(size=s) * (step % 3 != 0) for s in reversed(shapes)]
+        if step % 5 == 0:
+            dW = [np.zeros(s) for s in shapes]
+        dW_dpp[0] = np.zeros_like(dW_dpp[0])
+        adam_step(params, Gradients(dW=dW, dW_dpp=dW_dpp), state)
+        reference_adam_step(
+            ref_params, Gradients(dW=[g.copy() for g in dW],
+                                  dW_dpp=[g.copy() for g in dW_dpp]), ref_state
+        )
+        for got, want in (
+            (params.W + params.W_dpp, ref_params.W + ref_params.W_dpp),
+            (state.m_W + state.m_Wd, ref_state.m_W + ref_state.m_Wd),
+            (state.v_W + state.v_Wd, ref_state.v_W + ref_state.v_Wd),
+        ):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+    assert state.step == ref_state.step == 50
