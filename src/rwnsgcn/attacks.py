@@ -39,24 +39,28 @@ class AttackSpec:
             raise ValueError("twpa intensity (sigma) must be nonnegative")
 
 
-def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
+# Scores closer than TIE_RTOL * (largest score) to their descending
+# neighbour are tied: true ties that roundoff split stay one group.
+TIE_RTOL = 1e-9
+
+
+def edge_betweenness(g: Graph) -> np.ndarray:
     """Exact Brandes betweenness per undirected edge (unweighted paths).
 
     Scores count unordered node pairs: an edge on the unique shortest
-    path between k pairs scores k.  Both directions of an edge share one
-    entry keyed (u, v) with u < v.
+    path between k pairs scores k.  Entry i scores edge i of
+    ``g.edge_arrays()``.
     """
     n = g.num_nodes
     indices = g.indices
     rows = np.repeat(np.arange(n), g.unweighted_degrees())
-    # CSR position -> undirected edge id; ids follow the sorted (u < v) keys
-    # of g.edges()
+    # CSR position -> undirected edge id; ids follow the sorted (u < v)
+    # keys of g.edge_arrays()
     _, pos_edge = np.unique(
         np.minimum(rows, indices) * n + np.maximum(rows, indices),
         return_inverse=True,
     )
-    edge_keys = g.edges()
-    acc = np.zeros(len(edge_keys))
+    acc = np.zeros(g.num_edges)
 
     for s in range(n):
         dist = np.full(n, -1, dtype=np.int64)
@@ -92,43 +96,52 @@ def edge_betweenness(g: Graph) -> dict[tuple[int, int], float]:
             np.add.at(delta, nbr[pred], contrib)
             np.add.at(acc, pos_edge[pos[pred]], contrib)
 
-    return {
-        (u, v): float(acc[i] / 2.0) for i, (u, v, _) in enumerate(edge_keys)
-    }
+    return acc / 2.0
+
+
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge ids by descending score, and the start offsets of their tie groups.
+
+    A new group starts wherever a score lies more than TIE_RTOL * max(scores)
+    below the previous one; inside a group ids ascend.
+    """
+    order = np.argsort(-scores, kind="stable")
+    breaks = np.diff(scores[order], prepend=np.inf) < -TIE_RTOL * scores.max(initial=0.0)
+    return order[np.lexsort((order, np.cumsum(breaks)))], np.flatnonzero(breaks)
 
 
 def ctbca_remove(
     g: Graph,
     fraction: float,
     seed: int = 0,
-    scores: dict[tuple[int, int], float] | None = None,
+    scores: np.ndarray | None = None,
 ) -> Graph:
     """Remove the ceil(fraction * |E|) highest-betweenness edges.
 
-    Exactly tied scores are broken lexicographically and then shuffled
-    within the tie group by the seeded stream.  Precomputed ``scores``
-    may be passed to avoid recomputing betweenness.
+    Scores tied within TIE_RTOL of the largest are ordered by edge and
+    then shuffled within the tie group by the seeded stream, one
+    permutation per group.  Precomputed ``scores`` (as returned by
+    ``edge_betweenness``) may be passed to avoid recomputing betweenness.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
-    edges = g.edges()
-    m = len(edges)
-    n_remove = math.ceil(fraction * m)
-    if n_remove == 0:
-        return build_graph(g.num_nodes, edges)
-    if scores is None:
-        scores = edge_betweenness(g)
-    rng = np.random.default_rng(seed)
-    groups: dict[float, list[tuple[int, int, float]]] = {}
-    for u, v, w in edges:
-        groups.setdefault(scores[(u, v)], []).append((u, v, w))
-    ordered: list[tuple[int, int, float]] = []
-    for score in sorted(groups, reverse=True):
-        tied = sorted(groups[score])  # lexicographic base order
-        perm = rng.permutation(len(tied))
-        ordered.extend(tied[i] for i in perm)
-    kept = ordered[n_remove:]
-    return build_graph(g.num_nodes, kept)
+    u, v, w = g.edge_arrays()
+    n_remove = math.ceil(fraction * u.size)
+    keep = np.ones(u.size, dtype=bool)
+    if n_remove:
+        scores = edge_betweenness(g) if scores is None else np.asarray(scores, dtype=np.float64)
+        if scores.shape != u.shape:
+            raise ValueError(f"scores has shape {scores.shape}, expected ({u.size},)")
+        order, starts = _tie_groups(scores)
+        rng = np.random.default_rng(seed)
+        sizes = np.diff(np.append(starts, order.size))
+        # groups past the cut cannot change the removed set, and a
+        # one-edge permutation draws nothing from the stream
+        live = (sizes > 1) & (starts < n_remove)
+        for a, size in zip(starts[live], sizes[live]):
+            order[a : a + size] = order[a : a + size][rng.permutation(size)]
+        keep[order[:n_remove]] = False
+    return build_graph(g.num_nodes, np.column_stack((u, v, w))[keep])
 
 
 def twpa_perturb(g: Graph, sigma: float, seed: int = 0) -> Graph:
@@ -140,17 +153,13 @@ def twpa_perturb(g: Graph, sigma: float, seed: int = 0) -> Graph:
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    edges = g.edges()
+    u, v, w = g.edge_arrays()
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=len(edges)) if sigma > 0 else np.zeros(len(edges))
-    perturbed = [
-        (u, v, max(0.0, w + eps)) for (u, v, w), eps in zip(edges, noise)
-    ]
-    return build_graph(g.num_nodes, perturbed)
+    noise = rng.normal(0.0, sigma, size=w.size) if sigma > 0 else np.zeros(w.size)
+    return build_graph(g.num_nodes, np.column_stack((u, v, np.maximum(w + noise, 0.0))))
 
 
-def apply_attack(g: Graph, spec: AttackSpec,
-                 scores: dict[tuple[int, int], float] | None = None) -> Graph:
+def apply_attack(g: Graph, spec: AttackSpec, scores: np.ndarray | None = None) -> Graph:
     if spec.kind == "ctbca":
         return ctbca_remove(g, spec.intensity, seed=spec.seed, scores=scores)
     return twpa_perturb(g, spec.intensity, seed=spec.seed)

@@ -105,7 +105,8 @@ def load_content_cites(
             raise ValueError(f"content row {lineno}: duplicate node id {name!r}")
         index[name] = len(ids)
         ids.append(name)
-        feat_rows.append(np.array([float(v) for v in parts[1:-1]], dtype=np.float64))
+        # one C-level conversion per row; the row's strings are freed at once
+        feat_rows.append(np.array(parts[1:-1], dtype=np.float64))
         label_strs.append(parts[-1])
     if not ids:
         raise ValueError("content text contains no rows")
@@ -118,21 +119,14 @@ def load_content_cites(
     class_index = {c: i for i, c in enumerate(class_names)}
     labels = np.array([class_index[s] for s in label_strs], dtype=np.int64)
 
-    edges = []
-    dropped = 0
-    for line in cites_text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            dropped += 1
-            continue
-        cited, citing = parts
-        if cited not in index or citing not in index:
-            dropped += 1
-            continue
-        edges.append((index[cited], index[citing], 1.0))
-    graph = build_graph(n, edges)
+    cite_rows = [parts for parts in map(str.split, cites_text.splitlines()) if parts]
+    pairs = np.array(
+        [[index.get(p[0], -1), index.get(p[1], -1)] for p in cite_rows if len(p) == 2],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    known = pairs[(pairs >= 0).all(axis=1)]
+    dropped = len(cite_rows) - len(known)
+    graph = build_graph(n, known)
     return Dataset(
         graph=graph,
         features=features,
@@ -176,7 +170,7 @@ def load_json_bundle(path: str | Path) -> Dataset:
         if key not in raw:
             raise ValueError(f"bundle missing required field {key!r}")
     n = int(raw["num_nodes"])
-    graph = build_graph(n, [(int(u), int(v), float(w)) for u, v, w in raw["edges"]])
+    graph = build_graph(n, raw["edges"])
     features = np.array(raw["features"], dtype=np.float64)
     if features.size == 0:
         features = features.reshape(n, 0)
@@ -188,6 +182,11 @@ def load_json_bundle(path: str | Path) -> Dataset:
     if labels.shape[0] != n:
         raise ValueError(f"bundle field 'labels' has {labels.shape[0]} entries for {n} nodes")
     class_names = [str(c) for c in raw["class_names"]]
+    if labels.size and not 0 <= labels.min() <= labels.max() < len(class_names):
+        raise ValueError(
+            f"bundle field 'labels' has values outside [0, {len(class_names)}) "
+            f"for {len(class_names)} class names"
+        )
     return Dataset(
         graph=graph,
         features=features,
@@ -280,12 +279,11 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
     keep = np.sort(np.array(selected, dtype=np.int64))
     remap = -np.ones(n, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    edges = [
-        (int(remap[u]), int(remap[v]), w)
-        for u, v, w in g.edges()
-        if remap[u] >= 0 and remap[v] >= 0
-    ]
-    sub_graph = build_graph(keep.size, edges)
+    u, v, w = g.edge_arrays()
+    inside = (remap[u] >= 0) & (remap[v] >= 0)
+    sub_graph = build_graph(
+        keep.size, np.column_stack((remap[u[inside]], remap[v[inside]], w[inside]))
+    )
     return Dataset(
         graph=sub_graph,
         features=ds.features[keep].copy(),

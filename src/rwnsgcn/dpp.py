@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -329,10 +330,11 @@ def build_negative_graph(
 
     Duplicates collapse; nodes never touched by sampling keep zero rows.
     """
-    edges = [
-        (int(src), int(j), 1.0) for src, subset in samples.items() for j in subset
-    ]
-    return build_graph(num_nodes, edges)
+    picked = list(map(list, samples.values()))
+    sources = np.fromiter(samples, dtype=np.int64, count=len(samples))
+    u = np.repeat(sources, list(map(len, picked)))
+    v = np.fromiter(chain.from_iterable(picked), dtype=np.int64, count=u.size)
+    return build_graph(num_nodes, np.column_stack((u, v)))
 
 
 def _draw_is_forced(n: int, k: int, method: str, jitter: float) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,17 +77,15 @@ class Graph:
         run_starts = np.cumsum(counts) - counts
         return np.arange(counts.sum()) + np.repeat(starts - run_starts, counts)
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Canonical undirected edge list, (u, v, w) with u < v, sorted."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Canonical undirected edges as arrays (u, v, w), u < v, sorted by (u, v)."""
         rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
         upper = rows < self.indices
-        return list(
-            zip(
-                rows[upper].tolist(),
-                self.indices[upper].tolist(),
-                self.weights[upper].tolist(),
-            )
-        )
+        return rows[upper], self.indices[upper], self.weights[upper]
+
+    def edges(self) -> list[tuple[int, int, float]]:
+        """``edge_arrays()`` as a list of Python (u, v, w) tuples."""
+        return list(zip(*(a.tolist() for a in self.edge_arrays())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,55 +101,69 @@ class LinearOperator:
         return self.matrix.shape
 
 
+def _edge_table(edge_list) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as an (m, 3) float64 table of (u, v, w), and each row's length.
+
+    (u, v) rows get w = 1.0; rows of any other length are all NaN.
+    """
+    if isinstance(edge_list, np.ndarray) and edge_list.ndim == 2:
+        lengths = np.full(len(edge_list), edge_list.shape[1])
+        flat = edge_list.astype(np.float64).ravel()
+    else:
+        rows = list(edge_list)
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=int(lengths.sum()))
+    table = np.full((lengths.size, 3), np.nan)
+    ok = (lengths == 2) | (lengths == 3)
+    at = (np.cumsum(lengths) - lengths)[ok]
+    table[ok, 0], table[ok, 1] = flat[at], flat[at + 1]
+    # clamped: a trailing (u, v) row has no third value, and where() drops it
+    table[ok, 2] = np.where(lengths[ok] == 3, flat[np.minimum(at + 2, flat.size - 1)], 1.0)
+    return table, lengths
+
+
 def build_graph(
     num_nodes: int,
-    edge_list: Iterable[Sequence],
+    edge_list: Iterable[Sequence] | np.ndarray,
 ) -> Graph:
     """Build a symmetric, deduplicated CSR graph from an edge list.
 
-    Entries are (u, v) or (u, v, w); missing weights default to 1.0.
-    Duplicate (u, v) pairs collapse keeping the last weight seen, and
-    self loops are dropped (both are counted on the result).
+    Entries are (u, v) or (u, v, w) rows, or an (m, 2) / (m, 3) array;
+    missing weights default to 1.0.  Duplicate (u, v) pairs collapse
+    keeping the last weight seen, and self loops are dropped (both are
+    counted on the result).
 
-    Raises ValueError naming the offending edge index for out-of-range
-    node ids or negative weights.
+    Raises ValueError naming the first offending edge index for rows of
+    another length, out-of-range node ids or negative weights.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
-    seen: dict[tuple[int, int], float] = {}
-    dup = 0
-    loops = 0
-    for k, entry in enumerate(edge_list):
-        if len(entry) == 2:
-            u, v = entry
-            w = 1.0
-        else:
-            u, v, w = entry
-        u, v, w = int(u), int(v), float(w)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(
-                f"edge {k}: node id out of range for ({u}, {v}) with {num_nodes} nodes"
-            )
-        if w < 0:
-            raise ValueError(f"edge {k}: negative weight {w} on ({u}, {v})")
-        if u == v:
-            loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            dup += 1
-        seen[key] = w
+    table, lengths = _edge_table(edge_list)
+    u, v, w = table.T
+    in_range = (0 <= u) & (u < num_nodes) & (0 <= v) & (v < num_nodes)
+    bad = ~in_range | (w < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if lengths[k] not in (2, 3):
+            raise ValueError(f"edge {k}: expected (u, v) or (u, v, w), got {lengths[k]} values")
+        pair = (int(u[k]), int(v[k]))
+        if not in_range[k]:
+            raise ValueError(f"edge {k}: node id out of range for {pair} with {num_nodes} nodes")
+        raise ValueError(f"edge {k}: negative weight {w[k]} on {pair}")
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    loop = u == v
+    loops = int(loop.sum())
     if loops:
         warnings.warn(f"dropped {loops} self-loop edge(s)", stacklevel=2)
 
-    m = len(seen)
-    rows = np.empty(2 * m, dtype=np.int64)
-    cols = np.empty(2 * m, dtype=np.int64)
-    vals = np.empty(2 * m, dtype=np.float64)
-    for i, ((u, v), w) in enumerate(seen.items()):
-        rows[2 * i], cols[2 * i], vals[2 * i] = u, v, w
-        rows[2 * i + 1], cols[2 * i + 1], vals[2 * i + 1] = v, u, w
-
+    keys = (np.minimum(u, v) * num_nodes + np.maximum(u, v))[~loop]
+    # first occurrence in the reversed list = the last weight seen
+    keys, last = np.unique(keys[::-1], return_index=True)
+    w = w[~loop][::-1][last]
+    lo, hi = keys // num_nodes, keys % num_nodes
+    rows = np.concatenate((lo, hi))
+    cols = np.concatenate((hi, lo))
+    vals = np.concatenate((w, w))
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -164,7 +177,7 @@ def build_graph(
         indices=cols,
         weights=vals,
         degrees=degrees,
-        duplicates_collapsed=dup,
+        duplicates_collapsed=int(loop.size - loops - keys.size),
         self_loops_dropped=loops,
     )
 

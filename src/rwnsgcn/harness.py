@@ -179,7 +179,7 @@ _CACHE = _CandidateCache()
 
 
 def _empty_graph(n: int) -> Graph:
-    return build_graph(n, [])
+    return build_graph(n, np.empty((0, 2)))
 
 
 def _run_once(

@@ -10,9 +10,7 @@ and applied with bias-corrected Adam.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,11 +33,7 @@ __all__ = [
     "adam_step",
     "train",
     "predict",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -456,29 +450,3 @@ def predict(
     if hasattr(hidden, "toarray"):
         hidden = hidden.toarray()
     return preds, np.asarray(hidden)
-
-
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "layer_dims": list(params.layer_dims),
-        "lam": params.lam,
-        "dropout_p": params.dropout_p,
-        "W": [w.tolist() for w in params.W],
-        "W_dpp": [w.tolist() for w in params.W_dpp],
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path: str | Path) -> ModelParams:
-    raw = json.loads(Path(path).read_text())
-    version = raw.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    return ModelParams(
-        layer_dims=[int(d) for d in raw["layer_dims"]],
-        W=[np.array(w, dtype=np.float64) for w in raw["W"]],
-        W_dpp=[np.array(w, dtype=np.float64) for w in raw["W_dpp"]],
-        lam=float(raw["lam"]),
-        dropout_p=float(raw.get("dropout_p", 0.5)),
-    )

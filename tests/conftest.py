@@ -36,6 +36,12 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     return a
 
 
+def betweenness_dict(g: Graph, scores: np.ndarray) -> dict[tuple[int, int], float]:
+    """``edge_betweenness`` scores keyed by their (u, v) edge, u < v."""
+    assert scores.shape == (g.num_edges,)
+    return {(u, v): s for (u, v, _), s in zip(g.edges(), scores.tolist())}
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """All-pairs hop distances; disconnected pairs get +inf."""
     n = g.num_nodes

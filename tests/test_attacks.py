@@ -8,7 +8,7 @@ from rwnsgcn.data import Dataset, bfs_subgraph
 from rwnsgcn.graph import build_graph
 from rwnsgcn.scoring import bfs_layers
 
-from conftest import random_graph
+from conftest import betweenness_dict, random_graph
 
 
 def brute_force_edge_betweenness(g):
@@ -61,14 +61,14 @@ def brute_force_edge_betweenness(g):
 
 def test_path_betweenness_counts_pairs():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    scores = edge_betweenness(g)
+    scores = betweenness_dict(g, edge_betweenness(g))
     assert scores[(0, 1)] == pytest.approx(2.0)
     assert scores[(1, 2)] == pytest.approx(2.0)
 
 
 def test_triangle_betweenness_symmetric():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    scores = edge_betweenness(g)
+    scores = betweenness_dict(g, edge_betweenness(g))
     assert len(set(round(v, 9) for v in scores.values())) == 1
 
 
@@ -82,7 +82,8 @@ def bridge_of_triangles():
 
 
 def test_bridge_has_strictly_largest_score():
-    scores = edge_betweenness(bridge_of_triangles())
+    g = bridge_of_triangles()
+    scores = betweenness_dict(g, edge_betweenness(g))
     bridge = scores[(2, 3)]
     for edge, score in scores.items():
         if edge != (2, 3):
@@ -94,7 +95,7 @@ def test_betweenness_matches_brute_force_oracle():
     for _ in range(25):
         n = int(rng.integers(2, 13))
         g = random_graph(rng, n, 0.35)
-        got = edge_betweenness(g)
+        got = betweenness_dict(g, edge_betweenness(g))
         expected = brute_force_edge_betweenness(g)
         assert set(got) == set(expected)
         for e in expected:
@@ -188,7 +189,7 @@ def test_zero_weight_edges_still_count_as_hops():
         1: [1], 2: [2], 3: [3], 4: [4], 5: [5]
     }
     # edge (i, i+1) of a path separates i+1 nodes from 5-i
-    assert edge_betweenness(g) == {(i, i + 1): float((i + 1) * (5 - i)) for i in range(5)}
+    assert betweenness_dict(g, edge_betweenness(g)) == {(i, i + 1): float((i + 1) * (5 - i)) for i in range(5)}
     ds = Dataset(
         graph=g,
         features=np.eye(6),

@@ -87,6 +87,50 @@ def test_bundle_missing_field_named(tmp_path):
         load_json_bundle(path)
 
 
+def _bundle(tmp_path, **fields):
+    raw = {"num_nodes": 3, "edges": [[0, 1, 0.5], [1, 2, 2.0]],
+           "features": [[0.0], [1.0], [2.0]], "labels": [0, 1, 0],
+           "class_names": ["a", "b"]}
+    raw.update(fields)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("labels", [[0, 5, 1], [0, -1, 1], [2, 0, 0]])
+def test_bundle_labels_outside_classes_named(tmp_path, labels):
+    with pytest.raises(ValueError, match="labels"):
+        load_json_bundle(_bundle(tmp_path, labels=labels))
+
+
+def test_bundle_unweighted_edge_rows_get_unit_weight(tmp_path):
+    ds = load_json_bundle(_bundle(tmp_path, edges=[[0, 1], [2, 1, 0.25]]))
+    assert ds.graph.edges() == [(0, 1, 1.0), (1, 2, 0.25)]
+
+
+@pytest.mark.parametrize("row", [[1], [0, 2, 1.0, 7.0], []])
+def test_bundle_edge_rows_of_other_lengths_named(tmp_path, row):
+    with pytest.raises(ValueError, match="edge 1: expected"):
+        load_json_bundle(_bundle(tmp_path, edges=[[0, 1, 1.0], row]))
+
+
+def test_feature_parse_matches_per_token_float():
+    rng = np.random.default_rng(13)
+    tokens = [["0", "1", "-0", "1e-3", "2.5E+2", "nan", "inf"][i % 7] if i % 3 else
+              repr(float(x)) for i, x in enumerate(rng.normal(0, 1e3, 40))]
+    content = "".join(
+        f"n{r} {' '.join(tokens[r * 8:(r + 1) * 8])} c{r % 2}\n" for r in range(5)
+    )
+    ds = load_content_cites(content, "", row_normalize=False)
+    expected = np.array([[float(t) for t in tokens[r * 8:(r + 1) * 8]] for r in range(5)])
+    assert ds.features.tobytes() == expected.tobytes()
+
+
+def test_duplicate_node_id_named():
+    with pytest.raises(ValueError, match="row 2: duplicate node id 'n1'"):
+        load_content_cites("n1 1 a\nn1 0 b\n", "")
+
+
 def test_planetoid_split_sizes_and_disjoint():
     ds = planted_dataset(seed=5, n_per_class=30, classes=3, feature_dim=9)
     masks = planetoid_split(ds, per_class=5, num_val=20, num_test=30, seed=11)

@@ -19,10 +19,8 @@ from rwnsgcn.model import (
     forward,
     init_adam_state,
     init_params,
-    load_checkpoint,
     loss_cross_entropy,
     predict,
-    save_checkpoint,
     train,
 )
 
@@ -449,17 +447,6 @@ def test_permutation_equivariance():
         sym_normalized_operator(neg_p, self_loops=False),
     ).logits
     assert np.max(np.abs(out[perm] - base)) < 1e-9
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = init_params([6, 4, 3], lam=0.25, seed=4)
-    path = tmp_path / "model.json"
-    save_checkpoint(params, path)
-    back = load_checkpoint(path)
-    assert back.layer_dims == params.layer_dims
-    assert back.lam == params.lam
-    for a, b in zip(params.W + params.W_dpp, back.W + back.W_dpp):
-        assert np.array_equal(a, b)
 
 
 # ------------------------------------------- bit-for-bit training oracles
