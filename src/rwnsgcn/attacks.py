@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwnsgcn.graph import Graph, build_graph
+from rwnsgcn.graph import Graph, build_graph, hop_blocks
 
 __all__ = [
     "AttackSpec",
@@ -50,52 +50,46 @@ def edge_betweenness(g: Graph) -> np.ndarray:
     Scores count unordered node pairs: an edge on the unique shortest
     path between k pairs scores k.  Entry i scores edge i of
     ``g.edge_arrays()``.
+
+    Sources run in the blocks of ``hop_blocks``, one column each.  The
+    forward pass counts shortest paths ``sigma`` level by level as
+    ``hops @ front``.  The backward pass, deepest level first, sets
+    ``coeff_d = 1 / sigma_d + hops @ coeff_{d+1}``, which is
+    ``(1 + delta_d) / sigma_d`` for Brandes' dependency
+    ``delta_d = sigma_d * (hops @ coeff_{d+1})``.  Edge (u, v) with v one
+    level deeper than u then carries ``sigma[u] * coeff[v]``.
     """
-    n = g.num_nodes
-    indices = g.indices
-    rows = np.repeat(np.arange(n), g.unweighted_degrees())
-    # CSR position -> undirected edge id; ids follow the sorted (u < v)
-    # keys of g.edge_arrays()
-    _, pos_edge = np.unique(
-        np.minimum(rows, indices) * n + np.maximum(rows, indices),
-        return_inverse=True,
-    )
-    acc = np.zeros(g.num_edges)
-
-    for s in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
-        dist[s] = 0
-        sigma[s] = 1.0
-        levels = [np.array([s], dtype=np.int64)]
-        frontier = levels[0]
-        d = 0
-        while frontier.size:
-            pos = g.neighbor_positions(frontier)
-            if pos.size == 0:
+    u, v, _ = g.edge_arrays()
+    acc = np.zeros(u.size)
+    for hops, block in hop_blocks(g, np.arange(g.num_nodes)):
+        cols = np.arange(block.size)
+        level = np.full((g.num_nodes, block.size), -1, dtype=np.int32)
+        level[block, cols] = 0
+        sigma = np.zeros(level.shape)
+        sigma[block, cols] = 1.0
+        front, depth = sigma.copy(), 0
+        while True:
+            front = hops @ front
+            fresh = front > 0
+            fresh &= sigma == 0  # not reached yet
+            if not fresh.any():
                 break
-            nbr = indices[pos]
-            src = rows[pos]
-            fresh = dist[nbr] == -1
-            dist[nbr[fresh]] = d + 1
-            onpath = dist[nbr] == d + 1
-            np.add.at(sigma, nbr[onpath], sigma[src[onpath]])
-            nxt = np.unique(nbr[fresh])
-            d += 1
-            frontier = nxt
-            if nxt.size:
-                levels.append(nxt)
-        # dependency accumulation, deepest level first
-        delta = np.zeros(n)
-        for lev in range(len(levels) - 1, 0, -1):
-            pos = g.neighbor_positions(levels[lev])
-            nbr = indices[pos]  # potential predecessors
-            wrep = rows[pos]
-            pred = dist[nbr] == lev - 1
-            contrib = sigma[nbr[pred]] / sigma[wrep[pred]] * (1.0 + delta[wrep[pred]])
-            np.add.at(delta, nbr[pred], contrib)
-            np.add.at(acc, pos_edge[pos[pred]], contrib)
-
+            depth += 1
+            np.copyto(level, depth, where=fresh)
+            front *= fresh  # path counts of this level only
+            sigma += front
+        inv = np.divide(1.0, sigma, out=np.zeros(sigma.shape), where=sigma > 0)
+        coeff = np.zeros(sigma.shape)
+        for d in range(depth, 0, -1):
+            # only levels deeper than d hold a coeff yet, so the product
+            # sums over the successors of each level-d node
+            below = hops @ coeff
+            below += inv
+            np.copyto(coeff, below, where=level == d)
+        lu, lv = level[u], level[v]
+        acc += np.einsum("ij,ij->i", sigma[u], coeff[v] * (lv > lu))
+        acc += np.einsum("ij,ij->i", sigma[v], coeff[u] * (lu > lv))
+    # each unordered pair is counted once from either end
     return acc / 2.0
 
 

@@ -106,7 +106,10 @@ def load_content_cites(
         index[name] = len(ids)
         ids.append(name)
         # one C-level conversion per row; the row's strings are freed at once
-        feat_rows.append(np.array(parts[1:-1], dtype=np.float64))
+        try:
+            feat_rows.append(np.array(parts[1:-1], dtype=np.float64))
+        except ValueError as err:
+            raise ValueError(f"content row {lineno}: {err}") from None
         label_strs.append(parts[-1])
     if not ids:
         raise ValueError("content text contains no rows")

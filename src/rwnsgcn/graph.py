@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +24,7 @@ __all__ = [
     "Graph",
     "LinearOperator",
     "build_graph",
+    "hop_blocks",
     "sym_normalized_operator",
     "transition_operator",
 ]
@@ -134,21 +135,26 @@ def build_graph(
     counted on the result).
 
     Raises ValueError naming the first offending edge index for rows of
-    another length, out-of-range node ids or negative weights.
+    another length, out-of-range node ids, and NaN, infinite or negative
+    weights.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
     table, lengths = _edge_table(edge_list)
     u, v, w = table.T
     in_range = (0 <= u) & (u < num_nodes) & (0 <= v) & (v < num_nodes)
-    bad = ~in_range | (w < 0)
+    finite = np.isfinite(w)
+    bad = ~in_range | ~finite | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
         if lengths[k] not in (2, 3):
             raise ValueError(f"edge {k}: expected (u, v) or (u, v, w), got {lengths[k]} values")
-        pair = (int(u[k]), int(v[k]))
+        ids = (u[k], v[k])
+        pair = tuple(map(int if np.isfinite(ids).all() else float, ids))
         if not in_range[k]:
             raise ValueError(f"edge {k}: node id out of range for {pair} with {num_nodes} nodes")
+        if not finite[k]:
+            raise ValueError(f"edge {k}: non-finite weight {w[k]} on {pair}")
         raise ValueError(f"edge {k}: negative weight {w[k]} on {pair}")
     u, v = u.astype(np.int64), v.astype(np.int64)
     loop = u == v
@@ -180,6 +186,25 @@ def build_graph(
         duplicates_collapsed=int(loop.size - loops - keys.size),
         self_loops_dropped=loops,
     )
+
+
+# Sources searched together by the level-product searches (scoring's BFS
+# and restart walk, edge betweenness): one sparse x dense product per
+# level serves the whole block.
+SOURCE_BLOCK = 64
+
+
+def hop_blocks(g: Graph, sources) -> Iterator[tuple[sp.csr_array, np.ndarray]]:
+    """The unit-weight adjacency, built once, with ``sources`` in blocks of SOURCE_BLOCK.
+
+    Every stored edge is a 1 in the hop matrix, so zero-weight edges
+    still count as hops.
+    """
+    n = g.num_nodes
+    hops = sp.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    sources = np.asarray(sources, dtype=np.int64)
+    for lo in range(0, sources.size, SOURCE_BLOCK):
+        yield hops, sources[lo : lo + SOURCE_BLOCK]
 
 
 def sym_normalized_operator(g: Graph, self_loops: bool = True) -> LinearOperator:

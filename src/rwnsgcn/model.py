@@ -92,6 +92,9 @@ class AdamState:
     v_Wd: list[np.ndarray] = field(default_factory=list)
     # two flat work rows for the update, sized by adam_step to the largest weight
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # positions in W + W_dpp that have had a non-zero gradient; the others
+    # still have all-zero moments
+    moving: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -320,7 +323,9 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
     Evaluates ``w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)`` in the
     same operation order as the plain expression, so the result is the
     same bit for bit, but into the state's two scratch rows instead of
-    fresh temporaries.
+    fresh temporaries.  A weight whose gradient and moments are all zero
+    would subtract exactly 0, so it is skipped: with lam = 0 that is the
+    whole negative branch.
     """
     state.step += 1
     t = state.step
@@ -347,9 +352,17 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
         step /= denom
         w -= step
 
-    for w, g, m, v in zip(params.W, grads.dW, state.m_W, state.v_W):
-        update(w, g, m, v)
-    for w, g, m, v in zip(params.W_dpp, grads.dW_dpp, state.m_Wd, state.v_Wd):
+    weights = zip(
+        params.W + params.W_dpp,
+        grads.dW + grads.dW_dpp,
+        state.m_W + state.m_Wd,
+        state.v_W + state.v_Wd,
+    )
+    for i, (w, g, m, v) in enumerate(weights):
+        if i not in state.moving:
+            if not g.any():
+                continue
+            state.moving.add(i)
         update(w, g, m, v)
 
 

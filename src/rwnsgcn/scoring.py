@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from rwnsgcn.graph import Graph, transition_operator
+from rwnsgcn.graph import Graph, hop_blocks, transition_operator
 
 __all__ = [
     "LayeredNeighborhood",
@@ -85,11 +85,6 @@ class CandidateSet:
         return len(self.chosen)
 
 
-# Sources scored together: one sparse x dense product per restart-walk
-# iteration and per BFS level serves the whole block.
-_BLOCK = 64
-
-
 def _check_source(g: Graph, source: int) -> None:
     if not 0 <= source < g.num_nodes:
         raise ValueError(f"source {source} out of range")
@@ -100,18 +95,15 @@ def _check_l_max(l_max: int) -> None:
         raise ValueError("l_max must be at least 1")
 
 
-def _hop_frontiers(g: Graph, block: np.ndarray, l_max: int) -> list[np.ndarray]:
+def _hop_frontiers(hops: sp.csr_array, block: np.ndarray, l_max: int) -> list[np.ndarray]:
     """BFS frontiers of every source in ``block`` as level products.
 
     Entry ``l - 1`` is an ``n x len(block)`` boolean array whose column i
-    marks the nodes at hop distance exactly l from ``block[i]``.  Hops run
-    over a unit-weight copy of the CSR structure, so zero-weight edges
+    marks the nodes at hop distance exactly l from ``block[i]``.  ``hops``
+    is the unit-weight adjacency from ``hop_blocks``, so zero-weight edges
     still count.
     """
-    n = g.num_nodes
-    hops = sp.csr_array(
-        (np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n)
-    )
+    n = hops.shape[0]
     front = np.zeros((n, block.size), dtype=bool)
     front[block, np.arange(block.size)] = True
     seen = front.copy()
@@ -139,7 +131,7 @@ def bfs_layers(g: Graph, source: int, l_max: int) -> LayeredNeighborhood:
     """
     _check_source(g, source)
     _check_l_max(l_max)
-    return _layers(_hop_frontiers(g, np.array([source]), l_max), 0, source)
+    return _layers(_hop_frontiers(*next(hop_blocks(g, [source])), l_max), 0, source)
 
 
 def _transition_transpose(g: Graph) -> sp.csr_array:
@@ -301,10 +293,10 @@ def score_all_sources(
 ) -> dict[int, CandidateSet]:
     """Candidate sets for many sources; the PageRank vector is shared.
 
-    Sources are de-duplicated and scored in blocks of ``_BLOCK``: one
-    restart-walk iteration and one BFS level are a sparse x dense product
-    for the whole block.  Sources with no eligible candidates map to empty
-    sets.
+    Sources are de-duplicated and scored in the blocks of ``hop_blocks``:
+    one restart-walk iteration and one BFS level are a sparse x dense
+    product for the whole block.  Sources with no eligible candidates map
+    to empty sets.
     """
     source_list = sorted({int(s) for s in sources})
     _check_l_max(l_max)
@@ -315,9 +307,8 @@ def score_all_sources(
         return out
     pt = _transition_transpose(g)
     pgr = pagerank_scores(g, alpha, mode=pgr_mode, tol=tol, max_iter=max_iter, _pt=pt)
-    for lo in range(0, len(source_list), _BLOCK):
-        block = np.array(source_list[lo : lo + _BLOCK])
-        fronts = _hop_frontiers(g, block, l_max)
+    for hops, block in hop_blocks(g, source_list):
+        fronts = _hop_frontiers(hops, block, l_max)
         rwr = _rwr_block(pt, block, alpha, tol, max_iter)
         for i, src in enumerate(block.tolist()):
             mixed = combined_scores(ScoreVector(values=rwr[:, i], kind="rwr"), pgr, beta)

@@ -1,14 +1,20 @@
+import importlib.util
+import inspect
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rwnsgcn.attacks import AttackSpec, ctbca_remove, edge_betweenness, twpa_perturb
-from rwnsgcn.data import Dataset, bfs_subgraph
+from rwnsgcn.config import derive_seed
+from rwnsgcn.data import Dataset, bfs_subgraph, load_content_cites
 from rwnsgcn.graph import build_graph
+from rwnsgcn.harness import run_attack_comparison
 from rwnsgcn.scoring import bfs_layers
 
-from conftest import betweenness_dict, random_graph
+from conftest import betweenness_dict, random_edge_list, random_graph
 
 
 def brute_force_edge_betweenness(g):
@@ -210,3 +216,113 @@ def test_attack_spec_validation():
         AttackSpec(kind="ctbca", intensity=1.5)
     with pytest.raises(ValueError):
         AttackSpec(kind="twpa", intensity=-1.0)
+
+
+# ------------------------------------------------- block Brandes vs per source
+
+
+def reference_edge_betweenness(g):
+    """Per-source Brandes, one BFS per source: the version the block form replaced."""
+    n = g.num_nodes
+    indices = g.indices
+    rows = np.repeat(np.arange(n), g.unweighted_degrees())
+    _, pos_edge = np.unique(
+        np.minimum(rows, indices) * n + np.maximum(rows, indices),
+        return_inverse=True,
+    )
+    acc = np.zeros(g.num_edges)
+
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n)
+        dist[s] = 0
+        sigma[s] = 1.0
+        levels = [np.array([s], dtype=np.int64)]
+        frontier = levels[0]
+        d = 0
+        while frontier.size:
+            pos = g.neighbor_positions(frontier)
+            if pos.size == 0:
+                break
+            nbr = indices[pos]
+            src = rows[pos]
+            fresh = dist[nbr] == -1
+            dist[nbr[fresh]] = d + 1
+            onpath = dist[nbr] == d + 1
+            np.add.at(sigma, nbr[onpath], sigma[src[onpath]])
+            nxt = np.unique(nbr[fresh])
+            d += 1
+            frontier = nxt
+            if nxt.size:
+                levels.append(nxt)
+        delta = np.zeros(n)
+        for lev in range(len(levels) - 1, 0, -1):
+            pos = g.neighbor_positions(levels[lev])
+            nbr = indices[pos]
+            wrep = rows[pos]
+            pred = dist[nbr] == lev - 1
+            contrib = sigma[nbr[pred]] / sigma[wrep[pred]] * (1.0 + delta[wrep[pred]])
+            np.add.at(delta, nbr[pred], contrib)
+            np.add.at(acc, pos_edge[pos[pred]], contrib)
+
+    return acc / 2.0
+
+
+def oracle_graph(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    p = min(1.0, 3.0 / max(n, 1))  # sparse enough for several BFS levels
+    edges = random_edge_list(rng, n, p, weighted=kind == "weighted")
+    if kind == "zero-weight":
+        edges = [(u, v, 0.0 if rng.random() < 0.3 else w) for u, v, w in edges]
+    elif kind == "disconnected":  # two shuffled halves with no edge between them
+        label = rng.permutation(n)
+        edges = [(label[u], label[v], w) for u, v, w in edges if (u < n // 2) == (v < n // 2)]
+    elif kind == "isolated":
+        alone = rng.random(n) < 0.2
+        edges = [(u, v, w) for u, v, w in edges if not (alone[u] or alone[v])]
+    elif kind == "no-edges":
+        edges = []
+    return build_graph(n, edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 12, 65, 130, 200])  # 65+: ragged last blocks
+@pytest.mark.parametrize(
+    "kind", ["random", "weighted", "zero-weight", "disconnected", "isolated", "no-edges"]
+)
+def test_block_brandes_matches_per_source_brandes(kind, n):
+    for seed in range(2):
+        g = oracle_graph(kind, n, seed)
+        got = edge_betweenness(g)
+        assert got.dtype == np.float64 and got.shape == (g.num_edges,)
+        assert np.isfinite(got).all()
+        assert np.allclose(got, reference_edge_betweenness(g), rtol=1e-12, atol=0)
+
+
+PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+@pytest.fixture(scope="module")
+def bench_gen():
+    if not PERFBENCH_GEN.exists():
+        pytest.skip("perfbench/gen.py is not present")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_ctbca_keeps_the_same_edges_on_the_benchmark_graphs(bench_gen, scale, seed):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    g = load_content_cites(content.decode(), cites.decode()).graph
+    got, want = edge_betweenness(g), reference_edge_betweenness(g)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    grid = inspect.signature(run_attack_comparison).parameters["attack_grid"].default
+    fraction = dict(grid)["ctbca"]
+    for r in range(3):  # the attack seeds of the harness's first three runs
+        attack_seed = derive_seed(seed + r, "attack")
+        kept = ctbca_remove(g, fraction, seed=attack_seed, scores=got)
+        assert kept.edges() == ctbca_remove(g, fraction, seed=attack_seed, scores=want).edges()
+        assert g.num_edges - kept.num_edges == np.ceil(fraction * g.num_edges)

@@ -114,6 +114,16 @@ def test_bundle_edge_rows_of_other_lengths_named(tmp_path, row):
         load_json_bundle(_bundle(tmp_path, edges=[[0, 1, 1.0], row]))
 
 
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_bundle_non_finite_weight_named(tmp_path, weight):
+    # json.loads reads NaN and Infinity, as json.dumps writes them
+    path = _bundle(tmp_path)
+    path.write_text(path.read_text().replace("2.0]", f"{weight}]"))
+    assert weight in path.read_text()
+    with pytest.raises(ValueError, match=r"edge 1: non-finite weight .* on \(1, 2\)"):
+        load_json_bundle(path)
+
+
 def test_feature_parse_matches_per_token_float():
     rng = np.random.default_rng(13)
     tokens = [["0", "1", "-0", "1e-3", "2.5E+2", "nan", "inf"][i % 7] if i % 3 else
@@ -129,6 +139,11 @@ def test_feature_parse_matches_per_token_float():
 def test_duplicate_node_id_named():
     with pytest.raises(ValueError, match="row 2: duplicate node id 'n1'"):
         load_content_cites("n1 1 a\nn1 0 b\n", "")
+
+
+def test_non_numeric_feature_token_names_row():
+    with pytest.raises(ValueError, match="content row 3: could not convert string to float: 'x'"):
+        load_content_cites("n0 1 0 a\n\nn1 1 x a\n", "")
 
 
 def test_planetoid_split_sizes_and_disjoint():

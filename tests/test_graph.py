@@ -51,6 +51,20 @@ def test_negative_weight_rejected():
         build_graph(2, [(0, 1, -0.5)])
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_non_finite_weight_rejected(weight, as_array):
+    edges = [(0, 1, 1.0), (2, 1, weight), (1, 2, np.nan)]
+    with pytest.raises(ValueError, match=f"edge 1: non-finite weight {weight} on \\(2, 1\\)"):
+        build_graph(3, np.array(edges) if as_array else edges)
+
+
+@pytest.mark.parametrize("pair", [(np.nan, 1), (0, np.inf)])
+def test_non_finite_node_id_named(pair):
+    with pytest.raises(ValueError, match="edge 1: node id out of range"):
+        build_graph(3, [(0, 1), pair])
+
+
 def test_rebuild_from_edges_is_identical():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 20, 0.2, weighted=True)

@@ -767,3 +767,38 @@ def test_adam_step_matches_fresh_temporaries_formula(scratch):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
     assert state.step == ref_state.step == 50
+
+
+def test_adam_leaves_an_inactive_branch_untouched():
+    # lam = 0: every W_dpp gradient is exactly zero, so adam_step never
+    # touches those weights or their moments
+    ds, masks, negative_graph = oracle_problem(sparse=True)
+    params = init_params([ds.feature_dim, 8, 8, ds.class_count], lam=0.0, seed=3)
+    init = params.copy()
+    state = init_adam_state(params, lr=0.05)
+    pos = sym_normalized_operator(ds.graph)
+    neg = sym_normalized_operator(negative_graph(1), self_loops=False)
+    X = _maybe_sparse(ds.features)
+    for _ in range(5):
+        trace = forward(params, X, pos, neg)
+        adam_step(params, backward(trace, params, ds.labels, masks.train), state)
+    assert state.moving == set(range(len(params.W)))
+    for w, w0, m, v in zip(params.W_dpp, init.W_dpp, state.m_Wd, state.v_Wd):
+        assert np.array_equal(w, w0) and not m.any() and not v.any()
+    assert not any(np.array_equal(w, w0) for w, w0 in zip(params.W, init.W))
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_train_with_branch_switched_on_then_off_matches_reference(sparse):
+    # the branch starts off (empty negative graph, moments stay zero), is
+    # switched on at epoch 5 and off again at epoch 12, after which its
+    # zero gradients must still decay the non-zero moments
+    ds, masks, negative_graph = oracle_problem(sparse)
+    empty = build_graph(ds.num_nodes, [])
+    swaps = {5: negative_graph(2), 12: empty, 16: negative_graph(3)}
+    config = TrainConfig(epochs=20, lr=0.05, hidden=8, layers=3,
+                         dropout=0.5, lam=0.4, seed=6)
+    assert_same_training(
+        train(ds, masks, empty, config, negatives_schedule=swaps.get),
+        reference_train(ds, masks, empty, config, negatives_schedule=swaps.get),
+    )

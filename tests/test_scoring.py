@@ -480,13 +480,15 @@ def test_pagerank_with_prebuilt_transpose_is_unchanged():
 
 def test_scoring_loads_no_dense_linalg_or_csgraph():
     # scipy.sparse.csgraph pulls in scipy.linalg and scipy.sparse.linalg,
-    # ~11 MB of resident memory the scoring step does not need
+    # ~11 MB of resident memory neither the scoring step nor the
+    # betweenness of the ctbca attack needs
     code = (
         "import sys\n"
         "from rwnsgcn.graph import build_graph\n"
-        "from rwnsgcn.harness import score_all_sources\n"
+        "from rwnsgcn.harness import edge_betweenness, score_all_sources\n"
         "g = build_graph(80, [(i, (i * 7 + 1) % 80, 1.0) for i in range(80)])\n"
         "assert len(score_all_sources(g, range(80))) == 80\n"
+        "assert edge_betweenness(g).shape == (g.num_edges,)\n"
         "heavy = ('scipy.sparse.csgraph', 'scipy.linalg', 'scipy.sparse.linalg')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
