@@ -232,52 +232,78 @@ def kdpp_sample_exact(
     If k exceeds the numerical rank of the kernel it is clamped with a
     warning.  Returns the sampled node ids, ascending.
     """
-    n = len(kernel.items)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError(f"k={k} exceeds candidate count {n}")
-    _, eigvecs, rank = kernel.spectrum
-    if k > rank:
-        warnings.warn(
-            f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=2
-        )
-        k = rank
-        if k == 0:
-            return []
+    return _kdpp_draws([kernel], [k], [rng])[0]
 
-    marg = kernel.selection_probabilities(k)
-    picked: list[int] = []
-    rem = k
-    for m in range(n, 0, -1):
-        if rem == 0:
-            break
-        if marg[rem][m] is not None and rng.random() < marg[rem][m]:
-            picked.append(m - 1)
-            rem -= 1
 
-    V = eigvecs[:, picked]
-    chosen: list[int] = []
-    while V.shape[1] > 0:
-        probs = (V**2).sum(axis=1)  # sums of squares: never negative
-        total = probs.sum()
-        if total <= 0:
-            break
-        # Generator.choice(n, p=probs / total), spelled out: the same
-        # arithmetic and the same single uniform draw, without its checks
-        cdf = (probs / total).cumsum()
-        cdf /= cdf[-1]
-        i = int(cdf.searchsorted(rng.random(), "right"))
-        chosen.append(i)
-        if V.shape[1] == 1:
-            break
-        # project the basis onto the subspace with zero coordinate i
-        j = int(np.argmax(np.abs(V[i, :])))
-        vj = V[:, j].copy()
-        V = V[:, np.arange(V.shape[1]) != j]
-        V = V - np.outer(vj, V[i, :] / vj[i])
-        V, _ = np.linalg.qr(V)
-    return sorted(kernel.items[i] for i in chosen)
+def _kdpp_draws(
+    kernels: list[DppKernel], ks: list[int], rngs: list[np.random.Generator]
+) -> list[list[int]]:
+    """``kdpp_sample_exact`` for each (kernel, k, generator), in lockstep.
+
+    Eigenvectors are selected draw by draw.  The draws with the same
+    candidate count n and selected-vector count r then take each
+    projection step together on a stacked (B, r, n) array, with the
+    arithmetic of a single draw per basis, so each generator sees the same
+    calls in the same order as in a draw made on its own, and the picks
+    are equal.
+    """
+    bases = []
+    for kernel, k, rng in zip(kernels, ks, rngs):
+        n = len(kernel.items)
+        if k <= 0:
+            raise ValueError("k must be positive")
+        if k > n:
+            raise ValueError(f"k={k} exceeds candidate count {n}")
+        _, eigvecs, rank = kernel.spectrum
+        if k > rank:
+            warnings.warn(f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=3)
+            k = rank
+        picked: list[int] = []
+        marg = kernel.selection_probabilities(k) if k else None
+        for m in range(n, 0, -1):
+            if len(picked) == k:
+                break
+            p = marg[k - len(picked)][m]
+            if p is not None and rng.random() < p:
+                picked.append(m - 1)
+        # one basis vector per row: the memory layout of the (n, r) column
+        # selection a single draw sums over, so row sums add in its order
+        bases.append(eigvecs[:, picked].T)
+    groups: dict[tuple, list[int]] = {}
+    for d, basis in enumerate(bases):
+        if basis.size:
+            groups.setdefault(basis.shape, []).append(d)
+    out: list[list[int]] = [[] for _ in kernels]
+    for members in groups.values():
+        W = np.array([bases[d] for d in members])  # (B, r, n)
+        rows = np.arange(len(members))
+        chosen = []
+        while True:
+            # the basis stays orthonormal, so the squared coordinates are
+            # non-negative and total the basis size
+            probs = (W**2).sum(axis=1)
+            # Generator.choice(n, p=probs / total), spelled out: the same
+            # arithmetic and the same single uniform draw; counting the cdf
+            # entries <= u is searchsorted(cdf, u, "right")
+            cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            u = np.array([rngs[d].random() for d in members])
+            i = (cdf <= u[:, None]).sum(axis=1)
+            chosen.append(i)
+            r = W.shape[1]
+            if r == 1:
+                break
+            # project each basis onto the subspace with zero coordinate i:
+            # drop the vector j largest there, subtract multiples of it
+            wi = W[rows, :, i]
+            j = np.abs(wi).argmax(axis=1)
+            wj = W[rows, j]
+            W = W - (wi / wj[rows, i][:, None])[:, :, None] * wj[:, None, :]
+            W = W[np.arange(r) != j[:, None]].reshape(-1, r - 1, W.shape[2])
+            W = np.linalg.qr(W.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        for b, d in enumerate(members):
+            out[d] = sorted(kernels[d].items[c[b]] for c in chosen)
+    return out
 
 
 def dpp_map_greedy(
@@ -402,24 +428,34 @@ def draw_negative_samples(
     ``k`` is clamped to each source's candidate count.  ``rng_for_source``
     maps a source id to the generator used for its draw, so results do
     not depend on iteration order; it is required for the exact sampler.
+    The exact draws run in lockstep, so every source needs a generator of
+    its own: one generator returned for two sources raises ``ValueError``.
     A draw that can only return every candidate returns them, ascending,
     without a kernel or a generator.
     """
     _check_method(method)
-    out: dict[int, list[int]] = {}
-    for src in sorted(candidates):
+    out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
+    exact: list[int] = []
+    for src in out:
         cs = candidates[src]
-        k_eff = min(k, len(cs))
         if _draw_is_forced(len(cs), k, method, jitter):
             out[src] = sorted(cs.nodes())
             continue
-        kernel = kernels[src]
-        if kernel.items != cs.nodes():
+        if kernels[src].items != cs.nodes():
             raise ValueError(f"kernel for source {src} was built from other candidates")
         if method == "greedy":
-            out[src] = dpp_map_greedy(kernel, k_eff)
+            out[src] = dpp_map_greedy(kernels[src], min(k, len(cs)))
         else:
-            if rng_for_source is None:
-                raise ValueError("exact sampling needs rng_for_source")
-            out[src] = kdpp_sample_exact(kernel, k_eff, rng_for_source(src))
+            exact.append(src)
+    if exact:
+        if rng_for_source is None:
+            raise ValueError("exact sampling needs rng_for_source")
+        rngs = [rng_for_source(src) for src in exact]
+        owner: dict[int, int] = {}
+        for src, rng in zip(exact, rngs):
+            first = owner.setdefault(id(rng), src)
+            if first != src:
+                raise ValueError(f"sources {first} and {src} share one generator")
+        ks = [min(k, len(candidates[src])) for src in exact]
+        out.update(zip(exact, _kdpp_draws([kernels[s] for s in exact], ks, rngs)))
     return out

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from rwnsgcn.data import Dataset
 from rwnsgcn.graph import Graph, build_graph
 
 DATA_DIR = Path(os.environ.get("RWNSGCN_DATA_DIR", Path(__file__).parent.parent / "data"))
+PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def random_edge_list(rng: np.random.Generator, n: int, p: float, weighted: bool = False):
@@ -106,3 +109,15 @@ def require_dataset(name: str) -> tuple[Path, Path]:
             f"(set RWNSGCN_DATA_DIR or place {name}.content/.cites there)"
         )
     return content, cites
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """The benchmark's seeded dataset generator, ``perfbench/gen.py``."""
+    if not PERFBENCH_GEN.exists():
+        pytest.skip("perfbench/gen.py is not present")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up here
+    spec.loader.exec_module(module)
+    return module

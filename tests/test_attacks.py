@@ -1,8 +1,5 @@
-import importlib.util
 import inspect
-import sys
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,20 +293,6 @@ def test_block_brandes_matches_per_source_brandes(kind, n):
         assert got.dtype == np.float64 and got.shape == (g.num_edges,)
         assert np.isfinite(got).all()
         assert np.allclose(got, reference_edge_betweenness(g), rtol=1e-12, atol=0)
-
-
-PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
-@pytest.fixture(scope="module")
-def bench_gen():
-    if not PERFBENCH_GEN.exists():
-        pytest.skip("perfbench/gen.py is not present")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("seed", [501, 601])

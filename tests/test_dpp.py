@@ -4,16 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
+from rwnsgcn.config import derive_seed, substream
+from rwnsgcn.data import load_content_cites
 from rwnsgcn.dpp import (
+    RANK_TOL,
     build_dpp_kernel,
     build_negative_graph,
+    build_negative_kernels,
     cosine_rows,
     dpp_map_greedy,
+    draw_negative_samples,
     kdpp_sample_exact,
     label_propagation,
 )
 from rwnsgcn.graph import build_graph
-from rwnsgcn.scoring import CandidateSet
+from rwnsgcn.scoring import CandidateSet, score_all_sources
 
 from conftest import random_graph
 
@@ -516,6 +521,7 @@ def _no_kernels(monkeypatch):
 
     monkeypatch.setattr(dpp, "build_dpp_kernel", refuse)
     monkeypatch.setattr(dpp, "kdpp_sample_exact", refuse)
+    monkeypatch.setattr(dpp, "_kdpp_draws", refuse)
     monkeypatch.setattr(dpp, "dpp_map_greedy", refuse)
 
 
@@ -565,3 +571,200 @@ def test_exact_draw_below_jitter_bound_still_warns_and_clamps():
             cands, kernels, k=2, jitter=0.0, rng_for_source=np.random.default_rng
         )
     assert len(out[0]) == 1
+
+
+# ------------------------------------------------------ lockstep draws
+
+
+def per_source_kdpp_sample_exact(kernel, k, rng):
+    """The exact sampler as one draw at a time, kept as the oracle of the
+    lockstep draws: same picks and the same generator calls."""
+    n = len(kernel.items)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > n:
+        raise ValueError(f"k={k} exceeds candidate count {n}")
+    _, eigvecs, rank = kernel.spectrum
+    if k > rank:
+        warnings.warn(
+            f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=2
+        )
+        k = rank
+        if k == 0:
+            return []
+
+    marg = kernel.selection_probabilities(k)
+    picked: list[int] = []
+    rem = k
+    for m in range(n, 0, -1):
+        if rem == 0:
+            break
+        if marg[rem][m] is not None and rng.random() < marg[rem][m]:
+            picked.append(m - 1)
+            rem -= 1
+
+    V = eigvecs[:, picked]
+    chosen: list[int] = []
+    while V.shape[1] > 0:
+        probs = (V**2).sum(axis=1)  # sums of squares: never negative
+        total = probs.sum()
+        if total <= 0:
+            break
+        # Generator.choice(n, p=probs / total), spelled out: the same
+        # arithmetic and the same single uniform draw, without its checks
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+        i = int(cdf.searchsorted(rng.random(), "right"))
+        chosen.append(i)
+        if V.shape[1] == 1:
+            break
+        # project the basis onto the subspace with zero coordinate i
+        j = int(np.argmax(np.abs(V[i, :])))
+        vj = V[:, j].copy()
+        V = V[:, np.arange(V.shape[1]) != j]
+        V = V - np.outer(vj, V[i, :] / vj[i])
+        V, _ = np.linalg.qr(V)
+    return sorted(kernel.items[i] for i in chosen)
+
+
+def _per_source_draws(cands, kernels, k, jitter, rngs):
+    """``draw_negative_samples`` as one oracle draw per source, in id order."""
+    from rwnsgcn.dpp import _draw_is_forced
+
+    return {
+        src: sorted(cs.nodes())
+        if _draw_is_forced(len(cs), k, "exact", jitter)
+        else per_source_kdpp_sample_exact(kernels[src], min(k, len(cs)), rngs[src])
+        for src, cs in sorted(cands.items())
+    }
+
+
+def _assert_draws_match(cands, kernels, k, jitter, seeds, draws=2):
+    """Lockstep and per-source draws agree in picks, generator end states
+    and rank warnings, over ``draws`` redraws from the same generators.
+    Returns the number of rank warnings of the last draw."""
+    lock = {src: np.random.default_rng(seeds(src)) for src in cands}
+    single = {src: np.random.default_rng(seeds(src)) for src in cands}
+    for _ in range(draws):
+        with warnings.catch_warnings(record=True) as lock_warned:
+            warnings.simplefilter("always")
+            got = draw_negative_samples(
+                cands, kernels, k=k, jitter=jitter, rng_for_source=lock.__getitem__
+            )
+        with warnings.catch_warnings(record=True) as single_warned:
+            warnings.simplefilter("always")
+            want = _per_source_draws(cands, kernels, k, jitter, single)
+        assert list(got) == list(want)
+        assert got == want
+        assert [str(w.message) for w in lock_warned] == [str(w.message) for w in single_warned]
+    for src in cands:
+        assert lock[src].bit_generator.state == single[src].bit_generator.state
+    return len(lock_warned)
+
+
+def _mixed_kernels(seed, sources=150):
+    """Sources over 2-7 candidates whose kernels take every rank 0..n."""
+    rng = np.random.default_rng(seed)
+    cands, kernels = {}, {}
+    for src in rng.permutation(3 * sources)[:sources]:
+        n = int(rng.integers(2, 8))
+        rank = int(rng.integers(0, n + 1))
+        b = rng.normal(size=(n, rank)) * rng.choice([1e-2, 1.0, 1e2])
+        items = [int(v) for v in rng.choice(500, size=n, replace=False)]
+        cands[int(src)] = make_candidates(int(src), items)
+        kernels[int(src)] = make_kernel(b @ b.T, items=items)
+    return cands, kernels
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_lockstep_draws_match_per_source_draws_on_mixed_groups(k):
+    for seed in range(3):
+        cands, kernels = _mixed_kernels(seed)
+        ranks = [kernel.spectrum[2] for kernel in kernels.values()]
+        assert set(ranks) == set(range(8))
+        # jitter 0: every source chooses, k >= n included, and low ranks clamp
+        warned = _assert_draws_match(cands, kernels, k, 0.0, lambda src: [seed, k, src])
+        assert warned == sum(min(k, len(cands[s])) > kernels[s].spectrum[2] for s in cands)
+        assert warned > 0
+
+
+@pytest.mark.parametrize("jitter", [0.0, 99 * RANK_TOL, 1e-8])
+def test_lockstep_draws_match_per_source_draws_on_assembled_kernels(jitter):
+    g, x, comm = _scenario(seed=6, n_nodes=40, feat=5)
+    x[20:30] = x[20]  # identical candidates: rank-deficient without jitter
+    comm.labels[20:30] = comm.labels[20]
+    cands = {}
+    for src in range(40):
+        pool = list(range(20, 30)) if src % 3 == 0 else [v for v in range(40) if v != src]
+        size = 2 + src % 6
+        cands[src] = make_candidates(src, [pool[(7 * src + 3 * t) % len(pool)] for t in range(size)])
+    for k in (2, 3, 5):
+        kernels = build_negative_kernels(cands, x, comm, k=k, jitter=jitter)
+        warned = _assert_draws_match(cands, kernels, k, jitter, lambda src: [k, src], draws=3)
+        assert (warned > 0) == (jitter == 0.0)
+
+
+def test_shared_generator_is_rejected_naming_both_sources():
+    cands, kernels = _mixed_kernels(4, sources=20)
+    first, second = sorted(cands)[3], sorted(cands)[11]
+    gens = {src: np.random.default_rng(src) for src in cands}
+    gens[second] = gens[first]
+    before = {src: gen.bit_generator.state for src, gen in gens.items()}
+    with pytest.raises(ValueError, match=f"sources {first} and {second} share one generator"):
+        draw_negative_samples(cands, kernels, k=2, jitter=0.0, rng_for_source=gens.__getitem__)
+    assert {src: gen.bit_generator.state for src, gen in gens.items()} == before
+
+
+class _Uniforms:
+    """A generator stand-in that returns the given uniforms in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_pick_at_a_cdf_tie_goes_right_like_searchsorted():
+    # rank one, eigenvector (1, 1)/sqrt(2): the cdf is exactly [0.5, 1.0]
+    cands = {0: make_candidates(0, [10, 11])}
+    kernels = {0: make_kernel(np.ones((2, 2)), items=[10, 11])}
+    assert per_source_kdpp_sample_exact(kernels[0], 1, _Uniforms([0.0, 0.5])) == [11]
+    got = draw_negative_samples(
+        cands, kernels, k=1, jitter=0.0, rng_for_source=lambda src: _Uniforms([0.0, 0.5])
+    )
+    assert got == {0: [11]}
+
+
+def test_lockstep_draws_reject_k_below_one():
+    cands, kernels = _mixed_kernels(5, sources=10)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be positive"):
+            draw_negative_samples(
+                cands, kernels, k=k, jitter=0.0, rng_for_source=np.random.default_rng
+            )
+
+
+def test_forced_sources_may_share_a_generator():
+    cands = {s: make_candidates(s, [s + 1, s + 2]) for s in range(4)}
+    shared = np.random.default_rng(0)
+    out = draw_negative_samples(cands, {}, k=3, rng_for_source=lambda src: shared)
+    assert out == {s: [s + 1, s + 2] for s in range(4)}
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen, seed):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
+    comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
+    kernels = build_negative_kernels(cands, ds.features, comm, k=3)
+    assert len(kernels) > ds.num_nodes // 2  # most draws really choose
+    # the first draw, then the redraws of resample_every=15 over 60 epochs
+    for tags in [(), ("epoch", 15), ("epoch", 30), ("epoch", 45)]:
+        lock = {src: substream(seed, "dpp", src, *tags) for src in kernels}
+        single = {src: substream(seed, "dpp", src, *tags) for src in kernels}
+        got = draw_negative_samples(cands, kernels, k=3, rng_for_source=lock.__getitem__)
+        assert got == _per_source_draws(cands, kernels, 3, 1e-8, single)
+        for src in kernels:
+            assert lock[src].bit_generator.state == single[src].bit_generator.state
