@@ -56,7 +56,6 @@ _CONFIG_FLAGS = [
     ("--epochs", "epochs", int, "training epochs per run"),
     ("--lr", "lr", float, "learning rate"),
     ("--base-seed", "base_seed", int, "seed of run 0"),
-    ("--cache-dir", "cache_dir", str, "candidate-cache directory"),
 ]
 
 

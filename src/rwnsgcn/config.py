@@ -63,7 +63,6 @@ class ExperimentConfig:
     epochs: int = 200
     lr: float = 0.01
     base_seed: int = 0
-    cache_dir: str | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)

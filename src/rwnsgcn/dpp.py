@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -392,7 +392,7 @@ def _check_method(method: str) -> None:
 def build_negative_kernels(
     candidates: Mapping[int, CandidateSet],
     features: np.ndarray,
-    comm: CommunityAssignment,
+    comm: CommunityAssignment | Callable[[], CommunityAssignment],
     k: int = 3,
     method: str = "exact",
     jitter: float = 1e-8,
@@ -400,16 +400,24 @@ def build_negative_kernels(
     """Kernels of the sources whose draw actually chooses.
 
     Sources whose draw can only return every candidate (none included)
-    get none.  Build once per candidate map and community
+    get none.  ``comm`` may be a zero-argument callable that returns the
+    communities; it is called once, and only if some source gets a
+    kernel.  Build once per candidate map and community
     assignment, then pass the result to every ``draw_negative_samples``
     call with the same candidates, k, method and jitter, so redraws reuse
     each kernel and its eigendecomposition.
     """
     _check_method(method)
-    return {
-        src: build_dpp_kernel(src, candidates[src], features, comm, jitter=jitter)
+    choosing = [
+        src
         for src in sorted(candidates)
         if not _draw_is_forced(len(candidates[src]), k, method, jitter)
+    ]
+    if choosing and callable(comm):
+        comm = comm()
+    return {
+        src: build_dpp_kernel(src, candidates[src], features, comm, jitter=jitter)
+        for src in choosing
     }
 
 

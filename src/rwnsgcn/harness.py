@@ -7,6 +7,8 @@ sub-stream of that seed, so variants sharing a base seed share the
 randomness of every phase they have in common.  CSV output is a pure
 function of the configuration, so identical configs produce
 byte-identical files; wall-clock timings go to the JSON only.
+Candidates are scored once per graph per experiment call and handed to
+each run; nothing persists between calls.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,13 +37,7 @@ from rwnsgcn.dpp import (
 from rwnsgcn.graph import Graph, build_graph, sym_normalized_operator
 from rwnsgcn.metrics import accuracy, mad
 from rwnsgcn.model import TrainConfig, _maybe_sparse, predict, train
-from rwnsgcn.scoring import (
-    SCORER_VERSION,
-    CandidateSet,
-    candidate_map_from_json,
-    candidate_map_to_json,
-    score_all_sources,
-)
+from rwnsgcn.scoring import CandidateSet, score_all_sources
 
 __all__ = [
     "RunReport",
@@ -91,26 +86,6 @@ def _graph_fingerprint(g: Graph) -> str:
     return h.hexdigest()[:16]
 
 
-def _scoring_key(g: Graph, config: ExperimentConfig, sources: Sequence[int]) -> str:
-    payload = json.dumps(
-        {
-            "graph": _graph_fingerprint(g),
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "l_max": config.l_max,
-            "levels": list(config.levels),
-            "k_per_level": config.k_per_level,
-            "pgr_mode": config.pgr_mode,
-            "scorer_version": SCORER_VERSION,
-            "sources": hashlib.sha256(
-                np.asarray(sorted(sources), dtype=np.int64).tobytes()
-            ).hexdigest()[:16],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
     if config.sources == "all":
         return list(range(g.num_nodes))
@@ -119,67 +94,23 @@ def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
     raise ValueError(f"unknown sources mode {config.sources!r}")
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temp file beside ``path``, then rename it into
-    place, so readers see either no file or the complete one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")  # one writer per process
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-class _CandidateCache:
-    """Process-wide candidate cache with an optional JSON spill directory."""
-
-    def __init__(self):
-        self.memory: dict[str, dict[int, CandidateSet]] = {}
-
-    def get(
-        self, g: Graph, config: ExperimentConfig
-    ) -> dict[int, CandidateSet]:
-        sources = _experiment_sources(g, config)
-        key = _scoring_key(g, config, sources)
-        if key in self.memory:
-            return self.memory[key]
-        path = None
-        if config.cache_dir:
-            path = Path(config.cache_dir) / f"candidates-{key}.json"
-            if path.exists():
-                raw = json.loads(path.read_text())
-                cands = candidate_map_from_json(raw["candidates"])
-                self.memory[key] = cands
-                return cands
-        cands = score_all_sources(
-            g,
-            sources,
-            alpha=config.alpha,
-            beta=config.beta,
-            l_max=config.l_max,
-            levels=config.levels,
-            k_per_level=config.k_per_level,
-            pgr_mode=config.pgr_mode,
-        )
-        self.memory[key] = cands
-        if path is not None:
-            _write_atomic(
-                path,
-                json.dumps({"key": key, "candidates": candidate_map_to_json(cands)}),
-            )
-        return cands
-
-    def clear(self):
-        self.memory.clear()
-
-
-_CACHE = _CandidateCache()
-
-
-def _empty_graph(n: int) -> Graph:
-    return build_graph(n, np.empty((0, 2)))
+def _score(
+    g: Graph, config: ExperimentConfig, timings: dict[str, float]
+) -> dict[int, CandidateSet]:
+    """Candidates of every experiment source of ``g``, timed as "scoring"."""
+    t0 = time.perf_counter()
+    candidates = score_all_sources(
+        g,
+        _experiment_sources(g, config),
+        alpha=config.alpha,
+        beta=config.beta,
+        l_max=config.l_max,
+        levels=config.levels,
+        k_per_level=config.k_per_level,
+        pgr_mode=config.pgr_mode,
+    )
+    timings["scoring"] = timings.get("scoring", 0.0) + time.perf_counter() - t0
+    return candidates
 
 
 def _run_once(
@@ -187,9 +118,14 @@ def _run_once(
     config: ExperimentConfig,
     run_index: int,
     timings: dict[str, float],
+    candidates: dict[int, CandidateSet] | None,
     dump_dir: Path | None = None,
 ) -> dict:
-    """One full pipeline execution. Returns the per-run report row."""
+    """One full pipeline execution. Returns the per-run report row.
+
+    ``candidates`` are ``_score(ds.graph, config, ...)``, scored once by the
+    caller for all runs on that graph; None when ``config.lam`` is 0.
+    """
     seed = config.base_seed + run_index
     split_seed = derive_seed(seed, "split")
     masks = planetoid_split(
@@ -204,14 +140,15 @@ def _run_once(
     negatives_schedule = None
     if config.lam != 0.0:
         t0 = time.perf_counter()
-        candidates = _CACHE.get(ds.graph, config)
-        timings["scoring"] = timings.get("scoring", 0.0) + time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        comm = label_propagation(ds.graph, features=ds.features, seed=lp_seed)
         sampling = dict(k=config.k_dpp, method=config.sampler, jitter=config.jitter)
-        # built once per run: every redraw samples from the same kernels
-        kernels = build_negative_kernels(candidates, ds.features, comm, **sampling)
+        # built once per run: every redraw samples from the same kernels.
+        # Communities are found only if some draw chooses
+        kernels = build_negative_kernels(
+            candidates,
+            ds.features,
+            lambda: label_propagation(ds.graph, features=ds.features, seed=lp_seed),
+            **sampling,
+        )
 
         def draw(*rng_tags):
             sampled = draw_negative_samples(
@@ -242,7 +179,7 @@ def _run_once(
                 )
             )
     else:
-        neg_graph = _empty_graph(n)
+        neg_graph = build_graph(n, np.empty((0, 2)))
 
     model_seed = derive_seed(seed, "model")
     tc = TrainConfig(
@@ -311,9 +248,10 @@ def run_baseline(
     """Full pipeline for ``config.runs`` seeded runs, with aggregates."""
     timings: dict[str, float] = {}
     dump = Path(dump_negatives_dir) if dump_negatives_dir else None
+    candidates = _score(ds.graph, config, timings) if config.lam != 0.0 else None
     rows = []
     for r in range(config.runs):
-        rows.append(_run_once(ds, config, r, timings, dump_dir=dump))
+        rows.append(_run_once(ds, config, r, timings, candidates, dump_dir=dump))
         log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
     return RunReport(
         label=label,
@@ -368,8 +306,24 @@ def run_attack_comparison(
     graph).  One report per attack, one paired row per run."""
     gcn_config = config.with_overrides(lam=0.0)
     clean_timings: dict[str, float] = {}
-    clean_rw = [_run_once(ds, config, r, clean_timings) for r in range(config.runs)]
-    clean_gcn = [_run_once(ds, gcn_config, r, clean_timings) for r in range(config.runs)]
+    # candidates by graph fingerprint, for this call only: a perturbed graph
+    # equal to one already scored (ctbca without ties gives the same graph
+    # in every run) is not scored again
+    scored: dict[str, dict[int, CandidateSet]] = {}
+
+    def candidates_of(g: Graph, timings: dict[str, float]):
+        key = _graph_fingerprint(g)
+        if config.lam != 0.0 and key not in scored:
+            scored[key] = _score(g, config, timings)
+        return scored.get(key)
+
+    clean = candidates_of(ds.graph, clean_timings)
+    clean_rw = [
+        _run_once(ds, config, r, clean_timings, clean) for r in range(config.runs)
+    ]
+    clean_gcn = [
+        _run_once(ds, gcn_config, r, clean_timings, None) for r in range(config.runs)
+    ]
 
     betweenness = None
     if any(kind == "ctbca" for kind, _ in attack_grid):
@@ -393,17 +347,11 @@ def run_attack_comparison(
             attack_seed = derive_seed(seed, "attack")
             spec = AttackSpec(kind=kind, intensity=intensity, seed=attack_seed)
             perturbed_graph = apply_attack(ds.graph, spec, scores=betweenness)
-            perturbed = Dataset(
-                graph=perturbed_graph,
-                features=ds.features,
-                labels=ds.labels,
-                class_count=ds.class_count,
-                feature_dim=ds.feature_dim,
-                node_names=ds.node_names,
-                class_names=ds.class_names,
+            perturbed = replace(ds, graph=perturbed_graph)
+            att_rw = _run_once(
+                perturbed, attacked_cfg, r, timings, candidates_of(perturbed_graph, timings)
             )
-            att_rw = _run_once(perturbed, attacked_cfg, r, timings)
-            att_gcn = _run_once(perturbed, attacked_gcn_cfg, r, timings)
+            att_gcn = _run_once(perturbed, attacked_gcn_cfg, r, timings, None)
             deg_rw = clean_rw[r]["accuracy"] - att_rw["accuracy"]
             deg_gcn = clean_gcn[r]["accuracy"] - att_gcn["accuracy"]
             rows.append(

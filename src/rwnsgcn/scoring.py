@@ -9,7 +9,7 @@ candidate negatives.  Direct neighbors (layer 1) are never candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,12 +27,7 @@ __all__ = [
     "combined_scores",
     "select_candidates",
     "score_all_sources",
-    "SCORER_VERSION",
 ]
-
-# Part of every candidate-cache key: bump it whenever a change moves the
-# candidate sets score_all_sources returns, so cached sets go stale.
-SCORER_VERSION = 1
 
 
 class ConvergenceError(RuntimeError):
@@ -317,23 +312,3 @@ def score_all_sources(
             )
     return out
 
-
-def candidate_map_to_json(candidates: Mapping[int, CandidateSet]) -> dict:
-    """JSON-ready form {source: [[node, score, layer], ...]}."""
-    return {
-        str(src): [[node, score, layer] for node, score, layer in cs.chosen]
-        for src, cs in candidates.items()
-    }
-
-
-def candidate_map_from_json(raw: Mapping[str, list]) -> dict[int, CandidateSet]:
-    out: dict[int, CandidateSet] = {}
-    for key, rows in raw.items():
-        src = int(key)
-        chosen = [(int(n), float(s), int(l)) for n, s, l in rows]
-        out[src] = CandidateSet(
-            source=src,
-            chosen=chosen,
-            levels_used=sorted({l for _, _, l in chosen}),
-        )
-    return out

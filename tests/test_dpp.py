@@ -501,6 +501,26 @@ def test_kernels_built_once_give_the_draws_of_rebuilt_kernels():
         assert fresh[6] == []
 
 
+def test_communities_from_a_callable_are_found_only_when_a_draw_chooses():
+    from rwnsgcn.dpp import build_negative_kernels
+
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+    calls = []
+
+    def communities():
+        calls.append(1)
+        return comm
+
+    forced = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [])}
+    assert build_negative_kernels(forced, x, communities, k=2) == {}
+    assert calls == []
+    cands = {**forced, 2: make_candidates(2, [5, 7, 9])}
+    kernels = build_negative_kernels(cands, x, communities, k=2)
+    assert calls == [1]
+    (kernel,) = kernels.values()
+    assert np.array_equal(kernel.L, build_negative_kernels(cands, x, comm, k=2)[2].L)
+
+
 def test_kernel_from_other_candidates_rejected():
     from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
 

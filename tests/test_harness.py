@@ -196,18 +196,19 @@ def test_resampling_schedule_is_deterministic_and_changes_draws():
     assert r1.config_hash != r_static.config_hash
 
 
-def test_candidate_cache_round_trip(tmp_path):
-    ds = planted_dataset(seed=7)
-    cfg = fast_config(cache_dir=str(tmp_path), runs=1, epochs=5)
-    from rwnsgcn.harness import _CACHE
+def _recording(monkeypatch, name):
+    """Replace ``harness.<name>`` by a wrapper that keeps each call's
+    arguments and result, in call order."""
+    calls = []
+    original = getattr(harness, name)
 
-    _CACHE.clear()
-    r1 = run_baseline(ds, cfg)
-    cached = list(tmp_path.glob("candidates-*.json"))
-    assert len(cached) == 1
-    _CACHE.clear()  # force the disk path
-    r2 = run_baseline(ds, cfg)
-    assert r1.rows == r2.rows
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
 
 
 def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
@@ -222,75 +223,78 @@ def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
         built.append(source)
         return original(source, candidates, *args, **kwargs)
 
-    draws = []
-
-    def counting_draw(*args, **kwargs):
-        draws.append(1)
-        return dpp.draw_negative_samples(*args, **kwargs)
-
     monkeypatch.setattr(dpp, "build_dpp_kernel", counting)
-    monkeypatch.setattr(harness, "draw_negative_samples", counting_draw)
+    draws = _recording(monkeypatch, "draw_negative_samples")
+    fills = _recording(monkeypatch, "score_all_sources")
     run_baseline(ds, cfg)
-    cands = harness._CACHE.get(ds.graph, cfg)
+    ((_, cands),) = fills
     choosing = [s for s, cs in cands.items() if len(cs) > cfg.k_dpp]
     assert choosing  # some draws really choose
     assert len(draws) == cfg.runs * 4  # the first draw and three redraws per run
     assert sorted(built) == sorted(choosing * cfg.runs)
 
 
-def _counting_scorer(monkeypatch):
-    calls = []
-    original = harness.score_all_sources
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "score_all_sources", counting)
-    return calls
-
-
-def test_scorer_version_change_misses_disk_cache(tmp_path, monkeypatch):
+def test_back_to_back_baselines_score_once_each(monkeypatch):
     ds = planted_dataset(seed=7)
-    cfg = fast_config(cache_dir=str(tmp_path))
-    calls = _counting_scorer(monkeypatch)
-    first = harness._CandidateCache().get(ds.graph, cfg)
-    assert harness._CandidateCache().get(ds.graph, cfg) is not first  # read from disk
-    assert len(calls) == 1
-    monkeypatch.setattr(harness, "SCORER_VERSION", harness.SCORER_VERSION + 1)
-    harness._CandidateCache().get(ds.graph, cfg)
-    assert len(calls) == 2
-    assert len(list(tmp_path.glob("candidates-*.json"))) == 2
+    cfg = fast_config(runs=3, epochs=5)
+    fills = _recording(monkeypatch, "score_all_sources")
+    first = run_baseline(ds, cfg)
+    assert len(fills) == 1
+    second = run_baseline(ds, cfg)
+    assert len(fills) == 2  # nothing is kept from the first call
+    assert first.rows == second.rows
 
 
-def test_cache_never_reads_a_partial_write(tmp_path, monkeypatch):
+def test_attack_comparison_scores_each_distinct_graph_once(monkeypatch):
     ds = planted_dataset(seed=7)
-    cfg = fast_config(cache_dir=str(tmp_path))
-    calls = _counting_scorer(monkeypatch)
-    real_replace = harness.os.replace
-    seen = []
+    cfg = fast_config(runs=3, epochs=4)
+    attacked = _recording(monkeypatch, "apply_attack")
+    fills = _recording(monkeypatch, "score_all_sources")
+    run_attack_comparison(ds, cfg, attack_grid=[("ctbca", 0.1), ("twpa", 0.5)])
+    fingerprint = harness._graph_fingerprint
+    perturbed = [g for _, g in attacked]
+    distinct = {fingerprint(g) for g in perturbed} - {fingerprint(ds.graph)}
+    assert len(perturbed) == 2 * cfg.runs
+    assert len(distinct) < len(perturbed)  # some perturbed graph repeats
+    assert len(fills) == 1 + len(distinct)
+    scored = [fingerprint(args[0]) for args, _ in fills]
+    assert scored[0] == fingerprint(ds.graph)
+    assert set(scored[1:]) == distinct
 
-    def interrupted(src, dst):
-        # the complete document sits beside the target, which does not exist yet
-        seen.append(json.loads(harness.Path(src).read_text())["key"])
-        assert not harness.Path(dst).exists()
-        assert harness.Path(src).parent == harness.Path(dst).parent
-        raise OSError("interrupted before the rename")
 
-    monkeypatch.setattr(harness.os, "replace", interrupted)
-    with pytest.raises(OSError, match="interrupted"):
-        harness._CandidateCache().get(ds.graph, cfg)
-    assert seen and list(tmp_path.iterdir()) == []  # no target, no temp file left
+def test_attack_comparison_plain_gcn_arms_neither_score_nor_propagate(monkeypatch):
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=4, k_per_level=2)
+    grid = [("ctbca", 0.1), ("twpa", 0.5)]
+    fills = _recording(monkeypatch, "score_all_sources")
+    communities = _recording(monkeypatch, "label_propagation")
+    run_attack_comparison(ds, cfg.with_overrides(lam=0.0), attack_grid=grid)
+    assert fills == [] and communities == []
+    run_attack_comparison(ds, cfg, attack_grid=grid)
+    # one community search per negative-sampling run: the clean runs and
+    # each attack cell's runs; the paired plain-GCN runs add none
+    assert len(communities) == cfg.runs * (1 + len(grid))
 
-    # a writer killed mid-write leaves only a temp file, which is never read
-    key = seen[0]
-    (tmp_path / f".candidates-{key}.json.x1.tmp").write_text('{"key": "')
-    monkeypatch.setattr(harness.os, "replace", real_replace)
-    fresh = harness._CandidateCache().get(ds.graph, cfg)
-    assert len(calls) == 2
-    again = harness._CandidateCache().get(ds.graph, cfg)
-    assert len(calls) == 2  # the renamed file is complete and read back
-    assert {s: c.chosen for s, c in again.items()} == {s: c.chosen for s, c in fresh.items()}
+
+def test_label_propagation_runs_only_when_some_draw_chooses(monkeypatch):
+    ds = planted_dataset(seed=7)
+    defaults = ExperimentConfig()
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("label propagation ran for forced draws only")
+
+    monkeypatch.setattr(harness, "label_propagation", unreachable)
+    # default k_per_level and k_dpp: at most one candidate per level and
+    # three levels, so every draw keeps all its candidates
+    cfg = fast_config(
+        runs=2, epochs=4, k_per_level=defaults.k_per_level, k_dpp=defaults.k_dpp
+    )
+    run_baseline(ds, cfg)
+    monkeypatch.undo()
+
+    communities = _recording(monkeypatch, "label_propagation")
+    run_baseline(ds, cfg.with_overrides(k_per_level=2))
+    assert len(communities) == cfg.runs
 
 
 # ---------------------------------------------------------------- reporting
@@ -402,6 +406,17 @@ def test_cli_error_is_machine_readable(tmp_path):
     assert res.returncode == 1
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "error" in err
+
+
+def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_bundle):
+    cfg_file = tmp_path / "cfg.json"
+    raw = ExperimentConfig(dataset_path=str(toy_bundle), runs=1).to_dict()
+    cfg_file.write_text(json.dumps({**raw, "cache_dir": str(tmp_path / "cache")}))
+    res = run_cli("baseline", "--config", str(cfg_file), "--out", str(tmp_path / "res"))
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines()[-1] == (
+        '{"error": "ValueError: unknown config fields: [\'cache_dir\']"}'
+    )
 
 
 def test_cli_baseline_rejects_zero_layers(tmp_path, toy_bundle):
