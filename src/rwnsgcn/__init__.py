@@ -4,7 +4,6 @@ and a reproducible experiment harness."""
 
 from rwnsgcn.graph import (
     Graph,
-    LinearOperator,
     build_graph,
     sym_normalized_operator,
     transition_operator,
@@ -22,7 +21,6 @@ from rwnsgcn.data import (
 from rwnsgcn.scoring import (
     CandidateSet,
     LayeredNeighborhood,
-    ScoreVector,
     bfs_layers,
     combined_scores,
     pagerank_scores,

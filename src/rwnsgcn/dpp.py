@@ -41,7 +41,6 @@ class CommunityAssignment:
 
     labels: np.ndarray
     community_features: np.ndarray | None
-    iterations_run: int
 
     @property
     def num_communities(self) -> int:
@@ -50,7 +49,7 @@ class CommunityAssignment:
 
 @dataclass(frozen=True, eq=False)
 class DppKernel:
-    """Candidate-indexed PSD kernel with its assembly factors.
+    """Candidate-indexed PSD kernel.
 
     The spectrum and the eigenvector-selection probabilities the exact
     sampler reads are computed on first use and kept, so every draw from
@@ -60,10 +59,6 @@ class DppKernel:
     source: int
     items: list[int]
     L: np.ndarray
-    S_node: np.ndarray
-    S_com: np.ndarray
-    Q: np.ndarray
-    jitter: float
     _selection: dict[int, list] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -114,9 +109,7 @@ def label_propagation(
     n = g.num_nodes
     labels = np.arange(n, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    sweeps = 0
     for _ in range(max_iter):
-        sweeps += 1
         changed = False
         for v in rng.permutation(n):
             nbrs = g.neighbors(v)
@@ -136,9 +129,7 @@ def label_propagation(
         comm_features = np.vstack(
             [features[compact == c].mean(axis=0) for c in range(uniq.size)]
         )
-    return CommunityAssignment(
-        labels=compact, community_features=comm_features, iterations_run=sweeps
-    )
+    return CommunityAssignment(labels=compact, community_features=comm_features)
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,15 +188,7 @@ def build_dpp_kernel(
     L = core * np.exp(s_node - 1.0)
     L = 0.5 * (L + L.T)
     L += jitter * np.eye(len(items))
-    return DppKernel(
-        source=int(source),
-        items=items,
-        L=L,
-        S_node=s_node,
-        S_com=s_com,
-        Q=quality,
-        jitter=jitter,
-    )
+    return DppKernel(source=int(source), items=items, L=L)
 
 
 def _elem_sympoly(eigvals: np.ndarray, k: int) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 The graph is stored once as a symmetric CSR matrix; every other module
 (scoring, sampling, the model, the attacks) consumes either the raw
-adjacency or one of two derived operators:
+adjacency or one of two derived operators, each a ``scipy.sparse.csr_array``:
 
-* ``sym-normalized``: D^{-1/2} A D^{-1/2}, optionally over A + I
-* ``row-stochastic``: the random-walk transition matrix P = D^{-1} A
+* ``sym_normalized_operator``: D^{-1/2} A D^{-1/2}, optionally over A + I
+* ``transition_operator``: the random-walk transition matrix P = D^{-1} A
 
 Isolated nodes are legal everywhere and simply produce all-zero rows.
 """
@@ -22,7 +22,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "Graph",
-    "LinearOperator",
     "build_graph",
     "hop_blocks",
     "sym_normalized_operator",
@@ -87,19 +86,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int, float]]:
         """``edge_arrays()`` as a list of Python (u, v, w) tuples."""
         return list(zip(*(a.tolist() for a in self.edge_arrays())))
-
-
-@dataclass(frozen=True, eq=False)
-class LinearOperator:
-    """A sparse N x N operator derived from a graph."""
-
-    kind: str  # "sym-normalized" | "row-stochastic"
-    matrix: sp.csr_array
-    self_loops: bool = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def _edge_table(edge_list) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +193,7 @@ def hop_blocks(g: Graph, sources) -> Iterator[tuple[sp.csr_array, np.ndarray]]:
         yield hops, sources[lo : lo + SOURCE_BLOCK]
 
 
-def sym_normalized_operator(g: Graph, self_loops: bool = True) -> LinearOperator:
+def sym_normalized_operator(g: Graph, self_loops: bool = True) -> sp.csr_array:
     """D^{-1/2} A D^{-1/2}, over A + I when ``self_loops`` is set.
 
     Rows/columns of isolated nodes (degree 0 and no self loop) are zero.
@@ -227,10 +213,10 @@ def sym_normalized_operator(g: Graph, self_loops: bool = True) -> LinearOperator
         (vals, (mat.row, mat.col)), shape=(g.num_nodes, g.num_nodes)
     )
     out.sort_indices()
-    return LinearOperator(kind="sym-normalized", matrix=out, self_loops=self_loops)
+    return out
 
 
-def transition_operator(g: Graph) -> LinearOperator:
+def transition_operator(g: Graph) -> sp.csr_array:
     """Row-stochastic P = D^{-1} A; isolated nodes keep an all-zero row."""
     a = g.adjacency().astype(np.float64)
     d = g.degrees
@@ -242,5 +228,5 @@ def transition_operator(g: Graph) -> LinearOperator:
         (vals, (mat.row, mat.col)), shape=(g.num_nodes, g.num_nodes)
     )
     out.sort_indices()
-    return LinearOperator(kind="row-stochastic", matrix=out, self_loops=False)
+    return out
 

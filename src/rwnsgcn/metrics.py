@@ -1,9 +1,10 @@
-"""Classification accuracy and the cosine-dispersion statistic.
+"""Classification accuracy and the mean average cosine distance (MAD).
 
-The dispersion statistic aggregates pairwise cosine distances twice
-through the same quotient-of-sums form: per node over its pairs, then
-over nodes.  Near-zero distances would blow up the reciprocal sums, so
-they are excluded and counted instead.
+MAD is the over-smoothing statistic of Chen et al. (*Measuring and
+Relieving the Over-smoothing Problem*, AAAI 2020): each row's mean cosine
+distance to the rows it is not identical to, averaged over the rows that
+have any.  Distances below ``ZERO_DISTANCE_TOL`` count as identical and
+zero-norm rows, which have no direction, are left out; both are counted.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ class MadReport:
     value: float  # reported x100
     pairs_used: int
     pairs_skipped_zero: int
+    zero_rows: int  # left out: a zero row has no direction
+    collapsed: bool  # no pair survived, so value is 0
 
 
 def accuracy(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -35,32 +38,31 @@ def accuracy(preds: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 
 
 def mad(embeddings: np.ndarray) -> MadReport:
-    """Mean average cosine distance over all ordered row pairs, x100.
+    """Mean average cosine distance of the rows, x100 (Chen et al. 2020).
 
-    D_ij = 1 - cos(x_i, x_j); per node D_i = (sum_j D_ij) / (sum_j 1/D_ij)
-    and the total is the same quotient over the D_i.  Ordered pairs with
-    D_ij below ``ZERO_DISTANCE_TOL`` are excluded from both sums; nodes
-    with no surviving pair are excluded from the outer sums.
+    D_ij = 1 - cos(x_i, x_j) over the ordered pairs of non-zero rows;
+    pairs with D_ij below ``ZERO_DISTANCE_TOL`` are skipped.  D_i is the
+    mean of row i's surviving D_ij, and MAD is the mean of D_i over the
+    rows with any surviving pair.  When no pair survives (every row zero
+    or all rows parallel) MAD is 0 and the report is ``collapsed``.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] < 2:
         raise ValueError("need at least two embedding rows")
+    nonzero = np.linalg.norm(emb, axis=1) > 0
+    emb = emb[nonzero]
     n = emb.shape[0]
     dist = 1.0 - cosine_rows(emb, emb)
     offdiag = ~np.eye(n, dtype=bool)
     usable = offdiag & (dist >= ZERO_DISTANCE_TOL)
     pairs_used = int(usable.sum())
-    pairs_skipped = int(offdiag.sum() - pairs_used)
-
-    row_has = usable.any(axis=1)
-    if int(row_has.sum()) < 2:
-        raise ValueError("fewer than 2 usable rows (all pairwise distances ~ 0)")
-    d_sum = np.where(usable, dist, 0.0).sum(axis=1)
-    inv = np.zeros_like(dist)
-    np.divide(1.0, dist, where=usable, out=inv)
-    inv_sum = inv.sum(axis=1)
-    d_i = d_sum[row_has] / inv_sum[row_has]
-    value = float(d_i.sum() / (1.0 / d_i).sum())
+    counts = usable.sum(axis=1)
+    rows = counts > 0
+    d_i = np.where(usable, dist, 0.0).sum(axis=1)[rows] / counts[rows]
     return MadReport(
-        value=100.0 * value, pairs_used=pairs_used, pairs_skipped_zero=pairs_skipped
+        value=100.0 * float(d_i.mean()) if pairs_used else 0.0,
+        pairs_used=pairs_used,
+        pairs_skipped_zero=int(offdiag.sum()) - pairs_used,
+        zero_rows=int(nonzero.size - n),
+        collapsed=not pairs_used,
     )

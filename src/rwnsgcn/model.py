@@ -3,7 +3,9 @@
 Each hidden layer propagates the features over the normalized graph
 (positive branch) and over the negative-sample graph (negative branch),
 then combines them as  h = relu(A_pos x W) - lam * relu(A_neg x W_neg).
-The classifier layer uses the positive branch only and emits raw logits.
+The classifier layer uses the positive branch only and emits raw logits,
+so there is one negative-branch weight per hidden layer.  Both operators
+are the ``scipy.sparse.csr_array`` of ``sym_normalized_operator``.
 Gradients are computed by hand (reverse traversal of the stored trace)
 and applied with bias-corrected Adam.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from rwnsgcn.graph import Graph, LinearOperator, sym_normalized_operator
+from rwnsgcn.graph import Graph, sym_normalized_operator
 
 __all__ = [
     "ModelParams",
@@ -40,7 +42,7 @@ __all__ = [
 class ModelParams:
     layer_dims: list[int]
     W: list[np.ndarray]
-    W_dpp: list[np.ndarray]
+    W_dpp: list[np.ndarray]  # hidden layers only: len(W) - 1
     lam: float
     dropout_p: float = 0.5
 
@@ -63,9 +65,8 @@ class ForwardTrace:
     z_neg: list  # negative-branch pre-activations (None when the branch is off)
     drop_masks: list  # inverted-dropout masks (None outside train mode)
     logits: np.ndarray
-    train_mode: bool
-    pos_op: LinearOperator
-    neg_op: LinearOperator
+    pos_op: sp.csr_array
+    neg_op: sp.csr_array
 
     @property
     def final_hidden(self) -> np.ndarray:
@@ -128,7 +129,11 @@ class TrainedModel:
 def init_params(
     layer_dims: list[int], lam: float, seed: int, dropout_p: float = 0.5
 ) -> ModelParams:
-    """Glorot-uniform weights for both branches, deterministic per seed."""
+    """Glorot-uniform weights for both branches, deterministic per seed.
+
+    The negative branch has a weight per hidden layer only, drawn after
+    every positive-branch weight.
+    """
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout_p}")
     if len(layer_dims) < 2:
@@ -142,24 +147,22 @@ def init_params(
         return rng.uniform(-a, a, size=(din, dout))
 
     W = [glorot(layer_dims[i], layer_dims[i + 1]) for i in range(len(layer_dims) - 1)]
-    W_dpp = [
-        glorot(layer_dims[i], layer_dims[i + 1]) for i in range(len(layer_dims) - 1)
-    ]
+    W_dpp = [glorot(layer_dims[i], layer_dims[i + 1]) for i in range(len(layer_dims) - 2)]
     return ModelParams(
         layer_dims=list(layer_dims), W=W, W_dpp=W_dpp, lam=lam, dropout_p=dropout_p
     )
 
 
-def _negative_branch_active(params: ModelParams, neg_op: LinearOperator) -> bool:
+def _negative_branch_active(params: ModelParams, neg_op: sp.csr_array) -> bool:
     # with lam = 0 or an empty negative graph the branch is identically zero
-    return params.lam != 0.0 and neg_op.matrix.nnz > 0
+    return params.lam != 0.0 and neg_op.nnz > 0
 
 
 def forward(
     params: ModelParams,
     X,
-    pos_op: LinearOperator,
-    neg_op: LinearOperator,
+    pos_op: sp.csr_array,
+    neg_op: sp.csr_array,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
     *,
@@ -197,8 +200,8 @@ def forward(
         if l == 0 and first is not None:
             z_pos, z_neg = first
         else:
-            z_pos = pos_op.matrix @ (x @ params.W[l])
-            z_neg = neg_op.matrix @ (x @ params.W_dpp[l]) if use_neg else None
+            z_pos = pos_op @ (x @ params.W[l])
+            z_neg = neg_op @ (x @ params.W_dpp[l]) if use_neg else None
         a = np.maximum(z_pos, 0.0)
         if use_neg:
             a = a - params.lam * np.maximum(z_neg, 0.0)
@@ -213,14 +216,13 @@ def forward(
         masks.append(mask)
         x = a
     inputs.append(x)
-    logits = pos_op.matrix @ (x @ params.W[-1])
+    logits = pos_op @ (x @ params.W[-1])
     return ForwardTrace(
         inputs=inputs,
         z_pos=z_pos_all,
         z_neg=z_neg_all,
         drop_masks=masks,
         logits=logits,
-        train_mode=train_mode,
         pos_op=pos_op,
         neg_op=neg_op,
     )
@@ -271,13 +273,12 @@ def backward(
 
     num_layers = len(params.W)
     dW: list = [None] * num_layers
-    # the classifier has no negative branch, so its W_dpp gradient is zero
-    dW_dpp: list = [None] * (num_layers - 1) + [np.zeros_like(params.W_dpp[-1])]
+    dW_dpp: list = [None] * (num_layers - 1)
     # No transpose: both operators come from sym_normalized_operator on an
     # undirected graph, which computes the (u,v) and (v,u) entries
     # identically, so each matrix equals its transpose bit for bit.
-    op_pos = trace.pos_op.matrix
-    op_neg = trace.neg_op.matrix
+    op_pos = trace.pos_op
+    op_neg = trace.neg_op
 
     # classifier layer: logits = A_pos (h W_last)
     h = trace.inputs[-1]
@@ -452,8 +453,8 @@ def train(
 def predict(
     params: ModelParams,
     X,
-    pos_op: LinearOperator,
-    neg_op: LinearOperator,
+    pos_op: sp.csr_array,
+    neg_op: sp.csr_array,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Class predictions (argmax, ties to the smaller id) and the final
     hidden-layer embeddings."""

@@ -18,7 +18,6 @@ from rwnsgcn.graph import Graph, hop_blocks, transition_operator
 
 __all__ = [
     "LayeredNeighborhood",
-    "ScoreVector",
     "CandidateSet",
     "ConvergenceError",
     "bfs_layers",
@@ -58,20 +57,11 @@ class LayeredNeighborhood:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreVector:
-    """Per-node scores; rwr/pgr kinds are probability vectors."""
-
-    values: np.ndarray
-    kind: str  # "rwr" | "pgr" | "combined"
-
-
-@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Selected negative candidates for one source node."""
 
     source: int
     chosen: list[tuple[int, float, int]]  # (node, score, layer)
-    levels_used: list[int]
 
     def nodes(self) -> list[int]:
         return [node for node, _, _ in self.chosen]
@@ -130,7 +120,7 @@ def bfs_layers(g: Graph, source: int, l_max: int) -> LayeredNeighborhood:
 
 
 def _transition_transpose(g: Graph) -> sp.csr_array:
-    return sp.csr_array(transition_operator(g).matrix.T.tocsr())
+    return sp.csr_array(transition_operator(g).T.tocsr())
 
 
 def _rwr_block(
@@ -176,7 +166,7 @@ def rwr_scores(
     tol: float = 1e-8,
     max_iter: int = 1000,
     _pt: sp.csr_array | None = None,
-) -> ScoreVector:
+) -> np.ndarray:
     """Restart-walk probability over target nodes for one source.
 
     Solves r = (1-alpha) (I - alpha P^T)^{-1} e_source by fixed-point
@@ -187,8 +177,7 @@ def rwr_scores(
         raise ValueError("alpha must be in [0, 1)")
     _check_source(g, source)
     pt = _transition_transpose(g) if _pt is None else _pt
-    block = _rwr_block(pt, np.array([source]), alpha, tol, max_iter)
-    return ScoreVector(values=block[:, 0], kind="rwr")
+    return _rwr_block(pt, np.array([source]), alpha, tol, max_iter)[:, 0]
 
 
 def pagerank_scores(
@@ -198,7 +187,7 @@ def pagerank_scores(
     tol: float = 1e-8,
     max_iter: int = 1000,
     _pt: sp.csr_array | None = None,
-) -> ScoreVector:
+) -> np.ndarray:
     """Global damped-walk importance with uniform teleport.
 
     ``converged`` iterates r <- alpha P^T r + (1-alpha)/N to its fixed
@@ -221,32 +210,28 @@ def pagerank_scores(
 
     r = e.copy()
     if mode == "two-step":
-        return ScoreVector(values=step(step(r)), kind="pgr")
+        return step(step(r))
     for _ in range(max_iter):
         r_next = step(r)
         delta = float(np.max(np.abs(r_next - r)))
         r = r_next
         if delta < tol:
-            return ScoreVector(values=r, kind="pgr")
+            return r
     raise ConvergenceError("pagerank_scores", delta, max_iter)
 
 
-def combined_scores(rwr: ScoreVector, pgr: ScoreVector, beta: float) -> ScoreVector:
+def combined_scores(rwr: np.ndarray, pgr: np.ndarray, beta: float) -> np.ndarray:
     """Convex mix beta * rwr + (1-beta) * pgr."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
-    if rwr.values.shape != pgr.values.shape:
-        raise ValueError(
-            f"length mismatch: {rwr.values.shape} vs {pgr.values.shape}"
-        )
-    return ScoreVector(
-        values=beta * rwr.values + (1.0 - beta) * pgr.values, kind="combined"
-    )
+    if rwr.shape != pgr.shape:
+        raise ValueError(f"length mismatch: {rwr.shape} vs {pgr.shape}")
+    return beta * rwr + (1.0 - beta) * pgr
 
 
 def select_candidates(
     layers: LayeredNeighborhood,
-    scores: ScoreVector,
+    scores: np.ndarray,
     levels: Sequence[int] = (2, 3, 4),
     k_per_level: int = 1,
 ) -> CandidateSet:
@@ -265,13 +250,12 @@ def select_candidates(
     if k_per_level < 1:
         raise ValueError("k_per_level must be at least 1")
     chosen: list[tuple[int, float, int]] = []
-    vals = scores.values
     for l in levels:
         members = layers.layers[l]
         # highest score first, ties to the smaller id
-        top = members[np.lexsort((members, -vals[members]))[:k_per_level]]
-        chosen.extend((j, v, l) for j, v in zip(top.tolist(), vals[top].tolist()))
-    return CandidateSet(source=layers.source, chosen=chosen, levels_used=levels)
+        top = members[np.lexsort((members, -scores[members]))[:k_per_level]]
+        chosen.extend((j, v, l) for j, v in zip(top.tolist(), scores[top].tolist()))
+    return CandidateSet(source=layers.source, chosen=chosen)
 
 
 def score_all_sources(
@@ -306,7 +290,7 @@ def score_all_sources(
         fronts = _hop_frontiers(hops, block, l_max)
         rwr = _rwr_block(pt, block, alpha, tol, max_iter)
         for i, src in enumerate(block.tolist()):
-            mixed = combined_scores(ScoreVector(values=rwr[:, i], kind="rwr"), pgr, beta)
+            mixed = combined_scores(rwr[:, i], pgr, beta)
             out[src] = select_candidates(
                 _layers(fronts, i, src), mixed, levels=levels, k_per_level=k_per_level
             )

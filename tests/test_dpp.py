@@ -27,25 +27,28 @@ def make_candidates(source, nodes, layer=2):
     return CandidateSet(
         source=source,
         chosen=[(int(n), 0.0, layer) for n in nodes],
-        levels_used=[layer],
     )
 
 
-def make_kernel(L, items=None, jitter=0.0):
+def make_kernel(L, items=None):
     """Wrap a raw PSD matrix for the samplers."""
     from rwnsgcn.dpp import DppKernel
 
-    n = L.shape[0]
-    items = list(range(n)) if items is None else items
-    return DppKernel(
-        source=-1,
-        items=items,
-        L=np.asarray(L, dtype=np.float64),
-        S_node=np.eye(n),
-        S_com=np.eye(n),
-        Q=np.eye(n),
-        jitter=jitter,
-    )
+    items = list(range(L.shape[0])) if items is None else items
+    return DppKernel(source=-1, items=items, L=np.asarray(L, dtype=np.float64))
+
+
+def assemble_kernel(x, comm, source, items, jitter=1e-8):
+    """build_dpp_kernel's L, assembled from cosine_rows factors."""
+    cfi = comm.community_features[comm.labels[items]]
+    s_node = cosine_rows(x[items], x[items])
+    s_com = cosine_rows(cfi, cfi)
+    quality = np.diag(cosine_rows(x[source][None, :], cfi)[0])
+    core = quality @ (s_com @ s_com.T) @ quality.T
+    L = core * np.exp(s_node - 1.0)
+    L = 0.5 * (L + L.T)
+    L += jitter * np.eye(len(items))
+    return L, s_node
 
 
 def enumerate_kdpp(L, k):
@@ -177,7 +180,6 @@ def test_kernel_orthogonal_features_hand_value():
     comm = CommunityAssignment(
         labels=labels,
         community_features=np.array([[1.0, 1.0]]),
-        iterations_run=1,
     )
     cand = make_candidates(0, [1, 2])
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=0.0)
@@ -208,7 +210,9 @@ def test_kernel_psd_on_random_candidate_sets():
 def test_kernel_snode_diagonal_is_one():
     g, x, comm = _scenario(seed=5)
     kernel = build_dpp_kernel(0, make_candidates(0, [2, 7, 9]), x, comm)
-    assert np.allclose(np.diag(kernel.S_node), 1.0, atol=1e-9)
+    L, s_node = assemble_kernel(x, comm, 0, [2, 7, 9])
+    assert np.array_equal(kernel.L, L)
+    assert np.allclose(np.diag(s_node), 1.0, atol=1e-9)
 
 
 def test_kernel_empty_candidates_rejected():
@@ -329,7 +333,6 @@ def test_duplicate_item_coselection_probability_vanishes():
     cand = CandidateSet(
         source=0,
         chosen=[(3, 0.0, 2), (3, 0.0, 3), (7, 0.0, 4)],
-        levels_used=[2, 3, 4],
     )
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=1e-8)
     probs = enumerate_kdpp(kernel.L, 2)
@@ -387,14 +390,11 @@ def test_kernel_factors_equal_cosine_rows_bit_for_bit():
         cf[int(rng.integers(0, 4))] = 0.0  # a zero-norm community row
         from rwnsgcn.dpp import CommunityAssignment
 
-        comm = CommunityAssignment(labels=labels, community_features=cf, iterations_run=1)
+        comm = CommunityAssignment(labels=labels, community_features=cf)
         items = [int(v) for v in rng.choice(n_nodes, size=int(rng.integers(1, 7)), replace=False)]
         src = int(rng.integers(0, n_nodes))
         kernel = build_dpp_kernel(src, make_candidates(src, items), x, comm)
-        cfi = cf[labels[items]]
-        assert np.array_equal(kernel.S_node, cosine_rows(x[items], x[items]))
-        assert np.array_equal(kernel.S_com, cosine_rows(cfi, cfi))
-        assert np.array_equal(kernel.Q, np.diag(cosine_rows(x[src][None, :], cfi)[0]))
+        assert np.array_equal(kernel.L, assemble_kernel(x, comm, src, items)[0])
 
 
 def _redraws_match(make, k, draws=6):

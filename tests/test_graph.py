@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rwnsgcn.graph import (
     build_graph,
@@ -74,37 +75,50 @@ def test_rebuild_from_edges_is_identical():
     assert np.array_equal(g.weights, g2.weights)
 
 
+def test_operators_are_float_csr_arrays():
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 2.0)])  # node 3 isolated
+    for op in (
+        sym_normalized_operator(g, self_loops=True),
+        sym_normalized_operator(g, self_loops=False),
+        transition_operator(g),
+    ):
+        assert isinstance(op, sp.csr_array)
+        assert op.dtype == np.float64
+        assert op.shape == (4, 4)
+        assert op.has_sorted_indices
+
+
 def test_sym_normalized_single_edge_no_loops():
     g = build_graph(2, [(0, 1, 1.0)])
     op = sym_normalized_operator(g, self_loops=False)
-    dense = op.matrix.toarray()
+    dense = op.toarray()
     assert dense[0, 1] == pytest.approx(1.0)
     assert dense[1, 0] == pytest.approx(1.0)
 
 
 def test_sym_normalized_path_hand_values():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    dense = sym_normalized_operator(g, self_loops=False).matrix.toarray()
+    dense = sym_normalized_operator(g, self_loops=False).toarray()
     assert dense[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert dense[1, 2] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_sym_normalized_single_edge_with_loops_all_half():
     g = build_graph(2, [(0, 1, 1.0)])
-    dense = sym_normalized_operator(g, self_loops=True).matrix.toarray()
+    dense = sym_normalized_operator(g, self_loops=True).toarray()
     assert np.allclose(dense, 0.5, atol=1e-12)
 
 
 def test_transition_single_edge_swaps():
     g = build_graph(2, [(0, 1, 1.0)])
     p = transition_operator(g)
-    assert np.allclose(p.matrix.toarray(), [[0, 1], [1, 0]])
-    assert np.allclose(p.matrix @ np.array([1.0, 0.0]), [0.0, 1.0])
+    assert np.allclose(p.toarray(), [[0, 1], [1, 0]])
+    assert np.allclose(p @ np.array([1.0, 0.0]), [0.0, 1.0])
 
 
 def test_transition_star_rows():
     g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-    dense = transition_operator(g).matrix.toarray()
+    dense = transition_operator(g).toarray()
     assert np.allclose(dense[0], [0, 1 / 3, 1 / 3, 1 / 3])
     for leaf in (1, 2, 3):
         row = np.zeros(4)
@@ -115,8 +129,8 @@ def test_transition_star_rows():
 def test_transition_triangle_applied_to_indicator():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     p = transition_operator(g)
-    assert np.allclose(p.matrix.toarray(), (np.ones((3, 3)) - np.eye(3)) / 2)
-    assert np.allclose(p.matrix @ np.array([1.0, 0.0, 0.0]), [0.0, 0.5, 0.5])
+    assert np.allclose(p.toarray(), (np.ones((3, 3)) - np.eye(3)) / 2)
+    assert np.allclose(p @ np.array([1.0, 0.0, 0.0]), [0.0, 0.5, 0.5])
 
 
 def test_apply_identity_like():
@@ -124,7 +138,7 @@ def test_apply_identity_like():
     g = build_graph(3, [])
     op = sym_normalized_operator(g, self_loops=True)
     x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.allclose(op.matrix @ x, x, atol=1e-12)
+    assert np.allclose(op @ x, x, atol=1e-12)
 
 
 def test_row_stochastic_rows_sum_to_one():
@@ -132,7 +146,7 @@ def test_row_stochastic_rows_sum_to_one():
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(2, 30)), 0.2, weighted=True)
         p = transition_operator(g)
-        sums = np.asarray(p.matrix.sum(axis=1)).ravel()
+        sums = np.asarray(p.sum(axis=1)).ravel()
         nonisolated = g.degrees > 0
         assert np.allclose(sums[nonisolated], 1.0, atol=1e-9)
         assert np.allclose(sums[~nonisolated], 0.0)
@@ -142,7 +156,7 @@ def test_sym_operator_exactly_symmetric():
     rng = np.random.default_rng(2)
     for _ in range(10):
         g = random_graph(rng, 15, 0.3, weighted=True)
-        dense = sym_normalized_operator(g, self_loops=True).matrix.toarray()
+        dense = sym_normalized_operator(g, self_loops=True).toarray()
         assert np.array_equal(dense, dense.T)
 
 
@@ -161,13 +175,13 @@ def test_operators_match_dense_oracle(self_loops):
         with np.errstate(divide="ignore"):
             dinv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1)), 0.0)
         expected_sym = dinv_sqrt[:, None] * a_eff * dinv_sqrt[None, :]
-        got_sym = sym_normalized_operator(g, self_loops=self_loops).matrix.toarray()
+        got_sym = sym_normalized_operator(g, self_loops=self_loops).toarray()
         assert np.allclose(got_sym, expected_sym, atol=1e-12)
 
         d_plain = a.sum(axis=1)
         dinv = np.where(d_plain > 0, 1.0 / np.where(d_plain > 0, d_plain, 1), 0.0)
         expected_p = dinv[:, None] * a
-        got_p = transition_operator(g).matrix.toarray()
+        got_p = transition_operator(g).toarray()
         assert np.allclose(got_p, expected_p, atol=1e-12)
 
 

@@ -5,33 +5,27 @@ from rwnsgcn.metrics import accuracy, mad
 
 
 def brute_force_mad(emb, tol=1e-12):
-    """Loop-based reimplementation of the dispersion statistic."""
-    n = emb.shape[0]
+    """Loop form of Chen et al.'s MAD (AAAI 2020), x100.
 
-    def cos(a, b):
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na == 0 or nb == 0:
-            return 0.0
-        return float(a @ b / (na * nb))
-
-    d_values = []
-    for i in range(n):
-        num, den = 0.0, 0.0
-        any_pair = False
-        for j in range(n):
+    D_bar_i = sum_j D_ij / sum_j 1(D_ij > 0) and
+    MAD = sum_i D_bar_i / sum_i 1(D_bar_i > 0), with D_ij = 1 - cos and
+    distances below ``tol`` read as 0.  Zero-norm rows are left out; with
+    no non-zero distance at all the value is 0.
+    """
+    rows = [x for x in np.asarray(emb, dtype=np.float64) if np.linalg.norm(x) > 0]
+    d_bar = []
+    for i, xi in enumerate(rows):
+        total, count = 0.0, 0
+        for j, xj in enumerate(rows):
             if i == j:
                 continue
-            dij = 1.0 - cos(emb[i], emb[j])
-            if dij < tol:
-                continue
-            num += dij
-            den += 1.0 / dij
-            any_pair = True
-        if any_pair:
-            d_values.append(num / den)
-    top = sum(d_values)
-    bottom = sum(1.0 / d for d in d_values)
-    return 100.0 * top / bottom
+            dij = 1.0 - float(xi @ xj / (np.linalg.norm(xi) * np.linalg.norm(xj)))
+            if dij >= tol:
+                total += dij
+                count += 1
+        if count:
+            d_bar.append(total / count)
+    return 100.0 * sum(d_bar) / len(d_bar) if d_bar else 0.0
 
 
 def test_accuracy_three_of_four():
@@ -66,10 +60,64 @@ def test_mad_two_orthogonal_rows():
     assert report.pairs_skipped_zero == 0
 
 
-def test_mad_identical_rows_rejected():
-    emb = np.array([[1.0, 2.0], [1.0, 2.0]])
-    with pytest.raises(ValueError, match="usable"):
-        mad(emb)
+def test_mad_identical_rows_collapse_to_zero():
+    emb = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 4.0]])
+    report = mad(emb)
+    assert report.value == 0.0
+    assert report.collapsed
+    assert report.pairs_used == 0
+    assert report.pairs_skipped_zero == 6
+    assert report.zero_rows == 0
+    assert brute_force_mad(emb) == 0.0
+
+
+def test_mad_zero_rows_left_out_and_counted():
+    report = mad(np.zeros((5, 4)))
+    assert report.value == 0.0
+    assert report.collapsed
+    assert report.zero_rows == 5
+    assert report.pairs_used == report.pairs_skipped_zero == 0
+
+    rng = np.random.default_rng(12)
+    live = rng.normal(size=(6, 3))
+    emb = np.vstack([live[:2], np.zeros((2, 3)), live[2:]])
+    report = mad(emb)
+    assert report.value == mad(live).value
+    assert report.zero_rows == 2
+    assert report.pairs_used == 30
+    assert not report.collapsed
+
+
+def test_mad_equiangular_rows_give_100_d():
+    # rows e_i + c 1 of R^5 meet at one angle: d = 1 / (1 + 2c + 5c^2)
+    c = 0.5
+    emb = np.eye(5) + c
+    d = 1.0 / (1.0 + 2.0 * c + 5.0 * c * c)
+    report = mad(emb)
+    assert report.value == pytest.approx(100.0 * d, abs=1e-9)
+    assert report.value == pytest.approx(30.769230769, abs=1e-6)
+    assert report.pairs_used == 20
+
+
+def test_mad_two_rows_at_distance_d():
+    for theta in (0.1, 0.7, 2.0, np.pi):
+        emb = np.array([[2.0, 0.0], [np.cos(theta), np.sin(theta)]])
+        d = 1.0 - np.cos(theta)
+        assert mad(emb).value == pytest.approx(100.0 * d, abs=1e-9)
+
+
+def test_mad_leaves_out_a_row_whose_pairs_are_all_near_zero():
+    # rows at angles 0, phi, 2 phi: the pairs of the middle row sit at
+    # ~phi^2 / 2 = 5e-13, below the tolerance; the outer pair at ~2e-12 does not
+    phi = 1e-6
+    angles = np.array([0.0, phi, 2 * phi])
+    emb = np.column_stack((np.cos(angles), np.sin(angles)))
+    report = mad(emb)
+    assert report.pairs_used == 2
+    assert report.pairs_skipped_zero == 4
+    # the mean over the two outer rows only, not over all three
+    assert report.value == pytest.approx(100.0 * (1.0 - np.cos(2 * phi)), rel=1e-3)
+    assert report.value == pytest.approx(brute_force_mad(emb), rel=1e-9)
 
 
 def test_mad_counts_skipped_pairs():

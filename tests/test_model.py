@@ -52,10 +52,11 @@ def plain_gcn_reference(g, x, weights, self_loops=True):
 
 
 def test_init_glorot_bound():
-    params = init_params([4, 3], lam=0.1, seed=1)
+    params = init_params([4, 3, 2], lam=0.1, seed=1)
     bound = np.sqrt(6.0 / 7.0)
     assert np.all(np.abs(params.W[0]) <= bound)
     assert np.all(np.abs(params.W_dpp[0]) <= bound)
+    assert np.all(np.abs(params.W[1]) <= np.sqrt(6.0 / 5.0))
 
 
 def test_init_deterministic():
@@ -68,9 +69,24 @@ def test_init_deterministic():
 def test_init_four_layer_shapes():
     params = init_params([1433, 64, 64, 64, 7], lam=0.1, seed=0)
     assert len(params.W) == 4
-    assert len(params.W_dpp) == 4
+    assert len(params.W_dpp) == 3
     assert params.W[0].shape == (1433, 64)
     assert params.W[-1].shape == (64, 7)
+    assert [w.shape for w in params.W_dpp] == [w.shape for w in params.W[:-1]]
+
+
+def test_init_draws_positive_then_hidden_negative_weights():
+    # the classifier has no negative-branch weight; every other weight is
+    # drawn in the order W[0], ..., W[-1], W_dpp[0], ..., W_dpp[-1]
+    dims = [6, 5, 4, 3]
+    params = init_params(dims, lam=0.1, seed=4)
+    rng = np.random.default_rng(4)
+    shapes = list(zip(dims[:-1], dims[1:]))
+    weights = params.W + params.W_dpp
+    assert [w.shape for w in weights] == shapes + shapes[:-1]
+    for w, (din, dout) in zip(weights, shapes + shapes[:-1]):
+        a = np.sqrt(6.0 / (din + dout))
+        assert np.array_equal(w, rng.uniform(-a, a, size=(din, dout)))
 
 
 def test_init_rejects_zero_dim():
@@ -277,7 +293,7 @@ def test_adam_constant_gradient_step_approaches_lr():
     state = init_adam_state(params, lr=0.01)
     from rwnsgcn.model import Gradients
 
-    g = Gradients(dW=[np.full((1, 1), 0.37)], dW_dpp=[np.zeros((1, 1))])
+    g = Gradients(dW=[np.full((1, 1), 0.37)], dW_dpp=[])
     prev = params.W[0][0, 0]
     for _ in range(200):
         adam_step(params, g, state)
@@ -292,7 +308,7 @@ def test_adam_step_counter_increments():
     state = init_adam_state(params, lr=0.01)
     from rwnsgcn.model import Gradients
 
-    g = Gradients(dW=[np.ones((2, 2))], dW_dpp=[np.zeros((2, 2))])
+    g = Gradients(dW=[np.ones((2, 2))], dW_dpp=[])
     for expected in range(1, 4):
         adam_step(params, g, state)
         assert state.step == expected
@@ -473,7 +489,7 @@ def reference_forward(
     if neg_op.shape[0] != n:
         raise ValueError("negative operator size mismatch")
     num_layers = len(params.W)
-    use_neg = params.lam != 0.0 and neg_op.matrix.nnz > 0
+    use_neg = params.lam != 0.0 and neg_op.nnz > 0
     if train_mode and params.dropout_p > 0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
@@ -484,11 +500,11 @@ def reference_forward(
     x = X
     for l in range(num_layers - 1):
         inputs.append(x)
-        z_pos = pos_op.matrix @ (x @ params.W[l])
+        z_pos = pos_op @ (x @ params.W[l])
         a = np.maximum(z_pos, 0.0)
         z_neg = None
         if use_neg:
-            z_neg = neg_op.matrix @ (x @ params.W_dpp[l])
+            z_neg = neg_op @ (x @ params.W_dpp[l])
             a = a - params.lam * np.maximum(z_neg, 0.0)
         mask = None
         if train_mode and params.dropout_p > 0:
@@ -500,14 +516,13 @@ def reference_forward(
         masks.append(mask)
         x = a
     inputs.append(x)
-    logits = pos_op.matrix @ (x @ params.W[-1])
+    logits = pos_op @ (x @ params.W[-1])
     return ForwardTrace(
         inputs=inputs,
         z_pos=z_pos_all,
         z_neg=z_neg_all,
         drop_masks=masks,
         logits=logits,
-        train_mode=train_mode,
         pos_op=pos_op,
         neg_op=neg_op,
     )
@@ -530,8 +545,8 @@ def reference_backward(trace, params, labels, mask) -> Gradients:
     num_layers = len(params.W)
     dW: list[np.ndarray] = [np.zeros_like(w) for w in params.W]
     dW_dpp: list[np.ndarray] = [np.zeros_like(w) for w in params.W_dpp]
-    op_pos = trace.pos_op.matrix
-    op_neg = trace.neg_op.matrix
+    op_pos = trace.pos_op
+    op_neg = trace.neg_op
 
     h = trace.inputs[-1]
     du = op_pos @ dlogits

@@ -11,7 +11,6 @@ from rwnsgcn.graph import build_graph, transition_operator
 from rwnsgcn.scoring import (
     ConvergenceError,
     LayeredNeighborhood,
-    ScoreVector,
     _rwr_block,
     _transition_transpose,
     bfs_layers,
@@ -34,7 +33,7 @@ def triangle():
 
 
 def dense_rwr(g, source, alpha):
-    p = transition_operator(g).matrix.toarray()
+    p = transition_operator(g).toarray()
     n = g.num_nodes
     e = np.zeros(n)
     e[source] = 1.0
@@ -43,7 +42,7 @@ def dense_rwr(g, source, alpha):
 
 def dense_pagerank(g, alpha):
     # no dangling nodes assumed
-    p = transition_operator(g).matrix.toarray()
+    p = transition_operator(g).toarray()
     n = g.num_nodes
     return np.linalg.solve(np.eye(n) - alpha * p.T, (1 - alpha) * np.ones(n) / n)
 
@@ -89,18 +88,18 @@ def test_rwr_alpha_zero_is_indicator():
     r = rwr_scores(g, 2, alpha=0.0)
     expected = np.zeros(4)
     expected[2] = 1.0
-    assert np.array_equal(r.values, expected)
+    assert np.array_equal(r, expected)
 
 
 def test_rwr_single_edge_closed_form():
     g = build_graph(2, [(0, 1, 1.0)])
     r = rwr_scores(g, 0, alpha=0.5)
-    assert np.allclose(r.values, [2 / 3, 1 / 3], atol=1e-7)
+    assert np.allclose(r, [2 / 3, 1 / 3], atol=1e-7)
 
 
 def test_rwr_triangle_symmetry():
     r = rwr_scores(triangle(), 0, alpha=0.7)
-    assert r.values[1] == pytest.approx(r.values[2], abs=1e-12)
+    assert r[1] == pytest.approx(r[2], abs=1e-12)
 
 
 def test_rwr_matches_dense_solve():
@@ -111,15 +110,15 @@ def test_rwr_matches_dense_solve():
         src = int(rng.integers(0, n))
         alpha = float(rng.uniform(0.0, 0.95))
         r = rwr_scores(g, src, alpha, tol=1e-12)
-        assert np.max(np.abs(r.values - dense_rwr(g, src, alpha))) < 1e-6
-        assert np.all(r.values >= 0)
+        assert np.max(np.abs(r - dense_rwr(g, src, alpha))) < 1e-6
+        assert np.all(r >= 0)
 
 
 def test_rwr_sums_to_one_on_connected_graphs():
     g = path_graph(9)
     for alpha in (0.1, 0.5, 0.85):
         r = rwr_scores(g, 4, alpha)
-        assert r.values.sum() == pytest.approx(1.0, abs=1e-6)
+        assert r.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rwr_source_score_monotone_in_alpha():
@@ -148,27 +147,27 @@ def test_rwr_nonconvergence_reports_residual():
 def test_pagerank_triangle_uniform_both_modes():
     for mode in ("converged", "two-step"):
         r = pagerank_scores(triangle(), alpha=0.85, mode=mode)
-        assert np.allclose(r.values, 1 / 3, atol=1e-9)
+        assert np.allclose(r, 1 / 3, atol=1e-9)
 
 
 def test_pagerank_single_edge_half():
     g = build_graph(2, [(0, 1, 1.0)])
     r = pagerank_scores(g, alpha=0.6)
-    assert np.allclose(r.values, 0.5, atol=1e-8)
+    assert np.allclose(r, 0.5, atol=1e-8)
 
 
 def test_pagerank_path_center_beats_ends_and_matches_dense():
     g = path_graph(3)
     r = pagerank_scores(g, alpha=0.85, tol=1e-12)
-    assert r.values[1] > r.values[0]
-    assert r.values[1] > r.values[2]
-    assert np.max(np.abs(r.values - dense_pagerank(g, 0.85))) < 1e-6
+    assert r[1] > r[0]
+    assert r[1] > r[2]
+    assert np.max(np.abs(r - dense_pagerank(g, 0.85))) < 1e-6
 
 
 def test_pagerank_sums_to_one_with_isolated_nodes():
     g = build_graph(5, [(0, 1, 1.0), (1, 2, 1.0)])  # nodes 3, 4 isolated
     r = pagerank_scores(g, alpha=0.85)
-    assert r.values.sum() == pytest.approx(1.0, abs=1e-6)
+    assert r.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pagerank_relabel_invariance():
@@ -177,8 +176,8 @@ def test_pagerank_relabel_invariance():
     g = random_graph(rng, n, 0.3)
     perm = rng.permutation(n)
     remapped = build_graph(n, [(perm[u], perm[v], w) for u, v, w in g.edges()])
-    base = pagerank_scores(g, 0.85, tol=1e-12).values
-    relab = pagerank_scores(remapped, 0.85, tol=1e-12).values
+    base = pagerank_scores(g, 0.85, tol=1e-12)
+    relab = pagerank_scores(remapped, 0.85, tol=1e-12)
     assert np.allclose(relab[perm], base, atol=1e-9)
 
 
@@ -189,16 +188,14 @@ def test_combined_beta_extremes():
     g = path_graph(4)
     r = rwr_scores(g, 0, 0.5)
     p = pagerank_scores(g, 0.85)
-    assert np.array_equal(combined_scores(r, p, 1.0).values, r.values)
-    assert np.array_equal(combined_scores(r, p, 0.0).values, p.values)
+    assert np.array_equal(combined_scores(r, p, 1.0), r)
+    assert np.array_equal(combined_scores(r, p, 0.0), p)
 
 
 def test_combined_arithmetic():
-    from rwnsgcn.scoring import ScoreVector
-
-    a = ScoreVector(values=np.array([0.6, 0.4]), kind="rwr")
-    b = ScoreVector(values=np.array([0.2, 0.8]), kind="pgr")
-    assert np.allclose(combined_scores(a, b, 0.5).values, [0.4, 0.6])
+    a = np.array([0.6, 0.4])
+    b = np.array([0.2, 0.8])
+    assert np.allclose(combined_scores(a, b, 0.5), [0.4, 0.6])
 
 
 def test_combined_preserves_simplex():
@@ -208,15 +205,13 @@ def test_combined_preserves_simplex():
     p = pagerank_scores(g, 0.85)
     for beta in (0.0, 0.25, 0.5, 0.9, 1.0):
         s = combined_scores(r, p, beta)
-        assert s.values.min() >= 0
-        assert s.values.sum() == pytest.approx(1.0, abs=1e-6)
+        assert s.min() >= 0
+        assert s.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_combined_length_mismatch():
-    from rwnsgcn.scoring import ScoreVector
-
-    a = ScoreVector(values=np.zeros(3), kind="rwr")
-    b = ScoreVector(values=np.zeros(4), kind="pgr")
+    a = np.zeros(3)
+    b = np.zeros(4)
     with pytest.raises(ValueError, match="length mismatch"):
         combined_scores(a, b, 0.5)
 
@@ -241,12 +236,10 @@ def test_select_triangle_empty():
 
 
 def test_select_tie_prefers_smaller_id():
-    from rwnsgcn.scoring import ScoreVector
-
     # star of two length-2 paths: layer 2 = {3, 4}
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)])
     layers = bfs_layers(g, 0, 2)
-    scores = ScoreVector(values=np.full(5, 0.3), kind="combined")
+    scores = np.full(5, 0.3)
     cs = select_candidates(layers, scores, levels=(2,), k_per_level=1)
     assert cs.nodes() == [3]
 
@@ -294,7 +287,7 @@ def test_score_all_sources_bounds_and_determinism():
 
 
 def test_select_matches_sorted_oracle_on_tie_heavy_layers():
-    from rwnsgcn.scoring import LayeredNeighborhood, ScoreVector
+    from rwnsgcn.scoring import LayeredNeighborhood
 
     rng = np.random.default_rng(29)
     for _ in range(3000):
@@ -307,7 +300,7 @@ def test_select_matches_sorted_oracle_on_tie_heavy_layers():
         k = int(rng.integers(1, 5))
         cs = select_candidates(
             LayeredNeighborhood(source=0, layers=layers),
-            ScoreVector(values=vals, kind="combined"),
+            vals,
             levels=(2, 3, 4),
             k_per_level=k,
         )
@@ -351,7 +344,7 @@ def reference_rwr(g, source, alpha, tol=1e-8, max_iter=1000, _pt=None):
         delta = float(np.max(np.abs(r_next - r)))
         r = r_next
         if delta < tol:
-            return ScoreVector(values=r, kind="rwr")
+            return r
     raise ConvergenceError("rwr_scores", delta, max_iter)
 
 
@@ -394,7 +387,6 @@ def test_score_all_sources_matches_single_source_loops():
         assert list(got) == list(want)
         for src, cs in want.items():
             assert got[src].chosen == cs.chosen
-            assert got[src].levels_used == cs.levels_used
 
 
 def test_bfs_layers_and_rwr_match_single_source_loops():
@@ -407,7 +399,7 @@ def test_bfs_layers_and_rwr_match_single_source_loops():
         for l, nodes in want.layers.items():
             assert np.array_equal(got.layers[l], nodes)
         alpha = float(rng.uniform(0.0, 0.95))
-        assert np.array_equal(rwr_scores(g, src, alpha).values, reference_rwr(g, src, alpha).values)
+        assert np.array_equal(rwr_scores(g, src, alpha), reference_rwr(g, src, alpha))
 
 
 def test_rwr_block_columns_stop_at_their_own_iterate():
@@ -419,9 +411,9 @@ def test_rwr_block_columns_stop_at_their_own_iterate():
         cols = _rwr_block(pt, block, alpha, 1e-8, 1000)
         assert cols.shape == (31, block.size)
         for i, src in enumerate(block.tolist()):
-            want = reference_rwr(g, src, alpha).values
+            want = reference_rwr(g, src, alpha)
             assert np.array_equal(cols[:, i], want)
-            assert np.array_equal(rwr_scores(g, src, alpha).values, want)
+            assert np.array_equal(rwr_scores(g, src, alpha), want)
 
 
 def test_rwr_block_nonconvergence_names_largest_running_residual():
@@ -473,8 +465,8 @@ def test_pagerank_with_prebuilt_transpose_is_unchanged():
     for t in range(10):
         g = random_graph(rng, int(rng.integers(1, 60)), 0.1, weighted=t % 2 == 1)
         for mode in ("converged", "two-step"):
-            want = pagerank_scores(g, 0.85, mode=mode).values
-            got = pagerank_scores(g, 0.85, mode=mode, _pt=_transition_transpose(g)).values
+            want = pagerank_scores(g, 0.85, mode=mode)
+            got = pagerank_scores(g, 0.85, mode=mode, _pt=_transition_transpose(g))
             assert np.array_equal(got, want)
 
 
