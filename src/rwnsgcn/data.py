@@ -69,24 +69,35 @@ def _row_normalize(x: np.ndarray) -> np.ndarray:
     return x / safe
 
 
-def load_content_cites(
-    content_text: str,
-    cites_text: str,
-    row_normalize: bool = True,
-) -> Dataset:
-    """Parse node/feature/label rows plus citation rows into a Dataset.
+def _skip(token: str) -> float:
+    return 0.0
 
-    Node ids are mapped to dense indices in first-appearance order and
-    label strings to class ids in lexicographic order.  Citation rows
-    mentioning unknown ids are dropped (the count is recorded on the
-    result).
+
+def _parse_rows(rows: list[str], arity: int) -> np.ndarray:
+    """numpy's C tokenizer over whole rows: an (n, arity) float64 table whose
+    id and label columns read 0.  The converters, unlike ``usecols``, keep
+    loadtxt's check that every row has ``arity`` columns."""
+    skip = {0: _skip, arity - 1: _skip}
+    return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2, converters=skip)
+
+
+def _c_parses(token: str) -> bool:
+    try:
+        np.loadtxt([token], dtype=np.float64, comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_first_bad_row(lines: list[str]) -> None:
+    """Raise the message of the first malformed content row.
+
+    Row numbers are 1-based and count blank lines.  Returns (without a
+    dataset) only when every row is well formed.
     """
-    ids: list[str] = []
-    index: dict[str, int] = {}
-    feat_rows: list[np.ndarray] = []
-    label_strs: list[str] = []
+    seen: set[str] = set()
     arity: int | None = None
-    for lineno, line in enumerate(content_text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
             continue
@@ -101,23 +112,60 @@ def load_content_cites(
                 f"content row {lineno}: {len(parts)} columns, expected {arity}"
             )
         name = parts[0]
-        if name in index:
+        if name in seen:
             raise ValueError(f"content row {lineno}: duplicate node id {name!r}")
-        index[name] = len(ids)
-        ids.append(name)
-        # one C-level conversion per row; the row's strings are freed at once
+        seen.add(name)
         try:
-            feat_rows.append(np.array(parts[1:-1], dtype=np.float64))
-        except ValueError as err:
-            raise ValueError(f"content row {lineno}: {err}") from None
-        label_strs.append(parts[-1])
-    if not ids:
+            values = _parse_rows([line], arity)[0, 1:-1]
+        except ValueError:
+            # float()'s wording, also for '1_0' and '１', which float() reads
+            bad = next(t for t in parts[1:-1] if not _c_parses(t))
+            raise ValueError(
+                f"content row {lineno}: could not convert string to float: {bad!r}"
+            ) from None
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValueError(
+                f"content row {lineno}: non-finite feature {values[j]} in column {j + 2}"
+            )
+
+
+def load_content_cites(
+    content_text: str,
+    cites_text: str,
+    row_normalize: bool = True,
+) -> Dataset:
+    """Parse node/feature/label rows plus citation rows into a Dataset.
+
+    Node ids are mapped to dense indices in first-appearance order and
+    label strings to class ids in lexicographic order.  Citation rows
+    mentioning unknown ids are dropped (the count is recorded on the
+    result).  A malformed content row (a changed column count, a duplicate
+    id, a token numpy's C parser cannot read, or a non-finite feature)
+    raises ``ValueError`` naming its 1-based line.
+    """
+    lines = content_text.splitlines()
+    rows = [line for line in lines if line and not line.isspace()]
+    if not rows:
         raise ValueError("content text contains no rows")
+    arity = len(rows[0].split())
+    if arity < 3:
+        _raise_first_bad_row(lines)
+    try:
+        table = _parse_rows(rows, arity)
+    except ValueError:
+        _raise_first_bad_row(lines)
+        raise
+    ids = [line.split(None, 1)[0] for line in rows]
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) != len(ids) or not np.isfinite(table).all():
+        _raise_first_bad_row(lines)
 
     n = len(ids)
-    features = np.vstack(feat_rows)
-    if row_normalize:
-        features = _row_normalize(features)
+    features = table[:, 1:-1]
+    features = _row_normalize(features) if row_normalize else features.copy()
+    label_strs = [line.rsplit(None, 1)[1] for line in rows]
     class_names = sorted(set(label_strs))
     class_index = {c: i for i, c in enumerate(class_names)}
     labels = np.array([class_index[s] for s in label_strs], dtype=np.int64)
@@ -156,7 +204,7 @@ def save_json_bundle(ds: Dataset, path: str | Path) -> None:
     """Write the dataset as a JSON bundle (floats keep full precision)."""
     bundle = {
         "num_nodes": ds.num_nodes,
-        "edges": [[u, v, w] for u, v, w in ds.graph.edges()],
+        "edges": list(zip(*(a.tolist() for a in ds.graph.edge_arrays()))),
         "features": ds.features.tolist(),
         "labels": ds.labels.tolist(),
         "class_names": list(ds.class_names)

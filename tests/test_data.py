@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ def test_bundle_non_finite_weight_named(tmp_path, weight):
 
 def test_feature_parse_matches_per_token_float():
     rng = np.random.default_rng(13)
-    tokens = [["0", "1", "-0", "1e-3", "2.5E+2", "nan", "inf"][i % 7] if i % 3 else
+    tokens = [["0", "1", "-0", "1e-3", "2.5E+2", "+.5", "7."][i % 7] if i % 3 else
               repr(float(x)) for i, x in enumerate(rng.normal(0, 1e3, 40))]
     content = "".join(
         f"n{r} {' '.join(tokens[r * 8:(r + 1) * 8])} c{r % 2}\n" for r in range(5)
@@ -144,6 +145,140 @@ def test_duplicate_node_id_named():
 def test_non_numeric_feature_token_names_row():
     with pytest.raises(ValueError, match="content row 3: could not convert string to float: 'x'"):
         load_content_cites("n0 1 0 a\n\nn1 1 x a\n", "")
+
+
+def reference_load(content_text, cites_text, row_normalize=True):
+    """The per-row split-and-convert loader the C-parser path replaced."""
+    ids, index, feat_rows, label_strs, arity = [], {}, [], [], None
+    for line in content_text.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        if arity is None:
+            arity = len(parts)
+            assert arity >= 3
+        assert len(parts) == arity
+        assert parts[0] not in index
+        index[parts[0]] = len(ids)
+        ids.append(parts[0])
+        feat_rows.append(np.array(parts[1:-1], dtype=np.float64))
+        label_strs.append(parts[-1])
+    features = np.vstack(feat_rows)
+    if row_normalize:
+        sums = features.sum(axis=1, keepdims=True)
+        features = features / np.where(sums > 0, sums, 1.0)
+    class_names = sorted(set(label_strs))
+    class_index = {c: i for i, c in enumerate(class_names)}
+    labels = np.array([class_index[s] for s in label_strs], dtype=np.int64)
+    cite_rows = [parts for parts in map(str.split, cites_text.splitlines()) if parts]
+    pairs = np.array(
+        [[index.get(p[0], -1), index.get(p[1], -1)] for p in cite_rows if len(p) == 2],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    known = pairs[(pairs >= 0).all(axis=1)]
+    return dict(graph=build_graph(len(ids), known), features=features, labels=labels,
+                node_names=ids, class_names=class_names,
+                dropped_edges=len(cite_rows) - len(known))
+
+
+def assert_same_as_reference(content, cites):
+    for row_normalize in (True, False):
+        ds = load_content_cites(content, cites, row_normalize=row_normalize)
+        ref = reference_load(content, cites, row_normalize=row_normalize)
+        assert ds.features.flags.c_contiguous
+        assert ds.features.shape == ref["features"].shape
+        assert ds.features.tobytes() == ref["features"].tobytes()
+        assert ds.feature_dim == ref["features"].shape[1]
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tobytes() == ref["labels"].tobytes()
+        assert ds.node_names == ref["node_names"]
+        assert ds.class_names == ref["class_names"]
+        assert ds.class_count == len(ref["class_names"])
+        for field in ("indptr", "indices", "weights"):
+            got, want = getattr(ds.graph, field), getattr(ref["graph"], field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert ds.dropped_edges == ref["dropped_edges"]
+
+
+ORACLE_CONTENT = {
+    "binary": "p1 0 1 1 0 a\np2 1 0 0 1 b\np3 0 0 1 1 a\n",
+    "tfidf": "p1 0.12345 0 0.98765 a\np2 0 0.5 1e-05 b\np3 3.14159265358979 0 2.5E+2 c\n",
+    "tabs and runs of spaces": "p1\t1\t0 \t 1\tx\np2  0    1\t\t1   y\n",
+    "blank lines": "\n\np1 1 0 x\n   \n\t\np2 0 1 y\n\n",
+    "crlf": "p1 1 0 1 x\r\np2 0 1 0 y\r\np3 1 1 1 x\r\n",
+    "trailing whitespace": "p1 1 0 x   \np2 0 1 y\t\np3 1 1 x \t ",
+    "one feature column": "p1 2 x\np2 0 y\np3 0.5 x\n",
+    "all-zero rows": "p1 0 0 0 x\np2 0 0 0 y\np3 0 1 0 x\n",
+    "single row": "p1 1 2 3 x",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CONTENT))
+def test_content_parse_matches_row_loop_oracle(case):
+    cites = "p1 p2\r\n\np2\tp3\np1 ghost\nodd row with three\np1\n"
+    assert_same_as_reference(ORACLE_CONTENT[case], cites)
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_content_parse_matches_row_loop_on_the_benchmark_graphs(bench_gen, scale, seed):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    assert_same_as_reference(content.decode(), cites.decode())
+
+
+@pytest.mark.parametrize("content, message", [
+    ("\nn1 1\nn2 0\n", "content row 2: expected at least id, one feature and a label"),
+    ("n1 1 0 a\n\nn2 0 b\n", "content row 3: 3 columns, expected 4"),
+    ("n1 1 0 a\nn2 0 1 1 b\n", "content row 2: 5 columns, expected 4"),
+])
+def test_column_count_messages_name_the_row(content, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_content_cites(content, "")
+
+
+def test_first_malformed_row_wins():
+    # row 2's duplicate id comes before row 4's bad token and row 5's extra column
+    content = "n1 1 0 a\nn1 0 1 b\n\nn2 1 x c\nn3 1 1 1 c\n"
+    with pytest.raises(ValueError, match="^content row 2: duplicate node id 'n1'$"):
+        load_content_cites(content, "")
+
+
+@pytest.mark.parametrize("token", ["1_0", "１", "١"])
+def test_tokens_float_reads_but_the_c_parser_rejects_name_the_row(token):
+    float(token)  # Python's float() reads underscores and non-ASCII digits
+    content = f"n1 1 0 a\n\nn2 0 {token} b\n"
+    message = f"content row 3: could not convert string to float: {token!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_content_cites(content, "")
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e500", "inf"), ("-NaN", "nan"),
+])
+def test_non_finite_feature_names_the_row(token, shown):
+    content = f"n1 1 0 a\n\nn2 0 1 b\nn3 1 {token} b\n"
+    message = f"content row 4: non-finite feature {shown} in column 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_content_cites(content, "", row_normalize=False)
+
+
+def test_bundle_bytes_match_the_per_edge_writer(tmp_path):
+    g = build_graph(5, [(0, 1, 0.1234567890123456789), (1, 2, 1 / 3), (3, 4, 2.0), (0, 4, 0.0)])
+    ds = planted_dataset(seed=1, n_per_class=3, classes=2, feature_dim=4)
+    ds = type(ds)(graph=g, features=ds.features[:5] / 3, labels=ds.labels[:5],
+                  class_count=2, feature_dim=4, class_names=["a", "b"])
+    u, v, w = g.edge_arrays()
+    expected = json.dumps({
+        "num_nodes": 5,
+        "edges": [[int(a), int(b), float(c)] for a, b, c in zip(u, v, w)],
+        "features": ds.features.tolist(),
+        "labels": ds.labels.tolist(),
+        "class_names": ["a", "b"],
+    })
+    path = tmp_path / "bundle.json"
+    save_json_bundle(ds, path)
+    assert path.read_text() == expected
 
 
 def test_planetoid_split_sizes_and_disjoint():
