@@ -215,16 +215,33 @@ def save_json_bundle(ds: Dataset, path: str | Path) -> None:
 
 
 def load_json_bundle(path: str | Path) -> Dataset:
-    """Load a JSON bundle; raises ValueError naming any missing field."""
+    """Load a JSON bundle; raises ValueError naming any missing field.
+
+    ``features`` must be one list of numbers per node, all finite; a bad
+    value is named by its 0-based row and column in that list.
+    """
     raw = json.loads(Path(path).read_text())
     for key in BUNDLE_KEYS:
         if key not in raw:
             raise ValueError(f"bundle missing required field {key!r}")
     n = int(raw["num_nodes"])
     graph = build_graph(n, raw["edges"])
-    features = np.array(raw["features"], dtype=np.float64)
+    try:
+        features = np.array(raw["features"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bundle field 'features': {exc}") from None
     if features.size == 0:
         features = features.reshape(n, 0)
+    if features.ndim != 2:
+        raise ValueError(
+            f"bundle field 'features' is {features.ndim}-D, expected one row per node"
+        )
+    finite = np.isfinite(features)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"bundle field 'features' row {i}: non-finite feature {features[i, j]} in column {j}"
+        )
     if features.shape[0] != n:
         raise ValueError(
             f"bundle field 'features' has {features.shape[0]} rows for {n} nodes"

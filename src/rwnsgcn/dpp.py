@@ -53,7 +53,8 @@ class DppKernel:
 
     The spectrum and the eigenvector-selection probabilities the exact
     sampler reads are computed on first use and kept, so every draw from
-    one kernel shares a single ``eigh``.
+    one kernel shares a single ``eigh``.  ``_kdpp_draws`` computes the
+    missing spectra of many kernels at once, stacked by candidate count.
     """
 
     source: int
@@ -64,9 +65,7 @@ class DppKernel:
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Eigenvalues clipped at 0 (ascending), eigenvectors, numerical rank."""
-        eigvals, eigvecs = np.linalg.eigh(self.L)
-        eigvals = np.maximum(eigvals, 0.0)
-        return eigvals, eigvecs, int(np.sum(eigvals > RANK_TOL))
+        return _spectra(self.L[None])[0]
 
     def selection_probabilities(self, k: int) -> list[list[float | None]]:
         """``P[rem][m]``: probability that eigenvector m-1 is selected when
@@ -90,6 +89,18 @@ class DppKernel:
                         table[rem][m] = float(eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m])
             self._selection[k] = table
         return table
+
+
+def _spectra(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """``DppKernel.spectrum`` of each (n, n) kernel in a (B, n, n) stack.
+
+    A stacked ``eigh`` runs LAPACK on each matrix on its own, so every
+    spectrum has the bits of a single call.
+    """
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    eigvals = np.maximum(eigvals, 0.0)
+    ranks = (eigvals > RANK_TOL).sum(axis=1).tolist()
+    return list(zip(eigvals, eigvecs, ranks))
 
 
 def label_propagation(
@@ -147,8 +158,8 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     """Rows scaled to unit L2 norm; zero-norm rows stay zero."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    na = np.linalg.norm(a, axis=1)[:, None]
-    return np.where(na > 0, a / np.where(na > 0, na, 1.0), 0.0)
+    scales, positive = _row_scales(a, np.arange(len(a)))
+    return _scaled_rows(a.copy(), scales, positive)
 
 
 def build_dpp_kernel(
@@ -168,27 +179,82 @@ def build_dpp_kernel(
     where * is elementwise.  All three factors are PSD, so L is PSD up
     to roundoff before the jitter.
     """
-    if comm.community_features is None:
+    return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter)[0]
+
+
+_ROW_CHUNK = 64
+
+
+def _row_scales(a: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divisors that scale rows ``rows`` of ``a`` to unit L2 norm (1 where
+    the norm is not positive) and the mask of positive norms.
+
+    The norms are taken ``_ROW_CHUNK`` rows at a time, so no copy of more
+    rows than that is made.  Each row reduces on its own, so a norm has
+    the bits of the same row's norm in any other row block.
+    """
+    norms = np.empty(rows.size)
+    for start in range(0, rows.size, _ROW_CHUNK):
+        chunk = rows[start : start + _ROW_CHUNK]
+        block = np.asarray(a[chunk], dtype=np.float64)
+        norms[start : start + chunk.size] = np.linalg.norm(block, axis=1)
+    positive = norms > 0
+    return np.where(positive, norms, 1.0), positive
+
+
+def _scaled_rows(rows: np.ndarray, scales: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Unit rows from ``_row_scales``, divided in place in a fresh float64 array."""
+    rows /= scales[:, None]
+    if not positive.all():
+        rows[~positive] = 0.0
+    return rows
+
+
+def _assemble_kernels(
+    sources: list[int],
+    item_lists: list[list[int]],
+    features: np.ndarray,
+    comm: CommunityAssignment,
+    jitter: float,
+) -> list[DppKernel]:
+    """``build_dpp_kernel`` for each (source, candidate ids), in one pass.
+
+    Each needed feature row and each community row is normalised once;
+    every kernel then gathers its unit rows and runs its own 2-D products.
+    A stacked product over all kernels would not take the same BLAS path,
+    and reading a shared Gram matrix changes the summation, so neither
+    keeps the bits of one kernel at a time.
+    """
+    cf = comm.community_features
+    if cf is None:
         raise ValueError("community assignment carries no community features")
-    items = candidates.nodes()
-    if not items:
+    if not all(item_lists):
         raise ValueError("candidate set is empty")
-    # each row block is normalised once and reused: these are exactly the
-    # cosine_rows values.  The second operand of a Gram product is a copy,
-    # because numpy sends ``a @ a.T`` on one buffer to syrk, whose last bits
-    # can differ from the gemm that cosine_rows(x, x) runs
-    rows = _unit_rows(features[[source] + items])
-    x, src = rows[1:], rows[:1]
-    cf = _unit_rows(comm.community_features[comm.labels[items]])
-    s_node = x @ x.copy().T
-    s_com = cf @ cf.copy().T
-    q = (src @ cf.T)[0]
-    quality = np.diag(q)
-    core = quality @ (s_com @ s_com.T) @ quality.T
-    L = core * np.exp(s_node - 1.0)
-    L = 0.5 * (L + L.T)
-    L += jitter * np.eye(len(items))
-    return DppKernel(source=int(source), items=items, L=L)
+    index = [[source] + items for source, items in zip(sources, item_lists)]
+    nodes = np.unique(np.fromiter(chain.from_iterable(index), dtype=np.int64))
+    scales, positive = np.ones(len(features)), np.zeros(len(features), dtype=bool)
+    scales[nodes], positive[nodes] = _row_scales(features, nodes)
+    unit_cf = _unit_rows(cf)
+    kernels = []
+    for idx in index:
+        # the unit rows of this kernel's rows, as cosine_rows computes them.
+        # The second operand of a Gram product is a copy, because numpy
+        # sends ``a @ a.T`` on one buffer to syrk, whose last bits can
+        # differ from the gemm that cosine_rows(x, x) runs
+        rows = np.asarray(features[idx], dtype=np.float64)
+        rows = _scaled_rows(rows, scales[idx], positive[idx])
+        x, src = rows[1:], rows[:1]
+        c = unit_cf[comm.labels[idx[1:]]]
+        s_node = x @ x.copy().T
+        s_com = c @ c.copy().T
+        q = (src @ c.T)[0]
+        quality = np.diag(q)
+        core = quality @ (s_com @ s_com.T) @ quality.T
+        L = core * np.exp(s_node - 1.0)
+        L = 0.5 * (L + L.T)
+        L += jitter * np.eye(len(idx) - 1)
+        kernels.append(DppKernel(source=int(idx[0]), items=idx[1:], L=L))
+    return kernels
 
 
 def _elem_sympoly(eigvals: np.ndarray, k: int) -> np.ndarray:
@@ -203,6 +269,18 @@ def _elem_sympoly(eigvals: np.ndarray, k: int) -> np.ndarray:
 
 
 RANK_TOL = 1e-10
+
+
+def _fill_spectra(kernels: list[DppKernel]) -> None:
+    """Cache the spectra not computed yet: one stacked ``eigh`` per
+    candidate count."""
+    groups: dict[int, list[DppKernel]] = {}
+    for kernel in kernels:
+        if "spectrum" not in kernel.__dict__:
+            groups.setdefault(len(kernel.items), []).append(kernel)
+    for members in groups.values():
+        for kernel, spectrum in zip(members, _spectra(np.array([m.L for m in members]))):
+            kernel.__dict__["spectrum"] = spectrum  # where cached_property keeps it
 
 
 def kdpp_sample_exact(
@@ -223,13 +301,15 @@ def _kdpp_draws(
 ) -> list[list[int]]:
     """``kdpp_sample_exact`` for each (kernel, k, generator), in lockstep.
 
-    Eigenvectors are selected draw by draw.  The draws with the same
-    candidate count n and selected-vector count r then take each
+    Missing spectra are computed first, one stacked ``eigh`` per candidate
+    count.  Eigenvectors are then selected draw by draw.  The draws with
+    the same candidate count n and selected-vector count r take each
     projection step together on a stacked (B, r, n) array, with the
     arithmetic of a single draw per basis, so each generator sees the same
     calls in the same order as in a draw made on its own, and the picks
     are equal.
     """
+    _fill_spectra(kernels)
     bases = []
     for kernel, k, rng in zip(kernels, ks, rngs):
         n = len(kernel.items)
@@ -385,10 +465,12 @@ def build_negative_kernels(
     Sources whose draw can only return every candidate (none included)
     get none.  ``comm`` may be a zero-argument callable that returns the
     communities; it is called once, and only if some source gets a
-    kernel.  Build once per candidate map and community
-    assignment, then pass the result to every ``draw_negative_samples``
-    call with the same candidates, k, method and jitter, so redraws reuse
-    each kernel and its eigendecomposition.
+    kernel.  The kernels are assembled in one pass, each feature and
+    community row normalised once, with the bits of ``build_dpp_kernel``.
+    Build once per candidate map and community assignment, then pass the
+    result to every ``draw_negative_samples`` call with the same
+    candidates, k, method and jitter, so redraws reuse each kernel and its
+    eigendecomposition.
     """
     _check_method(method)
     choosing = [
@@ -396,12 +478,12 @@ def build_negative_kernels(
         for src in sorted(candidates)
         if not _draw_is_forced(len(candidates[src]), k, method, jitter)
     ]
-    if choosing and callable(comm):
+    if not choosing:
+        return {}
+    if callable(comm):
         comm = comm()
-    return {
-        src: build_dpp_kernel(src, candidates[src], features, comm, jitter=jitter)
-        for src in choosing
-    }
+    items = [candidates[src].nodes() for src in choosing]
+    return dict(zip(choosing, _assemble_kernels(choosing, items, features, comm, jitter)))
 
 
 def draw_negative_samples(

@@ -125,6 +125,38 @@ def test_bundle_non_finite_weight_named(tmp_path, weight):
         load_json_bundle(path)
 
 
+@pytest.mark.parametrize("token, shown, row, column", [
+    ("NaN", "nan", 0, 0), ("Infinity", "inf", 1, 1), ("-Infinity", "-inf", 2, 0),
+])
+def test_bundle_non_finite_feature_names_row_and_column(tmp_path, token, shown, row, column):
+    features = [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
+    features[row][column] = token
+    path = _bundle(tmp_path)
+    # json.dumps would quote the token; json.loads reads it bare
+    path.write_text(path.read_text().replace(
+        '"features": [[0.0], [1.0], [2.0]]', f'"features": {features}'.replace("'", "")
+    ))
+    assert token in path.read_text()
+    message = f"bundle field 'features' row {row}: non-finite feature {shown} in column {column}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_json_bundle(path)
+
+
+@pytest.mark.parametrize("features, ndim", [
+    ([0.0, 1.0, 2.0], 1), ([[[0.0]], [[1.0]], [[2.0]]], 3),
+])
+def test_bundle_features_that_are_not_rows_name_the_field(tmp_path, features, ndim):
+    message = f"bundle field 'features' is {ndim}-D, expected one row per node"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_json_bundle(_bundle(tmp_path, features=features))
+
+
+@pytest.mark.parametrize("features", [[[0.0], [1.0, 2.0], [2.0]], [[0.0], ["x"], [2.0]]])
+def test_bundle_ragged_or_text_features_name_the_field(tmp_path, features):
+    with pytest.raises(ValueError, match="^bundle field 'features': "):
+        load_json_bundle(_bundle(tmp_path, features=features))
+
+
 def test_feature_parse_matches_per_token_float():
     rng = np.random.default_rng(13)
     tokens = [["0", "1", "-0", "1e-3", "2.5E+2", "+.5", "7."][i % 7] if i % 3 else

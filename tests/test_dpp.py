@@ -540,6 +540,7 @@ def _no_kernels(monkeypatch):
         raise AssertionError("a draw that cannot choose built a kernel")
 
     monkeypatch.setattr(dpp, "build_dpp_kernel", refuse)
+    monkeypatch.setattr(dpp, "_assemble_kernels", refuse)
     monkeypatch.setattr(dpp, "kdpp_sample_exact", refuse)
     monkeypatch.setattr(dpp, "_kdpp_draws", refuse)
     monkeypatch.setattr(dpp, "dpp_map_greedy", refuse)
@@ -788,3 +789,150 @@ def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen,
         assert got == _per_source_draws(cands, kernels, 3, 1e-8, single)
         for src in kernels:
             assert lock[src].bit_generator.state == single[src].bit_generator.state
+
+
+# ------------------------------------------------------ lockstep assembly
+
+
+def _unit_rows_per_kernel(a):
+    """Rows scaled to unit L2 norm; zero-norm rows stay zero."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    na = np.linalg.norm(a, axis=1)[:, None]
+    return np.where(na > 0, a / np.where(na > 0, na, 1.0), 0.0)
+
+
+def per_source_kernel_L(source, items, features, comm, jitter=1e-8):
+    """The kernel as it was assembled one source at a time, every row
+    block normalised inside the kernel: the oracle of the lockstep build."""
+    rows = _unit_rows_per_kernel(features[[source] + items])
+    x, src = rows[1:], rows[:1]
+    cf = _unit_rows_per_kernel(comm.community_features[comm.labels[items]])
+    s_node = x @ x.copy().T
+    s_com = cf @ cf.copy().T
+    q = (src @ cf.T)[0]
+    quality = np.diag(q)
+    core = quality @ (s_com @ s_com.T) @ quality.T
+    L = core * np.exp(s_node - 1.0)
+    L = 0.5 * (L + L.T)
+    L += jitter * np.eye(len(items))
+    return L
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_lockstep_kernels_match(cands, features, comm, k=3, jitter=1e-8):
+    """Kernels and spectra (filled stacked by a first draw) equal the
+    one-source-at-a-time ones bit for bit."""
+    kernels = build_negative_kernels(cands, features, comm, k=k, jitter=jitter)
+    assert sorted(kernels) == [s for s in sorted(cands) if len(cands[s]) > k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicated candidates may clamp
+        draw_negative_samples(
+            cands, kernels, k=k, jitter=jitter,
+            rng_for_source=lambda src: np.random.default_rng([src]),
+        )
+    for src, kernel in kernels.items():
+        L = per_source_kernel_L(src, cands[src].nodes(), features, comm, jitter)
+        assert _same_bits(kernel.L, L), src
+        eigvals, eigvecs = np.linalg.eigh(L)
+        eigvals = np.maximum(eigvals, 0.0)
+        got_vals, got_vecs, rank = kernel.spectrum
+        assert _same_bits(got_vals, eigvals) and _same_bits(got_vecs, eigvecs), src
+        assert rank == int(np.sum(eigvals > RANK_TOL))
+    return kernels
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+def test_lockstep_kernels_match_per_source_kernels_on_the_benchmark_graph(bench_gen, seed):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
+    comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
+    kernels = _assert_lockstep_kernels_match(cands, ds.features, comm)
+    assert len(kernels) > ds.num_nodes // 2
+
+
+def _random_assembly(seed, n_nodes=30, feat=40, communities=5):
+    from rwnsgcn.dpp import CommunityAssignment
+
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n_nodes, feat)) < 0.2) * rng.random((n_nodes, feat))
+    labels = rng.integers(0, communities, size=n_nodes)
+    cf = rng.random((communities, feat))
+    comm = CommunityAssignment(labels=labels, community_features=cf)
+    # candidate counts 4, 5 and 6 in one call, and forced sources besides
+    cands = {
+        s: make_candidates(s, [int(v) for v in rng.choice(n_nodes, size=[2, 3, 4, 5, 6][s % 5])])
+        for s in range(n_nodes)
+    }
+    return x, comm, cands
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_kernels_match_on_duplicated_candidates(seed):
+    x, comm, cands = _random_assembly(seed)
+    # rng.choice above draws with replacement; make sure repeats are in
+    cands[4] = make_candidates(4, [7, 7, 9, 7, 11])
+    assert any(len(set(cs.nodes())) < len(cs) for cs in cands.values())
+    _assert_lockstep_kernels_match(cands, x, comm)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_kernels_match_on_zero_norm_rows(seed):
+    x, comm, cands = _random_assembly(seed)
+    x[[4, 9]] = 0.0  # two sources with zero-norm rows
+    x[[cands[3].nodes()[0], cands[8].nodes()[1]]] = -0.0  # zero-norm candidates
+    _assert_lockstep_kernels_match(cands, x, comm)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lockstep_kernels_match_with_an_all_zero_community_row(seed):
+    x, comm, cands = _random_assembly(seed)
+    comm.community_features[int(comm.labels[cands[3].nodes()[0]])] = 0.0
+    _assert_lockstep_kernels_match(cands, x, comm)
+
+
+def test_lockstep_kernels_keep_the_one_source_call():
+    x, comm, cands = _random_assembly(11)
+    kernels = build_negative_kernels(cands, x, comm, k=3)
+    for src, kernel in kernels.items():
+        single = build_dpp_kernel(src, cands[src], x, comm)
+        assert single.items == kernel.items and _same_bits(single.L, kernel.L)
+
+
+def test_greedy_builds_never_eigendecompose(monkeypatch):
+    x, comm, cands = _random_assembly(3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a greedy build or draw called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
+    assert kernels
+    out = draw_negative_samples(cands, kernels, k=3, method="greedy")
+    assert all(len(out[s]) == min(3, len(cands[s])) for s in cands)
+    assert all("spectrum" not in kernel.__dict__ for kernel in kernels.values())
+
+
+def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
+    import tracemalloc
+
+    seed = 501
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
+    comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
+    tracemalloc.start()
+    try:
+        kernels = build_negative_kernels(cands, ds.features, comm, k=3)
+        draw_negative_samples(  # fills every spectrum and selection table
+            cands, kernels, k=3, rng_for_source=lambda src: np.random.default_rng([src])
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kernels) > ds.num_nodes // 2
+    # a normalised copy of every feature row alone would be ds.features.nbytes
+    assert peak < 0.5 * ds.features.nbytes

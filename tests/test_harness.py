@@ -212,18 +212,17 @@ def _recording(monkeypatch, name):
 
 
 def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
-    from rwnsgcn import dpp
-
     ds = planted_dataset(seed=7)
     cfg = fast_config(runs=2, epochs=12, resample_every=3, k_per_level=2)
     built = []
-    original = dpp.build_dpp_kernel
+    original = harness.build_negative_kernels
 
-    def counting(source, candidates, *args, **kwargs):
-        built.append(source)
-        return original(source, candidates, *args, **kwargs)
+    def recording(*args, **kwargs):
+        kernels = original(*args, **kwargs)
+        built.append(sorted(kernels))
+        return kernels
 
-    monkeypatch.setattr(dpp, "build_dpp_kernel", counting)
+    monkeypatch.setattr(harness, "build_negative_kernels", recording)
     draws = _recording(monkeypatch, "draw_negative_samples")
     fills = _recording(monkeypatch, "score_all_sources")
     run_baseline(ds, cfg)
@@ -231,7 +230,8 @@ def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
     choosing = [s for s, cs in cands.items() if len(cs) > cfg.k_dpp]
     assert choosing  # some draws really choose
     assert len(draws) == cfg.runs * 4  # the first draw and three redraws per run
-    assert sorted(built) == sorted(choosing * cfg.runs)
+    # one build per run, with a kernel for exactly the choosing sources
+    assert built == [sorted(choosing)] * cfg.runs
 
 
 def test_back_to_back_baselines_score_once_each(monkeypatch):
