@@ -91,7 +91,7 @@ class AdamState:
     v_W: list[np.ndarray] = field(default_factory=list)
     m_Wd: list[np.ndarray] = field(default_factory=list)
     v_Wd: list[np.ndarray] = field(default_factory=list)
-    # two flat work rows for the update, sized by adam_step to the largest weight
+    # two flat work rows for the update, one chunk (or the largest weight) long
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
     # positions in W + W_dpp that have had a non-zero gradient; the others
     # still have all-zero moments
@@ -253,13 +253,18 @@ def backward(
     params: ModelParams,
     labels: np.ndarray,
     mask: np.ndarray,
+    *,
+    xt=None,
 ) -> Gradients:
     """Exact gradients of the masked cross entropy for both weight sets.
 
     The combination h = a_pos - lam * a_neg routes a -lam-scaled cotangent
     through the negative branch; ReLU gates on the stored pre-activation
     signs; each propagation step multiplies by the operator, which equals
-    its own transpose.
+    its own transpose.  ``xt`` may carry the transpose of the features
+    ``trace.inputs[0]`` for the two layer-0 weight gradients: a CSR copy of
+    a sparse ``X.T`` sums each row in the same order as the CSC view, so
+    the gradients are the same bit for bit, only faster.
     """
     mask = np.asarray(mask)
     if mask.size == 0:
@@ -290,15 +295,16 @@ def backward(
         g = dx
         if trace.drop_masks[l] is not None:
             g = g * trace.drop_masks[l]
-        x = trace.inputs[l]
-        dz_pos = g * (trace.z_pos[l] > 0)
+        x_t = xt if l == 0 and xt is not None else trace.inputs[l].T
+        # a float gate multiplies faster than a bool one, to the same bits
+        dz_pos = g * (trace.z_pos[l] > 0).astype(np.float64)
         du_pos = op_pos @ dz_pos
-        dW[l] = x.T @ du_pos
+        dW[l] = x_t @ du_pos
         du_neg = None
         if trace.z_neg[l] is not None:
-            dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0)
+            dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0).astype(np.float64)
             du_neg = op_neg @ dz_neg
-            dW_dpp[l] = x.T @ du_neg
+            dW_dpp[l] = x_t @ du_neg
         else:
             dW_dpp[l] = np.zeros_like(params.W_dpp[l])
         if l > 0:
@@ -318,28 +324,40 @@ def init_adam_state(params: ModelParams, lr: float) -> AdamState:
     )
 
 
+# elements per Adam chunk: the two work rows and the chunk's weight,
+# gradient and moments (6 x 256 KiB) stay in a 2 MB L2 cache
+_ADAM_CHUNK = 32768
+
+
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
     """Standard bias-corrected Adam update, in place.
 
     Evaluates ``w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)`` in the
     same operation order as the plain expression, so the result is the
     same bit for bit, but into the state's two scratch rows instead of
-    fresh temporaries.  A weight whose gradient and moments are all zero
+    fresh temporaries.  Each weight is updated in flat chunks of
+    ``_ADAM_CHUNK`` elements, so every pass over a chunk reads what the
+    previous one left in cache; the update is elementwise, so chunking
+    changes no bit.  A weight whose gradient and moments are all zero
     would subtract exactly 0, so it is skipped: with lam = 0 that is the
     whole negative branch.
     """
+    in_place = params.W + params.W_dpp + state.m_W + state.m_Wd + state.v_W + state.v_Wd
+    if not all(a.flags.c_contiguous for a in in_place):
+        raise ValueError("Adam updates the weights and moments in place as flat "
+                         "chunks, so they must be C-contiguous")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    largest = max(w.size for w in params.W + params.W_dpp)
-    if state.scratch is None or state.scratch.shape[1] < largest:
-        state.scratch = np.empty((2, largest))
+    width = min(_ADAM_CHUNK, max(w.size for w in params.W + params.W_dpp))
+    if state.scratch is None or state.scratch.shape[1] < width:
+        state.scratch = np.empty((2, width))
 
     def update(w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray) -> None:
-        step = state.scratch[0, : w.size].reshape(w.shape)
-        denom = state.scratch[1, : w.size].reshape(w.shape)
+        step = state.scratch[0, : w.size]
+        denom = state.scratch[1, : w.size]
         m *= b1
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
@@ -364,7 +382,10 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
             if not g.any():
                 continue
             state.moving.add(i)
-        update(w, g, m, v)
+        w, g, m, v = (a.reshape(-1) for a in (w, g, m, v))
+        for lo in range(0, w.size, _ADAM_CHUNK):
+            chunk = slice(lo, lo + _ADAM_CHUNK)
+            update(w[chunk], g[chunk], m[chunk], v[chunk])
 
 
 def _maybe_sparse(X: np.ndarray):
@@ -393,10 +414,19 @@ def train(
     next see the same weights, so the next epoch takes its layer 0 from
     the eval trace (dropped whenever the schedule swaps the negative
     graph).  The trained weights are the same bit for bit as when every
-    pass computes its own layer 0.
+    pass computes its own layer 0.  Fewer than one layer or epoch and an
+    empty validation set (no epoch could be chosen) raise ValueError
+    before any work.
     """
     if config.layers < 1:
         raise ValueError(f"layers must be at least 1, got {config.layers}")
+    if config.epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {config.epochs}")
+    if np.asarray(masks.val).size == 0:
+        raise ValueError(
+            "the validation set is empty: the best epoch is chosen by "
+            "validation accuracy, so at least one validation node is needed"
+        )
     dims = (
         [ds.feature_dim]
         + [config.hidden] * (config.layers - 1)
@@ -410,6 +440,8 @@ def train(
     drop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
 
     X = _maybe_sparse(ds.features)
+    # a CSR copy of a sparse X.T: its products are faster than the CSC view's
+    X_T = X.T.tocsr() if sp.issparse(X) else X.T
     labels = ds.labels
     history = History()
     best = TrainedModel(
@@ -430,7 +462,7 @@ def train(
         loss = loss_cross_entropy(trace.logits, labels, masks.train)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
-        grads = backward(trace, params, labels, masks.train)
+        grads = backward(trace, params, labels, masks.train, xt=X_T)
         adam_step(params, grads, state)
 
         eval_trace = forward(params, X, pos_op, neg_op, train_mode=False)

@@ -376,6 +376,34 @@ def test_train_rejects_fewer_than_one_layer(layers, monkeypatch):
         train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_train_rejects_fewer_than_one_epoch(epochs, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the epochs check")
+
+    monkeypatch.setattr(model, "init_params", no_work)
+    monkeypatch.setattr(model, "sym_normalized_operator", no_work)
+    config = TrainConfig(epochs=epochs, hidden=4, layers=2, dropout=0.0, lam=0.0)
+    with pytest.raises(ValueError, match="epochs"):
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+
+
+def test_train_rejects_an_empty_validation_set(monkeypatch):
+    # without validation nodes every epoch's accuracy would be nan and the
+    # untrained initial weights would come back as the best snapshot
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the validation check")
+
+    monkeypatch.setattr(model, "init_params", no_work)
+    monkeypatch.setattr(model, "sym_normalized_operator", no_work)
+    masks = two_clique_masks()
+    masks = SplitMasks(train=masks.train, val=np.array([], dtype=np.int64),
+                       test=masks.test, seed=0)
+    config = TrainConfig(epochs=3, hidden=4, layers=2, dropout=0.0, lam=0.0)
+    with pytest.raises(ValueError, match="validation set is empty"):
+        train(two_clique_dataset(), masks, build_graph(10, []), config)
+
+
 @pytest.mark.parametrize("dropout", [1.5, -0.5, 1.0, float("nan")])
 def test_train_rejects_dropout_outside_unit_interval(dropout, monkeypatch):
     def no_work(*args, **kwargs):
@@ -816,4 +844,82 @@ def test_train_with_branch_switched_on_then_off_matches_reference(sparse):
     assert_same_training(
         train(ds, masks, empty, config, negatives_schedule=swaps.get),
         reference_train(ds, masks, empty, config, negatives_schedule=swaps.get),
+    )
+
+
+# ------------------------------------------------ Adam chunks and CSR X.T
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_backward_with_transposed_features_matches_reference(sparse):
+    # train() hands backward a CSR copy of a sparse X.T (or the view of a
+    # dense one) for the layer-0 weight gradients
+    ds, masks, negative_graph = oracle_problem(sparse, dim=600)
+    X = _maybe_sparse(ds.features)
+    X_T = X.T.tocsr() if sparse else X.T
+    assert sp.issparse(X_T) == sparse
+    params = init_params([600, 16, 16, ds.class_count], lam=0.3, seed=4)
+    pos = sym_normalized_operator(ds.graph)
+    neg = sym_normalized_operator(negative_graph(1), self_loops=False)
+    trace = forward(params, X, pos, neg, True, np.random.default_rng(3))
+    got = backward(trace, params, ds.labels, masks.train, xt=X_T)
+    want = reference_backward(trace, params, ds.labels, masks.train)
+    for a, b in zip(got.dW + got.dW_dpp, want.dW + want.dW_dpp):
+        assert np.array_equal(a, b)
+    assert got.dW_dpp[0].any()
+
+
+def test_adam_step_across_chunk_boundaries_matches_reference():
+    chunk = model._ADAM_CHUNK
+    shapes = [(chunk - 1, 1), (1, chunk), (chunk + 1, 1), (2 * chunk + 3, 1)]
+    rng = np.random.default_rng(21)
+    params = ModelParams(
+        layer_dims=[1, 1, 1, 1],
+        W=[rng.normal(size=s) for s in shapes],
+        W_dpp=[rng.normal(size=s) for s in reversed(shapes[:3])],
+        lam=0.1,
+    )
+    ref_params = params.copy()
+    state = init_adam_state(params, lr=0.01)
+    ref_state = init_adam_state(ref_params, lr=0.01)
+    for step in range(12):
+        dW = [rng.normal(size=s) for s in shapes]
+        dW_dpp = [rng.normal(size=w.shape) for w in params.W_dpp]
+        if step % 4 == 0:  # all-zero gradients still move the moments
+            dW = [np.zeros(s) for s in shapes]
+        if step < 5:  # a branch that starts moving late
+            dW_dpp[1] = np.zeros_like(dW_dpp[1])
+        adam_step(params, Gradients(dW=dW, dW_dpp=dW_dpp), state)
+        reference_adam_step(ref_params, Gradients(dW=dW, dW_dpp=dW_dpp), ref_state)
+        for got, want in (
+            (params.W + params.W_dpp, ref_params.W + ref_params.W_dpp),
+            (state.m_W + state.m_Wd, ref_state.m_W + ref_state.m_Wd),
+            (state.v_W + state.v_Wd, ref_state.v_W + ref_state.v_Wd),
+        ):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+    # the work rows span one chunk, not the largest weight
+    assert state.scratch.shape == (2, chunk)
+
+
+def test_adam_step_rejects_a_weight_it_cannot_update_in_place():
+    params = ModelParams(layer_dims=[1, 1], W=[np.asfortranarray(np.ones((3, 4)))],
+                         W_dpp=[], lam=0.0)
+    state = init_adam_state(params, lr=0.01)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(params, Gradients(dW=[np.ones((3, 4))], dW_dpp=[]), state)
+    assert state.step == 0 and not state.moving
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_train_with_first_layer_wider_than_an_adam_chunk_matches_reference(sparse):
+    ds, masks, negative_graph = oracle_problem(sparse, dim=600)
+    assert sp.issparse(_maybe_sparse(ds.features)) == sparse
+    config = TrainConfig(epochs=12, lr=0.05, hidden=64, layers=3,
+                         dropout=0.5, lam=0.3, seed=13)
+    assert 600 * 64 > model._ADAM_CHUNK
+    negatives = negative_graph(1)
+    assert_same_training(
+        train(ds, masks, negatives, config),
+        reference_train(ds, masks, negatives, config),
     )
