@@ -40,7 +40,7 @@ from rwnsgcn.dpp import (
 )
 from rwnsgcn.model import (
     ModelParams,
-    TrainConfig,
+    TrainedModel,
     adam_step,
     backward,
     forward,

@@ -64,6 +64,13 @@ class ExperimentConfig:
     lr: float = 0.01
     base_seed: int = 0
 
+    def __post_init__(self) -> None:
+        # checked when built, so an unusable config fails before any work
+        for name in ("runs", "epochs", "layers", "num_val"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["levels"] = list(self.levels)

@@ -34,9 +34,10 @@ from rwnsgcn.dpp import (
     draw_negative_samples,
     label_propagation,
 )
+# unused here: perfbench/spans.py wraps predict and sym_normalized_operator on this module
 from rwnsgcn.graph import Graph, build_graph, sym_normalized_operator
 from rwnsgcn.metrics import accuracy, mad
-from rwnsgcn.model import TrainConfig, _maybe_sparse, predict, train
+from rwnsgcn.model import predict, train
 from rwnsgcn.scoring import CandidateSet, score_all_sources
 
 __all__ = [
@@ -182,27 +183,14 @@ def _run_once(
         neg_graph = build_graph(n, np.empty((0, 2)))
 
     model_seed = derive_seed(seed, "model")
-    tc = TrainConfig(
-        epochs=config.epochs,
-        lr=config.lr,
-        hidden=config.hidden,
-        layers=config.layers,
-        dropout=config.dropout,
-        lam=config.lam,
-        seed=model_seed,
-        self_loops=config.gcn_self_loops,
-    )
     t0 = time.perf_counter()
-    best, _history = train(ds, masks, neg_graph, tc, negatives_schedule=negatives_schedule)
+    best = train(ds, masks, neg_graph, config, model_seed,
+                 negatives_schedule=negatives_schedule)
     timings["training"] = timings.get("training", 0.0) + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
-    eval_negatives = best.negatives if best.negatives is not None else neg_graph
-    neg_op = sym_normalized_operator(eval_negatives, self_loops=False)
-    preds, emb = predict(best.params, _maybe_sparse(ds.features), pos_op, neg_op)
-    acc = accuracy(preds, ds.labels, masks.test)
-    mad_report = mad(emb[masks.test])
+    acc = accuracy(best.preds, ds.labels, masks.test)
+    mad_report = mad(best.embeddings[masks.test])
     timings["evaluation"] = timings.get("evaluation", 0.0) + time.perf_counter() - t0
     return {
         "run": run_index,
@@ -246,6 +234,11 @@ def run_baseline(
     dump_negatives_dir: str | Path | None = None,
 ) -> RunReport:
     """Full pipeline for ``config.runs`` seeded runs, with aggregates."""
+    if config.attack_kind is not None:
+        # the runs train on ds.graph, so the report would carry the attacked
+        # cell's config_hash for a clean-graph result
+        raise ValueError(f"attack_kind is {config.attack_kind!r}, but a baseline "
+                         "trains on the clean graph; unset it or run the attack comparison")
     timings: dict[str, float] = {}
     dump = Path(dump_negatives_dir) if dump_negatives_dir else None
     candidates = _score(ds.graph, config, timings) if config.lam != 0.0 else None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from rwnsgcn.config import ExperimentConfig
 from rwnsgcn.graph import Graph, sym_normalized_operator
 
 __all__ = [
@@ -24,9 +25,7 @@ __all__ = [
     "ForwardTrace",
     "Gradients",
     "AdamState",
-    "TrainConfig",
     "TrainedModel",
-    "History",
     "init_params",
     "forward",
     "loss_cross_entropy",
@@ -68,10 +67,13 @@ class ForwardTrace:
     pos_op: sp.csr_array
     neg_op: sp.csr_array
 
-    @property
-    def final_hidden(self) -> np.ndarray:
-        """Activations entering the classifier layer."""
-        return self.inputs[-1]
+    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Class predictions (argmax, ties to the smaller id) and the rows entering
+        the classifier, dense even when they are the features of one layer."""
+        hidden = self.inputs[-1]
+        if sp.issparse(hidden):
+            hidden = hidden.toarray()
+        return np.argmax(self.logits, axis=1), np.asarray(hidden)
 
 
 @dataclass
@@ -99,31 +101,15 @@ class AdamState:
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 200
-    lr: float = 0.01
-    hidden: int = 64
-    layers: int = 4
-    dropout: float = 0.5
-    lam: float = 0.1
-    seed: int = 0
-    self_loops: bool = True
-
-
-@dataclass
-class History:
-    train_loss: list[float] = field(default_factory=list)
-    val_acc: list[float] = field(default_factory=list)
-
-
-@dataclass
 class TrainedModel:
     params: ModelParams
     best_epoch: int
     best_val_acc: float
-    # negative graph active at the best epoch (set when a resampling
-    # schedule is in use, so evaluation propagates over the same graph)
-    negatives: Graph | None = None
+    # the best epoch's own evaluation pass (``ForwardTrace.outputs``)
+    preds: np.ndarray
+    embeddings: np.ndarray
+    train_loss: list[float]  # per epoch
+    val_acc: list[float]  # per epoch
 
 
 def init_params(
@@ -399,29 +385,26 @@ def train(
     ds,
     masks,
     negatives: Graph,
-    config: TrainConfig,
+    config: ExperimentConfig,
+    seed: int,
     negatives_schedule=None,
-) -> tuple[TrainedModel, History]:
-    """Full-batch training; returns the best-validation parameter snapshot.
+) -> TrainedModel:
+    """Full-batch training; returns the best-validation epoch's weights with
+    the predictions and embeddings of its own eval pass, and every epoch's
+    train loss and validation accuracy.
 
-    Records train loss and validation accuracy each epoch.  Aborts with
-    RuntimeError when the loss stops being finite.  ``negatives_schedule``
-    may map an epoch index to a replacement negative graph (or None to
-    keep the current one); the snapshot remembers the graph it was
-    trained against.
+    Reads the model fields of ``config``; ``seed`` draws the initial weights
+    and dropout masks.  Aborts with RuntimeError when the loss stops being
+    finite.  ``negatives_schedule`` may map an epoch index to a replacement
+    negative graph (or None to keep the current one).
 
     The eval pass at the end of one epoch and the training pass of the
     next see the same weights, so the next epoch takes its layer 0 from
     the eval trace (dropped whenever the schedule swaps the negative
     graph).  The trained weights are the same bit for bit as when every
-    pass computes its own layer 0.  Fewer than one layer or epoch and an
-    empty validation set (no epoch could be chosen) raise ValueError
-    before any work.
+    pass computes its own layer 0.  An empty validation set (no epoch
+    could be chosen) raises ValueError before any work.
     """
-    if config.layers < 1:
-        raise ValueError(f"layers must be at least 1, got {config.layers}")
-    if config.epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {config.epochs}")
     if np.asarray(masks.val).size == 0:
         raise ValueError(
             "the validation set is empty: the best epoch is chosen by "
@@ -432,29 +415,26 @@ def train(
         + [config.hidden] * (config.layers - 1)
         + [ds.class_count]
     )
-    params = init_params(dims, config.lam, seed=config.seed, dropout_p=config.dropout)
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.self_loops)
-    current_negatives = negatives
-    neg_op = sym_normalized_operator(current_negatives, self_loops=False)
+    params = init_params(dims, config.lam, seed=seed, dropout_p=config.dropout)
+    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
+    neg_op = sym_normalized_operator(negatives, self_loops=False)
     state = init_adam_state(params, lr=config.lr)
-    drop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
+    drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
     X = _maybe_sparse(ds.features)
     # a CSR copy of a sparse X.T: its products are faster than the CSC view's
     X_T = X.T.tocsr() if sp.issparse(X) else X.T
     labels = ds.labels
-    history = History()
-    best = TrainedModel(
-        params=params.copy(), best_epoch=-1, best_val_acc=-1.0,
-        negatives=current_negatives,
-    )
+    # every snapshot shares these two lists; they are complete at return
+    train_loss: list[float] = []
+    val_acc: list[float] = []
+    best = None
     first = None
     for epoch in range(config.epochs):
         if negatives_schedule is not None:
             refreshed = negatives_schedule(epoch)
             if refreshed is not None:
-                current_negatives = refreshed
-                neg_op = sym_normalized_operator(current_negatives, self_loops=False)
+                neg_op = sym_normalized_operator(refreshed, self_loops=False)
                 first = None
         trace = forward(
             params, X, pos_op, neg_op, train_mode=True, rng=drop_rng, first=first
@@ -468,18 +448,16 @@ def train(
         eval_trace = forward(params, X, pos_op, neg_op, train_mode=False)
         if eval_trace.z_pos:  # layers == 1 has no hidden layer to carry
             first = (eval_trace.z_pos[0], eval_trace.z_neg[0])
-        preds = np.argmax(eval_trace.logits, axis=1)
-        val_acc = float(np.mean(preds[masks.val] == labels[masks.val]))
-        history.train_loss.append(loss)
-        history.val_acc.append(val_acc)
-        if val_acc > best.best_val_acc:
-            best = TrainedModel(
-                params=params.copy(),
-                best_epoch=epoch,
-                best_val_acc=val_acc,
-                negatives=current_negatives,
-            )
-    return best, history
+        # argmax is taken row by row, so the validation rows alone suffice;
+        # the full outputs are made only for a new best epoch
+        val_preds = np.argmax(eval_trace.logits[masks.val], axis=1)
+        acc = float(np.mean(val_preds == labels[masks.val]))
+        train_loss.append(loss)
+        val_acc.append(acc)
+        if best is None or acc > best.best_val_acc:
+            best = TrainedModel(params.copy(), epoch, acc, *eval_trace.outputs(),
+                                train_loss, val_acc)
+    return best
 
 
 def predict(
@@ -488,11 +466,6 @@ def predict(
     pos_op: sp.csr_array,
     neg_op: sp.csr_array,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class predictions (argmax, ties to the smaller id) and the final
-    hidden-layer embeddings."""
-    trace = forward(params, X, pos_op, neg_op, train_mode=False)
-    preds = np.argmax(trace.logits, axis=1)
-    hidden = trace.final_hidden
-    if hasattr(hidden, "toarray"):
-        hidden = hidden.toarray()
-    return preds, np.asarray(hidden)
+    """Class predictions and the dense final hidden-layer embeddings of
+    one evaluation pass (``ForwardTrace.outputs``)."""
+    return forward(params, X, pos_op, neg_op, train_mode=False).outputs()

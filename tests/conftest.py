@@ -45,6 +45,12 @@ def betweenness_dict(g: Graph, scores: np.ndarray) -> dict[tuple[int, int], floa
     return {(u, v): s for (u, v, _), s in zip(g.edges(), scores.tolist())}
 
 
+def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: unlike ``np.array_equal``, -0.0 != 0.0."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """All-pairs hop distances; disconnected pairs get +inf."""
     n = g.num_nodes

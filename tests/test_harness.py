@@ -4,10 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rwnsgcn import harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
-from rwnsgcn.data import save_json_bundle
+from rwnsgcn.data import load_content_cites, save_json_bundle
+from rwnsgcn.graph import sym_normalized_operator
 from rwnsgcn.harness import (
     emit_report,
     run_ablation,
@@ -15,8 +17,9 @@ from rwnsgcn.harness import (
     run_baseline,
     run_l_sweep,
 )
+from rwnsgcn.model import _maybe_sparse, predict
 
-from conftest import planted_dataset
+from conftest import assert_same_bytes, planted_dataset
 
 FAST = dict(
     per_class=3,
@@ -55,6 +58,27 @@ def test_config_round_trip():
 def test_config_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown config fields"):
         ExperimentConfig.from_dict({"no_such_field": 1})
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("work started for an unusable config")
+
+
+@pytest.mark.parametrize("field", ["runs", "epochs", "layers", "num_val"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_config_rejects_fewer_than_one(field, value, monkeypatch):
+    # runs=0 would write nan aggregates, num_val=0 would fail only in
+    # train() after scoring and kernels, epochs or layers < 1 train nothing
+    monkeypatch.setattr(harness, "score_all_sources", _unreachable)
+    monkeypatch.setattr(harness, "edge_betweenness", _unreachable)
+    message = f"^{field} must be at least 1, got {value}$"
+    ds = planted_dataset(seed=7)
+    with pytest.raises(ValueError, match=message):
+        run_baseline(ds, fast_config(**{field: value}))
+    with pytest.raises(ValueError, match=message):
+        run_attack_comparison(ds, fast_config().with_overrides(**{field: value}))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -102,6 +126,21 @@ def test_identical_configs_give_identical_rows():
     r1 = run_baseline(ds, cfg)
     r2 = run_baseline(ds, cfg)
     assert r1.rows == r2.rows
+
+
+def test_baseline_rejects_an_attack_config(monkeypatch):
+    # a baseline trains on the clean graph; with an attack in its config it
+    # would report the attacked cell's config_hash
+    monkeypatch.setattr(harness, "score_all_sources", _unreachable)
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(attack_kind="ctbca", attack_intensity=0.1)
+    message = "^attack_kind is 'ctbca', but a baseline trains on the clean graph"
+    with pytest.raises(ValueError, match=message):
+        run_baseline(ds, cfg)
+    with pytest.raises(ValueError, match=message):
+        run_ablation(ds, cfg)
+    with pytest.raises(ValueError, match=message):
+        run_l_sweep(ds, cfg, l_values=(5,))
 
 
 def test_twpa_sigma_zero_matches_clean_bit_for_bit():
@@ -297,6 +336,61 @@ def test_label_propagation_runs_only_when_some_draw_chooses(monkeypatch):
     assert len(communities) == cfg.runs
 
 
+# ------------------------------------------- evaluation of the best epoch
+
+
+def _fresh_predict(ds, config, negatives, best):
+    """The evaluation the harness ran before train() returned its best
+    epoch's outputs: rebuild both operators, convert the features as train()
+    does, and predict with the best weights over the given negative graph."""
+    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
+    neg_op = sym_normalized_operator(negatives, self_loops=False)
+    return predict(best.params, _maybe_sparse(ds.features), pos_op, neg_op)
+
+
+BEST_EPOCH_CASES = {
+    "seed-501": (501, {}),
+    "seed-601": (601, {}),
+    "resampled": (501, {"k_per_level": 2, "resample_every": 4}),
+    "lambda-0": (501, {"lam": 0.0}),
+    "one-layer": (501, {"layers": 1}),
+}
+
+
+@pytest.mark.parametrize("case", BEST_EPOCH_CASES)
+def test_best_epoch_outputs_match_a_fresh_predict(case, bench_gen, monkeypatch):
+    seed, overrides = BEST_EPOCH_CASES[case]
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["cora"], seed)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cfg = ExperimentConfig(dataset_path="(generated)", runs=1, epochs=30, num_val=200,
+                           num_test=300, base_seed=seed, **overrides)
+    trainings = []
+    original = harness.train
+
+    def recording(*args, **kwargs):
+        best = original(*args, **kwargs)
+        trainings.append((args, kwargs["negatives_schedule"], best))
+        return best
+
+    monkeypatch.setattr(harness, "train", recording)
+    report = run_baseline(ds, cfg)
+    ((args, schedule, best),) = trainings
+    negatives = args[2]
+    if case == "resampled":  # the best epoch trained on a redrawn graph
+        assert best.best_epoch >= cfg.resample_every
+    for epoch in range(best.best_epoch + 1):  # replay the seeded redraws
+        redrawn = schedule(epoch) if schedule is not None else None
+        negatives = negatives if redrawn is None else redrawn
+    if case == "one-layer":  # sparse features go straight to the classifier
+        assert sp.issparse(_maybe_sparse(ds.features))
+    preds, embeddings = _fresh_predict(ds, cfg, negatives, best)
+    assert_same_bytes(best.preds, preds)
+    assert_same_bytes(best.embeddings, embeddings)
+    assert len(best.train_loss) == len(best.val_acc) == cfg.epochs
+    assert best.val_acc[best.best_epoch] == best.best_val_acc == max(best.val_acc)
+    assert report.rows[0]["best_epoch"] == best.best_epoch
+
+
 # ---------------------------------------------------------------- reporting
 
 
@@ -431,6 +525,21 @@ def test_cli_baseline_rejects_zero_layers(tmp_path, toy_bundle):
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error"].startswith("ValueError: layers")
     assert not (tmp_path / "results").exists()
+
+
+def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_bundle):
+    cfg = fast_config(runs=1, epochs=2).with_overrides(dataset_path=str(toy_bundle))
+    reports = run_attack_comparison(planted_dataset(seed=7), cfg, attack_grid=[("ctbca", 0.1)])
+    _, report_json = emit_report(reports, tmp_path / "attack")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(json.loads(report_json.read_text())[0]["config"]))
+    res = run_cli("baseline", "--config", str(cfg_file), "--out", str(tmp_path / "res"))
+    assert res.returncode == 1
+    assert json.loads(res.stderr.strip().splitlines()[-1]) == {
+        "error": "ValueError: attack_kind is 'ctbca', but a baseline trains on the "
+                 "clean graph; unset it or run the attack comparison"
+    }
+    assert not (tmp_path / "res").exists()
 
 
 def test_cli_report_round_trip(tmp_path, toy_bundle):

@@ -3,15 +3,14 @@ import pytest
 import scipy.sparse as sp
 
 from rwnsgcn import model
+from rwnsgcn.config import ExperimentConfig
 from rwnsgcn.data import Dataset, SplitMasks
 from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.model import (
     AdamState,
     ForwardTrace,
     Gradients,
-    History,
     ModelParams,
-    TrainConfig,
     TrainedModel,
     _maybe_sparse,
     adam_step,
@@ -24,7 +23,7 @@ from rwnsgcn.model import (
     train,
 )
 
-from conftest import dense_adjacency, random_graph
+from conftest import assert_same_bytes, dense_adjacency, random_graph
 
 
 def ops_for(g, self_loops=True):
@@ -344,22 +343,22 @@ def two_clique_masks():
 def test_train_separable_toy_reaches_perfect_accuracy():
     ds = two_clique_dataset()
     masks = two_clique_masks()
-    config = TrainConfig(epochs=200, lr=0.01, hidden=16, layers=4, dropout=0.5,
-                         lam=0.0, seed=0)
-    best, history = train(ds, masks, build_graph(10, []), config)
+    config = ExperimentConfig(epochs=200, lr=0.01, hidden=16, layers=4, dropout=0.5,
+                              lam=0.0)
+    best = train(ds, masks, build_graph(10, []), config, seed=0)
     pos, neg = ops_for(ds.graph)
     preds, _ = predict(best.params, ds.features, pos, neg)
     assert np.array_equal(preds[masks.test], ds.labels[masks.test])
-    assert len(history.train_loss) == 200
+    assert len(best.train_loss) == 200
 
 
 def test_train_deterministic_history():
     ds = two_clique_dataset()
     masks = two_clique_masks()
-    config = TrainConfig(epochs=30, lr=0.01, hidden=8, layers=3, dropout=0.5,
-                         lam=0.0, seed=77)
-    _, h1 = train(ds, masks, build_graph(10, []), config)
-    _, h2 = train(ds, masks, build_graph(10, []), config)
+    config = ExperimentConfig(epochs=30, lr=0.01, hidden=8, layers=3, dropout=0.5,
+                              lam=0.0)
+    h1 = train(ds, masks, build_graph(10, []), config, seed=77)
+    h2 = train(ds, masks, build_graph(10, []), config, seed=77)
     assert h1.train_loss == h2.train_loss
     assert h1.val_acc == h2.val_acc
 
@@ -371,9 +370,10 @@ def test_train_rejects_fewer_than_one_layer(layers, monkeypatch):
 
     monkeypatch.setattr(model, "init_params", no_work)
     monkeypatch.setattr(model, "sym_normalized_operator", no_work)
-    config = TrainConfig(epochs=3, hidden=4, layers=layers, dropout=0.0, lam=0.0)
+    # the config itself refuses, before train() is even called
     with pytest.raises(ValueError, match="layers"):
-        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+        config = ExperimentConfig(epochs=3, hidden=4, layers=layers, dropout=0.0, lam=0.0)
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config, seed=0)
 
 
 @pytest.mark.parametrize("epochs", [0, -3])
@@ -383,9 +383,10 @@ def test_train_rejects_fewer_than_one_epoch(epochs, monkeypatch):
 
     monkeypatch.setattr(model, "init_params", no_work)
     monkeypatch.setattr(model, "sym_normalized_operator", no_work)
-    config = TrainConfig(epochs=epochs, hidden=4, layers=2, dropout=0.0, lam=0.0)
+    # the config itself refuses, before train() is even called
     with pytest.raises(ValueError, match="epochs"):
-        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+        config = ExperimentConfig(epochs=epochs, hidden=4, layers=2, dropout=0.0, lam=0.0)
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config, seed=0)
 
 
 def test_train_rejects_an_empty_validation_set(monkeypatch):
@@ -399,9 +400,9 @@ def test_train_rejects_an_empty_validation_set(monkeypatch):
     masks = two_clique_masks()
     masks = SplitMasks(train=masks.train, val=np.array([], dtype=np.int64),
                        test=masks.test, seed=0)
-    config = TrainConfig(epochs=3, hidden=4, layers=2, dropout=0.0, lam=0.0)
+    config = ExperimentConfig(epochs=3, hidden=4, layers=2, dropout=0.0, lam=0.0)
     with pytest.raises(ValueError, match="validation set is empty"):
-        train(two_clique_dataset(), masks, build_graph(10, []), config)
+        train(two_clique_dataset(), masks, build_graph(10, []), config, seed=0)
 
 
 @pytest.mark.parametrize("dropout", [1.5, -0.5, 1.0, float("nan")])
@@ -412,9 +413,9 @@ def test_train_rejects_dropout_outside_unit_interval(dropout, monkeypatch):
     with pytest.raises(ValueError, match="dropout"):
         init_params([4, 3, 2], lam=0.1, seed=0, dropout_p=dropout)
     monkeypatch.setattr(model, "sym_normalized_operator", no_work)
-    config = TrainConfig(epochs=3, hidden=4, layers=2, dropout=dropout, lam=0.0)
+    config = ExperimentConfig(epochs=3, hidden=4, layers=2, dropout=dropout, lam=0.0)
     with pytest.raises(ValueError, match="dropout"):
-        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config)
+        train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config, seed=0)
 
 
 def test_train_aborts_on_nonfinite_loss():
@@ -427,9 +428,9 @@ def test_train_aborts_on_nonfinite_loss():
         feature_dim=10,
     )
     masks = two_clique_masks()
-    config = TrainConfig(epochs=5, lr=0.01, hidden=4, layers=2, dropout=0.0, lam=0.0, seed=0)
+    config = ExperimentConfig(epochs=5, lr=0.01, hidden=4, layers=2, dropout=0.0, lam=0.0)
     with pytest.raises(RuntimeError, match="epoch 0"):
-        train(bad, masks, build_graph(10, []), config)
+        train(bad, masks, build_graph(10, []), config, seed=0)
 
 
 def test_loss_decreases_after_one_adam_step():
@@ -459,8 +460,8 @@ def test_predict_tie_prefers_smaller_class():
 def test_predict_deterministic_and_dropout_off():
     ds = two_clique_dataset()
     masks = two_clique_masks()
-    config = TrainConfig(epochs=10, lr=0.01, hidden=8, layers=3, dropout=0.5, lam=0.0, seed=1)
-    best, _ = train(ds, masks, build_graph(10, []), config)
+    config = ExperimentConfig(epochs=10, lr=0.01, hidden=8, layers=3, dropout=0.5, lam=0.0)
+    best = train(ds, masks, build_graph(10, []), config, seed=1)
     pos, neg = ops_for(ds.graph)
     p1, e1 = predict(best.params, ds.features, pos, neg)
     p2, e2 = predict(best.params, ds.features, pos, neg)
@@ -621,8 +622,8 @@ def reference_adam_step(params, grads, state) -> None:
         update(w, g, m, v)
 
 
-def reference_train(ds, masks, negatives, config, negatives_schedule=None):
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.self_loops)
+def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None):
+    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
     current_negatives = negatives
     neg_op = sym_normalized_operator(current_negatives, self_loops=False)
     dims = (
@@ -630,7 +631,7 @@ def reference_train(ds, masks, negatives, config, negatives_schedule=None):
         + [config.hidden] * (config.layers - 1)
         + [ds.class_count]
     )
-    params = init_params(dims, config.lam, seed=config.seed, dropout_p=config.dropout)
+    params = init_params(dims, config.lam, seed=seed, dropout_p=config.dropout)
     state = AdamState(
         lr=config.lr,
         m_W=[np.zeros_like(w) for w in params.W],
@@ -638,14 +639,14 @@ def reference_train(ds, masks, negatives, config, negatives_schedule=None):
         m_Wd=[np.zeros_like(w) for w in params.W_dpp],
         v_Wd=[np.zeros_like(w) for w in params.W_dpp],
     )
-    drop_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5EED]))
+    drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
     X = _maybe_sparse(ds.features)
     labels = ds.labels
-    history = History()
+    train_loss, val_accs = [], []
     best = TrainedModel(
         params=params.copy(), best_epoch=-1, best_val_acc=-1.0,
-        negatives=current_negatives,
+        preds=None, embeddings=None, train_loss=train_loss, val_acc=val_accs,
     )
     for epoch in range(config.epochs):
         if negatives_schedule is not None:
@@ -663,16 +664,20 @@ def reference_train(ds, masks, negatives, config, negatives_schedule=None):
         eval_trace = reference_forward(params, X, pos_op, neg_op, train_mode=False)
         preds = np.argmax(eval_trace.logits, axis=1)
         val_acc = float(np.mean(preds[masks.val] == labels[masks.val]))
-        history.train_loss.append(loss)
-        history.val_acc.append(val_acc)
+        train_loss.append(loss)
+        val_accs.append(val_acc)
         if val_acc > best.best_val_acc:
+            hidden = eval_trace.inputs[-1]
             best = TrainedModel(
                 params=params.copy(),
                 best_epoch=epoch,
                 best_val_acc=val_acc,
-                negatives=current_negatives,
+                preds=preds,
+                embeddings=hidden.toarray() if sp.issparse(hidden) else hidden,
+                train_loss=train_loss,
+                val_acc=val_accs,
             )
-    return best, history
+    return best
 
 
 def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
@@ -701,16 +706,16 @@ def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
     return ds, masks, negative_graph
 
 
-def assert_same_training(got, want):
-    (best, history), (ref_best, ref_history) = got, want
+def assert_same_training(best, ref_best):
     for a, b in zip(best.params.W + best.params.W_dpp,
                     ref_best.params.W + ref_best.params.W_dpp):
         assert np.array_equal(a, b)
     assert best.best_epoch == ref_best.best_epoch
     assert best.best_val_acc == ref_best.best_val_acc
-    assert history.train_loss == ref_history.train_loss
-    assert history.val_acc == ref_history.val_acc
-    assert best.negatives is ref_best.negatives
+    assert best.train_loss == ref_best.train_loss
+    assert best.val_acc == ref_best.val_acc
+    assert_same_bytes(best.preds, ref_best.preds)
+    assert_same_bytes(best.embeddings, ref_best.embeddings)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
@@ -722,12 +727,12 @@ def assert_same_training(got, want):
 def test_train_matches_reference_loop_bit_for_bit(sparse, lam, dropout, layers):
     ds, masks, negative_graph = oracle_problem(sparse)
     assert sp.issparse(_maybe_sparse(ds.features)) == sparse
-    config = TrainConfig(epochs=25, lr=0.05, hidden=8, layers=layers,
-                         dropout=dropout, lam=lam, seed=11)
+    config = ExperimentConfig(epochs=25, lr=0.05, hidden=8, layers=layers,
+                              dropout=dropout, lam=lam)
     negatives = negative_graph(1)
     assert_same_training(
-        train(ds, masks, negatives, config),
-        reference_train(ds, masks, negatives, config),
+        train(ds, masks, negatives, config, seed=11),
+        reference_train(ds, masks, negatives, config, seed=11),
     )
 
 
@@ -746,11 +751,11 @@ def test_train_with_swapped_negatives_matches_reference(sparse, dropout, layers)
     def schedule(epoch):
         return swaps.get(epoch)
 
-    config = TrainConfig(epochs=22, lr=0.05, hidden=8, layers=layers,
-                         dropout=dropout, lam=0.4, seed=5)
+    config = ExperimentConfig(epochs=22, lr=0.05, hidden=8, layers=layers,
+                              dropout=dropout, lam=0.4)
     assert_same_training(
-        train(ds, masks, first, config, negatives_schedule=schedule),
-        reference_train(ds, masks, first, config, negatives_schedule=schedule),
+        train(ds, masks, first, config, seed=5, negatives_schedule=schedule),
+        reference_train(ds, masks, first, config, seed=5, negatives_schedule=schedule),
     )
 
 
@@ -763,9 +768,9 @@ def test_train_reuses_eval_layer_zero_between_swaps(monkeypatch):
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(model, "forward", spy)
-    config = TrainConfig(epochs=10, hidden=8, layers=3, dropout=0.5, lam=0.4, seed=2)
+    config = ExperimentConfig(epochs=10, hidden=8, layers=3, dropout=0.5, lam=0.4)
     swaps = {4: negative_graph(7)}
-    train(ds, masks, negative_graph(1), config, negatives_schedule=swaps.get)
+    train(ds, masks, negative_graph(1), config, seed=2, negatives_schedule=swaps.get)
     carried = seen[0::2]  # training passes; the eval passes never take a layer
     assert not any(seen[1::2])
     assert carried == [e not in (0, 4) for e in range(10)]
@@ -839,11 +844,11 @@ def test_train_with_branch_switched_on_then_off_matches_reference(sparse):
     ds, masks, negative_graph = oracle_problem(sparse)
     empty = build_graph(ds.num_nodes, [])
     swaps = {5: negative_graph(2), 12: empty, 16: negative_graph(3)}
-    config = TrainConfig(epochs=20, lr=0.05, hidden=8, layers=3,
-                         dropout=0.5, lam=0.4, seed=6)
+    config = ExperimentConfig(epochs=20, lr=0.05, hidden=8, layers=3,
+                              dropout=0.5, lam=0.4)
     assert_same_training(
-        train(ds, masks, empty, config, negatives_schedule=swaps.get),
-        reference_train(ds, masks, empty, config, negatives_schedule=swaps.get),
+        train(ds, masks, empty, config, seed=6, negatives_schedule=swaps.get),
+        reference_train(ds, masks, empty, config, seed=6, negatives_schedule=swaps.get),
     )
 
 
@@ -915,11 +920,11 @@ def test_adam_step_rejects_a_weight_it_cannot_update_in_place():
 def test_train_with_first_layer_wider_than_an_adam_chunk_matches_reference(sparse):
     ds, masks, negative_graph = oracle_problem(sparse, dim=600)
     assert sp.issparse(_maybe_sparse(ds.features)) == sparse
-    config = TrainConfig(epochs=12, lr=0.05, hidden=64, layers=3,
-                         dropout=0.5, lam=0.3, seed=13)
+    config = ExperimentConfig(epochs=12, lr=0.05, hidden=64, layers=3,
+                              dropout=0.5, lam=0.3)
     assert 600 * 64 > model._ADAM_CHUNK
     negatives = negative_graph(1)
     assert_same_training(
-        train(ds, masks, negatives, config),
-        reference_train(ds, masks, negatives, config),
+        train(ds, masks, negatives, config, seed=13),
+        reference_train(ds, masks, negatives, config, seed=13),
     )
