@@ -14,9 +14,8 @@ from rwnsgcn.data import (
     bfs_subgraph,
     degree_filtered_nodes,
     load_content_cites,
-    load_json_bundle,
     planetoid_split,
-    save_json_bundle,
+    save_content_cites,
 )
 from rwnsgcn.scoring import (
     CandidateSet,

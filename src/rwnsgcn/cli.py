@@ -1,10 +1,11 @@
 """Command-line entry points.
 
-Subcommands: ``prepare`` (convert/cache a dataset), ``baseline``,
-``attack``, ``ablate``, ``sweep-l``, ``report``.  Every experiment flag
-mirrors an ExperimentConfig field; a JSON config file may supply all of
-them and explicit flags win over file values.  Failures exit nonzero
-with a single machine-readable error line on stderr.
+Subcommands: ``prepare`` (write a dataset, or a BFS subgraph of it, as a
+new ``.content``/``.cites`` pair), ``baseline``, ``attack``, ``ablate``,
+``sweep-l``, ``report``.  Every experiment flag mirrors an
+ExperimentConfig field; a JSON config file may supply all of them and
+explicit flags win over file values.  Failures exit nonzero with a single
+machine-readable error line on stderr.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from rwnsgcn.harness import (
     run_l_sweep,
 )
 
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
 _CONFIG_FLAGS = [
-    # (flag, dest, type, help)
-    ("--dataset-path", "dataset_path", str, "bundle path or content/cites prefix"),
-    ("--dataset-format", "dataset_format", str, "bundle | content-cites"),
+    # (flag, ExperimentConfig field, type, help); bool gives a --flag/--no-flag pair
+    ("--dataset-path", "dataset_path", str, "prefix of the .content/.cites pair"),
     ("--per-class", "per_class", int, "train nodes per class"),
     ("--num-val", "num_val", int, "validation pool size"),
     ("--num-test", "num_test", int, "test pool size"),
@@ -56,34 +61,17 @@ _CONFIG_FLAGS = [
     ("--epochs", "epochs", int, "training epochs per run"),
     ("--lr", "lr", float, "learning rate"),
     ("--base-seed", "base_seed", int, "seed of run 0"),
+    ("--levels", "levels", _ints, "comma-separated candidate layers, e.g. 2,3,4"),
+    ("--row-normalize", "row_normalize", bool, "normalize feature rows to sum 1"),
+    ("--gcn-self-loops", "gcn_self_loops", bool, "add self loops before symmetric normalization"),
 ]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-    parser.add_argument(
-        "--levels",
-        dest="levels",
-        type=str,
-        default=None,
-        help="comma-separated candidate layers, e.g. 2,3,4",
-    )
-    parser.add_argument(
-        "--row-normalize",
-        dest="row_normalize",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="normalize feature rows to sum 1",
-    )
-    parser.add_argument(
-        "--gcn-self-loops",
-        dest="gcn_self_loops",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="add self loops before symmetric normalization",
-    )
+        kind = {"action": argparse.BooleanOptionalAction} if typ is bool else {"type": typ}
+        parser.add_argument(flag, dest=dest, default=None, help=help_text, **kind)
     parser.add_argument("--out", type=str, default="results", help="output directory")
 
 
@@ -93,18 +81,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.config
         else ExperimentConfig()
     )
-    overrides = {}
-    for _, dest, _, _ in _CONFIG_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    for dest in ("row_normalize", "gcn_self_loops"):
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[dest] = value
-    if getattr(args, "levels", None) is not None:
-        overrides["levels"] = tuple(int(x) for x in args.levels.split(","))
-    return config.with_overrides(**overrides)
+    # an unset flag is None and keeps the file's (or the default) value
+    values = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
+    return config.with_overrides(**{k: v for k, v in values.items() if v is not None})
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -112,23 +91,22 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    ds = data_mod.load_content_cites_paths(
-        args.content, args.cites, row_normalize=args.row_normalize
-    )
+    # raw features: the experiment's row_normalize applies when the pair loads
+    ds = data_mod.load_content_cites_paths(args.content, args.cites, row_normalize=False)
     if args.subgraph_size:
         if args.subgraph_seed_node is None:
             seed_node = int(np.argmax(ds.graph.unweighted_degrees()))
         else:
             seed_node = args.subgraph_seed_node
         ds = data_mod.bfs_subgraph(ds, seed_node, args.subgraph_size)
-    data_mod.save_json_bundle(ds, args.out_bundle)
+    data_mod.save_content_cites(ds, args.out)
     print(
         json.dumps(
             {
-                "bundle": args.out_bundle,
+                "dataset_path": args.out,
                 "num_nodes": ds.num_nodes,
                 "num_edges": ds.graph.num_edges,
-                "classes": ds.class_count,
+                "classes": int(np.unique(ds.labels).size),  # the classes the pair loads with
                 "feature_dim": ds.feature_dim,
                 "dropped_edges": ds.dropped_edges,
             }
@@ -218,15 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", help="convert .content/.cites to a JSON bundle")
+    p = sub.add_parser(
+        "prepare", help="write a (sub)graph of a .content/.cites pair as a new pair"
+    )
     p.add_argument("--content", required=True, help=".content file path")
     p.add_argument("--cites", required=True, help=".cites file path")
-    p.add_argument("--out-bundle", required=True, help="output bundle path")
     p.add_argument(
-        "--row-normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="normalize feature rows to sum 1",
+        "--out", required=True, help="output prefix: writes PREFIX.content and PREFIX.cites"
     )
     p.add_argument(
         "--subgraph-size",

@@ -28,7 +28,7 @@ __all__ = [
 class ExperimentConfig:
     # dataset
     dataset_path: str = ""
-    dataset_format: str = "bundle"  # "bundle" | "content-cites"
+    dataset_format: str = "content-cites"  # the only format load_dataset reads
     row_normalize: bool = True
     # split
     per_class: int = 20
@@ -70,6 +70,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.attack_kind is None and self.attack_intensity != 0.0:
+            # a clean cell would otherwise hash differently by a stray intensity
+            raise ValueError(f"attack_intensity is {self.attack_intensity}, but "
+                             "attack_kind is None; set a kind or leave the intensity at 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)

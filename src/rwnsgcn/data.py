@@ -1,20 +1,19 @@
 """Citation-network ingestion, splits, and subgraph extraction.
 
-Canonical external format is the plain-text pair of files published with
-the classic citation benchmarks:
+A dataset sits on disk as the plain-text pair of files published with
+the classic citation benchmarks, and in no other format:
 
 * ``.content``: one row per node, whitespace separated:
   ``<id> <f_1> ... <f_F> <label>``
 * ``.cites``: one row per directed citation, ``<cited> <citing>``
   (merged to a single undirected edge).
 
-A JSON bundle format is provided for caching converted or derived
-datasets (attack-perturbed graphs, extracted subgraphs).
+``save_content_cites`` writes the same pair, so a derived dataset (an
+extracted subgraph, say) is read back by the same loader.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,15 +26,11 @@ __all__ = [
     "SplitMasks",
     "load_content_cites",
     "load_content_cites_paths",
-    "load_json_bundle",
-    "save_json_bundle",
+    "save_content_cites",
     "planetoid_split",
     "bfs_subgraph",
     "degree_filtered_nodes",
 ]
-
-BUNDLE_KEYS = ("num_nodes", "edges", "features", "labels", "class_names")
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -200,70 +195,33 @@ def load_content_cites_paths(
     return load_content_cites(content, cites, row_normalize=row_normalize)
 
 
-def save_json_bundle(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset as a JSON bundle (floats keep full precision)."""
-    bundle = {
-        "num_nodes": ds.num_nodes,
-        "edges": list(zip(*(a.tolist() for a in ds.graph.edge_arrays()))),
-        "features": ds.features.tolist(),
-        "labels": ds.labels.tolist(),
-        "class_names": list(ds.class_names)
-        if ds.class_names is not None
-        else [str(c) for c in range(ds.class_count)],
-    }
-    Path(path).write_text(json.dumps(bundle))
+def save_content_cites(ds: Dataset, prefix: str | Path) -> None:
+    """Write ``<prefix>.content`` and ``<prefix>.cites``.
 
-
-def load_json_bundle(path: str | Path) -> Dataset:
-    """Load a JSON bundle; raises ValueError naming any missing field.
-
-    ``features`` must be one list of numbers per node, all finite; a bad
-    value is named by its 0-based row and column in that list.
+    Content rows are the node id (``node_names``, or the index), each
+    feature as ``repr(float)`` so it reads back bit for bit, and the class
+    name (``class_names``, or the class id).  Cites rows are the
+    undirected edges, one row each.  The format has no weights, so a graph
+    with any weight other than 1 raises ``ValueError``.  Loading the pair
+    maps classes to ids in sorted-name order and keeps only the classes
+    that some node has.
     """
-    raw = json.loads(Path(path).read_text())
-    for key in BUNDLE_KEYS:
-        if key not in raw:
-            raise ValueError(f"bundle missing required field {key!r}")
-    n = int(raw["num_nodes"])
-    graph = build_graph(n, raw["edges"])
-    try:
-        features = np.array(raw["features"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bundle field 'features': {exc}") from None
-    if features.size == 0:
-        features = features.reshape(n, 0)
-    if features.ndim != 2:
+    u, v, w = ds.graph.edge_arrays()
+    if (w != 1.0).any():
+        k = int(np.argmax(w != 1.0))
         raise ValueError(
-            f"bundle field 'features' is {features.ndim}-D, expected one row per node"
+            f"edge ({u[k]}, {v[k]}) has weight {w[k]}; .cites rows carry no "
+            "weights, so only a graph with unit weights can be saved"
         )
-    finite = np.isfinite(features)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(
-            f"bundle field 'features' row {i}: non-finite feature {features[i, j]} in column {j}"
-        )
-    if features.shape[0] != n:
-        raise ValueError(
-            f"bundle field 'features' has {features.shape[0]} rows for {n} nodes"
-        )
-    labels = np.array(raw["labels"], dtype=np.int64)
-    if labels.shape[0] != n:
-        raise ValueError(f"bundle field 'labels' has {labels.shape[0]} entries for {n} nodes")
-    class_names = [str(c) for c in raw["class_names"]]
-    if labels.size and not 0 <= labels.min() <= labels.max() < len(class_names):
-        raise ValueError(
-            f"bundle field 'labels' has values outside [0, {len(class_names)}) "
-            f"for {len(class_names)} class names"
-        )
-    return Dataset(
-        graph=graph,
-        features=features,
-        labels=labels,
-        class_count=len(class_names),
-        feature_dim=features.shape[1],
-        node_names=None,
-        class_names=class_names,
+    names = ds.node_names or [str(i) for i in range(ds.num_nodes)]
+    classes = ds.class_names or [str(c) for c in range(ds.class_count)]
+    content = "".join(
+        "\t".join([name, *map(repr, row), classes[label]]) + "\n"
+        for name, row, label in zip(names, ds.features.tolist(), ds.labels.tolist())
     )
+    cites = "".join(f"{names[a]}\t{names[b]}\n" for a, b in zip(u.tolist(), v.tolist()))
+    Path(f"{prefix}.content").write_text(content)
+    Path(f"{prefix}.cites").write_text(cites)
 
 
 def planetoid_split(

@@ -65,17 +65,18 @@ class RunReport:
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    """Load the configured dataset (JSON bundle or .content/.cites pair)."""
+    """Load the ``<dataset_path>.content`` / ``<dataset_path>.cites`` pair."""
     path = config.dataset_path
     if not path:
         raise ValueError("config.dataset_path is empty")
-    if config.dataset_format == "bundle":
-        return data_mod.load_json_bundle(path)
-    if config.dataset_format == "content-cites":
-        return data_mod.load_content_cites_paths(
-            path + ".content", path + ".cites", row_normalize=config.row_normalize
+    if config.dataset_format != "content-cites":
+        raise ValueError(
+            f"dataset_format {config.dataset_format!r} is not supported; datasets are "
+            "'content-cites' pairs (rwnsgcn prepare writes one)"
         )
-    raise ValueError(f"unknown dataset_format {config.dataset_format!r}")
+    return data_mod.load_content_cites_paths(
+        path + ".content", path + ".cites", row_normalize=config.row_normalize
+    )
 
 
 def _graph_fingerprint(g: Graph) -> str:

@@ -8,7 +8,7 @@ explicit reason): desk-scale reproduction bands for Cora/CiteSeer, the
 ablation and max-distance directions, and the paired attack-robustness
 comparison on a PubMed subgraph.  Place the plain-text files under
 ./data or $RWNSGCN_DATA_DIR as cora.content/cora.cites, citeseer.*,
-and pubmed.* (a pubmed.json bundle is also accepted).
+and pubmed.* (PubMed converted to the same layout).
 
 Part 3 (always runs): byte-identical CSV determinism.
 
@@ -22,11 +22,7 @@ import numpy as np
 import pytest
 
 from rwnsgcn.config import ExperimentConfig
-from rwnsgcn.data import (
-    bfs_subgraph,
-    load_content_cites_paths,
-    load_json_bundle,
-)
+from rwnsgcn.data import bfs_subgraph, load_content_cites_paths
 from rwnsgcn.dpp import build_dpp_kernel, kdpp_sample_exact, label_propagation
 from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.harness import (
@@ -221,14 +217,11 @@ def test_mad_against_brute_force_20_sets():
 def _load_named_dataset(name: str):
     content = DATA_DIR / f"{name}.content"
     cites = DATA_DIR / f"{name}.cites"
-    bundle = DATA_DIR / f"{name}.json"
     if content.exists() and cites.exists():
         return load_content_cites_paths(content, cites)
-    if bundle.exists():
-        return load_json_bundle(bundle)
     pytest.skip(
         f"{name} dataset not found: place {name}.content/{name}.cites "
-        f"(or {name}.json bundle) under {DATA_DIR} or set RWNSGCN_DATA_DIR"
+        f"under {DATA_DIR} or set RWNSGCN_DATA_DIR"
     )
 
 

@@ -1,21 +1,20 @@
-import json
 import re
 
 import numpy as np
 import pytest
 
 from rwnsgcn.data import (
+    Dataset,
     bfs_subgraph,
     degree_filtered_nodes,
     load_content_cites,
     load_content_cites_paths,
-    load_json_bundle,
     planetoid_split,
-    save_json_bundle,
+    save_content_cites,
 )
 from rwnsgcn.graph import build_graph
 
-from conftest import planted_dataset, random_graph, require_dataset
+from conftest import assert_same_bytes, planted_dataset, random_graph, require_dataset
 
 TOY_CONTENT = "n1\t1\t0\t1\tml\nn2\t0\t1\t1\tdb\n"
 TOY_CITES = "n1\tn2\n"
@@ -52,109 +51,90 @@ def test_unknown_ids_dropped_with_count():
     assert ds.dropped_edges == 2
 
 
-def test_bundle_round_trip_exact(tmp_path):
-    ds = planted_dataset(seed=3, n_per_class=5, classes=2, feature_dim=6)
-    path = tmp_path / "bundle.json"
-    save_json_bundle(ds, path)
-    back = load_json_bundle(path)
-    assert np.array_equal(ds.graph.indptr, back.graph.indptr)
-    assert np.array_equal(ds.graph.indices, back.graph.indices)
-    assert np.array_equal(ds.graph.weights, back.graph.weights)
-    assert np.array_equal(ds.features, back.features)
-    assert np.array_equal(ds.labels, back.labels)
-
-
-def test_bundle_weighted_edges_bit_exact(tmp_path):
-    g = build_graph(3, [(0, 1, 0.1234567890123456789), (1, 2, 1 / 3)])
-    ds = planted_dataset(seed=1, n_per_class=2, classes=2, feature_dim=4)
-    ds = type(ds)(
-        graph=g,
-        features=np.zeros((3, 2)),
-        labels=np.array([0, 1, 0]),
-        class_count=2,
-        feature_dim=2,
+def _save_and_load(ds, tmp_path, row_normalize=False):
+    save_content_cites(ds, tmp_path / "ds")
+    return load_content_cites_paths(
+        tmp_path / "ds.content", tmp_path / "ds.cites", row_normalize=row_normalize
     )
-    path = tmp_path / "w.json"
-    save_json_bundle(ds, path)
-    back = load_json_bundle(path)
-    assert np.array_equal(ds.graph.weights, back.graph.weights)
 
 
-def test_bundle_missing_field_named(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps({"num_nodes": 2, "edges": [], "features": [[0], [0]],
-                                "class_names": ["a"]}))
-    with pytest.raises(ValueError, match="labels"):
-        load_json_bundle(path)
+def assert_same_dataset(a, b):
+    for name in ("indptr", "indices", "weights", "degrees"):
+        assert_same_bytes(getattr(a.graph, name), getattr(b.graph, name))
+    assert_same_bytes(a.features, b.features)
+    assert_same_bytes(a.labels, b.labels)
+    assert (a.class_count, a.feature_dim) == (b.class_count, b.feature_dim)
 
 
-def _bundle(tmp_path, **fields):
-    raw = {"num_nodes": 3, "edges": [[0, 1, 0.5], [1, 2, 2.0]],
-           "features": [[0.0], [1.0], [2.0]], "labels": [0, 1, 0],
-           "class_names": ["a", "b"]}
-    raw.update(fields)
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(raw))
-    return path
+def test_content_cites_round_trip_exact(tmp_path):
+    ds = planted_dataset(seed=3, n_per_class=5, classes=2, feature_dim=6)
+    back = _save_and_load(ds, tmp_path)
+    assert_same_dataset(ds, back)
+    # no names on ds: ids and class names are the indices
+    assert back.node_names == [str(i) for i in range(10)]
+    assert back.class_names == ["0", "1"]
 
 
-@pytest.mark.parametrize("labels", [[0, 5, 1], [0, -1, 1], [2, 0, 0]])
-def test_bundle_labels_outside_classes_named(tmp_path, labels):
-    with pytest.raises(ValueError, match="labels"):
-        load_json_bundle(_bundle(tmp_path, labels=labels))
+@pytest.mark.parametrize("weight", [0.5, 0.0, 2.0])
+def test_save_content_cites_rejects_weighted_edges(tmp_path, weight):
+    ds = Dataset(graph=build_graph(4, [(0, 1), (1, 2, weight), (2, 3)]), features=np.eye(4),
+                 labels=np.array([0, 1, 0, 1]), class_count=2, feature_dim=4)
+    message = f"edge (1, 2) has weight {weight}; .cites rows carry no weights"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        save_content_cites(ds, tmp_path / "ds")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_bundle_unweighted_edge_rows_get_unit_weight(tmp_path):
-    ds = load_json_bundle(_bundle(tmp_path, edges=[[0, 1], [2, 1, 0.25]]))
-    assert ds.graph.edges() == [(0, 1, 1.0), (1, 2, 0.25)]
+def test_content_cites_bytes_match_the_expected_text(tmp_path):
+    features = np.array([[0.1, -0.0], [1 / 3, 2.0], [0.0, 1e-300], [5e-324, 123456789.0]])
+    ds = Dataset(graph=build_graph(4, [(2, 0), (1, 2), (0, 3)]), features=features,
+                 labels=np.array([1, 0, 1, 2]), class_count=3, feature_dim=2,
+                 node_names=["p", "q", "r", "s"], class_names=["a", "b", "c"])
+    save_content_cites(ds, tmp_path / "ds")
+    assert (tmp_path / "ds.content").read_text() == (
+        "p\t0.1\t-0.0\tb\n"
+        "q\t0.3333333333333333\t2.0\ta\n"
+        "r\t0.0\t1e-300\tb\n"
+        "s\t5e-324\t123456789.0\tc\n"
+    )
+    assert (tmp_path / "ds.cites").read_text() == "p\tr\np\ts\nq\tr\n"
+    back = load_content_cites_paths(tmp_path / "ds.content", tmp_path / "ds.cites",
+                                    row_normalize=False)
+    assert_same_dataset(ds, back)
+    assert back.node_names == ["p", "q", "r", "s"]
 
 
-@pytest.mark.parametrize("row", [[1], [0, 2, 1.0, 7.0], []])
-def test_bundle_edge_rows_of_other_lengths_named(tmp_path, row):
-    with pytest.raises(ValueError, match="edge 1: expected"):
-        load_json_bundle(_bundle(tmp_path, edges=[[0, 1, 1.0], row]))
+@pytest.mark.parametrize("row_normalize", [False, True])
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_prepared_pair_reloads_equal_to_the_in_memory_subgraph(
+    bench_gen, tmp_path, scale, seed, row_normalize
+):
+    # what `rwnsgcn prepare --subgraph-size 300` writes, loaded as an experiment loads it
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    content, cites = content.decode(), cites.decode()
+    raw = load_content_cites(content, cites, row_normalize=False)
+    seed_node = int(np.argmax(raw.graph.unweighted_degrees()))
+    prepared = _save_and_load(bfs_subgraph(raw, seed_node, 300), tmp_path, row_normalize)
+    direct = bfs_subgraph(load_content_cites(content, cites, row_normalize=row_normalize),
+                          seed_node, 300)
+    assert_same_dataset(direct, prepared)
+    assert prepared.node_names == direct.node_names
 
 
-@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
-def test_bundle_non_finite_weight_named(tmp_path, weight):
-    # json.loads reads NaN and Infinity, as json.dumps writes them
-    path = _bundle(tmp_path)
-    path.write_text(path.read_text().replace("2.0]", f"{weight}]"))
-    assert weight in path.read_text()
-    with pytest.raises(ValueError, match=r"edge 1: non-finite weight .* on \(1, 2\)"):
-        load_json_bundle(path)
-
-
-@pytest.mark.parametrize("token, shown, row, column", [
-    ("NaN", "nan", 0, 0), ("Infinity", "inf", 1, 1), ("-Infinity", "-inf", 2, 0),
-])
-def test_bundle_non_finite_feature_names_row_and_column(tmp_path, token, shown, row, column):
-    features = [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
-    features[row][column] = token
-    path = _bundle(tmp_path)
-    # json.dumps would quote the token; json.loads reads it bare
-    path.write_text(path.read_text().replace(
-        '"features": [[0.0], [1.0], [2.0]]', f'"features": {features}'.replace("'", "")
-    ))
-    assert token in path.read_text()
-    message = f"bundle field 'features' row {row}: non-finite feature {shown} in column {column}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_json_bundle(path)
-
-
-@pytest.mark.parametrize("features, ndim", [
-    ([0.0, 1.0, 2.0], 1), ([[[0.0]], [[1.0]], [[2.0]]], 3),
-])
-def test_bundle_features_that_are_not_rows_name_the_field(tmp_path, features, ndim):
-    message = f"bundle field 'features' is {ndim}-D, expected one row per node"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load_json_bundle(_bundle(tmp_path, features=features))
-
-
-@pytest.mark.parametrize("features", [[[0.0], [1.0, 2.0], [2.0]], [[0.0], ["x"], [2.0]]])
-def test_bundle_ragged_or_text_features_name_the_field(tmp_path, features):
-    with pytest.raises(ValueError, match="^bundle field 'features': "):
-        load_json_bundle(_bundle(tmp_path, features=features))
+def test_subgraph_lacking_a_class_reloads_with_the_classes_it_has(tmp_path):
+    # a path a-b-c-d-e whose middle class "mid" lies only at its far end
+    content = "a 1 0 low\nb 0 1 top\nc 1 1 low\nd 1 0 top\ne 0 1 mid\n"
+    ds = load_content_cites(content, "a b\nb c\nc d\nd e\n", row_normalize=False)
+    sub = bfs_subgraph(ds, 0, 4)
+    assert sub.class_count == 3 and sub.class_names == ["low", "mid", "top"]
+    with pytest.raises(ValueError, match="class 1 has only 0 nodes"):
+        planetoid_split(sub, per_class=1, num_val=1, num_test=1)
+    back = _save_and_load(sub, tmp_path)
+    # class ids follow the sorted names that occur: low -> 0, top -> 1
+    assert back.class_count == 2 and back.class_names == ["low", "top"]
+    assert back.labels.tolist() == [0, 1, 0, 1]
+    assert planetoid_split(back, per_class=1, num_val=1, num_test=1).train.size == 2
 
 
 def test_feature_parse_matches_per_token_float():
@@ -293,24 +273,6 @@ def test_non_finite_feature_names_the_row(token, shown):
     message = f"content row 4: non-finite feature {shown} in column 3"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_content_cites(content, "", row_normalize=False)
-
-
-def test_bundle_bytes_match_the_per_edge_writer(tmp_path):
-    g = build_graph(5, [(0, 1, 0.1234567890123456789), (1, 2, 1 / 3), (3, 4, 2.0), (0, 4, 0.0)])
-    ds = planted_dataset(seed=1, n_per_class=3, classes=2, feature_dim=4)
-    ds = type(ds)(graph=g, features=ds.features[:5] / 3, labels=ds.labels[:5],
-                  class_count=2, feature_dim=4, class_names=["a", "b"])
-    u, v, w = g.edge_arrays()
-    expected = json.dumps({
-        "num_nodes": 5,
-        "edges": [[int(a), int(b), float(c)] for a, b, c in zip(u, v, w)],
-        "features": ds.features.tolist(),
-        "labels": ds.labels.tolist(),
-        "class_names": ["a", "b"],
-    })
-    path = tmp_path / "bundle.json"
-    save_json_bundle(ds, path)
-    assert path.read_text() == expected
 
 
 def test_planetoid_split_sizes_and_disjoint():

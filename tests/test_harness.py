@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from rwnsgcn import harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
-from rwnsgcn.data import load_content_cites, save_json_bundle
+from rwnsgcn.data import load_content_cites, save_content_cites
 from rwnsgcn.graph import sym_normalized_operator
 from rwnsgcn.harness import (
     emit_report,
@@ -79,6 +79,30 @@ def test_config_rejects_fewer_than_one(field, value, monkeypatch):
         run_attack_comparison(ds, fast_config().with_overrides(**{field: value}))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
+
+
+@pytest.mark.parametrize("intensity", [0.1, -0.5])
+def test_config_rejects_an_attack_intensity_without_a_kind(intensity):
+    # the runs would be the clean baseline under a second config_hash
+    message = f"^attack_intensity is {intensity}, but attack_kind is None"
+    with pytest.raises(ValueError, match=message):
+        fast_config(attack_intensity=intensity)
+    with pytest.raises(ValueError, match=message):
+        fast_config().with_overrides(attack_intensity=intensity)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({**fast_config().to_dict(), "attack_intensity": intensity})
+    with pytest.raises(ValueError, match=message):
+        fast_config(attack_kind="ctbca", attack_intensity=intensity).with_overrides(
+            attack_kind=None)
+    assert fast_config(attack_kind="twpa", attack_intensity=intensity).attack_intensity == intensity
+
+
+def test_load_dataset_rejects_another_format():
+    # a config saved when JSON bundles were a second format
+    cfg = ExperimentConfig(dataset_path="cache/cora.json", dataset_format="bundle")
+    message = "^dataset_format 'bundle' is not supported; datasets are 'content-cites' pairs"
+    with pytest.raises(ValueError, match=message):
+        harness.load_dataset(cfg)
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -445,31 +469,28 @@ def run_cli(*args, cwd=None):
 
 
 @pytest.fixture(scope="module")
-def toy_bundle(tmp_path_factory):
-    path = tmp_path_factory.mktemp("bundle") / "toy.json"
-    save_json_bundle(planted_dataset(seed=7), path)
-    return path
+def toy_prefix(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("toy") / "toy"
+    save_content_cites(planted_dataset(seed=7), prefix)
+    return prefix
 
 
-def test_cli_prepare_and_baseline(tmp_path, toy_bundle):
-    content = tmp_path / "toy.content"
-    cites = tmp_path / "toy.cites"
-    content.write_text("a\t1\t0\tx\nb\t0\t1\ty\nc\t1\t1\tx\n")
-    cites.write_text("a\tb\nb\tc\n")
-    bundle = tmp_path / "toy_bundle.json"
+def test_cli_prepare_and_baseline(tmp_path, toy_prefix):
+    prepared = tmp_path / "toy50"
     res = run_cli(
-        "prepare", "--content", str(content), "--cites", str(cites),
-        "--out-bundle", str(bundle),
+        "prepare", "--content", f"{toy_prefix}.content", "--cites", f"{toy_prefix}.cites",
+        "--subgraph-size", "50", "--out", str(prepared),
     )
     assert res.returncode == 0, res.stderr
     info = json.loads(res.stdout)
-    assert info["num_nodes"] == 3
-    assert info["num_edges"] == 2
+    assert info["dataset_path"] == str(prepared)
+    assert (info["num_nodes"], info["classes"], info["feature_dim"]) == (50, 3, 12)
+    assert (tmp_path / "toy50.content").read_text().count("\n") == 50
 
     out = tmp_path / "results"
     res = run_cli(
         "baseline",
-        "--dataset-path", str(toy_bundle),
+        "--dataset-path", str(prepared),
         "--per-class", "3", "--num-val", "12", "--num-test", "24",
         "--layers", "3", "--hidden", "12", "--epochs", "5", "--runs", "1",
         "--out", str(out),
@@ -480,10 +501,10 @@ def test_cli_prepare_and_baseline(tmp_path, toy_bundle):
     assert "accuracy_mean" in summary
 
 
-def test_cli_flags_override_config_file(tmp_path, toy_bundle):
+def test_cli_flags_override_config_file(tmp_path, toy_prefix):
     cfg_file = tmp_path / "cfg.json"
     cfg = ExperimentConfig(
-        dataset_path=str(toy_bundle), **{**FAST, "epochs": 5, "runs": 1}
+        dataset_path=str(toy_prefix), **{**FAST, "epochs": 5, "runs": 1}
     )
     cfg_file.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "res"
@@ -496,15 +517,15 @@ def test_cli_flags_override_config_file(tmp_path, toy_bundle):
 
 
 def test_cli_error_is_machine_readable(tmp_path):
-    res = run_cli("baseline", "--dataset-path", str(tmp_path / "missing.json"))
+    res = run_cli("baseline", "--dataset-path", str(tmp_path / "missing"))
     assert res.returncode == 1
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert "error" in err
 
 
-def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_bundle):
+def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_prefix):
     cfg_file = tmp_path / "cfg.json"
-    raw = ExperimentConfig(dataset_path=str(toy_bundle), runs=1).to_dict()
+    raw = ExperimentConfig(dataset_path=str(toy_prefix), runs=1).to_dict()
     cfg_file.write_text(json.dumps({**raw, "cache_dir": str(tmp_path / "cache")}))
     res = run_cli("baseline", "--config", str(cfg_file), "--out", str(tmp_path / "res"))
     assert res.returncode == 1
@@ -513,10 +534,10 @@ def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_bundle):
     )
 
 
-def test_cli_baseline_rejects_zero_layers(tmp_path, toy_bundle):
+def test_cli_baseline_rejects_zero_layers(tmp_path, toy_prefix):
     res = run_cli(
         "baseline",
-        "--dataset-path", str(toy_bundle),
+        "--dataset-path", str(toy_prefix),
         "--per-class", "3", "--num-val", "12", "--num-test", "24",
         "--layers", "0", "--epochs", "5", "--runs", "1",
         "--out", str(tmp_path / "results"),
@@ -527,8 +548,8 @@ def test_cli_baseline_rejects_zero_layers(tmp_path, toy_bundle):
     assert not (tmp_path / "results").exists()
 
 
-def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_bundle):
-    cfg = fast_config(runs=1, epochs=2).with_overrides(dataset_path=str(toy_bundle))
+def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_prefix):
+    cfg = fast_config(runs=1, epochs=2).with_overrides(dataset_path=str(toy_prefix))
     reports = run_attack_comparison(planted_dataset(seed=7), cfg, attack_grid=[("ctbca", 0.1)])
     _, report_json = emit_report(reports, tmp_path / "attack")
     cfg_file = tmp_path / "cfg.json"
@@ -542,11 +563,11 @@ def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_bundle):
     assert not (tmp_path / "res").exists()
 
 
-def test_cli_report_round_trip(tmp_path, toy_bundle):
+def test_cli_report_round_trip(tmp_path, toy_prefix):
     out = tmp_path / "first"
     res = run_cli(
         "baseline",
-        "--dataset-path", str(toy_bundle),
+        "--dataset-path", str(toy_prefix),
         "--per-class", "3", "--num-val", "12", "--num-test", "24",
         "--layers", "3", "--hidden", "12", "--epochs", "5", "--runs", "1",
         "--out", str(out),
