@@ -10,6 +10,11 @@ the classic citation benchmarks, and in no other format:
 
 ``save_content_cites`` writes the same pair, so a derived dataset (an
 extracted subgraph, say) is read back by the same loader.
+
+Features are a float64 ``scipy.sparse.csr_array`` from the parse on: the
+loader parses rows in blocks of about ``_BLOCK_BYTES``, keeps only their
+non-zero entries and normalises those, so no dense N x F matrix is ever
+held.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from rwnsgcn.graph import Graph, build_graph
 
@@ -32,16 +38,54 @@ __all__ = [
     "degree_filtered_nodes",
 ]
 
+
+def _stored_entries(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row counts, column ids and values of every entry of the dense
+    2-D ``x`` whose bits are not those of +0.0 (so a -0.0 keeps its sign)."""
+    stored = x.view(np.uint64) != 0
+    # flat positions: one index array instead of nonzero's row and column pair
+    at = np.flatnonzero(stored)
+    return np.count_nonzero(stored, axis=1), at % x.shape[1], x.ravel()[at]
+
+
+def _csr(blocks: list, shape: tuple[int, int]) -> sp.csr_array:
+    """One CSR array from the ``_stored_entries`` of consecutive row blocks."""
+    counts, cols, vals = (np.concatenate(p) for p in zip(*blocks))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_array((vals, cols, indptr), shape=shape)
+
+
+def _features_csr(x) -> sp.csr_array:
+    """``x`` as a canonical float64 CSR array (sorted column ids, no duplicates).
+
+    A dense ``x`` stores every entry that is not +0.0, so a -0.0 keeps its
+    sign (``toarray()`` adds stored entries to zeros and loses it; assigning
+    them keeps it).  A sparse ``x`` is copied, so the caller's arrays are
+    never reordered.
+    """
+    if sp.issparse(x):
+        x = sp.csr_array(x, dtype=np.float64, copy=True)
+        x.sum_duplicates()
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {x.shape}")
+    return _csr([_stored_entries(x)], x.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     graph: Graph
-    features: np.ndarray  # N x F, float64
+    features: sp.csr_array  # N x F, float64, canonical; dense input is converted once
     labels: np.ndarray  # N, int64, values in [0, class_count)
     class_count: int
     feature_dim: int
     node_names: list[str] | None = None
     class_names: list[str] | None = None
     dropped_edges: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "features", _features_csr(self.features))
 
     @property
     def num_nodes(self) -> int:
@@ -58,10 +102,9 @@ class SplitMasks:
     seed: int
 
 
-def _row_normalize(x: np.ndarray) -> np.ndarray:
-    sums = x.sum(axis=1, keepdims=True)
-    safe = np.where(sums > 0, sums, 1.0)
-    return x / safe
+# float64 bytes of one parsed row block: small next to the whole table, and
+# large enough that the per-call cost of np.loadtxt stays out of sight
+_BLOCK_BYTES = 1 << 20
 
 
 def _skip(token: str) -> float:
@@ -147,19 +190,32 @@ def load_content_cites(
     arity = len(rows[0].split())
     if arity < 3:
         _raise_first_bad_row(lines)
-    try:
-        table = _parse_rows(rows, arity)
-    except ValueError:
-        _raise_first_bad_row(lines)
-        raise
     ids = [line.split(None, 1)[0] for line in rows]
     index = dict(zip(ids, range(len(ids))))
-    if len(index) != len(ids) or not np.isfinite(table).all():
+    if len(index) != len(ids):
         _raise_first_bad_row(lines)
 
     n = len(ids)
-    features = table[:, 1:-1]
-    features = _row_normalize(features) if row_normalize else features.copy()
+    step = max(1, _BLOCK_BYTES // (8 * arity))
+    blocks = []
+    for start in range(0, n, step):
+        try:
+            table = _parse_rows(rows[start : start + step], arity)
+        except ValueError:
+            _raise_first_bad_row(lines)
+            raise
+        if not np.isfinite(table).all():
+            _raise_first_bad_row(lines)
+        block = table[:, 1:-1]
+        counts, cols, vals = _stored_entries(block)
+        if row_normalize:
+            # each row by its sum (1 if not positive); a zero divides to
+            # itself, so dividing only the stored entries gives the bits of
+            # dividing the whole dense block
+            sums = block.sum(axis=1)
+            vals = vals / np.repeat(np.where(sums > 0, sums, 1.0), counts)
+        blocks.append((counts, cols, vals))
+    features = _csr(blocks, (n, arity - 2))
     label_strs = [line.rsplit(None, 1)[1] for line in rows]
     class_names = sorted(set(label_strs))
     class_index = {c: i for i, c in enumerate(class_names)}
@@ -195,12 +251,19 @@ def load_content_cites_paths(
     return load_content_cites(content, cites, row_normalize=row_normalize)
 
 
+def _class_names(count: int) -> list[str]:
+    """Zero-padded class ids: sorted as strings they keep their numeric order."""
+    width = len(str(max(count - 1, 0)))
+    return [f"{c:0{width}d}" for c in range(count)]
+
+
 def save_content_cites(ds: Dataset, prefix: str | Path) -> None:
     """Write ``<prefix>.content`` and ``<prefix>.cites``.
 
     Content rows are the node id (``node_names``, or the index), each
     feature as ``repr(float)`` so it reads back bit for bit, and the class
-    name (``class_names``, or the class id).  Cites rows are the
+    name (``class_names``, or the class id zero-padded to one width, so the
+    sorted names keep the order of the ids).  Cites rows are the
     undirected edges, one row each.  The format has no weights, so a graph
     with any weight other than 1 raises ``ValueError``.  Loading the pair
     maps classes to ids in sorted-name order and keeps only the classes
@@ -214,11 +277,17 @@ def save_content_cites(ds: Dataset, prefix: str | Path) -> None:
             "weights, so only a graph with unit weights can be saved"
         )
     names = ds.node_names or [str(i) for i in range(ds.num_nodes)]
-    classes = ds.class_names or [str(c) for c in range(ds.class_count)]
-    content = "".join(
-        "\t".join([name, *map(repr, row), classes[label]]) + "\n"
-        for name, row, label in zip(names, ds.features.tolist(), ds.labels.tolist())
-    )
+    classes = ds.class_names or _class_names(ds.class_count)
+    x = ds.features
+    zeros = [repr(0.0)] * x.shape[1]
+    bounds, cols, vals = x.indptr.tolist(), x.indices.tolist(), list(map(repr, x.data.tolist()))
+    lines = []
+    for i, (name, label) in enumerate(zip(names, ds.labels.tolist())):
+        row = zeros.copy()
+        for j in range(bounds[i], bounds[i + 1]):
+            row[cols[j]] = vals[j]
+        lines.append("\t".join([name, *row, classes[label]]) + "\n")
+    content = "".join(lines)
     cites = "".join(f"{names[a]}\t{names[b]}\n" for a, b in zip(u.tolist(), v.tolist()))
     Path(f"{prefix}.content").write_text(content)
     Path(f"{prefix}.cites").write_text(cites)
@@ -276,7 +345,9 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
     The frontier expands in ascending-id order and may be cut mid-level;
     when the seed's component is exhausted the walk restarts from the
     lowest-id unvisited node.  Selected nodes are reindexed in ascending
-    original-id order.
+    original-id order.  The subgraph keeps only the classes its nodes have,
+    with ids in sorted-name order (``class_names``, or the zero-padded ids
+    ``save_content_cites`` writes), as loading the saved subgraph gives.
     """
     n = ds.num_nodes
     if target_size <= 0:
@@ -310,14 +381,21 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
     sub_graph = build_graph(
         keep.size, np.column_stack((remap[u[inside]], remap[v[inside]], w[inside]))
     )
+    # only the classes present, with ids in sorted-name order, as the loader
+    # gives them when the subgraph is saved and loaded again
+    names = ds.class_names or _class_names(ds.class_count)
+    labels = ds.labels[keep]
+    class_names = sorted({names[c] for c in np.unique(labels).tolist()})
+    class_index = {name: i for i, name in enumerate(class_names)}
+    relabel = np.array([class_index.get(name, -1) for name in names], dtype=np.int64)
     return Dataset(
         graph=sub_graph,
-        features=ds.features[keep].copy(),
-        labels=ds.labels[keep].copy(),
-        class_count=ds.class_count,
+        features=ds.features[keep],
+        labels=relabel[labels],
+        class_count=len(class_names),
         feature_dim=ds.feature_dim,
         node_names=[ds.node_names[i] for i in keep] if ds.node_names else None,
-        class_names=ds.class_names,
+        class_names=class_names,
     )
 
 

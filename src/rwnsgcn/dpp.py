@@ -17,6 +17,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from rwnsgcn.graph import Graph, build_graph
 from rwnsgcn.scoring import CandidateSet
@@ -105,7 +106,7 @@ def _spectra(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
 
 def label_propagation(
     g: Graph,
-    features: np.ndarray | None = None,
+    features=None,
     seed: int = 0,
     max_iter: int = 100,
 ) -> CommunityAssignment:
@@ -114,8 +115,9 @@ def label_propagation(
     Every node starts in its own community; sweeps visit nodes in a
     seed-shuffled order and each node adopts the most frequent label
     among its neighbors (ties to the smallest label).  Stops after a
-    sweep with no change.  When ``features`` is given, per-community
-    mean feature rows are computed for the compacted labels.
+    sweep with no change.  When ``features`` (dense or sparse) is given,
+    per-community dense mean feature rows are computed for the compacted
+    labels.
     """
     n = g.num_nodes
     labels = np.arange(n, dtype=np.int64)
@@ -137,9 +139,14 @@ def label_propagation(
     compact = compact.astype(np.int64)
     comm_features = None
     if features is not None:
-        comm_features = np.vstack(
-            [features[compact == c].mean(axis=0) for c in range(uniq.size)]
-        )
+        # nodes grouped by community, each group in ascending node order:
+        # the rows a boolean mask per community would pick
+        order = np.argsort(compact, kind="stable")
+        ends = np.cumsum(np.bincount(compact)).tolist()
+        comm_features = np.vstack([
+            _dense_rows(features, order[lo:hi]).mean(axis=0)
+            for lo, hi in zip([0] + ends, ends)
+        ])
     return CommunityAssignment(labels=compact, community_features=comm_features)
 
 
@@ -158,8 +165,8 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _unit_rows(a: np.ndarray) -> np.ndarray:
     """Rows scaled to unit L2 norm; zero-norm rows stay zero."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    scales, positive = _row_scales(a, np.arange(len(a)))
-    return _scaled_rows(a.copy(), scales, positive)
+    rows = np.arange(len(a))
+    return _scaled_rows(a, rows, *_row_scales(a, rows))
 
 
 def build_dpp_kernel(
@@ -185,42 +192,69 @@ def build_dpp_kernel(
 _ROW_CHUNK = 64
 
 
-def _row_scales(a: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divisors that scale rows ``rows`` of ``a`` to unit L2 norm (1 where
-    the norm is not positive) and the mask of positive norms.
+def _dense_rows(x, rows: np.ndarray, scales: np.ndarray | None = None) -> np.ndarray:
+    """Float64 dense copy of rows ``rows`` of ``x`` (dense or CSR), each row
+    divided by its entry of ``scales`` when given.
 
-    The norms are taken ``_ROW_CHUNK`` rows at a time, so no copy of more
-    rows than that is made.  Each row reduces on its own, so a norm has
-    the bits of the same row's norm in any other row block.
+    From CSR, only the stored entries are divided, and they are assigned
+    into zeros straight from ``indptr``/``indices``/``data`` (``toarray()``
+    adds them, which turns a stored -0.0 into +0.0).  A zero divides to
+    itself, so these are the bits of dividing the dense rows.
+    """
+    if not sp.issparse(x):
+        out = np.asarray(x[rows], dtype=np.float64)
+        return out if scales is None else out / scales[:, None]
+    starts = x.indptr[rows]
+    counts = x.indptr[rows + 1] - starts
+    # positions of the stored entries of every row, row after row
+    pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    values = x.data[pos]
+    if scales is not None:
+        values = values / np.repeat(scales, counts)
+    out = np.zeros((rows.size, x.shape[1]))
+    out[np.repeat(np.arange(rows.size), counts), x.indices[pos]] = values
+    return out
+
+
+def _row_scales(a, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divisors that scale rows ``rows`` of ``a`` (dense or sparse) to unit
+    L2 norm (1 where the norm is not positive) and the mask of positive norms.
+
+    The norms are taken over dense copies of ``_ROW_CHUNK`` rows at a time,
+    so no copy of more rows than that is made, and a sparse row has the
+    norm of its dense form.  Each row reduces on its own, so a norm has the
+    bits of the same row's norm in any other row block.
     """
     norms = np.empty(rows.size)
     for start in range(0, rows.size, _ROW_CHUNK):
         chunk = rows[start : start + _ROW_CHUNK]
-        block = np.asarray(a[chunk], dtype=np.float64)
-        norms[start : start + chunk.size] = np.linalg.norm(block, axis=1)
+        norms[start : start + chunk.size] = np.linalg.norm(_dense_rows(a, chunk), axis=1)
     positive = norms > 0
     return np.where(positive, norms, 1.0), positive
 
 
-def _scaled_rows(rows: np.ndarray, scales: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Unit rows from ``_row_scales``, divided in place in a fresh float64 array."""
-    rows /= scales[:, None]
+def _scaled_rows(x, rows: np.ndarray, scales: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Dense unit rows ``rows`` of ``x`` from ``_row_scales``; rows whose
+    norm is not positive are +0.0 throughout."""
+    out = _dense_rows(x, rows, scales)
     if not positive.all():
-        rows[~positive] = 0.0
-    return rows
+        out[~positive] = 0.0
+    return out
 
 
 def _assemble_kernels(
     sources: list[int],
     item_lists: list[list[int]],
-    features: np.ndarray,
+    features,
     comm: CommunityAssignment,
     jitter: float,
 ) -> list[DppKernel]:
     """``build_dpp_kernel`` for each (source, candidate ids), in one pass.
 
-    Each needed feature row and each community row is normalised once;
-    every kernel then gathers its unit rows and runs its own 2-D products.
+    The norm of each needed feature row is taken once and each community
+    row is normalised once; every kernel then builds its dense unit rows
+    (from CSR features, dividing only the stored entries) and runs its own
+    2-D products.
     A stacked product over all kernels would not take the same BLAS path,
     and reading a shared Gram matrix changes the summation, so neither
     keeps the bits of one kernel at a time.
@@ -230,9 +264,10 @@ def _assemble_kernels(
         raise ValueError("community assignment carries no community features")
     if not all(item_lists):
         raise ValueError("candidate set is empty")
+    n = features.shape[0]
     index = [[source] + items for source, items in zip(sources, item_lists)]
     nodes = np.unique(np.fromiter(chain.from_iterable(index), dtype=np.int64))
-    scales, positive = np.ones(len(features)), np.zeros(len(features), dtype=bool)
+    scales, positive = np.ones(n), np.zeros(n, dtype=bool)
     scales[nodes], positive[nodes] = _row_scales(features, nodes)
     unit_cf = _unit_rows(cf)
     kernels = []
@@ -241,8 +276,8 @@ def _assemble_kernels(
         # The second operand of a Gram product is a copy, because numpy
         # sends ``a @ a.T`` on one buffer to syrk, whose last bits can
         # differ from the gemm that cosine_rows(x, x) runs
-        rows = np.asarray(features[idx], dtype=np.float64)
-        rows = _scaled_rows(rows, scales[idx], positive[idx])
+        at = np.array(idx)
+        rows = _scaled_rows(features, at, scales[at], positive[at])
         x, src = rows[1:], rows[:1]
         c = unit_cf[comm.labels[idx[1:]]]
         s_node = x @ x.copy().T

@@ -190,12 +190,16 @@ def forward(
             z_neg = neg_op @ (x @ params.W_dpp[l]) if use_neg else None
         a = np.maximum(z_pos, 0.0)
         if use_neg:
-            a = a - params.lam * np.maximum(z_neg, 0.0)
+            t = np.maximum(z_neg, 0.0)
+            t *= params.lam
+            a -= t
         mask = None
         if train_mode and params.dropout_p > 0:
             keep = 1.0 - params.dropout_p
-            # a bool times 1 / keep is exactly 0 or 1 / keep
-            mask = (rng.random(a.shape) < keep) * (1.0 / keep)
+            # a bool times 1 / keep is exactly 0 or 1 / keep; the mask takes
+            # the buffer of its own uniform draws
+            mask = rng.random(a.shape)
+            np.multiply(mask < keep, 1.0 / keep, out=mask)
             a *= mask
         z_pos_all.append(z_pos)
         z_neg_all.append(z_neg)
@@ -278,17 +282,20 @@ def backward(
     dx = du @ params.W[-1].T
 
     for l in range(num_layers - 2, -1, -1):
+        # dx is a fresh product, so its buffer is free to overwrite
         g = dx
         if trace.drop_masks[l] is not None:
-            g = g * trace.drop_masks[l]
+            g *= trace.drop_masks[l]
         x_t = xt if l == 0 and xt is not None else trace.inputs[l].T
         # a float gate multiplies faster than a bool one, to the same bits
-        dz_pos = g * (trace.z_pos[l] > 0).astype(np.float64)
+        dz_pos = (trace.z_pos[l] > 0).astype(np.float64)
+        dz_pos *= g
         du_pos = op_pos @ dz_pos
         dW[l] = x_t @ du_pos
         du_neg = None
         if trace.z_neg[l] is not None:
-            dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0).astype(np.float64)
+            dz_neg = (trace.z_neg[l] > 0).astype(np.float64)
+            dz_neg *= np.multiply(g, -params.lam, out=g)  # the positive gate has read g
             du_neg = op_neg @ dz_neg
             dW_dpp[l] = x_t @ du_neg
         else:
@@ -296,7 +303,7 @@ def backward(
         if l > 0:
             dx = du_pos @ params.W[l].T
             if du_neg is not None:
-                dx = dx + du_neg @ params.W_dpp[l].T
+                dx += du_neg @ params.W_dpp[l].T
     return Gradients(dW=dW, dW_dpp=dW_dpp)
 
 
@@ -374,13 +381,6 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
             update(w[chunk], g[chunk], m[chunk], v[chunk])
 
 
-def _maybe_sparse(X: np.ndarray):
-    """Use CSR for the input features when they are mostly zeros."""
-    if X.size and np.count_nonzero(X) / X.size < 0.25:
-        return sp.csr_array(X)
-    return X
-
-
 def train(
     ds,
     masks,
@@ -421,9 +421,9 @@ def train(
     state = init_adam_state(params, lr=config.lr)
     drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
-    X = _maybe_sparse(ds.features)
-    # a CSR copy of a sparse X.T: its products are faster than the CSC view's
-    X_T = X.T.tocsr() if sp.issparse(X) else X.T
+    X = ds.features  # CSR (``Dataset`` keeps no other form)
+    # a CSR copy of X.T: its products are faster than the CSC view's
+    X_T = X.T.tocsr()
     labels = ds.labels
     # every snapshot shares these two lists; they are complete at return
     train_loss: list[float] = []

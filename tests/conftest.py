@@ -51,6 +51,17 @@ def assert_same_bytes(a: np.ndarray, b: np.ndarray) -> None:
     assert a.tobytes() == b.tobytes()
 
 
+def dense_bits(x) -> np.ndarray:
+    """A CSR array as a dense array with the bits of its stored entries.
+
+    ``toarray()`` adds the stored entries to zeros, which turns a stored
+    -0.0 into +0.0; this assigns them.
+    """
+    out = np.zeros(x.shape)
+    out[np.repeat(np.arange(x.shape[0]), np.diff(x.indptr)), x.indices] = x.data
+    return out
+
+
 def floyd_warshall(g: Graph) -> np.ndarray:
     """All-pairs hop distances; disconnected pairs get +inf."""
     n = g.num_nodes

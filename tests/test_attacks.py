@@ -202,7 +202,7 @@ def test_zero_weight_edges_still_count_as_hops():
     )
     # skipping (3, 4) would restart the walk at node 0
     sub = bfs_subgraph(ds, 5, 3)
-    assert sub.features.tolist() == np.eye(6)[[3, 4, 5]].tolist()
+    assert sub.features.toarray().tolist() == np.eye(6)[[3, 4, 5]].tolist()
     assert sub.graph.edges() == [(0, 1, 0.0), (1, 2, g.edges()[-1][2])]
 
 

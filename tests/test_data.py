@@ -2,8 +2,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rwnsgcn.data import (
+    _parse_rows,
     Dataset,
     bfs_subgraph,
     degree_filtered_nodes,
@@ -14,7 +16,13 @@ from rwnsgcn.data import (
 )
 from rwnsgcn.graph import build_graph
 
-from conftest import assert_same_bytes, planted_dataset, random_graph, require_dataset
+from conftest import (
+    assert_same_bytes,
+    dense_bits,
+    planted_dataset,
+    random_graph,
+    require_dataset,
+)
 
 TOY_CONTENT = "n1\t1\t0\t1\tml\nn2\t0\t1\t1\tdb\n"
 TOY_CITES = "n1\tn2\n"
@@ -58,10 +66,25 @@ def _save_and_load(ds, tmp_path, row_normalize=False):
     )
 
 
+def assert_canonical_csr(x):
+    assert type(x) is sp.csr_array and x.dtype == np.float64
+    assert x.has_canonical_format
+
+
+def assert_same_features(a, b):
+    """Equal canonical CSR arrays: the same stored entries and the same bits."""
+    assert_canonical_csr(a)
+    assert_canonical_csr(b)
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(a, name), getattr(b, name))
+    assert_same_bytes(dense_bits(a), dense_bits(b))
+
+
 def assert_same_dataset(a, b):
     for name in ("indptr", "indices", "weights", "degrees"):
         assert_same_bytes(getattr(a.graph, name), getattr(b.graph, name))
-    assert_same_bytes(a.features, b.features)
+    assert_same_features(a.features, b.features)
     assert_same_bytes(a.labels, b.labels)
     assert (a.class_count, a.feature_dim) == (b.class_count, b.feature_dim)
 
@@ -126,15 +149,41 @@ def test_subgraph_lacking_a_class_reloads_with_the_classes_it_has(tmp_path):
     # a path a-b-c-d-e whose middle class "mid" lies only at its far end
     content = "a 1 0 low\nb 0 1 top\nc 1 1 low\nd 1 0 top\ne 0 1 mid\n"
     ds = load_content_cites(content, "a b\nb c\nc d\nd e\n", row_normalize=False)
+    assert ds.class_count == 3 and ds.class_names == ["low", "mid", "top"]
     sub = bfs_subgraph(ds, 0, 4)
-    assert sub.class_count == 3 and sub.class_names == ["low", "mid", "top"]
-    with pytest.raises(ValueError, match="class 1 has only 0 nodes"):
-        planetoid_split(sub, per_class=1, num_val=1, num_test=1)
     back = _save_and_load(sub, tmp_path)
-    # class ids follow the sorted names that occur: low -> 0, top -> 1
-    assert back.class_count == 2 and back.class_names == ["low", "top"]
-    assert back.labels.tolist() == [0, 1, 0, 1]
-    assert planetoid_split(back, per_class=1, num_val=1, num_test=1).train.size == 2
+    # in memory and reloaded alike, class ids follow the sorted names that
+    # occur: low -> 0, top -> 1
+    for got in (sub, back):
+        assert got.class_count == 2 and got.class_names == ["low", "top"]
+        assert got.labels.tolist() == [0, 1, 0, 1]
+        split = planetoid_split(got, per_class=1, num_val=1, num_test=1)
+        assert split.train.size == 2
+    assert_same_dataset(sub, back)
+
+
+def test_subgraph_without_class_names_keeps_the_classes_it_has_in_id_order(tmp_path):
+    ds = planted_dataset(seed=4, n_per_class=4, classes=12, feature_dim=24)
+    keep = (ds.labels != 3) & (ds.labels != 10)
+    # a subgraph of the nodes of ten classes: the isolated rest come last
+    g = build_graph(ds.num_nodes, [(int(a), int(b)) for a, b in
+                                   zip(*np.nonzero(np.triu(keep[:, None] & keep[None, :], 1)))])
+    sub = bfs_subgraph(Dataset(graph=g, features=ds.features, labels=ds.labels,
+                               class_count=12, feature_dim=24), 0, int(keep.sum()))
+    names = [f"{c:02d}" for c in range(12) if c not in (3, 10)]
+    assert sub.class_count == 10 and sub.class_names == names
+    assert sub.labels.tolist() == [names.index(f"{c:02d}") for c in ds.labels[keep]]
+    assert_same_dataset(sub, _save_and_load(sub, tmp_path))
+
+
+def test_twelve_unnamed_classes_round_trip_in_id_order(tmp_path):
+    # str(c) names would sort as 0, 1, 10, 11, 2, ... and permute the ids
+    ds = planted_dataset(seed=6, n_per_class=2, classes=12, feature_dim=24)
+    back = _save_and_load(ds, tmp_path)
+    assert back.class_names == [f"{c:02d}" for c in range(12)]
+    assert_same_bytes(back.labels, ds.labels)
+    assert_same_bytes(dense_bits(back.features), dense_bits(ds.features))
+    assert_same_dataset(ds, back)
 
 
 def test_feature_parse_matches_per_token_float():
@@ -146,7 +195,7 @@ def test_feature_parse_matches_per_token_float():
     )
     ds = load_content_cites(content, "", row_normalize=False)
     expected = np.array([[float(t) for t in tokens[r * 8:(r + 1) * 8]] for r in range(5)])
-    assert ds.features.tobytes() == expected.tobytes()
+    assert dense_bits(ds.features).tobytes() == expected.tobytes()
 
 
 def test_duplicate_node_id_named():
@@ -197,9 +246,9 @@ def assert_same_as_reference(content, cites):
     for row_normalize in (True, False):
         ds = load_content_cites(content, cites, row_normalize=row_normalize)
         ref = reference_load(content, cites, row_normalize=row_normalize)
-        assert ds.features.flags.c_contiguous
+        assert_canonical_csr(ds.features)
         assert ds.features.shape == ref["features"].shape
-        assert ds.features.tobytes() == ref["features"].tobytes()
+        assert dense_bits(ds.features).tobytes() == ref["features"].tobytes()
         assert ds.feature_dim == ref["features"].shape[1]
         assert ds.labels.dtype == np.int64
         assert ds.labels.tobytes() == ref["labels"].tobytes()
@@ -237,6 +286,65 @@ def test_content_parse_matches_row_loop_oracle(case):
 def test_content_parse_matches_row_loop_on_the_benchmark_graphs(bench_gen, scale, seed):
     content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
     assert_same_as_reference(content.decode(), cites.decode())
+
+
+def whole_table_features(content, row_normalize):
+    """The features as one np.loadtxt over every row gives them, normalised
+    as a dense table, all rows at once."""
+    rows = [line for line in content.splitlines() if line.strip()]
+    features = _parse_rows(rows, len(rows[0].split()))[:, 1:-1]
+    if not row_normalize:
+        return features.copy()
+    sums = features.sum(axis=1, keepdims=True)
+    return features / np.where(sums > 0, sums, 1.0)
+
+
+@pytest.mark.parametrize("row_normalize", [True, False])
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_block_parse_equals_the_whole_table_parse(bench_gen, scale, seed, row_normalize):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    content = content.decode()
+    ds = load_content_cites(content, cites.decode(), row_normalize=row_normalize)
+    assert_canonical_csr(ds.features)
+    want = whole_table_features(content, row_normalize)
+    assert_same_bytes(ds.features.toarray(), want)
+    # every non-zero entry is stored, and nothing else
+    assert ds.features.nnz == np.count_nonzero(want)
+
+
+def test_loading_holds_no_dense_feature_matrix(bench_gen):
+    import tracemalloc
+
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], 501)
+    content, cites = content.decode(), cites.decode()
+    tracemalloc.start()
+    try:
+        ds = load_content_cites(content, cites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole parsed table would take n * f * 8 bytes on its own
+    assert peak < 0.5 * ds.num_nodes * ds.feature_dim * 8
+
+
+def test_dense_features_are_stored_with_their_signed_zeros():
+    x = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [-1.5, 0.0, 0.25]])
+    ds = Dataset(graph=build_graph(3, []), features=x, labels=np.zeros(3, dtype=np.int64),
+                 class_count=1, feature_dim=3)
+    assert_canonical_csr(ds.features)
+    assert ds.features.indptr.tolist() == [0, 2, 2, 4]
+    assert_same_bytes(dense_bits(ds.features), x)
+    # a sparse argument with unsorted and repeated columns is summed and sorted
+    unsorted = sp.csr_array((np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 0, 2, 1]),
+                             np.array([0, 3, 3, 4])), shape=(3, 3))
+    assert not unsorted.has_canonical_format
+    summed = Dataset(graph=ds.graph, features=unsorted, labels=ds.labels,
+                     class_count=1, feature_dim=3).features
+    assert_canonical_csr(summed)
+    assert summed.indices.tolist() == [0, 2, 1]
+    assert unsorted.indices.tolist() == [2, 0, 2, 1]  # the argument is not reordered
+    assert_same_bytes(summed.toarray(), np.array([[2.0, 0, 4.0], [0, 0, 0], [0, 4.0, 0]]))
 
 
 @pytest.mark.parametrize("content, message", [
@@ -376,7 +484,7 @@ def test_bfs_subgraph_deterministic():
     a = bfs_subgraph(ds, 0, 30)
     b = bfs_subgraph(ds, 0, 30)
     assert np.array_equal(a.graph.indices, b.graph.indices)
-    assert np.array_equal(a.features, b.features)
+    assert_same_features(a.features, b.features)
 
 
 def test_bfs_subgraph_zero_size_rejected():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rwnsgcn.config import derive_seed, substream
 from rwnsgcn.data import load_content_cites
@@ -803,8 +804,10 @@ def _unit_rows_per_kernel(a):
 
 def per_source_kernel_L(source, items, features, comm, jitter=1e-8):
     """The kernel as it was assembled one source at a time, every row
-    block normalised inside the kernel: the oracle of the lockstep build."""
-    rows = _unit_rows_per_kernel(features[[source] + items])
+    block normalised inside the kernel: the oracle of the lockstep build.
+    Sparse features are read through the dense form of the kernel's rows."""
+    rows = features[[source] + items]
+    rows = _unit_rows_per_kernel(rows.toarray() if sp.issparse(rows) else rows)
     x, src = rows[1:], rows[:1]
     cf = _unit_rows_per_kernel(comm.community_features[comm.labels[items]])
     s_node = x @ x.copy().T
@@ -934,5 +937,6 @@ def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
     finally:
         tracemalloc.stop()
     assert len(kernels) > ds.num_nodes // 2
-    # a normalised copy of every feature row alone would be ds.features.nbytes
-    assert peak < 0.5 * ds.features.nbytes
+    # a normalised dense copy of every feature row alone would be n * f * 8 bytes
+    dense_nbytes = ds.num_nodes * ds.feature_dim * 8
+    assert peak < 0.5 * dense_nbytes

@@ -417,4 +417,4 @@ def test_bfs_subgraph_matches_reference():
         expected, keep = reference_bfs_subgraph(ds, seed_node, size)
         sub = bfs_subgraph(ds, seed_node, size)
         assert_same_graph(sub.graph, expected)
-        assert np.array_equal(sub.features, ds.features[keep])
+        assert np.array_equal(sub.features.toarray(), ds.features[keep].toarray())

@@ -17,7 +17,7 @@ from rwnsgcn.harness import (
     run_baseline,
     run_l_sweep,
 )
-from rwnsgcn.model import _maybe_sparse, predict
+from rwnsgcn.model import predict
 
 from conftest import assert_same_bytes, planted_dataset
 
@@ -365,11 +365,11 @@ def test_label_propagation_runs_only_when_some_draw_chooses(monkeypatch):
 
 def _fresh_predict(ds, config, negatives, best):
     """The evaluation the harness ran before train() returned its best
-    epoch's outputs: rebuild both operators, convert the features as train()
-    does, and predict with the best weights over the given negative graph."""
+    epoch's outputs: rebuild both operators and predict from the CSR
+    features with the best weights over the given negative graph."""
     pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
     neg_op = sym_normalized_operator(negatives, self_loops=False)
-    return predict(best.params, _maybe_sparse(ds.features), pos_op, neg_op)
+    return predict(best.params, ds.features, pos_op, neg_op)
 
 
 BEST_EPOCH_CASES = {
@@ -406,7 +406,7 @@ def test_best_epoch_outputs_match_a_fresh_predict(case, bench_gen, monkeypatch):
         redrawn = schedule(epoch) if schedule is not None else None
         negatives = negatives if redrawn is None else redrawn
     if case == "one-layer":  # sparse features go straight to the classifier
-        assert sp.issparse(_maybe_sparse(ds.features))
+        assert sp.issparse(ds.features)
     preds, embeddings = _fresh_predict(ds, cfg, negatives, best)
     assert_same_bytes(best.preds, preds)
     assert_same_bytes(best.embeddings, embeddings)

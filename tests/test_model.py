@@ -12,7 +12,6 @@ from rwnsgcn.model import (
     Gradients,
     ModelParams,
     TrainedModel,
-    _maybe_sparse,
     adam_step,
     backward,
     forward,
@@ -641,7 +640,7 @@ def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None)
     )
     drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
-    X = _maybe_sparse(ds.features)
+    X = ds.features
     labels = ds.labels
     train_loss, val_accs = [], []
     best = TrainedModel(
@@ -681,7 +680,8 @@ def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None)
 
 
 def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
-    """Planted graph with features on the chosen side of _maybe_sparse's 25 %."""
+    """Planted graph with features at ~10 % density (``sparse``) or with every
+    entry non-zero; ``Dataset`` stores both as CSR."""
     rng = np.random.default_rng(31)
     labels = np.repeat(np.arange(classes), n // classes)
     edges = [
@@ -726,7 +726,7 @@ def assert_same_training(best, ref_best):
 )
 def test_train_matches_reference_loop_bit_for_bit(sparse, lam, dropout, layers):
     ds, masks, negative_graph = oracle_problem(sparse)
-    assert sp.issparse(_maybe_sparse(ds.features)) == sparse
+    assert (ds.features.nnz < 0.25 * ds.num_nodes * ds.feature_dim) == sparse
     config = ExperimentConfig(epochs=25, lr=0.05, hidden=8, layers=layers,
                               dropout=dropout, lam=lam)
     negatives = negative_graph(1)
@@ -826,7 +826,7 @@ def test_adam_leaves_an_inactive_branch_untouched():
     state = init_adam_state(params, lr=0.05)
     pos = sym_normalized_operator(ds.graph)
     neg = sym_normalized_operator(negative_graph(1), self_loops=False)
-    X = _maybe_sparse(ds.features)
+    X = ds.features
     for _ in range(5):
         trace = forward(params, X, pos, neg)
         adam_step(params, backward(trace, params, ds.labels, masks.train), state)
@@ -857,10 +857,11 @@ def test_train_with_branch_switched_on_then_off_matches_reference(sparse):
 
 @pytest.mark.parametrize("sparse", [True, False])
 def test_backward_with_transposed_features_matches_reference(sparse):
-    # train() hands backward a CSR copy of a sparse X.T (or the view of a
-    # dense one) for the layer-0 weight gradients
+    # train() hands backward a CSR copy of X.T for the layer-0 weight
+    # gradients; a direct caller may run forward and backward on a dense X
+    # and hand over the view of its transpose
     ds, masks, negative_graph = oracle_problem(sparse, dim=600)
-    X = _maybe_sparse(ds.features)
+    X = ds.features if sparse else ds.features.toarray()
     X_T = X.T.tocsr() if sparse else X.T
     assert sp.issparse(X_T) == sparse
     params = init_params([600, 16, 16, ds.class_count], lam=0.3, seed=4)
@@ -919,7 +920,7 @@ def test_adam_step_rejects_a_weight_it_cannot_update_in_place():
 @pytest.mark.parametrize("sparse", [True, False])
 def test_train_with_first_layer_wider_than_an_adam_chunk_matches_reference(sparse):
     ds, masks, negative_graph = oracle_problem(sparse, dim=600)
-    assert sp.issparse(_maybe_sparse(ds.features)) == sparse
+    assert (ds.features.nnz < 0.25 * ds.num_nodes * ds.feature_dim) == sparse
     config = ExperimentConfig(epochs=12, lr=0.05, hidden=64, layers=3,
                               dropout=0.5, lam=0.3)
     assert 600 * 64 > model._ADAM_CHUNK
