@@ -127,7 +127,7 @@ def _c_parses(token: str) -> bool:
     return True
 
 
-def _raise_first_bad_row(lines: list[str]) -> None:
+def _raise_first_bad_row(content_text: str) -> None:
     """Raise the message of the first malformed content row.
 
     Row numbers are 1-based and count blank lines.  Returns (without a
@@ -135,7 +135,7 @@ def _raise_first_bad_row(lines: list[str]) -> None:
     """
     seen: set[str] = set()
     arity: int | None = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(content_text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -183,17 +183,16 @@ def load_content_cites(
     id, a token numpy's C parser cannot read, or a non-finite feature)
     raises ``ValueError`` naming its 1-based line.
     """
-    lines = content_text.splitlines()
-    rows = [line for line in lines if line and not line.isspace()]
+    rows = [line for line in content_text.splitlines() if line and not line.isspace()]
     if not rows:
         raise ValueError("content text contains no rows")
     arity = len(rows[0].split())
     if arity < 3:
-        _raise_first_bad_row(lines)
+        _raise_first_bad_row(content_text)
     ids = [line.split(None, 1)[0] for line in rows]
     index = dict(zip(ids, range(len(ids))))
     if len(index) != len(ids):
-        _raise_first_bad_row(lines)
+        _raise_first_bad_row(content_text)
 
     n = len(ids)
     step = max(1, _BLOCK_BYTES // (8 * arity))
@@ -202,10 +201,10 @@ def load_content_cites(
         try:
             table = _parse_rows(rows[start : start + step], arity)
         except ValueError:
-            _raise_first_bad_row(lines)
+            _raise_first_bad_row(content_text)
             raise
         if not np.isfinite(table).all():
-            _raise_first_bad_row(lines)
+            _raise_first_bad_row(content_text)
         block = table[:, 1:-1]
         counts, cols, vals = _stored_entries(block)
         if row_normalize:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from rwnsgcn import data as data_mod
 from rwnsgcn.attacks import AttackSpec, apply_attack, edge_betweenness
@@ -191,7 +192,9 @@ def _run_once(
 
     t0 = time.perf_counter()
     acc = accuracy(best.preds, ds.labels, masks.test)
-    mad_report = mad(best.embeddings[masks.test])
+    test_rows = best.embeddings[masks.test]
+    # with one layer the embeddings are the CSR features: densify these rows only
+    mad_report = mad(test_rows.toarray() if sp.issparse(test_rows) else test_rows)
     timings["evaluation"] = timings.get("evaluation", 0.0) + time.perf_counter() - t0
     return {
         "run": run_index,

@@ -57,23 +57,29 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs to reproduce exact gradients."""
+    """What ``backward`` and the next epoch read of one forward pass.
 
-    inputs: list  # x^(l) entering each layer (the first entry may be sparse)
-    z_pos: list  # pre-activations, hidden layers only
-    z_neg: list  # negative-branch pre-activations (None when the branch is off)
-    drop_masks: list  # inverted-dropout masks (None outside train mode)
+    A train-mode trace keeps what ``backward`` reads: the rows entering
+    every layer and, as bool arrays, each hidden layer's ReLU gates and
+    dropout keep mask.  An eval-mode trace keeps only layer 0's float
+    pre-activations (which the next epoch's training pass takes as
+    ``first``), the last hidden rows and the logits.
+    """
+
+    # train mode: x^(l) entering each layer (the first may be sparse); eval mode: the last
+    inputs: list
+    first: tuple | None  # eval mode: layer 0's (z_pos, z_neg), z_neg None when the branch is off
+    gates: list  # train mode, per hidden layer: (z_pos > 0, z_neg > 0 or None) as bool arrays
+    keeps: list  # train mode, per hidden layer: the bool dropout keep mask (None without dropout)
+    keep: float  # 1 - dropout_p: a kept activation is scaled by 1 / keep
     logits: np.ndarray
     pos_op: sp.csr_array
     neg_op: sp.csr_array
 
-    def outputs(self) -> tuple[np.ndarray, np.ndarray]:
+    def outputs(self) -> tuple[np.ndarray, np.ndarray | sp.csr_array]:
         """Class predictions (argmax, ties to the smaller id) and the rows entering
-        the classifier, dense even when they are the features of one layer."""
-        hidden = self.inputs[-1]
-        if sp.issparse(hidden):
-            hidden = hidden.toarray()
-        return np.argmax(self.logits, axis=1), np.asarray(hidden)
+        the classifier: with one layer, the features as they were given."""
+        return np.argmax(self.logits, axis=1), self.inputs[-1]
 
 
 @dataclass
@@ -107,7 +113,7 @@ class TrainedModel:
     best_val_acc: float
     # the best epoch's own evaluation pass (``ForwardTrace.outputs``)
     preds: np.ndarray
-    embeddings: np.ndarray
+    embeddings: np.ndarray | sp.csr_array  # the CSR features when layers == 1
     train_loss: list[float]  # per epoch
     val_acc: list[float]  # per epoch
 
@@ -154,7 +160,7 @@ def forward(
     *,
     first: tuple | None = None,
 ) -> ForwardTrace:
-    """Run the two-branch propagation and record a gradient-ready trace.
+    """Run the two-branch propagation and record its trace (see ``ForwardTrace``).
 
     ``X`` may be dense or a scipy sparse array.  Dropout hits hidden
     activations only, in train mode only.  ``first`` may carry the
@@ -176,13 +182,15 @@ def forward(
     if train_mode and params.dropout_p > 0 and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
+    keep = 1.0 - params.dropout_p
     inputs: list = []
-    z_pos_all: list = []
-    z_neg_all: list = []
-    masks: list = []
+    layer0 = None
+    gates: list = []
+    keeps: list = []
     x = X
     for l in range(num_layers - 1):
-        inputs.append(x)
+        if train_mode:
+            inputs.append(x)
         if l == 0 and first is not None:
             z_pos, z_neg = first
         else:
@@ -193,25 +201,27 @@ def forward(
             t = np.maximum(z_neg, 0.0)
             t *= params.lam
             a -= t
-        mask = None
+        keep_mask = None
         if train_mode and params.dropout_p > 0:
-            keep = 1.0 - params.dropout_p
-            # a bool times 1 / keep is exactly 0 or 1 / keep; the mask takes
-            # the buffer of its own uniform draws
-            mask = rng.random(a.shape)
-            np.multiply(mask < keep, 1.0 / keep, out=mask)
-            a *= mask
-        z_pos_all.append(z_pos)
-        z_neg_all.append(z_neg)
-        masks.append(mask)
+            # times the bool, then times 1 / keep: the bits of multiplying by
+            # a float mask of 0 and 1 / keep, signed zeros included
+            keep_mask = rng.random(a.shape) < keep
+            a *= keep_mask
+            a *= 1.0 / keep
+        if train_mode:
+            gates.append((z_pos > 0, None if z_neg is None else z_neg > 0))
+            keeps.append(keep_mask)
+        elif l == 0:
+            layer0 = (z_pos, z_neg)
         x = a
     inputs.append(x)
     logits = pos_op @ (x @ params.W[-1])
     return ForwardTrace(
         inputs=inputs,
-        z_pos=z_pos_all,
-        z_neg=z_neg_all,
-        drop_masks=masks,
+        first=layer0,
+        gates=gates,
+        keeps=keeps,
+        keep=keep,
         logits=logits,
         pos_op=pos_op,
         neg_op=neg_op,
@@ -248,14 +258,18 @@ def backward(
 ) -> Gradients:
     """Exact gradients of the masked cross entropy for both weight sets.
 
-    The combination h = a_pos - lam * a_neg routes a -lam-scaled cotangent
-    through the negative branch; ReLU gates on the stored pre-activation
-    signs; each propagation step multiplies by the operator, which equals
-    its own transpose.  ``xt`` may carry the transpose of the features
-    ``trace.inputs[0]`` for the two layer-0 weight gradients: a CSR copy of
-    a sparse ``X.T`` sums each row in the same order as the CSC view, so
-    the gradients are the same bit for bit, only faster.
+    ``trace`` must come from a train-mode ``forward``.  The combination
+    h = a_pos - lam * a_neg routes a -lam-scaled cotangent through the
+    negative branch; ReLU gates on the stored bool signs; each propagation
+    step multiplies by the operator, which equals its own transpose.
+    ``xt`` may carry the transpose of the features ``trace.inputs[0]`` for
+    the layer-0 weight gradients: a CSR copy of a sparse ``X.T`` sums each
+    row in the same order as the CSC view, so the gradients are the same
+    bit for bit, only faster.
     """
+    if len(trace.inputs) != len(params.W):
+        raise ValueError("backward needs a train-mode trace; an eval-mode one "
+                         "keeps no gates or hidden inputs")
     mask = np.asarray(mask)
     if mask.size == 0:
         raise ValueError("mask is empty")
@@ -275,26 +289,31 @@ def backward(
     op_pos = trace.pos_op
     op_neg = trace.neg_op
 
-    # classifier layer: logits = A_pos (h W_last)
-    h = trace.inputs[-1]
+    def input_t(l: int):  # the transpose of the rows entering layer l
+        return xt if l == 0 and xt is not None else trace.inputs[l].T
+
+    # classifier layer: logits = A_pos (h W_last); with one layer h is the
+    # features, whose (n x f) gradient nothing reads
     du = op_pos @ dlogits
-    dW[-1] = h.T @ du
-    dx = du @ params.W[-1].T
+    dW[-1] = input_t(num_layers - 1) @ du
+    dx = du @ params.W[-1].T if num_layers > 1 else None
 
     for l in range(num_layers - 2, -1, -1):
         # dx is a fresh product, so its buffer is free to overwrite
         g = dx
-        if trace.drop_masks[l] is not None:
-            g *= trace.drop_masks[l]
-        x_t = xt if l == 0 and xt is not None else trace.inputs[l].T
+        if trace.keeps[l] is not None:
+            g *= trace.keeps[l]
+            g *= 1.0 / trace.keep
+        x_t = input_t(l)
+        on_pos, on_neg = trace.gates[l]
         # a float gate multiplies faster than a bool one, to the same bits
-        dz_pos = (trace.z_pos[l] > 0).astype(np.float64)
+        dz_pos = on_pos.astype(np.float64)
         dz_pos *= g
         du_pos = op_pos @ dz_pos
         dW[l] = x_t @ du_pos
         du_neg = None
-        if trace.z_neg[l] is not None:
-            dz_neg = (trace.z_neg[l] > 0).astype(np.float64)
+        if on_neg is not None:
+            dz_neg = on_neg.astype(np.float64)
             dz_neg *= np.multiply(g, -params.lam, out=g)  # the positive gate has read g
             du_neg = op_neg @ dz_neg
             dW_dpp[l] = x_t @ du_neg
@@ -446,8 +465,7 @@ def train(
         adam_step(params, grads, state)
 
         eval_trace = forward(params, X, pos_op, neg_op, train_mode=False)
-        if eval_trace.z_pos:  # layers == 1 has no hidden layer to carry
-            first = (eval_trace.z_pos[0], eval_trace.z_neg[0])
+        first = eval_trace.first  # None when layers == 1: no hidden layer to carry
         # argmax is taken row by row, so the validation rows alone suffice;
         # the full outputs are made only for a new best epoch
         val_preds = np.argmax(eval_trace.logits[masks.val], axis=1)
@@ -466,6 +484,7 @@ def predict(
     pos_op: sp.csr_array,
     neg_op: sp.csr_array,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Class predictions and the dense final hidden-layer embeddings of
-    one evaluation pass (``ForwardTrace.outputs``)."""
+    """Class predictions and the final hidden-layer embeddings of one
+    evaluation pass (``ForwardTrace.outputs``): ``X`` itself when there is
+    one layer."""
     return forward(params, X, pos_op, neg_op, train_mode=False).outputs()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 
 from rwnsgcn import harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
-from rwnsgcn.data import load_content_cites, save_content_cites
+from rwnsgcn.data import load_content_cites, planetoid_split, save_content_cites
 from rwnsgcn.graph import sym_normalized_operator
 from rwnsgcn.harness import (
     emit_report,
@@ -17,6 +18,7 @@ from rwnsgcn.harness import (
     run_baseline,
     run_l_sweep,
 )
+from rwnsgcn.metrics import mad
 from rwnsgcn.model import predict
 
 from conftest import assert_same_bytes, planted_dataset
@@ -405,14 +407,53 @@ def test_best_epoch_outputs_match_a_fresh_predict(case, bench_gen, monkeypatch):
     for epoch in range(best.best_epoch + 1):  # replay the seeded redraws
         redrawn = schedule(epoch) if schedule is not None else None
         negatives = negatives if redrawn is None else redrawn
-    if case == "one-layer":  # sparse features go straight to the classifier
-        assert sp.issparse(ds.features)
     preds, embeddings = _fresh_predict(ds, cfg, negatives, best)
     assert_same_bytes(best.preds, preds)
-    assert_same_bytes(best.embeddings, embeddings)
+    if case == "one-layer":  # sparse features go straight to the classifier
+        assert sp.issparse(ds.features)
+        assert best.embeddings is embeddings is ds.features  # no dense copy
+    else:
+        assert_same_bytes(best.embeddings, embeddings)
     assert len(best.train_loss) == len(best.val_acc) == cfg.epochs
     assert best.val_acc[best.best_epoch] == best.best_val_acc == max(best.val_acc)
     assert report.rows[0]["best_epoch"] == best.best_epoch
+
+
+def test_one_layer_baseline_holds_no_dense_feature_matrix(bench_gen, monkeypatch):
+    # one layer: the classifier reads the CSR features directly, the
+    # embeddings are those features, and only the test rows are made
+    # dense, for MAD
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], 501)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cfg = ExperimentConfig(dataset_path="(generated)", runs=1, epochs=10, num_val=150,
+                           num_test=300, base_seed=501, layers=1)
+    trainings, mad_rows = [], []
+    original = harness.train
+
+    def traced_train(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            best = original(*args, **kwargs)
+            trainings.append((best, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return best
+
+    def recording_mad(rows):
+        mad_rows.append(rows)
+        return mad(rows)
+
+    monkeypatch.setattr(harness, "train", traced_train)
+    monkeypatch.setattr(harness, "mad", recording_mad)
+    (row,) = run_baseline(ds, cfg).rows
+    ((best, peak),), (rows,) = trainings, mad_rows
+    assert best.embeddings is ds.features
+    assert peak < 0.25 * ds.num_nodes * ds.feature_dim * 8
+    assert isinstance(rows, np.ndarray) and rows.shape == (cfg.num_test, ds.feature_dim)
+    # the MAD of the test rows of the whole densified matrix, as before
+    masks = planetoid_split(ds, per_class=cfg.per_class, num_val=cfg.num_val,
+                            num_test=cfg.num_test, seed=row["split_seed"])
+    assert row["mad"] == mad(ds.features.toarray()[masks.test]).value
 
 
 # ---------------------------------------------------------------- reporting

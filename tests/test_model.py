@@ -1,10 +1,13 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from rwnsgcn import model
 from rwnsgcn.config import ExperimentConfig
-from rwnsgcn.data import Dataset, SplitMasks
+from rwnsgcn.data import Dataset, SplitMasks, load_content_cites, planetoid_split
 from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.model import (
     AdamState,
@@ -522,9 +525,9 @@ def reference_forward(
         raise ValueError("train-mode forward with dropout needs an rng")
 
     inputs: list = []
-    z_pos_all: list = []
-    z_neg_all: list = []
-    masks: list = []
+    gates: list = []
+    keeps: list = []
+    keep = 1.0 - params.dropout_p
     x = X
     for l in range(num_layers - 1):
         inputs.append(x)
@@ -534,22 +537,21 @@ def reference_forward(
         if use_neg:
             z_neg = neg_op @ (x @ params.W_dpp[l])
             a = a - params.lam * np.maximum(z_neg, 0.0)
-        mask = None
+        kept = None
         if train_mode and params.dropout_p > 0:
-            keep = 1.0 - params.dropout_p
-            mask = (rng.random(a.shape) < keep).astype(np.float64) / keep
-            a = a * mask
-        z_pos_all.append(z_pos)
-        z_neg_all.append(z_neg)
-        masks.append(mask)
+            kept = rng.random(a.shape) < keep
+            a = a * (kept.astype(np.float64) / keep)
+        gates.append((z_pos > 0, None if z_neg is None else z_neg > 0))
+        keeps.append(kept)
         x = a
     inputs.append(x)
     logits = pos_op @ (x @ params.W[-1])
     return ForwardTrace(
         inputs=inputs,
-        z_pos=z_pos_all,
-        z_neg=z_neg_all,
-        drop_masks=masks,
+        first=None,
+        gates=gates,
+        keeps=keeps,
+        keep=keep,
         logits=logits,
         pos_op=pos_op,
         neg_op=neg_op,
@@ -583,15 +585,16 @@ def reference_backward(trace, params, labels, mask) -> Gradients:
 
     for l in range(num_layers - 2, -1, -1):
         g = dx
-        if trace.drop_masks[l] is not None:
-            g = g * trace.drop_masks[l]
+        if trace.keeps[l] is not None:  # the float mask of 0 and 1 / keep
+            g = g * (trace.keeps[l].astype(np.float64) / trace.keep)
         x = trace.inputs[l]
-        dz_pos = g * (trace.z_pos[l] > 0)
+        on_pos, on_neg = trace.gates[l]
+        dz_pos = g * on_pos
         du_pos = op_pos @ dz_pos
         dW[l] = x.T @ du_pos
         du_neg = None
-        if trace.z_neg[l] is not None:
-            dz_neg = (-params.lam * g) * (trace.z_neg[l] > 0)
+        if on_neg is not None:
+            dz_neg = (-params.lam * g) * on_neg
             du_neg = op_neg @ dz_neg
             dW_dpp[l] = x.T @ du_neg
         if l > 0:
@@ -666,13 +669,13 @@ def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None)
         train_loss.append(loss)
         val_accs.append(val_acc)
         if val_acc > best.best_val_acc:
-            hidden = eval_trace.inputs[-1]
+            hidden = eval_trace.inputs[-1]  # the CSR features with one layer
             best = TrainedModel(
                 params=params.copy(),
                 best_epoch=epoch,
                 best_val_acc=val_acc,
                 preds=preds,
-                embeddings=hidden.toarray() if sp.issparse(hidden) else hidden,
+                embeddings=hidden,
                 train_loss=train_loss,
                 val_acc=val_accs,
             )
@@ -715,7 +718,10 @@ def assert_same_training(best, ref_best):
     assert best.train_loss == ref_best.train_loss
     assert best.val_acc == ref_best.val_acc
     assert_same_bytes(best.preds, ref_best.preds)
-    assert_same_bytes(best.embeddings, ref_best.embeddings)
+    if sp.issparse(ref_best.embeddings):  # one layer: the features, not a dense copy
+        assert best.embeddings is ref_best.embeddings
+    else:
+        assert_same_bytes(best.embeddings, ref_best.embeddings)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
@@ -827,8 +833,9 @@ def test_adam_leaves_an_inactive_branch_untouched():
     pos = sym_normalized_operator(ds.graph)
     neg = sym_normalized_operator(negative_graph(1), self_loops=False)
     X = ds.features
+    rng = np.random.default_rng(5)
     for _ in range(5):
-        trace = forward(params, X, pos, neg)
+        trace = forward(params, X, pos, neg, train_mode=True, rng=rng)
         adam_step(params, backward(trace, params, ds.labels, masks.train), state)
     assert state.moving == set(range(len(params.W)))
     for w, w0, m, v in zip(params.W_dpp, init.W_dpp, state.m_Wd, state.v_Wd):
@@ -929,3 +936,109 @@ def test_train_with_first_layer_wider_than_an_adam_chunk_matches_reference(spars
         train(ds, masks, negatives, config, seed=13),
         reference_train(ds, masks, negatives, config, seed=13),
     )
+
+
+# ------------------------------------------------------ lean traces
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.7, 0.9])
+def test_bool_keep_then_scale_equals_the_float_mask_bit_for_bit(keep):
+    # forward and backward multiply by the bool keep mask, then by 1 / keep;
+    # the float mask of 0 and 1 / keep gave these bits, signed zeros included
+    rng = np.random.default_rng(14)
+    edge = np.array([-0.0, 0.0, -5e-324, 5e-324, -1e-310, 1e-310, -1e300, 1e300, -1.0])
+    values = np.concatenate([rng.normal(size=500), edge, edge])
+    kept = rng.random(values.shape) < keep
+    kept[-2 * len(edge):] = np.arange(2 * len(edge)) < len(edge)  # each kept, then dropped
+    got = values.copy()
+    got *= kept
+    got *= 1.0 / keep
+    float_mask = np.multiply(kept, 1.0 / keep)  # exactly 0 or 1 / keep
+    assert_same_bytes(got, values * float_mask)
+    dropped_negative = ~kept & np.signbit(values)
+    assert dropped_negative.any() and np.signbit(got[dropped_negative]).all()
+    assert (got[dropped_negative] == 0.0).all()
+
+
+def test_train_trace_with_negative_activations_matches_the_float_mask_reference():
+    # lam = 3 makes many hidden activations negative, so dropout leaves -0.0
+    # behind; the bool-keep trace must give the float-mask reference's bits
+    ds, masks, negative_graph = oracle_problem(sparse=True)
+    params = init_params([ds.feature_dim, 16, 16, ds.class_count], lam=3.0, seed=9,
+                         dropout_p=0.4)
+    pos = sym_normalized_operator(ds.graph)
+    neg = sym_normalized_operator(negative_graph(1, p=0.3), self_loops=False)
+    got = forward(params, ds.features, pos, neg, True, np.random.default_rng(4))
+    want = reference_forward(params, ds.features, pos, neg, True, np.random.default_rng(4))
+    hidden = got.inputs[1:]
+    assert any((np.signbit(x) & (x == 0.0)).any() for x in hidden)
+    assert any((x < 0).any() for x in hidden)
+    for a, b in zip(hidden, want.inputs[1:]):
+        assert_same_bytes(a, b)
+    assert_same_bytes(got.logits, want.logits)
+    for (gp, gn), (wp, wn), k, wk in zip(got.gates, want.gates, got.keeps, want.keeps):
+        assert gp.dtype == gn.dtype == k.dtype == np.bool_
+        assert_same_bytes(gp, wp)
+        assert_same_bytes(gn, wn)
+        assert_same_bytes(k, wk)
+    grads = backward(got, params, ds.labels, masks.train)
+    ref = reference_backward(got, params, ds.labels, masks.train)
+    for a, b in zip(grads.dW + grads.dW_dpp, ref.dW + ref.dW_dpp):
+        assert_same_bytes(a, b)
+
+
+def test_eval_trace_keeps_only_what_the_next_epoch_and_the_outputs_read():
+    ds, masks, negative_graph = oracle_problem(sparse=True)
+    params = init_params([ds.feature_dim, 8, 8, 8, ds.class_count], lam=0.3, seed=2)
+    pos = sym_normalized_operator(ds.graph)
+    neg = sym_normalized_operator(negative_graph(1), self_loops=False)
+    trace = forward(params, ds.features, pos, neg)
+    ref = reference_forward(params, ds.features, pos, neg)
+    assert trace.gates == [] and trace.keeps == []
+    (hidden,) = trace.inputs
+    assert_same_bytes(hidden, ref.inputs[-1])
+    # layer 0's pre-activations, which the next training pass takes as first
+    z_pos, z_neg = trace.first
+    assert_same_bytes(z_pos, pos @ (ds.features @ params.W[0]))
+    assert_same_bytes(z_neg, neg @ (ds.features @ params.W_dpp[0]))
+    with pytest.raises(ValueError, match="train-mode trace"):
+        backward(trace, params, ds.labels, masks.train)
+    # a training pass that carries them gives the bits of one that does not
+    rng_a, rng_b = np.random.default_rng(6), np.random.default_rng(6)
+    carried = forward(params, ds.features, pos, neg, True, rng_a, first=trace.first)
+    fresh = forward(params, ds.features, pos, neg, True, rng_b)
+    assert carried.first is None
+    for a, b in zip(carried.inputs[1:], fresh.inputs[1:]):
+        assert_same_bytes(a, b)
+    assert_same_bytes(carried.logits, fresh.logits)
+
+
+def test_training_memory_is_bounded_by_lean_traces(bench_gen):
+    # A PubMed-like graph of 6000 nodes at the default depth (3 hidden
+    # layers of width 64).  In units of one n x hidden float array:
+    #   a train trace keeps, per hidden layer, its float input and three
+    #   bool arrays (two gates, one keep mask): 3 * 11/8 ~ 4.1;
+    #   an eval trace keeps layer 0's two pre-activations and the last
+    #   hidden rows: 3;
+    #   while a pass runs, the previous trace of its mode is still bound:
+    #   2 * (4.1 + 3) ~ 14.3, plus about 5 for one layer's work (two
+    #   pre-activations, the activation, the negative term, the draws).
+    # 24 leaves room for the features' transpose and allocator detail;
+    # float gates, float masks and full eval traces needed about 36.
+    scale = dataclasses.replace(bench_gen.SCALES["pubmed3k"], nodes=6000, edges=12000)
+    content, cites, _ = bench_gen.generate(scale, 501)
+    ds = load_content_cites(content.decode(), cites.decode())
+    masks = planetoid_split(ds, per_class=20, num_val=500, num_test=1000, seed=1)
+    n = ds.num_nodes
+    rng = np.random.default_rng(2)
+    src = np.arange(n).repeat(3)
+    negatives = build_graph(n, np.stack([src, (src + rng.integers(1, n, src.size)) % n], 1))
+    config = ExperimentConfig(epochs=3)
+    assert (config.layers, config.hidden) == (4, 64)
+    tracemalloc.start()
+    try:
+        train(ds, masks, negatives, config, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n * config.hidden * 8
