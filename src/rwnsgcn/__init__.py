@@ -19,7 +19,6 @@ from rwnsgcn.data import (
 )
 from rwnsgcn.scoring import (
     CandidateSet,
-    LayeredNeighborhood,
     bfs_layers,
     combined_scores,
     pagerank_scores,

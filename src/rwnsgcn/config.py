@@ -66,7 +66,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # checked when built, so an unusable config fails before any work
-        for name in ("runs", "epochs", "layers", "num_val"):
+        for name in ("runs", "epochs", "layers", "num_val", "num_test", "per_class",
+                     "hidden", "k_dpp", "k_per_level"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")

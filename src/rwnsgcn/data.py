@@ -314,26 +314,23 @@ def planetoid_split(
             )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.num_nodes)
-    taken = np.zeros(ds.class_count, dtype=np.int64)
-    train = []
-    rest = []
-    for node in perm:
-        c = labels[node]
-        if taken[c] < per_class:
-            taken[c] += 1
-            train.append(node)
-        else:
-            rest.append(node)
-    if len(rest) < num_val + num_test:
+    # each node's rank inside its class along the shuffle: a stable sort
+    # by class keeps the shuffle order within every class
+    shuffled = labels[perm]
+    by_class = np.argsort(shuffled, kind="stable")
+    class_start = np.cumsum(counts) - counts
+    rank = np.empty(perm.size, dtype=np.int64)
+    rank[by_class] = np.arange(perm.size) - class_start[shuffled[by_class]]
+    in_train = rank < per_class
+    rest = perm[~in_train]
+    if rest.size < num_val + num_test:
         raise ValueError(
-            f"not enough nodes left for val+test: have {len(rest)}, need {num_val + num_test}"
+            f"not enough nodes left for val+test: have {rest.size}, need {num_val + num_test}"
         )
-    val = rest[:num_val]
-    test = rest[num_val : num_val + num_test]
     return SplitMasks(
-        train=np.sort(np.array(train, dtype=np.int64)),
-        val=np.sort(np.array(val, dtype=np.int64)),
-        test=np.sort(np.array(test, dtype=np.int64)),
+        train=np.sort(perm[in_train]),
+        val=np.sort(rest[:num_val]),
+        test=np.sort(rest[num_val : num_val + num_test]),
         seed=seed,
     )
 

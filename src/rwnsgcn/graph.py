@@ -24,6 +24,7 @@ __all__ = [
     "Graph",
     "build_graph",
     "hop_blocks",
+    "hop_matrix",
     "sym_normalized_operator",
     "transition_operator",
 ]
@@ -180,14 +181,16 @@ def build_graph(
 SOURCE_BLOCK = 64
 
 
-def hop_blocks(g: Graph, sources) -> Iterator[tuple[sp.csr_array, np.ndarray]]:
-    """The unit-weight adjacency, built once, with ``sources`` in blocks of SOURCE_BLOCK.
-
-    Every stored edge is a 1 in the hop matrix, so zero-weight edges
-    still count as hops.
-    """
+def hop_matrix(g: Graph) -> sp.csr_array:
+    """The unit-weight adjacency: every stored edge is a 1, so zero-weight
+    edges still count as hops."""
     n = g.num_nodes
-    hops = sp.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+    return sp.csr_array((np.ones(g.indices.size), g.indices, g.indptr), shape=(n, n))
+
+
+def hop_blocks(g: Graph, sources) -> Iterator[tuple[sp.csr_array, np.ndarray]]:
+    """``hop_matrix(g)``, built once, with ``sources`` in blocks of SOURCE_BLOCK."""
+    hops = hop_matrix(g)
     sources = np.asarray(sources, dtype=np.int64)
     for lo in range(0, sources.size, SOURCE_BLOCK):
         yield hops, sources[lo : lo + SOURCE_BLOCK]

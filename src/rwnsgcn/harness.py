@@ -282,15 +282,17 @@ def run_l_sweep(
     Candidate levels follow the distance: levels = 2..L-1 (layer 1 is
     reserved for positives, so L must be at least 3).
     """
-    reports = []
-    for l in l_values:
+    for l in l_values:  # all of them before the first run
         if l < 3:
             raise ValueError(
                 f"l_max={l} leaves no candidate levels (levels are 2..L-1)"
             )
-        cfg = config.with_overrides(l_max=l, levels=tuple(range(2, l)))
-        reports.append(run_baseline(ds, cfg, label=f"sweep-l/L={l}"))
-    return reports
+    return [
+        run_baseline(
+            ds, config.with_overrides(l_max=l, levels=tuple(range(2, l))), label=f"sweep-l/L={l}"
+        )
+        for l in l_values
+    ]
 
 
 def run_attack_comparison(
@@ -301,6 +303,15 @@ def run_attack_comparison(
     """Clean-vs-attacked accuracy for the negative-sampling model and the
     plain GCN under shared per-run seeds (retraining on the perturbed
     graph).  One report per attack, one paired row per run."""
+    # every cell's attack of every run, built (and so checked) before the first run
+    specs = [
+        [
+            AttackSpec(kind=kind, intensity=intensity,
+                       seed=derive_seed(config.base_seed + r, "attack"))
+            for r in range(config.runs)
+        ]
+        for kind, intensity in attack_grid
+    ]
     gcn_config = config.with_overrides(lam=0.0)
     clean_timings: dict[str, float] = {}
     # candidates by graph fingerprint, for this call only: a perturbed graph
@@ -329,7 +340,7 @@ def run_attack_comparison(
         betweenness_s = time.perf_counter() - t0
 
     reports = []
-    for kind, intensity in attack_grid:
+    for (kind, intensity), cell_specs in zip(attack_grid, specs):
         # each report times the clean runs plus its own cell only
         timings = dict(clean_timings)
         if kind == "ctbca":
@@ -339,10 +350,7 @@ def run_attack_comparison(
         )
         attacked_gcn_cfg = attacked_cfg.with_overrides(lam=0.0)
         rows = []
-        for r in range(config.runs):
-            seed = config.base_seed + r
-            attack_seed = derive_seed(seed, "attack")
-            spec = AttackSpec(kind=kind, intensity=intensity, seed=attack_seed)
+        for r, spec in enumerate(cell_specs):
             perturbed_graph = apply_attack(ds.graph, spec, scores=betweenness)
             perturbed = replace(ds, graph=perturbed_graph)
             att_rw = _run_once(
@@ -354,8 +362,8 @@ def run_attack_comparison(
             rows.append(
                 {
                     "run": r,
-                    "seed": seed,
-                    "attack_seed": attack_seed,
+                    "seed": config.base_seed + r,
+                    "attack_seed": spec.seed,
                     "clean_accuracy_rwnsgcn": clean_rw[r]["accuracy"],
                     "attacked_accuracy_rwnsgcn": att_rw["accuracy"],
                     "degradation_rwnsgcn": deg_rw,

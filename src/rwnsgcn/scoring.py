@@ -4,6 +4,9 @@ For a source node the pipeline is: hop-layered BFS (which nodes sit at
 exact distance l), a restart-walk score localized at the source, a global
 PageRank score, their convex combination, and a per-layer top-k pick of
 candidate negatives.  Direct neighbors (layer 1) are never candidates.
+Each step takes a block of sources and works on ``n x B`` arrays, one
+column per source; ``select_candidates`` turns a block into one
+``CandidateSet`` per source.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from rwnsgcn.graph import Graph, hop_blocks, transition_operator
+from rwnsgcn.graph import Graph, hop_blocks, hop_matrix, transition_operator
 
 __all__ = [
-    "LayeredNeighborhood",
     "CandidateSet",
     "ConvergenceError",
     "bfs_layers",
@@ -40,23 +42,6 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class LayeredNeighborhood:
-    """Exact-distance layers around a source.
-
-    ``layers[l]`` holds the nodes at hop distance exactly l, in ascending
-    id order (1 <= l <= l_max, empty layers included).  Hops ignore edge
-    weights: a zero-weight edge still links its endpoints.
-    """
-
-    source: int
-    layers: dict[int, np.ndarray]
-
-    @property
-    def l_max(self) -> int:
-        return max(self.layers)
-
-
-@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Selected negative candidates for one source node."""
 
@@ -70,27 +55,44 @@ class CandidateSet:
         return len(self.chosen)
 
 
-def _check_source(g: Graph, source: int) -> None:
-    if not 0 <= source < g.num_nodes:
-        raise ValueError(f"source {source} out of range")
+def _check_sources(g: Graph, sources: np.ndarray) -> None:
+    for src in (sources.min(), sources.max()) if sources.size else ():
+        if not 0 <= src < g.num_nodes:
+            raise ValueError(f"source {src} out of range")
 
 
-def _check_l_max(l_max: int) -> None:
+def _check_levels(levels: Sequence[int], l_max: int, k_per_level: int) -> list[int]:
+    """The requested layers, sorted and de-duplicated, checked against ``l_max``."""
+    levels = sorted({int(l) for l in levels})
+    if not levels:
+        raise ValueError("levels must name at least one layer")
+    for l in (levels[0], levels[-1]):
+        if l < 2 or l > l_max:
+            raise ValueError(
+                f"level {l} outside 2..l_max={l_max} (layer 1 is reserved for positives)"
+            )
+    if k_per_level < 1:
+        raise ValueError("k_per_level must be at least 1")
+    return levels
+
+
+def bfs_layers(
+    g: Graph, sources, l_max: int, _hops: sp.csr_array | None = None
+) -> list[np.ndarray]:
+    """BFS frontiers of every source in ``sources`` as level products.
+
+    Entry ``l - 1`` (1 <= l <= l_max) is an ``n x len(sources)`` bool array
+    whose column i marks the nodes at hop distance exactly l from
+    ``sources[i]``.  Hops ignore edge weights: a zero-weight edge still
+    links its endpoints.  ``_hops`` is a prebuilt ``hop_matrix(g)``.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    _check_sources(g, sources)
     if l_max < 1:
         raise ValueError("l_max must be at least 1")
-
-
-def _hop_frontiers(hops: sp.csr_array, block: np.ndarray, l_max: int) -> list[np.ndarray]:
-    """BFS frontiers of every source in ``block`` as level products.
-
-    Entry ``l - 1`` is an ``n x len(block)`` boolean array whose column i
-    marks the nodes at hop distance exactly l from ``block[i]``.  ``hops``
-    is the unit-weight adjacency from ``hop_blocks``, so zero-weight edges
-    still count.
-    """
-    n = hops.shape[0]
-    front = np.zeros((n, block.size), dtype=bool)
-    front[block, np.arange(block.size)] = True
+    hops = hop_matrix(g) if _hops is None else _hops
+    front = np.zeros((g.num_nodes, sources.size), dtype=bool)
+    front[sources, np.arange(sources.size)] = True
     seen = front.copy()
     fronts = []
     for _ in range(l_max):
@@ -101,45 +103,41 @@ def _hop_frontiers(hops: sp.csr_array, block: np.ndarray, l_max: int) -> list[np
     return fronts
 
 
-def _layers(fronts: list[np.ndarray], col: int, source: int) -> LayeredNeighborhood:
-    return LayeredNeighborhood(
-        source=int(source),
-        layers={l: np.flatnonzero(f[:, col]) for l, f in enumerate(fronts, 1)},
-    )
-
-
-def bfs_layers(g: Graph, source: int, l_max: int) -> LayeredNeighborhood:
-    """Group nodes by exact hop distance from ``source``, up to ``l_max``.
-
-    ``layers[l]`` is the BFS frontier found at step l.  Edge weights are
-    ignored, so zero-weight edges still count as hops.
-    """
-    _check_source(g, source)
-    _check_l_max(l_max)
-    return _layers(_hop_frontiers(*next(hop_blocks(g, [source])), l_max), 0, source)
-
-
 def _transition_transpose(g: Graph) -> sp.csr_array:
     return sp.csr_array(transition_operator(g).T.tocsr())
 
 
-def _rwr_block(
-    pt: sp.csr_array, block: np.ndarray, alpha: float, tol: float, max_iter: int
+def rwr_scores(
+    g: Graph,
+    sources,
+    alpha: float,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+    _pt: sp.csr_array | None = None,
 ) -> np.ndarray:
-    """Restart-walk vectors of every source in ``block``, one per column.
+    """Restart-walk probabilities over target nodes, one column per source.
 
-    Each column iterates r <- alpha P^T r + (1-alpha) e_source on its own
+    Column i solves r = (1-alpha) (I - alpha P^T)^{-1} e_{sources[i]} by
+    fixed-point iteration r <- alpha P^T r + (1-alpha) e_source on its own,
     and is copied out at the first iterate whose max-norm change drops
-    below ``tol``; converged columns leave the working block.
+    below ``tol``; converged columns leave the working block.  ``_pt`` is
+    a prebuilt P^T.
     """
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must be in [0, 1)")
+    sources = np.asarray(sources, dtype=np.int64)
+    _check_sources(g, sources)
+    pt = _transition_transpose(g) if _pt is None else _pt
     n = pt.shape[0]
-    out = np.empty((block.size, n))  # row i is column i of the result
-    running = np.arange(block.size)  # block position of each working column
-    restart = (block, running)  # (source row, working column) pairs
-    r = np.zeros((n, block.size))
+    out = np.empty((sources.size, n))  # row i is column i of the result
+    running = np.arange(sources.size)  # position in sources of each working column
+    restart = (sources, running)  # (source row, working column) pairs
+    r = np.zeros((n, sources.size))
     r[restart] = 1.0
-    residual = np.full(block.size, np.inf)
+    residual = np.full(sources.size, np.inf)
     for _ in range(max_iter):
+        if running.size == 0:
+            break
         r_next = pt @ r
         r_next *= alpha
         r_next[restart] += 1.0 - alpha
@@ -151,33 +149,12 @@ def _rwr_block(
             out[running[done]] = r[:, done].T
             keep = ~done
             running = running[keep]
-            if running.size == 0:
-                return out.T
             r = r[:, keep]
-            restart = (block[running], np.arange(running.size))
-    # converged columns sit below tol, so the largest residual is a running one
-    raise ConvergenceError("rwr_scores", float(residual.max()), max_iter)
-
-
-def rwr_scores(
-    g: Graph,
-    source: int,
-    alpha: float,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-    _pt: sp.csr_array | None = None,
-) -> np.ndarray:
-    """Restart-walk probability over target nodes for one source.
-
-    Solves r = (1-alpha) (I - alpha P^T)^{-1} e_source by fixed-point
-    iteration r <- alpha P^T r + (1-alpha) e_source, stopping when the
-    max-norm change drops below ``tol``.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
-    _check_source(g, source)
-    pt = _transition_transpose(g) if _pt is None else _pt
-    return _rwr_block(pt, np.array([source]), alpha, tol, max_iter)[:, 0]
+            restart = (sources[running], np.arange(running.size))
+    if running.size:
+        # converged columns sit below tol, so the largest residual is a running one
+        raise ConvergenceError("rwr_scores", float(residual.max()), max_iter)
+    return out.T
 
 
 def pagerank_scores(
@@ -221,41 +198,49 @@ def pagerank_scores(
 
 
 def combined_scores(rwr: np.ndarray, pgr: np.ndarray, beta: float) -> np.ndarray:
-    """Convex mix beta * rwr + (1-beta) * pgr."""
+    """Convex mix beta * rwr + (1-beta) * pgr, with ``pgr`` broadcast over
+    the columns of the ``n x B`` block ``rwr``."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must be in [0, 1]")
-    if rwr.shape != pgr.shape:
-        raise ValueError(f"length mismatch: {rwr.shape} vs {pgr.shape}")
-    return beta * rwr + (1.0 - beta) * pgr
+    if rwr.ndim != 2 or rwr.shape[0] != pgr.shape[0]:
+        raise ValueError(f"length mismatch: rwr {rwr.shape} needs {pgr.shape[0]} rows")
+    return beta * rwr + (1.0 - beta) * pgr[:, None]
 
 
 def select_candidates(
-    layers: LayeredNeighborhood,
+    fronts: list[np.ndarray],
     scores: np.ndarray,
+    sources,
     levels: Sequence[int] = (2, 3, 4),
     k_per_level: int = 1,
-) -> CandidateSet:
-    """Top-scoring nodes per requested layer (ties to the smaller id).
+) -> dict[int, CandidateSet]:
+    """Top-scoring nodes per requested layer for every source of a block.
 
+    ``fronts`` are the ``bfs_layers`` frontiers of ``sources`` and
+    ``scores`` the matching ``n x B`` block, column i for ``sources[i]``.
     Layer 1 is reserved for positive samples, so every requested level
-    must lie in 2..l_max.  Empty layers contribute nothing.
+    must lie in 2..len(fronts).  Within a layer the highest score comes
+    first, ties to the smaller id; empty layers contribute nothing.
     """
-    lmax = layers.l_max
-    levels = sorted(set(int(l) for l in levels))
+    levels = _check_levels(levels, len(fronts), k_per_level)
+    sources = np.asarray(sources, dtype=np.int64)
+    if scores.shape != fronts[0].shape or scores.shape[1:] != sources.shape:
+        raise ValueError(f"scores {scores.shape} do not match the block of "
+                         f"{sources.size} sources with {fronts[0].shape[0]} nodes")
+    cols = np.arange(sources.size)
+    chosen: list[list[tuple[int, float, int]]] = [[] for _ in cols]
     for l in levels:
-        if l < 2 or l > lmax:
-            raise ValueError(
-                f"level {l} outside 2..{lmax} (layer 1 is reserved for positives)"
-            )
-    if k_per_level < 1:
-        raise ValueError("k_per_level must be at least 1")
-    chosen: list[tuple[int, float, int]] = []
-    for l in levels:
-        members = layers.layers[l]
-        # highest score first, ties to the smaller id
-        top = members[np.lexsort((members, -scores[members]))[:k_per_level]]
-        chosen.extend((j, v, l) for j, v in zip(top.tolist(), scores[top].tolist()))
-    return CandidateSet(source=layers.source, chosen=chosen)
+        front = fronts[l - 1]
+        masked = np.where(front, scores, -np.inf)
+        count = np.count_nonzero(front, axis=0)
+        for rank in range(min(k_per_level, int(count.max(initial=0)))):
+            top = masked.argmax(axis=0)  # the first maximum: ties to the smaller id
+            live = np.flatnonzero(count > rank)
+            picked = zip(live.tolist(), top[live].tolist(), masked[top[live], live].tolist())
+            for i, j, v in picked:
+                chosen[i].append((j, v, l))
+            masked[top, cols] = -np.inf
+    return {src: CandidateSet(src, c) for src, c in zip(sources.tolist(), chosen)}
 
 
 def score_all_sources(
@@ -274,25 +259,20 @@ def score_all_sources(
 
     Sources are de-duplicated and scored in the blocks of ``hop_blocks``:
     one restart-walk iteration and one BFS level are a sparse x dense
-    product for the whole block.  Sources with no eligible candidates map
-    to empty sets.
+    product for the whole block, and the BFS stops at the deepest
+    requested level.  Sources with no eligible candidates map to empty
+    sets.
     """
-    source_list = sorted({int(s) for s in sources})
-    _check_l_max(l_max)
-    for src in source_list[:1] + source_list[-1:]:  # sorted: the ends bound the rest
-        _check_source(g, src)
+    source_arr = np.unique(np.fromiter(sources, dtype=np.int64))
+    _check_sources(g, source_arr)
+    levels = _check_levels(levels, l_max, k_per_level)
+    if not source_arr.size:
+        return {}
     out: dict[int, CandidateSet] = {}
-    if not source_list:
-        return out
     pt = _transition_transpose(g)
     pgr = pagerank_scores(g, alpha, mode=pgr_mode, tol=tol, max_iter=max_iter, _pt=pt)
-    for hops, block in hop_blocks(g, source_list):
-        fronts = _hop_frontiers(hops, block, l_max)
-        rwr = _rwr_block(pt, block, alpha, tol, max_iter)
-        for i, src in enumerate(block.tolist()):
-            mixed = combined_scores(rwr[:, i], pgr, beta)
-            out[src] = select_candidates(
-                _layers(fronts, i, src), mixed, levels=levels, k_per_level=k_per_level
-            )
+    for hops, block in hop_blocks(g, source_arr):
+        fronts = bfs_layers(g, block, levels[-1], _hops=hops)
+        mixed = combined_scores(rwr_scores(g, block, alpha, tol, max_iter, _pt=pt), pgr, beta)
+        out.update(select_candidates(fronts, mixed, block, levels, k_per_level))
     return out
-

@@ -59,12 +59,11 @@ def test_bfs_layers_match_floyd_warshall_200_graphs():
         n = int(rng.integers(2, 51))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.3)))
         dists = floyd_warshall(g)
-        src = int(rng.integers(0, n))
         l_max = int(rng.integers(1, 8))
-        layers = bfs_layers(g, src, l_max)
-        for l in range(1, l_max + 1):
-            expected = np.flatnonzero(dists[src] == l)
-            assert np.array_equal(np.sort(layers.layers[l]), expected)
+        fronts = bfs_layers(g, np.arange(n), l_max)  # every node, one block
+        assert len(fronts) == l_max
+        for l, front in enumerate(fronts, 1):
+            assert np.array_equal(front.T, dists == l)
         checked += 1
     check("bfs-layers-vs-floyd-warshall", checked == 200, f"{checked} graphs exact")
 
@@ -75,16 +74,14 @@ def test_rwr_dense_oracle_and_probability_simplex():
     for _ in range(60):
         n = int(rng.integers(2, 51))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.4)), weighted=True)
-        src = int(rng.integers(0, n))
         alpha = float(rng.uniform(0.0, 0.95))
-        r = rwr_scores(g, src, alpha, tol=1e-12)
+        r = rwr_scores(g, np.arange(n), alpha, tol=1e-12)  # every node, one block
         p = transition_dense(g)
-        e = np.zeros(n)
-        e[src] = 1.0
-        expected = (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * p.T, e)
+        # column s is (1 - alpha) (I - alpha P^T)^{-1} e_s
+        expected = (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * p.T, np.eye(n))
         worst = max(worst, float(np.max(np.abs(r - expected))))
         if not np.any(g.degrees == 0):
-            assert abs(r.sum() - 1.0) < 1e-6
+            assert np.all(np.abs(r.sum(axis=0) - 1.0) < 1e-6)
         pr = pagerank_scores(g, 0.85)
         assert abs(pr.sum() - 1.0) < 1e-6
     check("rwr-vs-dense-solve", worst < 1e-6, f"max |err| = {worst:.2e}")

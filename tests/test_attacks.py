@@ -187,10 +187,8 @@ def test_zero_weight_edges_still_count_as_hops():
     g = twpa_perturb(build_graph(6, [(i, i + 1, 0.5) for i in range(5)]), 1.0, seed=1)
     assert [(u, v) for u, v, w in g.edges() if w == 0.0] == [(3, 4)]
 
-    layers = bfs_layers(g, 0, 5)
-    assert {l: layers.layers[l].tolist() for l in layers.layers} == {
-        1: [1], 2: [2], 3: [3], 4: [4], 5: [5]
-    }
+    fronts = bfs_layers(g, [0], 5)
+    assert [np.flatnonzero(f[:, 0]).tolist() for f in fronts] == [[1], [2], [3], [4], [5]]
     # edge (i, i+1) of a path separates i+1 nodes from 5-i
     assert betweenness_dict(g, edge_betweenness(g)) == {(i, i + 1): float((i + 1) * (5 - i)) for i in range(5)}
     ds = Dataset(

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -403,6 +404,43 @@ def test_planetoid_split_deterministic():
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.val, b.val)
     assert np.array_equal(a.test, b.test)
+
+
+def loop_planetoid_split(labels, class_count, per_class, num_val, num_test, seed):
+    """The per-node loop planetoid_split replaced: (train, val, test)."""
+    perm = np.random.default_rng(seed).permutation(labels.size)
+    taken = np.zeros(class_count, dtype=np.int64)
+    train, rest = [], []
+    for node in perm:
+        c = labels[node]
+        if taken[c] < per_class:
+            taken[c] += 1
+            train.append(node)
+        else:
+            rest.append(node)
+    val, test = rest[:num_val], rest[num_val : num_val + num_test]
+    return tuple(np.sort(np.array(part, dtype=np.int64)) for part in (train, val, test))
+
+
+def test_planetoid_split_matches_the_per_node_loop():
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        class_count = int(rng.integers(1, 8))
+        per_class = int(rng.integers(1, 6))
+        # every class has per_class nodes plus a random surplus, in a random order
+        labels = rng.permutation(np.concatenate([
+            np.full(per_class + int(rng.integers(0, 12)), c) for c in range(class_count)
+        ])).astype(np.int64)
+        spare = labels.size - per_class * class_count
+        num_val = int(rng.integers(0, spare + 1))
+        num_test = int(rng.integers(0, spare - num_val + 1))
+        seed = int(rng.integers(0, 2**32))
+        ds = SimpleNamespace(labels=labels, class_count=class_count, num_nodes=labels.size)
+        got = planetoid_split(ds, per_class, num_val, num_test, seed=seed)
+        want = loop_planetoid_split(labels, class_count, per_class, num_val, num_test, seed)
+        for part, expected in zip((got.train, got.val, got.test), want):
+            assert part.dtype == np.int64
+            assert np.array_equal(part, expected)
 
 
 def test_planetoid_split_small_class_named():

@@ -66,11 +66,17 @@ def _unreachable(*args, **kwargs):
     raise AssertionError("work started for an unusable config")
 
 
-@pytest.mark.parametrize("field", ["runs", "epochs", "layers", "num_val"])
+@pytest.mark.parametrize(
+    "field",
+    ["runs", "epochs", "layers", "num_val", "num_test", "per_class", "hidden", "k_dpp",
+     "k_per_level"],
+)
 @pytest.mark.parametrize("value", [0, -2])
 def test_config_rejects_fewer_than_one(field, value, monkeypatch):
-    # runs=0 would write nan aggregates, num_val=0 would fail only in
-    # train() after scoring and kernels, epochs or layers < 1 train nothing
+    # runs=0 would write nan aggregates, num_val=0 or num_test=0 would fail
+    # only in train() or accuracy() after scoring and kernels, epochs or
+    # layers < 1 train nothing, and per_class, hidden, k_dpp or k_per_level
+    # < 1 would fail only after scoring
     monkeypatch.setattr(harness, "score_all_sources", _unreachable)
     monkeypatch.setattr(harness, "edge_betweenness", _unreachable)
     message = f"^{field} must be at least 1, got {value}$"
@@ -248,6 +254,28 @@ def test_l_sweep_rejects_degenerate_distance():
     ds = planted_dataset(seed=7)
     with pytest.raises(ValueError, match="no candidate levels"):
         run_l_sweep(ds, fast_config(), l_values=(1,))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([("ctbca", 1.5)], "ctbca intensity must be a fraction"),
+        ([("twpa", -0.5)], "twpa intensity"),
+        ([("ctbca", 0.1), ("foo", 0.1)], "unknown attack kind 'foo'"),
+    ],
+)
+def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, grid, message):
+    for work in ("score_all_sources", "train", "edge_betweenness", "apply_attack"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    with pytest.raises(ValueError, match=message):
+        run_attack_comparison(planted_dataset(seed=7), fast_config(), attack_grid=grid)
+
+
+def test_l_sweep_checks_every_distance_before_the_first_run(monkeypatch):
+    for work in ("run_baseline", "score_all_sources", "train"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    with pytest.raises(ValueError, match="l_max=2 leaves no candidate levels"):
+        run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=(5, 2))
 
 
 def test_resampling_schedule_is_deterministic_and_changes_draws():

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rwnsgcn.attacks import twpa_perturb
+import rwnsgcn.graph as graph_mod
+from rwnsgcn.data import load_content_cites
 from rwnsgcn.graph import build_graph, transition_operator
 from rwnsgcn.scoring import (
     ConvergenceError,
-    LayeredNeighborhood,
-    _rwr_block,
     _transition_transpose,
     bfs_layers,
     combined_scores,
@@ -21,7 +22,7 @@ from rwnsgcn.scoring import (
     select_candidates,
 )
 
-from conftest import floyd_warshall, random_edge_list, random_graph
+from conftest import assert_same_bytes, floyd_warshall, random_edge_list, random_graph
 
 
 def path_graph(n):
@@ -47,23 +48,24 @@ def dense_pagerank(g, alpha):
     return np.linalg.solve(np.eye(n) - alpha * p.T, (1 - alpha) * np.ones(n) / n)
 
 
+def layer_lists(fronts, col=0):
+    """The nodes of each frontier of one block column, layer 1 first."""
+    return [np.flatnonzero(f[:, col]).tolist() for f in fronts]
+
+
 # ---------------------------------------------------------------- bfs_layers
 
 
 def test_layers_on_path():
-    layers = bfs_layers(path_graph(5), 0, 4)
-    assert {l: list(v) for l, v in layers.layers.items()} == {
-        1: [1],
-        2: [2],
-        3: [3],
-        4: [4],
-    }
+    fronts = bfs_layers(path_graph(5), [0], 4)
+    assert [f.shape for f in fronts] == [(5, 1)] * 4
+    assert all(f.dtype == bool for f in fronts)
+    assert layer_lists(fronts) == [[1], [2], [3], [4]]
 
 
 def test_layers_triangle_with_empty_level():
-    layers = bfs_layers(triangle(), 0, 2)
-    assert sorted(layers.layers[1]) == [1, 2]
-    assert layers.layers[2].size == 0
+    fronts = bfs_layers(triangle(), [0], 2)
+    assert layer_lists(fronts) == [[1, 2], []]
 
 
 def test_layers_match_floyd_warshall():
@@ -72,12 +74,20 @@ def test_layers_match_floyd_warshall():
         n = int(rng.integers(2, 50))
         g = random_graph(rng, n, 0.12)
         dists = floyd_warshall(g)
-        src = int(rng.integers(0, n))
+        sources = rng.integers(0, n, size=int(rng.integers(1, 9)))  # repeats allowed
         l_max = int(rng.integers(1, 7))
-        layers = bfs_layers(g, src, l_max)
-        for l in range(1, l_max + 1):
-            expected = np.flatnonzero(dists[src] == l)
-            assert np.array_equal(np.sort(layers.layers[l]), expected)
+        fronts = bfs_layers(g, sources, l_max)
+        assert len(fronts) == l_max
+        for l, front in enumerate(fronts, 1):
+            assert np.array_equal(front.T, dists[sources] == l)
+
+
+def test_empty_block_scores_nothing():
+    g = path_graph(4)
+    fronts = bfs_layers(g, [], 3)
+    assert [f.shape for f in fronts] == [(4, 0)] * 3
+    assert rwr_scores(g, [], 0.85).shape == (4, 0)
+    assert select_candidates(fronts, np.empty((4, 0)), [], levels=(2, 3)) == {}
 
 
 # ----------------------------------------------------------------- rwr / pgr
@@ -85,20 +95,18 @@ def test_layers_match_floyd_warshall():
 
 def test_rwr_alpha_zero_is_indicator():
     g = path_graph(4)
-    r = rwr_scores(g, 2, alpha=0.0)
-    expected = np.zeros(4)
-    expected[2] = 1.0
-    assert np.array_equal(r, expected)
+    r = rwr_scores(g, [2, 0], alpha=0.0)
+    assert np.array_equal(r, np.eye(4)[:, [2, 0]])
 
 
 def test_rwr_single_edge_closed_form():
     g = build_graph(2, [(0, 1, 1.0)])
-    r = rwr_scores(g, 0, alpha=0.5)
-    assert np.allclose(r, [2 / 3, 1 / 3], atol=1e-7)
+    r = rwr_scores(g, [0, 1], alpha=0.5)
+    assert np.allclose(r, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-7)
 
 
 def test_rwr_triangle_symmetry():
-    r = rwr_scores(triangle(), 0, alpha=0.7)
+    r = rwr_scores(triangle(), [0], alpha=0.7)[:, 0]
     assert r[1] == pytest.approx(r[2], abs=1e-12)
 
 
@@ -107,18 +115,20 @@ def test_rwr_matches_dense_solve():
     for _ in range(25):
         n = int(rng.integers(2, 50))
         g = random_graph(rng, n, 0.2, weighted=True)
-        src = int(rng.integers(0, n))
+        sources = rng.integers(0, n, size=int(rng.integers(1, 9)))
         alpha = float(rng.uniform(0.0, 0.95))
-        r = rwr_scores(g, src, alpha, tol=1e-12)
-        assert np.max(np.abs(r - dense_rwr(g, src, alpha))) < 1e-6
+        r = rwr_scores(g, sources, alpha, tol=1e-12)
+        assert r.shape == (n, sources.size)
+        for i, src in enumerate(sources.tolist()):
+            assert np.max(np.abs(r[:, i] - dense_rwr(g, src, alpha))) < 1e-6
         assert np.all(r >= 0)
 
 
 def test_rwr_sums_to_one_on_connected_graphs():
     g = path_graph(9)
     for alpha in (0.1, 0.5, 0.85):
-        r = rwr_scores(g, 4, alpha)
-        assert r.sum() == pytest.approx(1.0, abs=1e-6)
+        r = rwr_scores(g, [4, 0, 8], alpha)
+        assert np.allclose(r.sum(axis=0), 1.0, atol=1e-6)
 
 
 def test_rwr_source_score_monotone_in_alpha():
@@ -137,11 +147,9 @@ def test_rwr_source_score_monotone_in_alpha():
 
 
 def test_rwr_nonconvergence_reports_residual():
-    from rwnsgcn.scoring import ConvergenceError
-
     g = path_graph(30)
     with pytest.raises(ConvergenceError, match="residual"):
-        rwr_scores(g, 0, alpha=0.99, tol=1e-14, max_iter=3)
+        rwr_scores(g, [0], alpha=0.99, tol=1e-14, max_iter=3)
 
 
 def test_pagerank_triangle_uniform_both_modes():
@@ -186,70 +194,92 @@ def test_pagerank_relabel_invariance():
 
 def test_combined_beta_extremes():
     g = path_graph(4)
-    r = rwr_scores(g, 0, 0.5)
+    r = rwr_scores(g, [0, 3], 0.5)
     p = pagerank_scores(g, 0.85)
     assert np.array_equal(combined_scores(r, p, 1.0), r)
-    assert np.array_equal(combined_scores(r, p, 0.0), p)
+    assert np.array_equal(combined_scores(r, p, 0.0), np.column_stack([p, p]))
 
 
 def test_combined_arithmetic():
-    a = np.array([0.6, 0.4])
+    a = np.array([[0.6, 0.0], [0.4, 1.0]])
     b = np.array([0.2, 0.8])
-    assert np.allclose(combined_scores(a, b, 0.5), [0.4, 0.6])
+    assert np.allclose(combined_scores(a, b, 0.5), [[0.4, 0.1], [0.6, 0.9]])
+
+
+def test_combined_block_has_the_bits_of_each_column_mix():
+    # every element goes through beta * rwr + (1 - beta) * pgr as one
+    # source's vector did, so a block changes no bit of any column
+    rng = np.random.default_rng(6)
+    g = random_graph(rng, 40, 0.1, weighted=True)
+    r = rwr_scores(g, rng.integers(0, 40, size=9), 0.85)
+    p = pagerank_scores(g, 0.85)
+    for beta in (0.0, 0.3, 0.5, 1.0):
+        block = combined_scores(r, p, beta)
+        for i in range(r.shape[1]):
+            assert_same_bytes(block[:, i].copy(), beta * r[:, i] + (1.0 - beta) * p)
 
 
 def test_combined_preserves_simplex():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 15, 0.3)
-    r = rwr_scores(g, 3, 0.85)
+    r = rwr_scores(g, [3, 7], 0.85)
     p = pagerank_scores(g, 0.85)
     for beta in (0.0, 0.25, 0.5, 0.9, 1.0):
         s = combined_scores(r, p, beta)
         assert s.min() >= 0
-        assert s.sum() == pytest.approx(1.0, abs=1e-6)
+        assert np.allclose(s.sum(axis=0), 1.0, atol=1e-6)
 
 
 def test_combined_length_mismatch():
-    a = np.zeros(3)
-    b = np.zeros(4)
     with pytest.raises(ValueError, match="length mismatch"):
-        combined_scores(a, b, 0.5)
+        combined_scores(np.zeros((3, 2)), np.zeros(4), 0.5)
+    with pytest.raises(ValueError, match="length mismatch"):
+        combined_scores(np.zeros(4), np.zeros(4), 0.5)  # one vector is not a block
 
 
 # ----------------------------------------------------------- candidate picks
 
 
+def pick_one(g, source, l_max, scores, levels, k_per_level):
+    """``select_candidates`` for a one-source block scored by ``scores``."""
+    fronts = bfs_layers(g, [source], l_max)
+    return select_candidates(fronts, scores[:, None], [source], levels, k_per_level)[source]
+
+
 def test_select_on_path_singleton_layers():
     g = path_graph(5)
-    layers = bfs_layers(g, 0, 4)
-    scores = pagerank_scores(g, 0.85)
-    cs = select_candidates(layers, scores, levels=(2, 3, 4), k_per_level=1)
+    cs = pick_one(g, 0, 4, pagerank_scores(g, 0.85), (2, 3, 4), 1)
+    assert cs.source == 0
     assert sorted(cs.nodes()) == [2, 3, 4]
     assert [layer for _, _, layer in cs.chosen] == [2, 3, 4]
 
 
 def test_select_triangle_empty():
-    layers = bfs_layers(triangle(), 0, 2)
-    scores = pagerank_scores(triangle(), 0.85)
-    cs = select_candidates(layers, scores, levels=(2,), k_per_level=1)
+    cs = pick_one(triangle(), 0, 2, pagerank_scores(triangle(), 0.85), (2,), 1)
     assert cs.chosen == []
 
 
 def test_select_tie_prefers_smaller_id():
     # star of two length-2 paths: layer 2 = {3, 4}
     g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)])
-    layers = bfs_layers(g, 0, 2)
-    scores = np.full(5, 0.3)
-    cs = select_candidates(layers, scores, levels=(2,), k_per_level=1)
+    cs = pick_one(g, 0, 2, np.full(5, 0.3), (2,), 1)
     assert cs.nodes() == [3]
 
 
 def test_select_rejects_level_one():
     g = path_graph(5)
-    layers = bfs_layers(g, 0, 4)
-    scores = pagerank_scores(g, 0.85)
+    fronts = bfs_layers(g, [0], 4)
+    scores = pagerank_scores(g, 0.85)[:, None]
     with pytest.raises(ValueError, match="reserved"):
-        select_candidates(layers, scores, levels=(1, 2), k_per_level=1)
+        select_candidates(fronts, scores, [0], levels=(1, 2), k_per_level=1)
+    with pytest.raises(ValueError, match="level 5 outside 2..l_max=4"):
+        select_candidates(fronts, scores, [0], levels=(2, 5), k_per_level=1)
+    with pytest.raises(ValueError, match="at least one layer"):
+        select_candidates(fronts, scores, [0], levels=(), k_per_level=1)
+    with pytest.raises(ValueError, match="k_per_level"):
+        select_candidates(fronts, scores, [0], levels=(2,), k_per_level=0)
+    with pytest.raises(ValueError, match="do not match"):
+        select_candidates(fronts, scores, [0, 1], levels=(2,), k_per_level=1)
 
 
 def test_select_never_returns_neighbors_or_source():
@@ -257,14 +287,15 @@ def test_select_never_returns_neighbors_or_source():
     for _ in range(20):
         n = int(rng.integers(4, 30))
         g = random_graph(rng, n, 0.2)
-        src = int(rng.integers(0, n))
-        layers = bfs_layers(g, src, 5)
-        scores = pagerank_scores(g, 0.85)
-        cs = select_candidates(layers, scores, levels=(2, 3, 4), k_per_level=2)
-        nbrs = set(g.neighbors(src).tolist())
-        for node in cs.nodes():
-            assert node != src
-            assert node not in nbrs
+        sources = np.unique(rng.integers(0, n, size=5))
+        scores = np.tile(pagerank_scores(g, 0.85)[:, None], sources.size)
+        picks = select_candidates(bfs_layers(g, sources, 5), scores, sources, (2, 3, 4), 2)
+        assert list(picks) == sources.tolist()
+        for src, cs in picks.items():
+            nbrs = set(g.neighbors(src).tolist())
+            for node in cs.nodes():
+                assert node != src
+                assert node not in nbrs
 
 
 # ------------------------------------------------------------- orchestration
@@ -287,38 +318,35 @@ def test_score_all_sources_bounds_and_determinism():
 
 
 def test_select_matches_sorted_oracle_on_tie_heavy_layers():
-    from rwnsgcn.scoring import LayeredNeighborhood
-
     rng = np.random.default_rng(29)
     for _ in range(3000):
         n = int(rng.integers(1, 25))
-        perm = rng.permutation(n)
-        cuts = np.sort(rng.integers(0, n + 1, size=3))
-        parts = np.split(perm, cuts)  # layers 1..4, some of them empty
-        layers = {l: np.sort(parts[l - 1]).astype(np.int64) for l in range(1, 5)}
-        vals = rng.choice([0.0, 0.125, 0.25, 0.5], size=n)  # few values: many ties
+        width = int(rng.integers(1, 7))
+        sources = rng.choice(1000, size=width, replace=False)  # keys only
+        fronts = [np.zeros((n, width), dtype=bool) for _ in range(4)]
+        layers = []  # per column: {layer: members}, layers 1..4, some empty
+        for i in range(width):
+            cuts = np.sort(rng.integers(0, n + 1, size=3))
+            parts = np.split(rng.permutation(n), cuts)
+            for l in range(1, 5):
+                fronts[l - 1][parts[l - 1], i] = True
+            layers.append({l: np.sort(parts[l - 1]) for l in range(1, 5)})
+        vals = rng.choice([0.0, 0.125, 0.25, 0.5], size=(n, width))  # few values: many ties
         k = int(rng.integers(1, 5))
-        cs = select_candidates(
-            LayeredNeighborhood(source=0, layers=layers),
-            vals,
-            levels=(2, 3, 4),
-            k_per_level=k,
-        )
-        expected = [
-            (int(j), float(vals[j]), l)
-            for l in (2, 3, 4)
-            for j in sorted(layers[l], key=lambda j: (-vals[j], j))[:k]
-        ]
-        assert cs.chosen == expected
-        assert all(type(j) is int and type(v) is float for j, v, _ in cs.chosen)
+        got = select_candidates(fronts, vals, sources, levels=(4, 2, 3, 2), k_per_level=k)
+        assert list(got) == sources.tolist()
+        for i, src in enumerate(sources.tolist()):
+            assert got[src].source == src
+            assert_same_chosen(got[src].chosen, oracle_pick(layers[i], vals[:, i], (2, 3, 4), k))
 
 
 # ------------------------------------------- blocks vs single-source loops
 #
 # score_all_sources scores sources in blocks (one sparse x dense product
-# per restart-walk iteration and per BFS level).  The references below are
-# the single-source loops it replaced, kept verbatim; the block code must
-# reproduce them bit for bit, so candidate sets never move.
+# per restart-walk iteration and per BFS level, one argmax per pick).  The
+# references below are the single-source loops it replaced, kept
+# verbatim; the block code must reproduce them bit for bit, so candidate
+# sets never move.
 
 
 def reference_bfs_layers(g, source, l_max):
@@ -331,7 +359,7 @@ def reference_bfs_layers(g, source, l_max):
         frontier = nbrs[~seen[nbrs]]
         seen[frontier] = True
         layers[l] = frontier
-    return LayeredNeighborhood(source=int(source), layers=layers)
+    return layers
 
 
 def reference_rwr(g, source, alpha, tol=1e-8, max_iter=1000, _pt=None):
@@ -348,16 +376,42 @@ def reference_rwr(g, source, alpha, tol=1e-8, max_iter=1000, _pt=None):
     raise ConvergenceError("rwr_scores", delta, max_iter)
 
 
-def reference_score_all_sources(g, sources, alpha, beta, l_max, levels, k_per_level):
-    pgr = pagerank_scores(g, alpha)
+def oracle_pick(layers, mixed, levels, k_per_level):
+    """One source's pick: each layer's members by score, ties to the smaller id."""
+    return [
+        (j, float(mixed[j]), l)
+        for l in sorted(set(levels))
+        for j in sorted(layers[l].tolist(), key=lambda j: (-mixed[j], j))[:k_per_level]
+    ]
+
+
+def assert_same_chosen(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # Python int and float, and the sign of a zero
+    assert all(type(j) is int and type(v) is float and type(l) is int for j, v, l in got)
+
+
+def reference_walks(g, sources, alpha, l_max):
+    """Per source (layers, restart walk) of the single-source loops."""
     pt = _transition_transpose(g)
-    out = {}
-    for src in sorted(int(s) for s in sources):
-        layers = reference_bfs_layers(g, src, l_max)
-        rwr = reference_rwr(g, src, alpha, _pt=pt)
-        mixed = combined_scores(rwr, pgr, beta)
-        out[src] = select_candidates(layers, mixed, levels=levels, k_per_level=k_per_level)
-    return out
+    return {
+        src: (reference_bfs_layers(g, src, l_max), reference_rwr(g, src, alpha, _pt=pt))
+        for src in sorted({int(s) for s in sources})
+    }
+
+
+def reference_picks(walks, pgr, beta, levels, k_per_level):
+    return {
+        src: oracle_pick(layers, beta * rwr + (1.0 - beta) * pgr, levels, k_per_level)
+        for src, (layers, rwr) in walks.items()
+    }
+
+
+def assert_matches_reference(got, want):
+    assert list(got) == list(want)
+    for src, chosen in want.items():
+        assert got[src].source == src
+        assert_same_chosen(got[src].chosen, chosen)
 
 
 def oracle_graphs():
@@ -383,23 +437,50 @@ def test_score_all_sources_matches_single_source_loops():
         beta = float(rng.uniform(0.0, 1.0))
         k = int(rng.integers(1, 4))
         got = score_all_sources(g, sources, alpha=alpha, beta=beta, l_max=5, k_per_level=k)
-        want = reference_score_all_sources(g, sources, alpha, beta, 5, (2, 3, 4), k)
-        assert list(got) == list(want)
-        for src, cs in want.items():
-            assert got[src].chosen == cs.chosen
+        walks = reference_walks(g, sources, alpha, 5)
+        want = reference_picks(walks, pagerank_scores(g, alpha), beta, (2, 3, 4), k)
+        assert_matches_reference(got, want)
+
+
+# (levels, l_max) pairs: the default, a shallower pick, a deeper L, one level
+LEVEL_GRID = [((2, 3, 4), 5), ((2, 3), 5), ((2, 3, 4, 5), 6), ((3,), 3)]
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_score_all_sources_matches_single_source_loops_on_the_benchmark_graphs(
+    bench_gen, scale, seed
+):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    clean = load_content_cites(content.decode(), cites.decode()).graph
+    clamped = twpa_perturb(clean, 0.5, seed=seed)  # clamps some weights to 0
+    assert any(w == 0.0 for _, _, w in clamped.edges())
+    rng = np.random.default_rng(seed)
+    for g, level_grid in ((clean, LEVEL_GRID), (clamped, LEVEL_GRID[:1])):
+        sources = rng.choice(g.num_nodes, size=100, replace=False)  # a full block, a partial one
+        walks = reference_walks(g, sources, 0.85, 6)
+        pgr = pagerank_scores(g, 0.85)
+        for beta in (0.0, 0.5, 1.0):
+            for k in (1, 2):
+                for levels, l_max in level_grid:
+                    got = score_all_sources(
+                        g, sources, beta=beta, l_max=l_max, levels=levels, k_per_level=k
+                    )
+                    assert_matches_reference(got, reference_picks(walks, pgr, beta, levels, k))
 
 
 def test_bfs_layers_and_rwr_match_single_source_loops():
     rng, graphs = oracle_graphs()
     for g in graphs:
-        src = int(rng.integers(0, g.num_nodes))
+        sources = rng.integers(0, g.num_nodes, size=int(rng.integers(1, 80)))
         l_max = int(rng.integers(1, 7))
-        got, want = bfs_layers(g, src, l_max), reference_bfs_layers(g, src, l_max)
-        assert list(got.layers) == list(want.layers)
-        for l, nodes in want.layers.items():
-            assert np.array_equal(got.layers[l], nodes)
+        fronts = bfs_layers(g, sources, l_max)
         alpha = float(rng.uniform(0.0, 0.95))
-        assert np.array_equal(rwr_scores(g, src, alpha), reference_rwr(g, src, alpha))
+        rwr = rwr_scores(g, sources, alpha)
+        for i, src in enumerate(sources.tolist()):
+            want = reference_bfs_layers(g, src, l_max)
+            assert layer_lists(fronts, i) == [want[l].tolist() for l in range(1, l_max + 1)]
+            assert np.array_equal(rwr[:, i], reference_rwr(g, src, alpha))
 
 
 def test_rwr_block_columns_stop_at_their_own_iterate():
@@ -408,17 +489,16 @@ def test_rwr_block_columns_stop_at_their_own_iterate():
     pt = _transition_transpose(g)
     block = np.array([30, 0, 15, 29, 7])
     for alpha in (0.0, 0.5, 0.85, 0.95):
-        cols = _rwr_block(pt, block, alpha, 1e-8, 1000)
+        cols = rwr_scores(g, block, alpha, _pt=pt)
         assert cols.shape == (31, block.size)
         for i, src in enumerate(block.tolist()):
             want = reference_rwr(g, src, alpha)
             assert np.array_equal(cols[:, i], want)
-            assert np.array_equal(rwr_scores(g, src, alpha), want)
+            assert np.array_equal(rwr_scores(g, [src], alpha)[:, 0], want)
 
 
 def test_rwr_block_nonconvergence_names_largest_running_residual():
     g = build_graph(31, [(i, i + 1, 1.0) for i in range(29)])  # 30 isolated
-    pt = _transition_transpose(g)
     residuals = []
     for src in (0, 15):
         with pytest.raises(ConvergenceError) as ref:
@@ -426,7 +506,7 @@ def test_rwr_block_nonconvergence_names_largest_running_residual():
         residuals.append(ref.value.residual)
     for block in ([0, 15], [30, 0, 15]):
         with pytest.raises(ConvergenceError, match="rwr_scores") as err:
-            _rwr_block(pt, np.array(block), 0.99, 1e-14, 3)
+            rwr_scores(g, block, 0.99, tol=1e-14, max_iter=3)
         assert err.value.residual == max(residuals)
 
 
@@ -439,14 +519,20 @@ def test_score_all_sources_rejects_out_of_range_source_before_work(monkeypatch, 
 
     monkeypatch.setattr(scoring, "_transition_transpose", no_work)
     monkeypatch.setattr(scoring, "pagerank_scores", no_work)
+    monkeypatch.setattr(scoring, "hop_matrix", no_work)
+    monkeypatch.setattr(graph_mod, "hop_matrix", no_work)
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
         score_all_sources(path_graph(6), [2, bad, 3])
     with pytest.raises(ValueError, match="l_max"):
         score_all_sources(path_graph(6), [2, 3], l_max=0)
+    with pytest.raises(ValueError, match="level 6 outside 2..l_max=5"):
+        score_all_sources(path_graph(6), [2, 3], l_max=5, levels=(2, 6))
+    with pytest.raises(ValueError, match="k_per_level must be at least 1"):
+        score_all_sources(path_graph(6), [2, 3], k_per_level=0)
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
-        bfs_layers(path_graph(6), bad, 3)
+        bfs_layers(path_graph(6), [0, bad], 3)
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
-        rwr_scores(path_graph(6), bad, 0.85, _pt=sp.csr_array((6, 6)))
+        rwr_scores(path_graph(6), [bad, 0], 0.85, _pt=sp.csr_array((6, 6)))
 
 
 def test_score_all_sources_builds_one_transition_transpose(monkeypatch):
@@ -458,6 +544,27 @@ def test_score_all_sources_builds_one_transition_transpose(monkeypatch):
     rng = np.random.default_rng(3)
     score_all_sources(random_graph(rng, 150, 0.03), range(150))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("levels, l_max", LEVEL_GRID)
+def test_score_all_sources_runs_the_bfs_to_the_deepest_level_only(monkeypatch, levels, l_max):
+    import rwnsgcn.scoring as scoring
+
+    depths, hops_built = [], []
+    real_bfs, real_hops = scoring.bfs_layers, graph_mod.hop_matrix
+
+    def bfs_spy(g, sources, depth, **kwargs):
+        fronts = real_bfs(g, sources, depth, **kwargs)
+        depths.append(len(fronts))
+        return fronts
+
+    monkeypatch.setattr(scoring, "bfs_layers", bfs_spy)
+    monkeypatch.setattr(graph_mod, "hop_matrix", lambda g: hops_built.append(g) or real_hops(g))
+    rng = np.random.default_rng(9)
+    g = random_graph(rng, 150, 0.03)
+    score_all_sources(g, range(150), l_max=l_max, levels=levels)
+    assert depths == [max(levels)] * 3  # one call per 64-source block
+    assert len(hops_built) == 1  # the hop matrix is built once per fill
 
 
 def test_pagerank_with_prebuilt_transpose_is_unchanged():
