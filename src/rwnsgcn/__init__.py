@@ -24,6 +24,7 @@ from rwnsgcn.scoring import (
     pagerank_scores,
     rwr_scores,
     score_all_sources,
+    score_picks,
     select_candidates,
 )
 from rwnsgcn.dpp import (

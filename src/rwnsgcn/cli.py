@@ -47,9 +47,7 @@ _CONFIG_FLAGS = [
     ("--lambda", "lam", float, "negative-branch balance coefficient"),
     ("--alpha", "alpha", float, "walk damping / restart factor"),
     ("--beta", "beta", float, "restart-walk vs global-rank mix"),
-    ("--l-max", "l_max", int, "maximum hop distance"),
     ("--k-per-level", "k_per_level", int, "candidates kept per layer"),
-    ("--pgr-mode", "pgr_mode", str, "converged | two-step"),
     ("--k-dpp", "k_dpp", int, "negatives sampled per source"),
     ("--sampler", "sampler", str, "exact | greedy"),
     ("--jitter", "jitter", float, "kernel diagonal jitter"),

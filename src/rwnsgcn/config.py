@@ -16,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from rwnsgcn.dpp import check_method
+from rwnsgcn.scoring import check_alpha, check_beta, check_levels
+
 __all__ = [
     "ExperimentConfig",
     "config_hash",
@@ -43,10 +46,8 @@ class ExperimentConfig:
     # scoring
     alpha: float = 0.85
     beta: float = 0.5
-    l_max: int = 5
     levels: tuple = (2, 3, 4)
     k_per_level: int = 1
-    pgr_mode: str = "converged"
     # sampling
     k_dpp: int = 3
     sampler: str = "exact"  # "exact" | "greedy"
@@ -71,6 +72,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        check_alpha(self.alpha)
+        check_beta(self.beta)
+        check_levels(self.levels, self.k_per_level)
+        check_method(self.sampler)
+        if self.sources not in ("all", "degree-range"):
+            raise ValueError(f"unknown sources mode {self.sources!r}")
+        if self.degree_lo > self.degree_hi:
+            raise ValueError(f"degree_lo={self.degree_lo} exceeds degree_hi={self.degree_hi}")
         if self.attack_kind is None and self.attack_intensity != 0.0:
             # a clean cell would otherwise hash differently by a stray intensity
             raise ValueError(f"attack_intensity is {self.attack_intensity}, but "

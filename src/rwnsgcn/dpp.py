@@ -482,7 +482,7 @@ def _draw_is_forced(n: int, k: int, method: str, jitter: float) -> bool:
     return jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2
 
 
-def _check_method(method: str) -> None:
+def check_method(method: str) -> None:
     if method not in ("exact", "greedy"):
         raise ValueError(f"unknown sampling method {method!r}")
 
@@ -507,7 +507,7 @@ def build_negative_kernels(
     candidates, k, method and jitter, so redraws reuse each kernel and its
     eigendecomposition.
     """
-    _check_method(method)
+    check_method(method)
     choosing = [
         src
         for src in sorted(candidates)
@@ -541,7 +541,7 @@ def draw_negative_samples(
     A draw that can only return every candidate returns them, ascending,
     without a kernel or a generator.
     """
-    _check_method(method)
+    check_method(method)
     out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
     exact: list[int] = []
     for src in out:

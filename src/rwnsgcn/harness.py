@@ -8,7 +8,9 @@ randomness of every phase they have in common.  CSV output is a pure
 function of the configuration, so identical configs produce
 byte-identical files; wall-clock timings go to the JSON only.
 Candidates are scored once per graph per experiment call and handed to
-each run; nothing persists between calls.
+each run; nothing persists between calls.  The clean-graph variants of
+one call (the ablation's betas, the sweep's levels) share one walk of
+the graph.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from rwnsgcn.dpp import (
 from rwnsgcn.graph import Graph, build_graph, sym_normalized_operator
 from rwnsgcn.metrics import accuracy, mad
 from rwnsgcn.model import predict, train
-from rwnsgcn.scoring import CandidateSet, score_all_sources
+from rwnsgcn.scoring import CandidateSet, score_all_sources, score_picks
 
 __all__ = [
     "RunReport",
@@ -90,30 +92,28 @@ def _graph_fingerprint(g: Graph) -> str:
 
 
 def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
-    if config.sources == "all":
-        return list(range(g.num_nodes))
     if config.sources == "degree-range":
         return [int(v) for v in degree_filtered_nodes(g, config.degree_lo, config.degree_hi)]
-    raise ValueError(f"unknown sources mode {config.sources!r}")
+    return list(range(g.num_nodes))
 
 
 def _score(
-    g: Graph, config: ExperimentConfig, timings: dict[str, float]
-) -> dict[int, CandidateSet]:
-    """Candidates of every experiment source of ``g``, timed as "scoring"."""
+    g: Graph, configs: Sequence[ExperimentConfig], timings: dict[str, float]
+) -> list[dict[int, CandidateSet]]:
+    """Candidates of every experiment source of ``g``, one map per config,
+    timed as "scoring".  The configs differ at most in beta and levels."""
+    config = configs[0]
     t0 = time.perf_counter()
-    candidates = score_all_sources(
-        g,
-        _experiment_sources(g, config),
-        alpha=config.alpha,
-        beta=config.beta,
-        l_max=config.l_max,
-        levels=config.levels,
-        k_per_level=config.k_per_level,
-        pgr_mode=config.pgr_mode,
-    )
+    common = dict(alpha=config.alpha, k_per_level=config.k_per_level)
+    sources = _experiment_sources(g, config)
+    # perfbench/spans.py times and records the baseline and attack fills as
+    # score_all_sources calls, one candidate map each
+    if len(configs) == 1:
+        fills = [score_all_sources(g, sources, beta=config.beta, levels=config.levels, **common)]
+    else:
+        fills = score_picks(g, sources, [(c.beta, c.levels) for c in configs], **common)
     timings["scoring"] = timings.get("scoring", 0.0) + time.perf_counter() - t0
-    return candidates
+    return fills
 
 
 def _run_once(
@@ -126,7 +126,7 @@ def _run_once(
 ) -> dict:
     """One full pipeline execution. Returns the per-run report row.
 
-    ``candidates`` are ``_score(ds.graph, config, ...)``, scored once by the
+    ``candidates`` are ``config``'s map from ``_score``, scored once by the
     caller for all runs on that graph; None when ``config.lam`` is 0.
     """
     seed = config.base_seed + run_index
@@ -231,6 +231,44 @@ def _aggregate(rows: list[dict], metrics: Iterable[str] = _METRIC_COLUMNS) -> di
     return out
 
 
+def _run_clean(
+    ds: Dataset,
+    variants: Sequence[tuple[str, ExperimentConfig]],
+    dump_dir: Path | None = None,
+) -> list[RunReport]:
+    """One report per (label, config) variant, all on the clean graph.
+
+    The configs differ at most in beta and levels, so the graph is scored
+    once for all of them and each report's "scoring" time is that fill.
+    """
+    configs = [cfg for _, cfg in variants]
+    config = configs[0]
+    if config.attack_kind is not None:
+        # the runs train on ds.graph, so the report would carry the attacked
+        # cell's config_hash for a clean-graph result
+        raise ValueError(f"attack_kind is {config.attack_kind!r}, but a baseline "
+                         "trains on the clean graph; unset it or run the attack comparison")
+    shared: dict[str, float] = {}
+    fills = _score(ds.graph, configs, shared) if config.lam != 0.0 else [None] * len(configs)
+    reports = []
+    for (label, cfg), candidates in zip(variants, fills):
+        timings = dict(shared)
+        rows = []
+        for r in range(cfg.runs):
+            rows.append(_run_once(ds, cfg, r, timings, candidates, dump_dir=dump_dir))
+            log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
+        reports.append(RunReport(
+            label=label,
+            config_hash=config_hash(cfg),
+            config=cfg.to_dict(),
+            columns=list(_BASE_COLUMNS),
+            rows=rows,
+            aggregates=_aggregate(rows),
+            timings=timings,
+        ))
+    return reports
+
+
 def run_baseline(
     ds: Dataset,
     config: ExperimentConfig,
@@ -238,27 +276,8 @@ def run_baseline(
     dump_negatives_dir: str | Path | None = None,
 ) -> RunReport:
     """Full pipeline for ``config.runs`` seeded runs, with aggregates."""
-    if config.attack_kind is not None:
-        # the runs train on ds.graph, so the report would carry the attacked
-        # cell's config_hash for a clean-graph result
-        raise ValueError(f"attack_kind is {config.attack_kind!r}, but a baseline "
-                         "trains on the clean graph; unset it or run the attack comparison")
-    timings: dict[str, float] = {}
     dump = Path(dump_negatives_dir) if dump_negatives_dir else None
-    candidates = _score(ds.graph, config, timings) if config.lam != 0.0 else None
-    rows = []
-    for r in range(config.runs):
-        rows.append(_run_once(ds, config, r, timings, candidates, dump_dir=dump))
-        log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
-    return RunReport(
-        label=label,
-        config_hash=config_hash(config),
-        config=config.to_dict(),
-        columns=list(_BASE_COLUMNS),
-        rows=rows,
-        aggregates=_aggregate(rows),
-        timings=timings,
-    )
+    return _run_clean(ds, [(label, config)], dump_dir=dump)[0]
 
 
 def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
@@ -268,10 +287,7 @@ def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
         ("ablate/rwr-only", 1.0),
         ("ablate/pgr-only", 0.0),
     ]
-    return [
-        run_baseline(ds, config.with_overrides(beta=beta), label=label)
-        for label, beta in variants
-    ]
+    return _run_clean(ds, [(label, config.with_overrides(beta=b)) for label, b in variants])
 
 
 def run_l_sweep(
@@ -282,17 +298,14 @@ def run_l_sweep(
     Candidate levels follow the distance: levels = 2..L-1 (layer 1 is
     reserved for positives, so L must be at least 3).
     """
+    if not l_values:
+        raise ValueError("no L values to sweep")
     for l in l_values:  # all of them before the first run
         if l < 3:
-            raise ValueError(
-                f"l_max={l} leaves no candidate levels (levels are 2..L-1)"
-            )
-    return [
-        run_baseline(
-            ds, config.with_overrides(l_max=l, levels=tuple(range(2, l))), label=f"sweep-l/L={l}"
-        )
-        for l in l_values
-    ]
+            raise ValueError(f"L={l} leaves no candidate levels (levels are 2..L-1)")
+    return _run_clean(ds, [
+        (f"sweep-l/L={l}", config.with_overrides(levels=tuple(range(2, l)))) for l in l_values
+    ])
 
 
 def run_attack_comparison(
@@ -322,7 +335,7 @@ def run_attack_comparison(
     def candidates_of(g: Graph, timings: dict[str, float]):
         key = _graph_fingerprint(g)
         if config.lam != 0.0 and key not in scored:
-            scored[key] = _score(g, config, timings)
+            scored[key] = _score(g, [config], timings)[0]
         return scored.get(key)
 
     clean = candidates_of(ds.graph, clean_timings)

@@ -6,7 +6,10 @@ PageRank score, their convex combination, and a per-layer top-k pick of
 candidate negatives.  Direct neighbors (layer 1) are never candidates.
 Each step takes a block of sources and works on ``n x B`` arrays, one
 column per source; ``select_candidates`` turns a block into one
-``CandidateSet`` per source.
+``CandidateSet`` per source.  The BFS, the restart walks and PageRank
+depend only on the graph and alpha; a pick, a (beta, levels) pair,
+enters only the mix and the per-layer selection, so ``score_picks``
+walks each block once for any number of picks.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "pagerank_scores",
     "combined_scores",
     "select_candidates",
+    "score_picks",
     "score_all_sources",
 ]
 
@@ -61,41 +65,48 @@ def _check_sources(g: Graph, sources: np.ndarray) -> None:
             raise ValueError(f"source {src} out of range")
 
 
-def _check_levels(levels: Sequence[int], l_max: int, k_per_level: int) -> list[int]:
-    """The requested layers, sorted and de-duplicated, checked against ``l_max``."""
+def check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must be in [0, 1)")
+
+
+def check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError("beta must be in [0, 1]")
+
+
+def check_levels(levels: Sequence[int], k_per_level: int) -> list[int]:
+    """The requested layers, sorted and de-duplicated, after checking them and k."""
     levels = sorted({int(l) for l in levels})
     if not levels:
         raise ValueError("levels must name at least one layer")
-    for l in (levels[0], levels[-1]):
-        if l < 2 or l > l_max:
-            raise ValueError(
-                f"level {l} outside 2..l_max={l_max} (layer 1 is reserved for positives)"
-            )
+    if levels[0] < 2:
+        raise ValueError(f"level {levels[0]} is below 2 (layer 1 is reserved for positives)")
     if k_per_level < 1:
         raise ValueError("k_per_level must be at least 1")
     return levels
 
 
 def bfs_layers(
-    g: Graph, sources, l_max: int, _hops: sp.csr_array | None = None
+    g: Graph, sources, depth: int, _hops: sp.csr_array | None = None
 ) -> list[np.ndarray]:
     """BFS frontiers of every source in ``sources`` as level products.
 
-    Entry ``l - 1`` (1 <= l <= l_max) is an ``n x len(sources)`` bool array
+    Entry ``l - 1`` (1 <= l <= depth) is an ``n x len(sources)`` bool array
     whose column i marks the nodes at hop distance exactly l from
     ``sources[i]``.  Hops ignore edge weights: a zero-weight edge still
     links its endpoints.  ``_hops`` is a prebuilt ``hop_matrix(g)``.
     """
     sources = np.asarray(sources, dtype=np.int64)
     _check_sources(g, sources)
-    if l_max < 1:
-        raise ValueError("l_max must be at least 1")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     hops = hop_matrix(g) if _hops is None else _hops
     front = np.zeros((g.num_nodes, sources.size), dtype=bool)
     front[sources, np.arange(sources.size)] = True
     seen = front.copy()
     fronts = []
-    for _ in range(l_max):
+    for _ in range(depth):
         front = (hops @ front) > 0
         front &= ~seen
         seen |= front
@@ -123,8 +134,7 @@ def rwr_scores(
     below ``tol``; converged columns leave the working block.  ``_pt`` is
     a prebuilt P^T.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
+    check_alpha(alpha)
     sources = np.asarray(sources, dtype=np.int64)
     _check_sources(g, sources)
     pt = _transition_transpose(g) if _pt is None else _pt
@@ -160,36 +170,25 @@ def rwr_scores(
 def pagerank_scores(
     g: Graph,
     alpha: float,
-    mode: str = "converged",
     tol: float = 1e-8,
     max_iter: int = 1000,
     _pt: sp.csr_array | None = None,
 ) -> np.ndarray:
     """Global damped-walk importance with uniform teleport.
 
-    ``converged`` iterates r <- alpha P^T r + (1-alpha)/N to its fixed
-    point; ``two-step`` returns the second iterate starting from the
-    uniform vector.  Mass sitting on dangling (zero-degree) nodes is
+    Iterates r <- alpha P^T r + (1-alpha)/N from the uniform vector to its
+    fixed point.  Mass sitting on dangling (zero-degree) nodes is
     redistributed uniformly at every step.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must be in [0, 1)")
-    if mode not in ("converged", "two-step"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_alpha(alpha)
     n = g.num_nodes
     pt = _transition_transpose(g) if _pt is None else _pt
     dangling = g.degrees == 0
     e = np.full(n, 1.0 / n)
-
-    def step(r: np.ndarray) -> np.ndarray:
-        loose = float(r[dangling].sum()) if dangling.any() else 0.0
-        return alpha * (pt @ r + loose / n) + (1.0 - alpha) * e
-
     r = e.copy()
-    if mode == "two-step":
-        return step(step(r))
     for _ in range(max_iter):
-        r_next = step(r)
+        loose = float(r[dangling].sum()) if dangling.any() else 0.0
+        r_next = alpha * (pt @ r + loose / n) + (1.0 - alpha) * e
         delta = float(np.max(np.abs(r_next - r)))
         r = r_next
         if delta < tol:
@@ -200,8 +199,7 @@ def pagerank_scores(
 def combined_scores(rwr: np.ndarray, pgr: np.ndarray, beta: float) -> np.ndarray:
     """Convex mix beta * rwr + (1-beta) * pgr, with ``pgr`` broadcast over
     the columns of the ``n x B`` block ``rwr``."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
+    check_beta(beta)
     if rwr.ndim != 2 or rwr.shape[0] != pgr.shape[0]:
         raise ValueError(f"length mismatch: rwr {rwr.shape} needs {pgr.shape[0]} rows")
     return beta * rwr + (1.0 - beta) * pgr[:, None]
@@ -222,7 +220,9 @@ def select_candidates(
     must lie in 2..len(fronts).  Within a layer the highest score comes
     first, ties to the smaller id; empty layers contribute nothing.
     """
-    levels = _check_levels(levels, len(fronts), k_per_level)
+    levels = check_levels(levels, k_per_level)
+    if levels[-1] > len(fronts):
+        raise ValueError(f"level {levels[-1]} is deeper than the {len(fronts)} BFS layers")
     sources = np.asarray(sources, dtype=np.int64)
     if scores.shape != fronts[0].shape or scores.shape[1:] != sources.shape:
         raise ValueError(f"scores {scores.shape} do not match the block of "
@@ -243,36 +243,54 @@ def select_candidates(
     return {src: CandidateSet(src, c) for src, c in zip(sources.tolist(), chosen)}
 
 
+def score_picks(
+    g: Graph,
+    sources: Iterable[int],
+    picks: Sequence[tuple[float, Sequence[int]]],
+    alpha: float = 0.85,
+    k_per_level: int = 1,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+) -> list[dict[int, CandidateSet]]:
+    """Candidate sets for many sources under each (beta, levels) pick.
+
+    Returns one ``{source: CandidateSet}`` map per pick, in order.  Every
+    pick is checked before any work.  PageRank and P^T are built once;
+    sources are de-duplicated and walked in the blocks of ``hop_blocks``,
+    each with one BFS, to the deepest level of any pick, and one restart
+    walk, which every pick then mixes and selects from.  Sources with no
+    eligible candidates map to empty sets.
+    """
+    source_arr = np.unique(np.fromiter(sources, dtype=np.int64))
+    _check_sources(g, source_arr)
+    check_alpha(alpha)
+    picks = [(beta, check_levels(levels, k_per_level)) for beta, levels in picks]
+    for beta, _ in picks:
+        check_beta(beta)
+    outs: list[dict[int, CandidateSet]] = [{} for _ in picks]
+    if not source_arr.size or not picks:
+        return outs
+    depth = max(levels[-1] for _, levels in picks)
+    pt = _transition_transpose(g)
+    pgr = pagerank_scores(g, alpha, tol=tol, max_iter=max_iter, _pt=pt)
+    for hops, block in hop_blocks(g, source_arr):
+        fronts = bfs_layers(g, block, depth, _hops=hops)
+        rwr = rwr_scores(g, block, alpha, tol, max_iter, _pt=pt)
+        for (beta, levels), out in zip(picks, outs):
+            mixed = combined_scores(rwr, pgr, beta)
+            out.update(select_candidates(fronts, mixed, block, levels, k_per_level))
+    return outs
+
+
 def score_all_sources(
     g: Graph,
     sources: Iterable[int],
     alpha: float = 0.85,
     beta: float = 0.5,
-    l_max: int = 5,
     levels: Sequence[int] = (2, 3, 4),
     k_per_level: int = 1,
-    pgr_mode: str = "converged",
     tol: float = 1e-8,
     max_iter: int = 1000,
 ) -> dict[int, CandidateSet]:
-    """Candidate sets for many sources; the PageRank vector is shared.
-
-    Sources are de-duplicated and scored in the blocks of ``hop_blocks``:
-    one restart-walk iteration and one BFS level are a sparse x dense
-    product for the whole block, and the BFS stops at the deepest
-    requested level.  Sources with no eligible candidates map to empty
-    sets.
-    """
-    source_arr = np.unique(np.fromiter(sources, dtype=np.int64))
-    _check_sources(g, source_arr)
-    levels = _check_levels(levels, l_max, k_per_level)
-    if not source_arr.size:
-        return {}
-    out: dict[int, CandidateSet] = {}
-    pt = _transition_transpose(g)
-    pgr = pagerank_scores(g, alpha, mode=pgr_mode, tol=tol, max_iter=max_iter, _pt=pt)
-    for hops, block in hop_blocks(g, source_arr):
-        fronts = bfs_layers(g, block, levels[-1], _hops=hops)
-        mixed = combined_scores(rwr_scores(g, block, alpha, tol, max_iter, _pt=pt), pgr, beta)
-        out.update(select_candidates(fronts, mixed, block, levels, k_per_level))
-    return out
+    """Candidate sets for many sources under the one pick (beta, levels)."""
+    return score_picks(g, sources, [(beta, levels)], alpha, k_per_level, tol, max_iter)[0]

@@ -59,9 +59,9 @@ def test_bfs_layers_match_floyd_warshall_200_graphs():
         n = int(rng.integers(2, 51))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.3)))
         dists = floyd_warshall(g)
-        l_max = int(rng.integers(1, 8))
-        fronts = bfs_layers(g, np.arange(n), l_max)  # every node, one block
-        assert len(fronts) == l_max
+        depth = int(rng.integers(1, 8))
+        fronts = bfs_layers(g, np.arange(n), depth)  # every node, one block
+        assert len(fronts) == depth
         for l, front in enumerate(fronts, 1):
             assert np.array_equal(front.T, dists == l)
         checked += 1

@@ -105,6 +105,40 @@ def test_config_rejects_an_attack_intensity_without_a_kind(intensity):
     assert fast_config(attack_kind="twpa", attack_intensity=intensity).attack_intensity == intensity
 
 
+# (overrides, message): the scoring and sampler messages, raised when the
+# config is built.  Without these checks an unknown sampler failed only
+# after the candidate fill, beta 1.5 after PageRank and the first block's
+# walks, and with lam = 0 a bad beta or level trained to the end and was
+# hashed into the report
+UNUSABLE = {
+    "sampler": ({"sampler": "foo"}, "^unknown sampling method 'foo'$"),
+    "sources": ({"sources": "foo"}, "^unknown sources mode 'foo'$"),
+    "no-levels": ({"levels": ()}, "^levels must name at least one layer$"),
+    "level-0": ({"levels": (0,)}, r"^level 0 is below 2 \(layer 1 is reserved for positives"),
+    "level-1": ({"levels": (3, 1)}, "^level 1 is below 2"),
+    "beta-above": ({"beta": 1.5}, r"^beta must be in \[0, 1\]$"),
+    "beta-below": ({"beta": -0.1}, r"^beta must be in \[0, 1\]$"),
+    "alpha-one": ({"alpha": 1.0}, r"^alpha must be in \[0, 1\)$"),
+    "alpha-below": ({"alpha": -0.1}, r"^alpha must be in \[0, 1\)$"),
+    "degree-range": ({"degree_lo": 7, "degree_hi": 6}, "^degree_lo=7 exceeds degree_hi=6$"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE)
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_config_rejects_unusable_scoring_and_sampling_fields(case, lam, monkeypatch):
+    for work in ("score_all_sources", "score_picks", "train"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    overrides, message = UNUSABLE[case]
+    ds = planted_dataset(seed=7)
+    with pytest.raises(ValueError, match=message):
+        run_baseline(ds, fast_config(lam=lam, **overrides))
+    with pytest.raises(ValueError, match=message):
+        run_ablation(ds, fast_config(lam=lam).with_overrides(**overrides))
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict({**fast_config(lam=lam).to_dict(), **overrides})
+
+
 def test_load_dataset_rejects_another_format():
     # a config saved when JSON bundles were a second format
     cfg = ExperimentConfig(dataset_path="cache/cora.json", dataset_format="bundle")
@@ -163,7 +197,8 @@ def test_identical_configs_give_identical_rows():
 def test_baseline_rejects_an_attack_config(monkeypatch):
     # a baseline trains on the clean graph; with an attack in its config it
     # would report the attacked cell's config_hash
-    monkeypatch.setattr(harness, "score_all_sources", _unreachable)
+    for work in ("score_all_sources", "score_picks"):
+        monkeypatch.setattr(harness, work, _unreachable)
     ds = planted_dataset(seed=7)
     cfg = fast_config(attack_kind="ctbca", attack_intensity=0.1)
     message = "^attack_kind is 'ctbca', but a baseline trains on the clean graph"
@@ -226,6 +261,59 @@ def test_attack_reports_time_only_their_own_cell(monkeypatch):
     assert "betweenness" not in twpa.timings
 
 
+def test_clean_variants_report_the_shared_scoring_time_once(monkeypatch):
+    monkeypatch.setattr(harness, "time", _TickClock())
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=4)
+    reports = run_ablation(ds, cfg) + run_l_sweep(ds, cfg, l_values=(4, 5))
+    assert len(reports) == 5
+    for rep in reports:
+        # every timed block lasts one tick: each call scores the graph once,
+        # and each report adds only its own two runs
+        assert rep.timings["scoring"] == 1.0
+        assert rep.timings["sampling"] == 2.0
+        assert rep.timings["training"] == 2.0
+
+
+def test_clean_variants_without_negatives_score_nothing(monkeypatch):
+    for work in ("score_all_sources", "score_picks"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=1, epochs=4, lam=0.0)
+    reports = run_ablation(ds, cfg) + run_l_sweep(ds, cfg, l_values=(4, 5))
+    assert len(reports) == 5
+    assert all("scoring" not in rep.timings for rep in reports)
+
+
+def test_ablation_and_sweep_walk_each_block_once(bench_gen, monkeypatch):
+    import rwnsgcn.scoring as scoring
+
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["cora"], 501)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cfg = ExperimentConfig(dataset_path="(generated)", runs=1, epochs=3, num_val=200,
+                           num_test=300, base_seed=501)
+    walked = []
+    for name in ("bfs_layers", "rwr_scores"):
+        real = getattr(scoring, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            walked.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, name, spy)
+    blocks = -(-ds.num_nodes // 64)  # every node is a source, 64 to a block
+    ablation = run_ablation(ds, cfg)
+    assert sorted(walked) == ["bfs_layers"] * blocks + ["rwr_scores"] * blocks
+    walked.clear()
+    sweep = run_l_sweep(ds, cfg, l_values=(5, 6))
+    assert sorted(walked) == ["bfs_layers"] * blocks + ["rwr_scores"] * blocks
+    monkeypatch.undo()
+    # each variant's rows are those of a baseline scored on its own
+    for rep in ablation + sweep:
+        alone = run_baseline(ds, ExperimentConfig.from_dict(rep.config), label=rep.label)
+        assert (rep.config_hash, rep.rows) == (alone.config_hash, alone.rows)
+
+
 def test_ablation_variants_share_per_run_seeds():
     ds = planted_dataset(seed=7)
     reports = run_ablation(ds, fast_config(runs=1, epochs=8))
@@ -244,9 +332,8 @@ def test_ablation_variants_share_per_run_seeds():
 def test_l_sweep_levels_follow_distance():
     ds = planted_dataset(seed=7)
     reports = run_l_sweep(ds, fast_config(runs=1, epochs=8), l_values=(5, 6))
-    assert reports[0].config["l_max"] == 5
+    assert [r.label for r in reports] == ["sweep-l/L=5", "sweep-l/L=6"]
     assert reports[0].config["levels"] == [2, 3, 4]
-    assert reports[1].config["l_max"] == 6
     assert reports[1].config["levels"] == [2, 3, 4, 5]
 
 
@@ -272,9 +359,9 @@ def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, g
 
 
 def test_l_sweep_checks_every_distance_before_the_first_run(monkeypatch):
-    for work in ("run_baseline", "score_all_sources", "train"):
+    for work in ("run_baseline", "score_all_sources", "score_picks", "train"):
         monkeypatch.setattr(harness, work, _unreachable)
-    with pytest.raises(ValueError, match="l_max=2 leaves no candidate levels"):
+    with pytest.raises(ValueError, match="^L=2 leaves no candidate levels"):
         run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=(5, 2))
 
 
@@ -601,6 +688,33 @@ def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_prefix):
     assert res.stderr.strip().splitlines()[-1] == (
         '{"error": "ValueError: unknown config fields: [\'cache_dir\']"}'
     )
+
+
+@pytest.mark.parametrize("field, value", [("l_max", 5), ("pgr_mode", "converged")])
+def test_cli_rejects_removed_scoring_fields(tmp_path, toy_prefix, field, value):
+    # a config saved before these fields were removed fails by name; its
+    # value is not dropped silently
+    cfg_file = tmp_path / "old.json"
+    raw = ExperimentConfig(dataset_path=str(toy_prefix), runs=1).to_dict()
+    cfg_file.write_text(json.dumps({**raw, field: value}))
+    res = run_cli("baseline", "--config", str(cfg_file), "--out", str(tmp_path / "res"))
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines() == [
+        f'{{"error": "ValueError: unknown config fields: [\'{field}\']"}}'
+    ]
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_rejects_an_unknown_sampler_in_one_line(tmp_path, toy_prefix):
+    res = run_cli(
+        "ablate", "--dataset-path", str(toy_prefix), "--sampler", "foo",
+        "--out", str(tmp_path / "results"),
+    )
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines() == [
+        '{"error": "ValueError: unknown sampling method \'foo\'"}'
+    ]
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_baseline_rejects_zero_layers(tmp_path, toy_prefix):

@@ -19,6 +19,7 @@ from rwnsgcn.scoring import (
     pagerank_scores,
     rwr_scores,
     score_all_sources,
+    score_picks,
     select_candidates,
 )
 
@@ -75,9 +76,9 @@ def test_layers_match_floyd_warshall():
         g = random_graph(rng, n, 0.12)
         dists = floyd_warshall(g)
         sources = rng.integers(0, n, size=int(rng.integers(1, 9)))  # repeats allowed
-        l_max = int(rng.integers(1, 7))
-        fronts = bfs_layers(g, sources, l_max)
-        assert len(fronts) == l_max
+        depth = int(rng.integers(1, 7))
+        fronts = bfs_layers(g, sources, depth)
+        assert len(fronts) == depth
         for l, front in enumerate(fronts, 1):
             assert np.array_equal(front.T, dists[sources] == l)
 
@@ -152,10 +153,9 @@ def test_rwr_nonconvergence_reports_residual():
         rwr_scores(g, [0], alpha=0.99, tol=1e-14, max_iter=3)
 
 
-def test_pagerank_triangle_uniform_both_modes():
-    for mode in ("converged", "two-step"):
-        r = pagerank_scores(triangle(), alpha=0.85, mode=mode)
-        assert np.allclose(r, 1 / 3, atol=1e-9)
+def test_pagerank_triangle_uniform():
+    r = pagerank_scores(triangle(), alpha=0.85)
+    assert np.allclose(r, 1 / 3, atol=1e-9)
 
 
 def test_pagerank_single_edge_half():
@@ -240,9 +240,9 @@ def test_combined_length_mismatch():
 # ----------------------------------------------------------- candidate picks
 
 
-def pick_one(g, source, l_max, scores, levels, k_per_level):
+def pick_one(g, source, depth, scores, levels, k_per_level):
     """``select_candidates`` for a one-source block scored by ``scores``."""
-    fronts = bfs_layers(g, [source], l_max)
+    fronts = bfs_layers(g, [source], depth)
     return select_candidates(fronts, scores[:, None], [source], levels, k_per_level)[source]
 
 
@@ -272,7 +272,7 @@ def test_select_rejects_level_one():
     scores = pagerank_scores(g, 0.85)[:, None]
     with pytest.raises(ValueError, match="reserved"):
         select_candidates(fronts, scores, [0], levels=(1, 2), k_per_level=1)
-    with pytest.raises(ValueError, match="level 5 outside 2..l_max=4"):
+    with pytest.raises(ValueError, match="level 5 is deeper than the 4 BFS layers"):
         select_candidates(fronts, scores, [0], levels=(2, 5), k_per_level=1)
     with pytest.raises(ValueError, match="at least one layer"):
         select_candidates(fronts, scores, [0], levels=(), k_per_level=1)
@@ -309,8 +309,8 @@ def test_score_all_sources_empty():
 def test_score_all_sources_bounds_and_determinism():
     rng = np.random.default_rng(23)
     g = random_graph(rng, 40, 0.1)
-    out1 = score_all_sources(g, range(40), alpha=0.85, beta=0.5, l_max=5)
-    out2 = score_all_sources(g, range(40), alpha=0.85, beta=0.5, l_max=5)
+    out1 = score_all_sources(g, range(40), alpha=0.85, beta=0.5)
+    out2 = score_all_sources(g, range(40), alpha=0.85, beta=0.5)
     assert set(out1) == set(range(40))
     for src, cs in out1.items():
         assert len(cs) <= 3  # k_per_level * |levels|
@@ -349,12 +349,12 @@ def test_select_matches_sorted_oracle_on_tie_heavy_layers():
 # sets never move.
 
 
-def reference_bfs_layers(g, source, l_max):
+def reference_bfs_layers(g, source, depth):
     seen = np.zeros(g.num_nodes, dtype=bool)
     seen[source] = True
     frontier = np.array([source], dtype=np.int64)
     layers = {}
-    for l in range(1, l_max + 1):
+    for l in range(1, depth + 1):
         nbrs = np.unique(g.indices[g.neighbor_positions(frontier)])
         frontier = nbrs[~seen[nbrs]]
         seen[frontier] = True
@@ -391,11 +391,11 @@ def assert_same_chosen(got, want):
     assert all(type(j) is int and type(v) is float and type(l) is int for j, v, l in got)
 
 
-def reference_walks(g, sources, alpha, l_max):
+def reference_walks(g, sources, alpha, depth):
     """Per source (layers, restart walk) of the single-source loops."""
     pt = _transition_transpose(g)
     return {
-        src: (reference_bfs_layers(g, src, l_max), reference_rwr(g, src, alpha, _pt=pt))
+        src: (reference_bfs_layers(g, src, depth), reference_rwr(g, src, alpha, _pt=pt))
         for src in sorted({int(s) for s in sources})
     }
 
@@ -436,14 +436,14 @@ def test_score_all_sources_matches_single_source_loops():
         alpha = float(rng.uniform(0.0, 0.95))
         beta = float(rng.uniform(0.0, 1.0))
         k = int(rng.integers(1, 4))
-        got = score_all_sources(g, sources, alpha=alpha, beta=beta, l_max=5, k_per_level=k)
+        got = score_all_sources(g, sources, alpha=alpha, beta=beta, k_per_level=k)
         walks = reference_walks(g, sources, alpha, 5)
         want = reference_picks(walks, pagerank_scores(g, alpha), beta, (2, 3, 4), k)
         assert_matches_reference(got, want)
 
 
-# (levels, l_max) pairs: the default, a shallower pick, a deeper L, one level
-LEVEL_GRID = [((2, 3, 4), 5), ((2, 3), 5), ((2, 3, 4, 5), 6), ((3,), 3)]
+# the default levels, a shallower pick, a deeper one, one level
+LEVEL_GRID = [(2, 3, 4), (2, 3), (2, 3, 4, 5), (3,)]
 
 
 @pytest.mark.parametrize("seed", [501, 601])
@@ -458,28 +458,31 @@ def test_score_all_sources_matches_single_source_loops_on_the_benchmark_graphs(
     rng = np.random.default_rng(seed)
     for g, level_grid in ((clean, LEVEL_GRID), (clamped, LEVEL_GRID[:1])):
         sources = rng.choice(g.num_nodes, size=100, replace=False)  # a full block, a partial one
-        walks = reference_walks(g, sources, 0.85, 6)
+        walks = reference_walks(g, sources, 0.85, 5)
         pgr = pagerank_scores(g, 0.85)
-        for beta in (0.0, 0.5, 1.0):
-            for k in (1, 2):
-                for levels, l_max in level_grid:
-                    got = score_all_sources(
-                        g, sources, beta=beta, l_max=l_max, levels=levels, k_per_level=k
-                    )
-                    assert_matches_reference(got, reference_picks(walks, pgr, beta, levels, k))
+        picks = [(beta, levels) for beta in (0.0, 0.5, 1.0) for levels in level_grid]
+        for k in (1, 2):
+            # one walk of the graph for all of its picks, then one fill per pick
+            shared = score_picks(g, sources, picks, k_per_level=k)
+            assert len(shared) == len(picks)
+            for (beta, levels), got in zip(picks, shared):
+                want = reference_picks(walks, pgr, beta, levels, k)
+                assert_matches_reference(got, want)
+                got = score_all_sources(g, sources, beta=beta, levels=levels, k_per_level=k)
+                assert_matches_reference(got, want)
 
 
 def test_bfs_layers_and_rwr_match_single_source_loops():
     rng, graphs = oracle_graphs()
     for g in graphs:
         sources = rng.integers(0, g.num_nodes, size=int(rng.integers(1, 80)))
-        l_max = int(rng.integers(1, 7))
-        fronts = bfs_layers(g, sources, l_max)
+        depth = int(rng.integers(1, 7))
+        fronts = bfs_layers(g, sources, depth)
         alpha = float(rng.uniform(0.0, 0.95))
         rwr = rwr_scores(g, sources, alpha)
         for i, src in enumerate(sources.tolist()):
-            want = reference_bfs_layers(g, src, l_max)
-            assert layer_lists(fronts, i) == [want[l].tolist() for l in range(1, l_max + 1)]
+            want = reference_bfs_layers(g, src, depth)
+            assert layer_lists(fronts, i) == [want[l].tolist() for l in range(1, depth + 1)]
             assert np.array_equal(rwr[:, i], reference_rwr(g, src, alpha))
 
 
@@ -523,12 +526,20 @@ def test_score_all_sources_rejects_out_of_range_source_before_work(monkeypatch, 
     monkeypatch.setattr(graph_mod, "hop_matrix", no_work)
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
         score_all_sources(path_graph(6), [2, bad, 3])
-    with pytest.raises(ValueError, match="l_max"):
-        score_all_sources(path_graph(6), [2, 3], l_max=0)
-    with pytest.raises(ValueError, match="level 6 outside 2..l_max=5"):
-        score_all_sources(path_graph(6), [2, 3], l_max=5, levels=(2, 6))
+    with pytest.raises(ValueError, match="level 1 is below 2"):
+        score_all_sources(path_graph(6), [2, 3], levels=(1, 2))
     with pytest.raises(ValueError, match="k_per_level must be at least 1"):
         score_all_sources(path_graph(6), [2, 3], k_per_level=0)
+    with pytest.raises(ValueError, match="alpha must be in"):
+        score_all_sources(path_graph(6), [2, 3], alpha=1.0)
+    with pytest.raises(ValueError, match="beta must be in"):
+        score_all_sources(path_graph(6), [2, 3], beta=1.5)
+    # the last pick is checked before the first one is walked
+    for bad_pick, message in (((0.5, ()), "at least one layer"), ((-0.1, (2,)), "beta")):
+        with pytest.raises(ValueError, match=message):
+            score_picks(path_graph(6), [2, 3], [(0.5, (2, 3)), (1.0, (4,)), bad_pick])
+    with pytest.raises(ValueError, match=f"source {bad} out of range"):
+        score_picks(path_graph(6), [bad], [(0.5, (2,))])
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
         bfs_layers(path_graph(6), [0, bad], 3)
     with pytest.raises(ValueError, match=f"source {bad} out of range"):
@@ -546,8 +557,8 @@ def test_score_all_sources_builds_one_transition_transpose(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("levels, l_max", LEVEL_GRID)
-def test_score_all_sources_runs_the_bfs_to_the_deepest_level_only(monkeypatch, levels, l_max):
+@pytest.mark.parametrize("levels", LEVEL_GRID)
+def test_score_all_sources_runs_the_bfs_to_the_deepest_level_only(monkeypatch, levels):
     import rwnsgcn.scoring as scoring
 
     depths, hops_built = [], []
@@ -562,19 +573,59 @@ def test_score_all_sources_runs_the_bfs_to_the_deepest_level_only(monkeypatch, l
     monkeypatch.setattr(graph_mod, "hop_matrix", lambda g: hops_built.append(g) or real_hops(g))
     rng = np.random.default_rng(9)
     g = random_graph(rng, 150, 0.03)
-    score_all_sources(g, range(150), l_max=l_max, levels=levels)
+    score_all_sources(g, range(150), levels=levels)
     assert depths == [max(levels)] * 3  # one call per 64-source block
     assert len(hops_built) == 1  # the hop matrix is built once per fill
+
+
+def test_score_picks_walks_each_block_once_for_every_pick(monkeypatch):
+    import rwnsgcn.scoring as scoring
+
+    depths, walks, transposes = [], [], []
+    real_bfs, real_rwr, real_pt = (
+        scoring.bfs_layers, scoring.rwr_scores, scoring._transition_transpose
+    )
+
+    def bfs_spy(g, sources, depth, **kwargs):
+        depths.append(depth)
+        return real_bfs(g, sources, depth, **kwargs)
+
+    def rwr_spy(*args, **kwargs):
+        walks.append(args[1])
+        return real_rwr(*args, **kwargs)
+
+    monkeypatch.setattr(scoring, "bfs_layers", bfs_spy)
+    monkeypatch.setattr(scoring, "rwr_scores", rwr_spy)
+    monkeypatch.setattr(
+        scoring, "_transition_transpose", lambda g: transposes.append(g) or real_pt(g)
+    )
+    rng = np.random.default_rng(9)
+    g = random_graph(rng, 150, 0.03)
+    picks = [(beta, levels) for beta in (0.0, 0.5, 1.0) for levels in LEVEL_GRID]
+    fills = score_picks(g, range(150), picks)
+    assert depths == [5] * 3  # one BFS per 64-source block, to the deepest pick
+    assert len(walks) == 3 and len(transposes) == 1
+    assert [sorted(fill) for fill in fills] == [list(range(150))] * len(picks)
+
+
+def test_score_picks_with_no_picks_or_sources_does_no_work(monkeypatch):
+    import rwnsgcn.scoring as scoring
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("scored with nothing to pick")
+
+    monkeypatch.setattr(scoring, "_transition_transpose", no_work)
+    assert score_picks(path_graph(6), [2, 3], []) == []
+    assert score_picks(path_graph(6), [], [(0.5, (2,)), (1.0, (3,))]) == [{}, {}]
 
 
 def test_pagerank_with_prebuilt_transpose_is_unchanged():
     rng = np.random.default_rng(12)
     for t in range(10):
         g = random_graph(rng, int(rng.integers(1, 60)), 0.1, weighted=t % 2 == 1)
-        for mode in ("converged", "two-step"):
-            want = pagerank_scores(g, 0.85, mode=mode)
-            got = pagerank_scores(g, 0.85, mode=mode, _pt=_transition_transpose(g))
-            assert np.array_equal(got, want)
+        want = pagerank_scores(g, 0.85)
+        got = pagerank_scores(g, 0.85, _pt=_transition_transpose(g))
+        assert np.array_equal(got, want)
 
 
 def test_scoring_loads_no_dense_linalg_or_csgraph():
