@@ -74,7 +74,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1, got {value}")
         check_alpha(self.alpha)
         check_beta(self.beta)
-        check_levels(self.levels, self.k_per_level)
+        # the sorted, de-duplicated levels the scoring uses: one hash per pick
+        object.__setattr__(self, "levels", tuple(check_levels(self.levels, self.k_per_level)))
         check_method(self.sampler)
         if self.sources not in ("all", "degree-range"):
             raise ValueError(f"unknown sources mode {self.sources!r}")

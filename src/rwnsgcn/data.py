@@ -14,7 +14,9 @@ extracted subgraph, say) is read back by the same loader.
 Features are a float64 ``scipy.sparse.csr_array`` from the parse on: the
 loader parses rows in blocks of about ``_BLOCK_BYTES``, keeps only their
 non-zero entries and normalises those, so no dense N x F matrix is ever
-held.
+held.  A block of bag-of-words rows (one-digit tokens, one space or tab
+between tokens) is read straight from its bytes; any other block goes to
+``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -119,6 +121,29 @@ def _parse_rows(rows: list[str], arity: int) -> np.ndarray:
     return np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2, converters=skip)
 
 
+def _digit_rows(rows: list[str], ids: list[str], labels: list[str], features: int):
+    """The (n, features) float64 table of ``rows`` read straight from their
+    bytes, or None unless every row is ASCII text made of its id, then
+    ``features`` one-digit tokens, then its label, with one space or tab
+    between each two tokens.  A digit d reads as d.0, the value np.loadtxt
+    gives it; rows of any other shape are left to ``_parse_rows``."""
+    width = 2 * features + 1  # a separator before each digit, and one after the last
+    middles = []
+    for line, name, label in zip(rows, ids, labels):
+        middle = line[len(name) : len(line) - len(label)]
+        # a leading or trailing blank would shift the cut
+        if len(middle) != width or not (
+            line.isascii() and line.startswith(name) and line.endswith(label)
+        ):
+            return None
+        middles.append(middle)
+    cells = np.frombuffer("".join(middles).encode(), dtype=np.uint8).reshape(len(rows), width)
+    seps, digits = cells[:, 0::2], cells[:, 1::2] - np.uint8(ord("0"))
+    if not ((digits < 10).all() and ((seps == ord(" ")) | (seps == ord("\t"))).all()):
+        return None
+    return digits.astype(np.float64)
+
+
 def _c_parses(token: str) -> bool:
     try:
         np.loadtxt([token], dtype=np.float64, comments=None)
@@ -194,18 +219,25 @@ def load_content_cites(
     if len(index) != len(ids):
         _raise_first_bad_row(content_text)
 
+    # [-1]: a one-token row is cut to nothing by _digit_rows and then named
+    # by _raise_first_bad_row
+    label_strs = [line.rsplit(None, 1)[-1] for line in rows]
+
     n = len(ids)
     step = max(1, _BLOCK_BYTES // (8 * arity))
     blocks = []
     for start in range(0, n, step):
-        try:
-            table = _parse_rows(rows[start : start + step], arity)
-        except ValueError:
-            _raise_first_bad_row(content_text)
-            raise
-        if not np.isfinite(table).all():
-            _raise_first_bad_row(content_text)
-        block = table[:, 1:-1]
+        part = slice(start, start + step)
+        block = _digit_rows(rows[part], ids[part], label_strs[part], arity - 2)
+        if block is None:
+            try:
+                table = _parse_rows(rows[part], arity)
+            except ValueError:
+                _raise_first_bad_row(content_text)
+                raise
+            if not np.isfinite(table).all():
+                _raise_first_bad_row(content_text)
+            block = table[:, 1:-1]
         counts, cols, vals = _stored_entries(block)
         if row_normalize:
             # each row by its sum (1 if not positive); a zero divides to
@@ -215,7 +247,6 @@ def load_content_cites(
             vals = vals / np.repeat(np.where(sums > 0, sums, 1.0), counts)
         blocks.append((counts, cols, vals))
     features = _csr(blocks, (n, arity - 2))
-    label_strs = [line.rsplit(None, 1)[1] for line in rows]
     class_names = sorted(set(label_strs))
     class_index = {c: i for i, c in enumerate(class_names)}
     labels = np.array([class_index[s] for s in label_strs], dtype=np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwnsgcn.dpp import cosine_rows
+from rwnsgcn.dpp import _row_scales
 
 __all__ = ["MadReport", "accuracy", "mad"]
 
@@ -50,9 +50,14 @@ def mad(embeddings: np.ndarray) -> MadReport:
     if emb.ndim != 2 or emb.shape[0] < 2:
         raise ValueError("need at least two embedding rows")
     nonzero = np.linalg.norm(emb, axis=1) > 0
-    emb = emb[nonzero]
-    n = emb.shape[0]
-    dist = 1.0 - cosine_rows(emb, emb)
+    unit = emb[nonzero]
+    n = unit.shape[0]
+    # the unit rows, made once in this copy (cosine_rows(emb, emb) makes two
+    # with the same bits); the copied second operand keeps the product on
+    # gemm, because ``a @ a.T`` on one buffer goes to syrk, whose last bits
+    # can differ
+    unit /= _row_scales(unit, np.arange(n))[0][:, None]
+    dist = 1.0 - unit @ unit.copy().T
     offdiag = ~np.eye(n, dtype=bool)
     usable = offdiag & (dist >= ZERO_DISTANCE_TOL)
     pairs_used = int(usable.sum())

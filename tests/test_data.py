@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rwnsgcn.data as data_mod
 from rwnsgcn.data import (
+    _digit_rows,
     _parse_rows,
     Dataset,
     bfs_subgraph,
@@ -327,6 +329,150 @@ def test_loading_holds_no_dense_feature_matrix(bench_gen):
         tracemalloc.stop()
     # the whole parsed table would take n * f * 8 bytes on its own
     assert peak < 0.5 * ds.num_nodes * ds.feature_dim * 8
+
+
+def digit_rows_of(rows):
+    """``_digit_rows`` over ``rows``, cut into ids and labels as the loader
+    cuts them."""
+    ids = [line.split(None, 1)[0] for line in rows]
+    labels = [line.rsplit(None, 1)[-1] for line in rows]
+    return _digit_rows(rows, ids, labels, len(rows[0].split()) - 2)
+
+
+def random_digit_rows(rng, n, features):
+    """Rows of one-digit tokens with a space or a tab drawn for every gap."""
+    rows = []
+    for i in range(n):
+        tokens = [f"p{i}", *rng.choice(list("0123456789"), size=features), f"c{i % 3}"]
+        seps = rng.choice([" ", "\t"], size=len(tokens) - 1)
+        rows.append(tokens[0] + "".join(sep + t for sep, t in zip(seps, tokens[1:])))
+    return rows
+
+
+DIGIT_BLOCKS = {
+    "digits 0-9": ["a 0 1 2 3 4 5 6 7 8 9 x", "b 9 8 7 6 5 4 3 2 1 0 y"],
+    "one feature": ["a 7 x", "b 0 y", "c\t1\tz"],
+    "tab rows after space rows": ["a 1 0 1 x", "b\t0\t1\t1\ty", "c 1\t1 0\tz"],
+    "single row": ["only 0 0 3 label"],
+    "all zeros": ["a 0 0 x", "b 0 0 y"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGIT_BLOCKS))
+def test_digit_rows_equal_the_c_parser(case):
+    rows = DIGIT_BLOCKS[case]
+    assert_same_bytes(digit_rows_of(rows), _parse_rows(rows, len(rows[0].split()))[:, 1:-1])
+
+
+def test_random_digit_rows_equal_the_c_parser():
+    rng = np.random.default_rng(14)
+    for features in (1, 2, 5, 37, 400):
+        for n in (1, 2, 17):
+            rows = random_digit_rows(rng, n, features)
+            want = _parse_rows(rows, features + 2)[:, 1:-1]
+            assert_same_bytes(digit_rows_of(rows), want)
+
+
+FALLBACK_CITES = "a b\nb c\nc d\nd e\ne f\nf a\nq a\n"
+GOOD_ROWS = ["a 1 0 1 x", "b 0 1 0 y", "c 1 1 0 x", "d 0 0 1 y", "e 1 0 0 x", "f 0 1 1 y"]
+
+
+def with_last_row_of_first_block(row):
+    # blocks of three rows: the odd row is the last row of the first block
+    return "\n".join(GOOD_ROWS[:2] + [row] + GOOD_ROWS[3:]) + "\n"
+
+
+FALLBACK_CONTENT = {
+    "two spaces": with_last_row_of_first_block("c 1  1 0 x"),
+    "trailing tab": with_last_row_of_first_block("c 1 1 0 x\t"),
+    "trailing blanks": with_last_row_of_first_block("c 1 1 0 x \t "),
+    "leading blank": with_last_row_of_first_block(" c 1 1 0 x"),
+    "leading blanks that shift the cut": with_last_row_of_first_block("  5 0 1 x"),
+    "crlf": "\r\n".join(GOOD_ROWS) + "\r\n",
+    "10": with_last_row_of_first_block("c 1 10 0 x"),
+    "0.5": with_last_row_of_first_block("c 1 0.5 0 x"),
+    "+1": with_last_row_of_first_block("c 1 +1 0 x"),
+    "-0": with_last_row_of_first_block("c 1 -0 0 x"),
+    "fullwidth digit": with_last_row_of_first_block("c 1 \uff11 0 x"),
+    "underscore": with_last_row_of_first_block("c 1 1_0 0 x"),
+    "letter": with_last_row_of_first_block("c 1 e 0 x"),
+    "non-ASCII id": with_last_row_of_first_block("\u00e7 1 1 0 x"),
+    "non-ASCII label": with_last_row_of_first_block("c 1 1 0 \u00e9"),
+    "no-break space": with_last_row_of_first_block("c 1\u00a01 0 x"),
+    "unit separator": with_last_row_of_first_block("c 1\x1f1 0 x"),
+    "short row": with_last_row_of_first_block("c 1 1 x"),
+    "long row": with_last_row_of_first_block("c 1 1 0 1 x"),
+    "one token": with_last_row_of_first_block("c"),
+}
+
+
+def load_or_error(content, row_normalize):
+    try:
+        return load_content_cites(content, FALLBACK_CITES, row_normalize=row_normalize)
+    except Exception as e:  # the type and the message are compared
+        return type(e), str(e)
+
+
+def assert_loads_as_the_c_parser_loads_it(content, monkeypatch):
+    """The same dataset, or the same error, with and without the byte path."""
+    for row_normalize in (True, False):
+        got = load_or_error(content, row_normalize)
+        with monkeypatch.context() as m:
+            m.setattr(data_mod, "_digit_rows", lambda *args: None)
+            want = load_or_error(content, row_normalize)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert_same_dataset(got, want)
+        assert (got.node_names, got.class_names, got.dropped_edges) == (
+            want.node_names, want.class_names, want.dropped_edges)
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CONTENT))
+def test_rows_of_another_shape_load_as_the_c_parser_loads_them(case, monkeypatch):
+    content = FALLBACK_CONTENT[case]
+    monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 8 * 5 * 3)
+    rows = [line for line in content.splitlines() if line.strip()]
+    if case != "crlf":
+        assert digit_rows_of(rows[:3]) is None
+        assert_same_bytes(digit_rows_of(rows[3:]), _parse_rows(rows[3:], 5)[:, 1:-1])
+    assert_loads_as_the_c_parser_loads_it(content, monkeypatch)
+
+
+def test_mutated_digit_rows_load_as_the_c_parser_loads_them(monkeypatch):
+    # one character inserted, replaced or deleted anywhere in digit rows
+    monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 8 * 5 * 3)
+    text = "\n".join(GOOD_ROWS) + "\n"
+    alphabet = list("0123456789 \t\x1f.+-_exy\r") + ["\u00a0", "\uff11", "\u00e9"]
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        at = int(rng.integers(0, len(text)))
+        kind, ch = rng.integers(0, 3), str(rng.choice(alphabet))
+        mutated = (text[:at] + ch + text[at:] if kind == 0 else
+                   text[:at] + ch + text[at + 1:] if kind == 1 else text[:at] + text[at + 1:])
+        assert_loads_as_the_c_parser_loads_it(mutated, monkeypatch)
+
+
+def test_binary_benchmark_graphs_load_without_the_c_parser(bench_gen, monkeypatch):
+    calls = []
+
+    def counting_parse(rows, arity):
+        calls.append(len(rows))
+        return _parse_rows(rows, arity)
+
+    def unreachable(*args):
+        raise AssertionError("_parse_rows was called")
+
+    monkeypatch.setattr(data_mod, "_parse_rows", unreachable)
+    for scale in ("cora", "citeseer"):
+        content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], 501)
+        ds = load_content_cites(content.decode(), cites.decode())
+        assert ds.num_nodes == bench_gen.SCALES[scale].nodes
+    # TF-IDF floats are not digits: every block goes to the C parser
+    monkeypatch.setattr(data_mod, "_parse_rows", counting_parse)
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["pubmed3k"], 501)
+    ds = load_content_cites(content.decode(), cites.decode())
+    assert sum(calls) == ds.num_nodes
 
 
 def test_dense_features_are_stored_with_their_signed_zeros():

@@ -57,6 +57,21 @@ def test_config_round_trip():
     assert back == cfg
 
 
+def test_config_hashes_one_levels_tuple_per_pick():
+    # the scoring reads levels as a sorted set, so orders and repeats of the
+    # same set are one configuration with one hash
+    same = [ExperimentConfig(levels=(4, 2, 2)), ExperimentConfig(levels=[2, 4]),
+            ExperimentConfig().with_overrides(levels=[4, 4, 2]),
+            ExperimentConfig.from_dict({"levels": [4, 2]})]
+    for cfg in same:
+        assert cfg.levels == (2, 4)
+        assert config_hash(cfg) == "155071ada550fe43"
+    # the default was already sorted: its hash, and so every report's, is kept
+    assert ExperimentConfig().levels == (2, 3, 4)
+    assert config_hash(ExperimentConfig()) == "0b29ce1c5995cbf6"
+    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3))) == "0b29ce1c5995cbf6"
+
+
 def test_config_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown config fields"):
         ExperimentConfig.from_dict({"no_such_field": 1})

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rwnsgcn.metrics import accuracy, mad
+from rwnsgcn.dpp import cosine_rows
+from rwnsgcn.metrics import ZERO_DISTANCE_TOL, MadReport, accuracy, mad
 
 
 def brute_force_mad(emb, tol=1e-12):
@@ -148,6 +151,60 @@ def test_mad_invariant_to_row_permutation():
     emb = rng.normal(size=(12, 5))
     perm = rng.permutation(12)
     assert mad(emb[perm]).value == pytest.approx(mad(emb).value, abs=1e-9)
+
+
+def two_copy_mad(embeddings):
+    """``mad`` as it was with two unit copies: ``cosine_rows(emb, emb)``."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    nonzero = np.linalg.norm(emb, axis=1) > 0
+    emb = emb[nonzero]
+    n = emb.shape[0]
+    dist = 1.0 - cosine_rows(emb, emb)
+    offdiag = ~np.eye(n, dtype=bool)
+    usable = offdiag & (dist >= ZERO_DISTANCE_TOL)
+    pairs_used = int(usable.sum())
+    counts = usable.sum(axis=1)
+    rows = counts > 0
+    d_i = np.where(usable, dist, 0.0).sum(axis=1)[rows] / counts[rows]
+    return MadReport(
+        value=100.0 * float(d_i.mean()) if pairs_used else 0.0,
+        pairs_used=pairs_used,
+        pairs_skipped_zero=int(offdiag.sum()) - pairs_used,
+        zero_rows=int(nonzero.size - n),
+        collapsed=not pairs_used,
+    )
+
+
+def test_mad_bits_equal_the_two_copy_form():
+    rng = np.random.default_rng(12)
+    cases = [np.maximum(rng.normal(size=(300, 3703)), 0.0) * (rng.random((300, 3703)) < 0.05)]
+    for _ in range(30):
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 70))
+        emb = rng.normal(size=(n, d)) * (rng.random((n, d)) < rng.uniform(0.1, 1.0))
+        emb[rng.random(n) < 0.2] = 0.0  # zero rows
+        emb[rng.random(n) < 0.2] = emb[0] * rng.uniform(0.5, 3.0)  # parallel rows
+        cases.append(emb)
+    cases.append(np.zeros((3, 4)))
+    cases.append(np.array([[1e-150, 0.0], [0.0, 1e150], [-0.0, 2.0], [3.0, 1e-150]]))
+    for emb in cases:
+        got, want = mad(emb), two_copy_mad(emb)
+        assert got == want
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+
+
+def test_mad_normalises_one_copy_of_its_rows():
+    rng = np.random.default_rng(13)
+    emb = np.maximum(rng.normal(size=(300, 3703)), 0.0)
+    tracemalloc.start()
+    try:
+        mad(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the non-zero rows, scaled in place, and the copy that keeps the
+    # product off syrk: two copies of the input; two unit copies and the
+    # rows they were divided from made it four
+    assert peak < 2.5 * emb.nbytes
 
 
 def test_mad_needs_two_rows():
