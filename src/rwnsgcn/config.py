@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rwnsgcn.dpp import check_method
+from rwnsgcn.dpp import check_jitter, check_method
 from rwnsgcn.scoring import check_alpha, check_beta, check_levels
 
 __all__ = [
@@ -77,6 +77,7 @@ class ExperimentConfig:
         # the sorted, de-duplicated levels the scoring uses: one hash per pick
         object.__setattr__(self, "levels", tuple(check_levels(self.levels, self.k_per_level)))
         check_method(self.sampler)
+        check_jitter(self.jitter)
         if self.sources not in ("all", "degree-range"):
             raise ValueError(f"unknown sources mode {self.sources!r}")
         if self.degree_lo > self.degree_hi:

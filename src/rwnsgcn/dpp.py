@@ -10,9 +10,9 @@ sampled pairs forms the negative-sample graph the model propagates over.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
@@ -50,58 +50,22 @@ class CommunityAssignment:
 
 @dataclass(frozen=True, eq=False)
 class DppKernel:
-    """Candidate-indexed PSD kernel.
+    """Candidate-indexed PSD kernel of one source.
 
-    The spectrum and the eigenvector-selection probabilities the exact
-    sampler reads are computed on first use and kept, so every draw from
-    one kernel shares a single ``eigh``.  ``_kdpp_draws`` computes the
-    missing spectra of many kernels at once, stacked by candidate count.
+    Built for the exact sampler, it also holds its eigenvalues clipped at
+    0 (ascending), eigenvectors, numerical rank and ``select[rem, m]``: the
+    probability that eigenvector m-1 is selected when rem of the first m
+    are still to be chosen, NaN where e_rem of the first m eigenvalues
+    vanishes (never selected).  Built for the greedy picker, these are None.
     """
 
     source: int
     items: list[int]
     L: np.ndarray
-    _selection: dict[int, list] = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Eigenvalues clipped at 0 (ascending), eigenvectors, numerical rank."""
-        return _spectra(self.L[None])[0]
-
-    def selection_probabilities(self, k: int) -> list[list[float | None]]:
-        """``P[rem][m]``: probability that eigenvector m-1 is selected when
-        rem of the first m are still to be chosen for a size-k draw; None
-        where e_rem of the first m eigenvalues vanishes (never selected).
-
-        Read from the elementary symmetric polynomials of the clipped
-        eigenvalues, computed once per k.
-        """
-        table = self._selection.get(k)
-        if table is None:
-            eigvals = self.spectrum[0]
-            n = eigvals.size
-            E = _elem_sympoly(eigvals, k)
-            table = [[None] * (n + 1) for _ in range(k + 1)]
-            for rem in range(1, k + 1):
-                for m in range(rem, n + 1):
-                    if m == rem:
-                        table[rem][m] = 1.0
-                    elif E[rem, m] > 0.0:
-                        table[rem][m] = float(eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m])
-            self._selection[k] = table
-        return table
-
-
-def _spectra(stack: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """``DppKernel.spectrum`` of each (n, n) kernel in a (B, n, n) stack.
-
-    A stacked ``eigh`` runs LAPACK on each matrix on its own, so every
-    spectrum has the bits of a single call.
-    """
-    eigvals, eigvecs = np.linalg.eigh(stack)
-    eigvals = np.maximum(eigvals, 0.0)
-    ranks = (eigvals > RANK_TOL).sum(axis=1).tolist()
-    return list(zip(eigvals, eigvecs, ranks))
+    eigvals: np.ndarray | None = None
+    eigvecs: np.ndarray | None = None
+    rank: int | None = None
+    select: np.ndarray | None = None
 
 
 def label_propagation(
@@ -186,7 +150,7 @@ def build_dpp_kernel(
     where * is elementwise.  All three factors are PSD, so L is PSD up
     to roundoff before the jitter.
     """
-    return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter)[0]
+    return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter, True)[0]
 
 
 _ROW_CHUNK = 64
@@ -248,8 +212,10 @@ def _assemble_kernels(
     features,
     comm: CommunityAssignment,
     jitter: float,
+    exact: bool,
 ) -> list[DppKernel]:
-    """``build_dpp_kernel`` for each (source, candidate ids), in one pass.
+    """``build_dpp_kernel`` for each (source, candidate ids), in one pass,
+    then stacked by candidate count, with spectra when ``exact``.
 
     The norm of each needed feature row is taken once and each community
     row is normalised once; every kernel then builds its dense unit rows
@@ -270,8 +236,8 @@ def _assemble_kernels(
     scales, positive = np.ones(n), np.zeros(n, dtype=bool)
     scales[nodes], positive[nodes] = _row_scales(features, nodes)
     unit_cf = _unit_rows(cf)
-    kernels = []
-    for idx in index:
+    by_count: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for pos, idx in enumerate(index):
         # the unit rows of this kernel's rows, as cosine_rows computes them.
         # The second operand of a Gram product is a copy, because numpy
         # sends ``a @ a.T`` on one buffer to syrk, whose last bits can
@@ -288,39 +254,61 @@ def _assemble_kernels(
         L = core * np.exp(s_node - 1.0)
         L = 0.5 * (L + L.T)
         L += jitter * np.eye(len(idx) - 1)
-        kernels.append(DppKernel(source=int(idx[0]), items=idx[1:], L=L))
+        by_count.setdefault(len(idx) - 1, []).append((pos, L))
+    kernels: list[DppKernel] = [None] * len(index)
+    for members in by_count.values():
+        positions, matrices = zip(*members)
+        group = _stacked_kernels([sources[p] for p in positions],
+                                 [item_lists[p] for p in positions], np.array(matrices), exact)
+        for pos, kernel in zip(positions, group):
+            kernels[pos] = kernel
     return kernels
-
-
-def _elem_sympoly(eigvals: np.ndarray, k: int) -> np.ndarray:
-    """E[l, m] = elementary symmetric polynomial e_l over the first m values."""
-    n = eigvals.size
-    E = np.zeros((k + 1, n + 1))
-    E[0, :] = 1.0
-    for l in range(1, k + 1):
-        for m in range(1, n + 1):
-            E[l, m] = E[l, m - 1] + eigvals[m - 1] * E[l - 1, m - 1]
-    return E
 
 
 RANK_TOL = 1e-10
 
 
-def _fill_spectra(kernels: list[DppKernel]) -> None:
-    """Cache the spectra not computed yet: one stacked ``eigh`` per
-    candidate count."""
-    groups: dict[int, list[DppKernel]] = {}
-    for kernel in kernels:
-        if "spectrum" not in kernel.__dict__:
-            groups.setdefault(len(kernel.items), []).append(kernel)
-    for members in groups.values():
-        for kernel, spectrum in zip(members, _spectra(np.array([m.L for m in members]))):
-            kernel.__dict__["spectrum"] = spectrum  # where cached_property keeps it
+def _stacked_kernels(
+    sources: list[int], item_lists: list[list[int]], stack: np.ndarray, exact: bool
+) -> list[DppKernel]:
+    """The kernels of a (B, n, n) stack, with spectra when ``exact``.  A
+    stacked ``eigh`` runs LAPACK on each matrix on its own, so every
+    spectrum has the bits of a single call."""
+    if not exact:
+        return [DppKernel(int(s), items, L) for s, items, L in zip(sources, item_lists, stack)]
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    eigvals = np.maximum(eigvals, 0.0)
+    ranks = (eigvals > RANK_TOL).sum(axis=1).tolist()
+    tables = _selection_tables(eigvals)
+    return [
+        DppKernel(int(s), items, *fields)
+        for s, items, *fields in zip(sources, item_lists, stack, eigvals, eigvecs, ranks, tables)
+    ]
 
 
-def kdpp_sample_exact(
-    kernel: DppKernel, k: int, rng: np.random.Generator
-) -> list[int]:
+def _selection_tables(eigvals: np.ndarray) -> np.ndarray:
+    """``DppKernel.select`` of a (B, n) stack of clipped eigenvalues.
+
+    E[l, m], the elementary symmetric polynomial e_l of the first m values,
+    takes one m at a time for every l and kernel: each entry has the bits
+    of the scalar recurrence.  Rows past the float64 range overflow silently,
+    as it does at so large a k (assembled kernels: over 140 candidates)."""
+    b, n = eigvals.shape
+    E = np.zeros((b, n + 1, n + 1))
+    E[:, 0, :] = 1.0
+    select = np.full((b, n + 1, n + 1), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            E[:, 1:, m] = E[:, 1:, m - 1] + eigvals[:, m - 1, None] * E[:, :-1, m - 1]
+        # [rem-1, m-1] of these (n, n) blocks is (rem, m): a ratio where m > rem
+        e_rem = E[:, 1:, 1:]
+        np.divide(eigvals[:, None, :] * E[:, :-1, :-1], e_rem,
+                  out=select[:, 1:, 1:], where=np.triu(e_rem > 0, 1))
+    select[:, range(1, n + 1), range(1, n + 1)] = 1.0  # m == rem: all still to choose
+    return select
+
+
+def kdpp_sample_exact(kernel: DppKernel, k: int, rng: np.random.Generator) -> list[int]:
     """Draw an exactly-size-k subset with probability proportional to
     det(L_S), via eigendecomposition (eigenvector subset selection by
     elementary symmetric polynomials, then sequential projection).
@@ -336,15 +324,14 @@ def _kdpp_draws(
 ) -> list[list[int]]:
     """``kdpp_sample_exact`` for each (kernel, k, generator), in lockstep.
 
-    Missing spectra are computed first, one stacked ``eigh`` per candidate
-    count.  Eigenvectors are then selected draw by draw.  The draws with
+    Each draw selects its eigenvectors on its own, from the spectrum and
+    selection table its kernel was built with.  The draws with
     the same candidate count n and selected-vector count r take each
     projection step together on a stacked (B, r, n) array, with the
     arithmetic of a single draw per basis, so each generator sees the same
     calls in the same order as in a draw made on its own, and the picks
     are equal.
     """
-    _fill_spectra(kernels)
     bases = []
     for kernel, k, rng in zip(kernels, ks, rngs):
         n = len(kernel.items)
@@ -352,21 +339,19 @@ def _kdpp_draws(
             raise ValueError("k must be positive")
         if k > n:
             raise ValueError(f"k={k} exceeds candidate count {n}")
-        _, eigvecs, rank = kernel.spectrum
-        if k > rank:
-            warnings.warn(f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=3)
-            k = rank
+        if k > kernel.rank:
+            warnings.warn(f"k={k} exceeds numerical rank {kernel.rank}; clamping", stacklevel=3)
+            k = kernel.rank
         picked: list[int] = []
-        marg = kernel.selection_probabilities(k) if k else None
         for m in range(n, 0, -1):
             if len(picked) == k:
                 break
-            p = marg[k - len(picked)][m]
-            if p is not None and rng.random() < p:
+            # no NaN is read: E[k, n] > 0 as k <= rank, and each pick or pass keeps E > 0
+            if rng.random() < kernel.select[k - len(picked), m]:
                 picked.append(m - 1)
         # one basis vector per row: the memory layout of the (n, r) column
         # selection a single draw sums over, so row sums add in its order
-        bases.append(eigvecs[:, picked].T)
+        bases.append(kernel.eigvecs[:, picked].T)
     groups: dict[tuple, list[int]] = {}
     for d, basis in enumerate(bases):
         if basis.size:
@@ -487,6 +472,11 @@ def check_method(method: str) -> None:
         raise ValueError(f"unknown sampling method {method!r}")
 
 
+def check_jitter(jitter: float) -> None:
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(f"jitter must be finite and at least 0, got {jitter}")
+
+
 def build_negative_kernels(
     candidates: Mapping[int, CandidateSet],
     features: np.ndarray,
@@ -501,13 +491,15 @@ def build_negative_kernels(
     get none.  ``comm`` may be a zero-argument callable that returns the
     communities; it is called once, and only if some source gets a
     kernel.  The kernels are assembled in one pass, each feature and
-    community row normalised once, with the bits of ``build_dpp_kernel``.
-    Build once per candidate map and community assignment, then pass the
-    result to every ``draw_negative_samples`` call with the same
-    candidates, k, method and jitter, so redraws reuse each kernel and its
-    eigendecomposition.
+    community row normalised once, with the bits of ``build_dpp_kernel``;
+    for the exact sampler each gets its spectrum and selection table here,
+    stacked by candidate count.  Build once per candidate map and
+    community assignment, then pass the result to every
+    ``draw_negative_samples`` call with the same candidates, k, method and
+    jitter, so redraws reuse each kernel and its eigendecomposition.
     """
     check_method(method)
+    check_jitter(jitter)
     choosing = [
         src
         for src in sorted(candidates)
@@ -518,7 +510,8 @@ def build_negative_kernels(
     if callable(comm):
         comm = comm()
     items = [candidates[src].nodes() for src in choosing]
-    return dict(zip(choosing, _assemble_kernels(choosing, items, features, comm, jitter)))
+    kernels = _assemble_kernels(choosing, items, features, comm, jitter, method == "exact")
+    return dict(zip(choosing, kernels))
 
 
 def draw_negative_samples(
@@ -539,7 +532,8 @@ def draw_negative_samples(
     The exact draws run in lockstep, so every source needs a generator of
     its own: one generator returned for two sources raises ``ValueError``.
     A draw that can only return every candidate returns them, ascending,
-    without a kernel or a generator.
+    without a kernel or a generator.  A source that chooses without a
+    usable kernel raises ``ValueError`` before any generator is asked for.
     """
     check_method(method)
     out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
@@ -549,10 +543,14 @@ def draw_negative_samples(
         if _draw_is_forced(len(cs), k, method, jitter):
             out[src] = sorted(cs.nodes())
             continue
-        if kernels[src].items != cs.nodes():
+        kernel = kernels.get(src)
+        if kernel is None or (method == "exact" and kernel.select is None):
+            raise ValueError(f"source {src} has no kernel for the {method} sampler; the "
+                             "kernels were built with another k, method or jitter")
+        if kernel.items != cs.nodes():
             raise ValueError(f"kernel for source {src} was built from other candidates")
         if method == "greedy":
-            out[src] = dpp_map_greedy(kernels[src], min(k, len(cs)))
+            out[src] = dpp_map_greedy(kernel, min(k, len(cs)))
         else:
             exact.append(src)
     if exact:

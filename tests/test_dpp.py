@@ -9,6 +9,7 @@ from rwnsgcn.config import derive_seed, substream
 from rwnsgcn.data import load_content_cites
 from rwnsgcn.dpp import (
     RANK_TOL,
+    _stacked_kernels,
     build_dpp_kernel,
     build_negative_graph,
     build_negative_kernels,
@@ -33,10 +34,8 @@ def make_candidates(source, nodes, layer=2):
 
 def make_kernel(L, items=None):
     """Wrap a raw PSD matrix for the samplers."""
-    from rwnsgcn.dpp import DppKernel
-
     items = list(range(L.shape[0])) if items is None else items
-    return DppKernel(source=-1, items=items, L=np.asarray(L, dtype=np.float64))
+    return _stacked_kernels([-1], [items], np.asarray(L, dtype=np.float64)[None], True)[0]
 
 
 def assemble_kernel(x, comm, source, items, jitter=1e-8):
@@ -408,11 +407,38 @@ def _redraws_match(make, k, draws=6):
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+def _elem_sympoly(eigvals, k):
+    """E[l, m] = elementary symmetric polynomial e_l over the first m values,
+    one scalar at a time: the oracle of the stacked recurrence."""
+    n = eigvals.size
+    E = np.zeros((k + 1, n + 1))
+    E[0, :] = 1.0
+    for l in range(1, k + 1):
+        for m in range(1, n + 1):
+            E[l, m] = E[l, m - 1] + eigvals[m - 1] * E[l - 1, m - 1]
+    return E
+
+
+def per_kernel_selection(eigvals, k):
+    """``P[rem][m]``, the selection table of one kernel for a size-k draw as
+    it was computed per kernel and per k: the probability that eigenvector
+    m-1 is selected when rem of the first m are still to be chosen; None
+    where e_rem of the first m eigenvalues vanishes (never selected)."""
+    n = eigvals.size
+    E = _elem_sympoly(eigvals, k)
+    table = [[None] * (n + 1) for _ in range(k + 1)]
+    for rem in range(1, k + 1):
+        for m in range(rem, n + 1):
+            if m == rem:
+                table[rem][m] = 1.0
+            elif E[rem, m] > 0.0:
+                table[rem][m] = float(eigvals[m - 1] * E[rem - 1, m - 1] / E[rem, m])
+    return table
+
+
 def _kdpp_reference(L, k, rng):
     """The sampler recomputing everything per draw: eigh, polynomial
     table, Generator.choice and np.delete (indices, not node ids)."""
-    from rwnsgcn.dpp import RANK_TOL, _elem_sympoly
-
     n = L.shape[0]
     eigvals, eigvecs = np.linalg.eigh(L)
     eigvals = np.maximum(eigvals, 0.0)
@@ -606,7 +632,7 @@ def per_source_kdpp_sample_exact(kernel, k, rng):
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"k={k} exceeds candidate count {n}")
-    _, eigvecs, rank = kernel.spectrum
+    eigvecs, rank = kernel.eigvecs, kernel.rank
     if k > rank:
         warnings.warn(
             f"k={k} exceeds numerical rank {rank}; clamping", stacklevel=2
@@ -615,7 +641,7 @@ def per_source_kdpp_sample_exact(kernel, k, rng):
         if k == 0:
             return []
 
-    marg = kernel.selection_probabilities(k)
+    marg = per_kernel_selection(kernel.eigvals, k)
     picked: list[int] = []
     rem = k
     for m in range(n, 0, -1):
@@ -685,16 +711,21 @@ def _assert_draws_match(cands, kernels, k, jitter, seeds, draws=2):
 
 
 def _mixed_kernels(seed, sources=150):
-    """Sources over 2-7 candidates whose kernels take every rank 0..n."""
+    """Sources over 2-7 candidates whose kernels take every rank 0..n,
+    built stacked by candidate count."""
     rng = np.random.default_rng(seed)
-    cands, kernels = {}, {}
+    cands, stacks = {}, {}
     for src in rng.permutation(3 * sources)[:sources]:
         n = int(rng.integers(2, 8))
         rank = int(rng.integers(0, n + 1))
         b = rng.normal(size=(n, rank)) * rng.choice([1e-2, 1.0, 1e2])
         items = [int(v) for v in rng.choice(500, size=n, replace=False)]
         cands[int(src)] = make_candidates(int(src), items)
-        kernels[int(src)] = make_kernel(b @ b.T, items=items)
+        stacks.setdefault(n, []).append((int(src), items, b @ b.T))
+    kernels = {}
+    for members in stacks.values():
+        srcs, item_lists, matrices = map(list, zip(*members))
+        kernels.update(zip(srcs, _stacked_kernels(srcs, item_lists, np.array(matrices), True)))
     return cands, kernels
 
 
@@ -702,11 +733,11 @@ def _mixed_kernels(seed, sources=150):
 def test_lockstep_draws_match_per_source_draws_on_mixed_groups(k):
     for seed in range(3):
         cands, kernels = _mixed_kernels(seed)
-        ranks = [kernel.spectrum[2] for kernel in kernels.values()]
+        ranks = [kernel.rank for kernel in kernels.values()]
         assert set(ranks) == set(range(8))
         # jitter 0: every source chooses, k >= n included, and low ranks clamp
         warned = _assert_draws_match(cands, kernels, k, 0.0, lambda src: [seed, k, src])
-        assert warned == sum(min(k, len(cands[s])) > kernels[s].spectrum[2] for s in cands)
+        assert warned == sum(min(k, len(cands[s])) > kernels[s].rank for s in cands)
         assert warned > 0
 
 
@@ -826,8 +857,8 @@ def _same_bits(a, b):
 
 
 def _assert_lockstep_kernels_match(cands, features, comm, k=3, jitter=1e-8):
-    """Kernels and spectra (filled stacked by a first draw) equal the
-    one-source-at-a-time ones bit for bit."""
+    """Kernels and spectra (built stacked by candidate count) equal the
+    one-source-at-a-time ones bit for bit, and a draw from them runs."""
     kernels = build_negative_kernels(cands, features, comm, k=k, jitter=jitter)
     assert sorted(kernels) == [s for s in sorted(cands) if len(cands[s]) > k]
     with warnings.catch_warnings():
@@ -841,9 +872,8 @@ def _assert_lockstep_kernels_match(cands, features, comm, k=3, jitter=1e-8):
         assert _same_bits(kernel.L, L), src
         eigvals, eigvecs = np.linalg.eigh(L)
         eigvals = np.maximum(eigvals, 0.0)
-        got_vals, got_vecs, rank = kernel.spectrum
-        assert _same_bits(got_vals, eigvals) and _same_bits(got_vecs, eigvecs), src
-        assert rank == int(np.sum(eigvals > RANK_TOL))
+        assert _same_bits(kernel.eigvals, eigvals) and _same_bits(kernel.eigvecs, eigvecs), src
+        assert kernel.rank == int(np.sum(eigvals > RANK_TOL))
     return kernels
 
 
@@ -916,7 +946,8 @@ def test_greedy_builds_never_eigendecompose(monkeypatch):
     assert kernels
     out = draw_negative_samples(cands, kernels, k=3, method="greedy")
     assert all(len(out[s]) == min(3, len(cands[s])) for s in cands)
-    assert all("spectrum" not in kernel.__dict__ for kernel in kernels.values())
+    for kernel in kernels.values():
+        assert (kernel.eigvals, kernel.eigvecs, kernel.rank, kernel.select) == (None,) * 4
 
 
 def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
@@ -930,7 +961,7 @@ def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
     tracemalloc.start()
     try:
         kernels = build_negative_kernels(cands, ds.features, comm, k=3)
-        draw_negative_samples(  # fills every spectrum and selection table
+        draw_negative_samples(
             cands, kernels, k=3, rng_for_source=lambda src: np.random.default_rng([src])
         )
         peak = tracemalloc.get_traced_memory()[1]
@@ -940,3 +971,90 @@ def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
     # a normalised dense copy of every feature row alone would be n * f * 8 bytes
     dense_nbytes = ds.num_nodes * ds.feature_dim * 8
     assert peak < 0.5 * dense_nbytes
+
+
+# ------------------------------------------ selection tables, unusable input
+
+
+def _assert_tables_match_oracle(kernels):
+    """Each stacked table equals the per-kernel oracle bit for bit, NaN
+    where the oracle has None, at every k: an entry does not depend on the
+    k it was computed for."""
+    for kernel in kernels:
+        n = len(kernel.items)
+        assert kernel.select.shape == (n + 1, n + 1)
+        for k in range(1, n + 1):
+            want = np.array(per_kernel_selection(kernel.eigvals, k), dtype=np.float64)
+            assert _same_bits(kernel.select[: k + 1], want), (kernel.source, k)
+
+
+def test_stacked_tables_match_the_per_kernel_oracle_on_mixed_ranks():
+    for seed in range(3):
+        _, kernels = _mixed_kernels(seed)
+        assert {kernel.rank for kernel in kernels.values()} == set(range(8))
+        _assert_tables_match_oracle(kernels.values())
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+def test_stacked_tables_match_the_per_kernel_oracle_on_the_benchmark_graph(bench_gen, seed):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
+    ds = load_content_cites(content.decode(), cites.decode())
+    cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
+    comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
+    kernels = build_negative_kernels(cands, ds.features, comm, k=3)
+    assert len(kernels) > ds.num_nodes // 2
+    _assert_tables_match_oracle(kernels.values())
+
+
+def test_a_draw_without_a_usable_kernel_names_the_source_and_draws_nothing():
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+    cands = {0: make_candidates(0, [2, 4, 6]), 1: make_candidates(1, [3, 5, 7, 9])}
+    # at k=3 the 3-candidate source 0 can only take all of them: no kernel
+    built_at_k3 = build_negative_kernels(cands, x, comm, k=3)
+    assert list(built_at_k3) == [1]
+    # greedy kernels carry no spectrum for the exact sampler
+    built_greedy = build_negative_kernels(cands, x, comm, k=2, method="greedy")
+    assert list(built_greedy) == [0, 1]
+    message = ("^source 0 has no kernel for the exact sampler; the kernels were built "
+               "with another k, method or jitter$")
+    for kernels in (built_at_k3, built_greedy):
+        gens = {src: np.random.default_rng(src) for src in cands}
+        before = {src: gen.bit_generator.state for src, gen in gens.items()}
+        asked = []
+
+        def rng_for_source(src):
+            asked.append(src)
+            return gens[src]
+
+        with pytest.raises(ValueError, match=message):
+            draw_negative_samples(cands, kernels, k=2, rng_for_source=rng_for_source)
+        assert asked == []
+        assert {src: gen.bit_generator.state for src, gen in gens.items()} == before
+
+
+def test_rank_clamp_warning_points_at_the_caller():
+    kernel = make_kernel(np.diag([1.0, 0.0, 0.0]), items=[4, 5, 6])
+    with pytest.warns(UserWarning, match="rank") as direct:
+        kdpp_sample_exact(kernel, 2, np.random.default_rng(0))
+    with pytest.warns(UserWarning, match="rank") as drawn:
+        draw_negative_samples(
+            {0: make_candidates(0, [4, 5, 6])}, {0: kernel}, k=2, jitter=0.0,
+            rng_for_source=np.random.default_rng,
+        )
+    assert [w.filename for w in direct] == [__file__]
+    assert [w.filename for w in drawn] == [__file__]
+
+
+@pytest.mark.parametrize("jitter", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+def test_unusable_jitter_is_rejected_before_communities_are_found(jitter):
+    # -1.0 leaves the kernel indefinite, and a k=2 draw shrank to one pick
+    # after a rank-clamp warning; nan failed only in eigh
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+
+    def communities():
+        raise AssertionError("communities found for an unusable jitter")
+
+    with pytest.raises(ValueError, match=f"^jitter must be finite and at least 0, got {jitter}$"):
+        build_negative_kernels(
+            {0: make_candidates(0, [2, 4, 6])}, x, communities, k=2, jitter=jitter
+        )

@@ -123,10 +123,13 @@ def test_config_rejects_an_attack_intensity_without_a_kind(intensity):
 # (overrides, message): the scoring and sampler messages, raised when the
 # config is built.  Without these checks an unknown sampler failed only
 # after the candidate fill, beta 1.5 after PageRank and the first block's
-# walks, and with lam = 0 a bad beta or level trained to the end and was
-# hashed into the report
+# walks, a nan jitter in eigh after label propagation, and with lam = 0 a
+# bad beta or level trained to the end and was hashed into the report
 UNUSABLE = {
     "sampler": ({"sampler": "foo"}, "^unknown sampling method 'foo'$"),
+    "jitter-below": ({"jitter": -1.0}, "^jitter must be finite and at least 0, got -1.0$"),
+    "jitter-nan": ({"jitter": float("nan")}, "^jitter must be finite and at least 0, got nan$"),
+    "jitter-inf": ({"jitter": float("inf")}, "^jitter must be finite and at least 0, got inf$"),
     "sources": ({"sources": "foo"}, "^unknown sources mode 'foo'$"),
     "no-levels": ({"levels": ()}, "^levels must name at least one layer$"),
     "level-0": ({"levels": (0,)}, r"^level 0 is below 2 \(layer 1 is reserved for positives"),
