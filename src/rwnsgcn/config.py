@@ -98,18 +98,13 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        clean = dict(raw)
-        if "levels" in clean and clean["levels"] is not None:
-            clean["levels"] = tuple(int(l) for l in clean["levels"])
-        return cls(**clean)
+        return cls(**raw)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        if "levels" in kwargs and kwargs["levels"] is not None:
-            kwargs["levels"] = tuple(int(l) for l in kwargs["levels"])
         return replace(self, **kwargs)
 
 

@@ -150,6 +150,7 @@ def build_dpp_kernel(
     where * is elementwise.  All three factors are PSD, so L is PSD up
     to roundoff before the jitter.
     """
+    check_jitter(jitter)
     return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter, True)[0]
 
 
@@ -314,8 +315,12 @@ def kdpp_sample_exact(kernel: DppKernel, k: int, rng: np.random.Generator) -> li
     elementary symmetric polynomials, then sequential projection).
 
     If k exceeds the numerical rank of the kernel it is clamped with a
-    warning.  Returns the sampled node ids, ascending.
+    warning.  Returns the sampled node ids, ascending.  A kernel built for
+    the greedy picker has no spectrum and raises ``ValueError``.
     """
+    if kernel.select is None:
+        raise ValueError(f"source {kernel.source} has no spectrum for the exact sampler; "
+                         "its kernel was built for the greedy picker")
     return _kdpp_draws([kernel], [k], [rng])[0]
 
 

@@ -7,7 +7,10 @@ adjacency or one of two derived operators, each a ``scipy.sparse.csr_array``:
 * ``sym_normalized_operator``: D^{-1/2} A D^{-1/2}, optionally over A + I
 * ``transition_operator``: the random-walk transition matrix P = D^{-1} A
 
-Isolated nodes are legal everywhere and simply produce all-zero rows.
+The operators scale the graph's own CSR arrays and may share its ``indptr``
+and ``indices`` buffers, as ``Graph.adjacency`` and ``hop_matrix`` do, so
+none of them may be modified in place.  Isolated nodes are legal
+everywhere and simply produce all-zero rows.
 """
 
 from __future__ import annotations
@@ -201,35 +204,23 @@ def sym_normalized_operator(g: Graph, self_loops: bool = True) -> sp.csr_array:
 
     Rows/columns of isolated nodes (degree 0 and no self loop) are zero.
     """
-    a = g.adjacency().astype(np.float64)
+    a = g.adjacency()
     if self_loops:
-        a = (a + sp.identity(g.num_nodes, format="csr", dtype=np.float64)).tocsr()
-        a = sp.csr_array(a)
+        a = a + sp.identity(g.num_nodes, format="csr")
     d = np.asarray(a.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         d_inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    mat = a.tocoo()
+    rows = np.repeat(np.arange(g.num_nodes), np.diff(a.indptr))
     # scale product computed first: multiplication is commutative, so the
     # (u,v) and (v,u) entries come out bit-identical
-    vals = mat.data * (d_inv_sqrt[mat.row] * d_inv_sqrt[mat.col])
-    out = sp.csr_array(
-        (vals, (mat.row, mat.col)), shape=(g.num_nodes, g.num_nodes)
-    )
-    out.sort_indices()
-    return out
+    vals = a.data * (d_inv_sqrt[rows] * d_inv_sqrt[a.indices])
+    return sp.csr_array((vals, a.indices, a.indptr), shape=a.shape)
 
 
 def transition_operator(g: Graph) -> sp.csr_array:
     """Row-stochastic P = D^{-1} A; isolated nodes keep an all-zero row."""
-    a = g.adjacency().astype(np.float64)
-    d = g.degrees
+    n, d = g.num_nodes, g.degrees
     with np.errstate(divide="ignore"):
         d_inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
-    mat = a.tocoo()
-    vals = mat.data * d_inv[mat.row]
-    out = sp.csr_array(
-        (vals, (mat.row, mat.col)), shape=(g.num_nodes, g.num_nodes)
-    )
-    out.sort_indices()
-    return out
-
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    return sp.csr_array((g.weights * d_inv[rows], g.indices, g.indptr), shape=(n, n))

@@ -114,8 +114,9 @@ def bfs_layers(
     return fronts
 
 
-def _transition_transpose(g: Graph) -> sp.csr_array:
-    return sp.csr_array(transition_operator(g).T.tocsr())
+def _transition_transpose(g: Graph) -> sp.csc_array:
+    # the CSC view of P sums P^T products in the order a CSR copy would
+    return transition_operator(g).T
 
 
 def rwr_scores(
@@ -124,7 +125,7 @@ def rwr_scores(
     alpha: float,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    _pt: sp.csr_array | None = None,
+    _pt: sp.csc_array | None = None,
 ) -> np.ndarray:
     """Restart-walk probabilities over target nodes, one column per source.
 
@@ -172,7 +173,7 @@ def pagerank_scores(
     alpha: float,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    _pt: sp.csr_array | None = None,
+    _pt: sp.csc_array | None = None,
 ) -> np.ndarray:
     """Global damped-walk importance with uniform teleport.
 

@@ -1058,3 +1058,29 @@ def test_unusable_jitter_is_rejected_before_communities_are_found(jitter):
         build_negative_kernels(
             {0: make_candidates(0, [2, 4, 6])}, x, communities, k=2, jitter=jitter
         )
+
+
+@pytest.mark.parametrize("jitter", [-1.0, float("nan"), float("inf")])
+def test_one_kernel_build_rejects_an_unusable_jitter_before_eigh(monkeypatch, jitter):
+    # nan failed late, with LinAlgError from the stacked eigh
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh ran for an unusable jitter")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    with pytest.raises(ValueError, match=f"^jitter must be finite and at least 0, got {jitter}$"):
+        build_dpp_kernel(0, make_candidates(0, [2, 4, 6]), x, comm, jitter=jitter)
+
+
+def test_an_exact_draw_from_a_greedy_kernel_names_the_source_and_draws_nothing():
+    # a kernel without a spectrum failed with a bare TypeError on its rank
+    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
+    cands = {1: make_candidates(1, [3, 5, 7, 9])}
+    kernel = build_negative_kernels(cands, x, comm, k=2, method="greedy")[1]
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^source 1 has no spectrum for the exact sampler; "
+                                         "its kernel was built for the greedy picker$"):
+        kdpp_sample_exact(kernel, 2, rng)
+    assert rng.bit_generator.state == before

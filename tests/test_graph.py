@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rwnsgcn.data import load_content_cites
 from rwnsgcn.graph import (
     build_graph,
     sym_normalized_operator,
     transition_operator,
 )
+from rwnsgcn.scoring import _transition_transpose
 
-from conftest import dense_adjacency, random_edge_list, random_graph
+from conftest import assert_same_bytes, dense_adjacency, random_edge_list, random_graph
 
 
 def test_path_graph_degrees():
@@ -183,6 +185,102 @@ def test_operators_match_dense_oracle(self_loops):
         expected_p = dinv[:, None] * a
         got_p = transition_operator(g).toarray()
         assert np.allclose(got_p, expected_p, atol=1e-12)
+
+
+# ------------------------------------------- operators against COO oracles
+
+
+def _coo_sym_oracle(g, self_loops):
+    """D^{-1/2} A D^{-1/2} through a COO round trip and a re-sort."""
+    a = g.adjacency().astype(np.float64)
+    if self_loops:
+        a = sp.csr_array((a + sp.identity(g.num_nodes, format="csr", dtype=np.float64)).tocsr())
+    d = np.asarray(a.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        d_inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    mat = a.tocoo()
+    vals = mat.data * (d_inv_sqrt[mat.row] * d_inv_sqrt[mat.col])
+    out = sp.csr_array((vals, (mat.row, mat.col)), shape=a.shape)
+    out.sort_indices()
+    return out
+
+
+def _coo_transition_oracle(g):
+    """D^{-1} A through a COO round trip and a re-sort."""
+    d = g.degrees
+    with np.errstate(divide="ignore"):
+        d_inv = np.where(d > 0, 1.0 / np.where(d > 0, d, 1.0), 0.0)
+    mat = g.adjacency().astype(np.float64).tocoo()
+    out = sp.csr_array((mat.data * d_inv[mat.row], (mat.row, mat.col)), shape=mat.shape)
+    out.sort_indices()
+    return out
+
+
+def _assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert_same_bytes(getattr(a, name), getattr(b, name))
+
+
+def _odd_graphs():
+    """Random weighted graphs with zero-weight edges and isolated nodes,
+    and graphs with no edges at all."""
+    rng = np.random.default_rng(8)
+    graphs = [build_graph(n, []) for n in (1, 2, 5)]
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        edges = [(u, v, 0.0 if rng.random() < 0.25 else w)
+                 for u, v, w in random_edge_list(rng, n, 0.2, weighted=True)]
+        # three trailing ids are always isolated, on top of any the draw leaves
+        graphs.append(build_graph(n + 3, edges))
+    return graphs
+
+
+def _bench_graphs(bench_gen):
+    for scale in ("cora", "citeseer", "pubmed3k"):
+        content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], 501)
+        yield load_content_cites(content.decode(), cites.decode()).graph
+
+
+def _assert_operators_match_oracles(g):
+    for self_loops in (False, True):
+        op = sym_normalized_operator(g, self_loops=self_loops)
+        _assert_same_csr(op, _coo_sym_oracle(g, self_loops))
+        assert op.has_canonical_format
+        _assert_same_csr(op, sp.csr_array(op.T.tocsr()))  # symmetric bit for bit
+    p = transition_operator(g)
+    _assert_same_csr(p, _coo_transition_oracle(g))
+    assert p.has_canonical_format
+
+
+def test_operators_are_byte_equal_to_coo_oracles():
+    for g in _odd_graphs():
+        _assert_operators_match_oracles(g)
+
+
+def test_operators_are_byte_equal_to_coo_oracles_on_the_benchmark_graphs(bench_gen):
+    for g in _bench_graphs(bench_gen):
+        _assert_operators_match_oracles(g)
+
+
+def _assert_transpose_view_products_match_the_copy(g, rng):
+    view = _transition_transpose(g)
+    copy = sp.csr_array(transition_operator(g).T.tocsr())
+    x = rng.random(g.num_nodes)
+    block = rng.random((g.num_nodes, 64))
+    assert_same_bytes(view @ x, copy @ x)
+    assert_same_bytes(view @ block, copy @ block)
+
+
+def test_transition_transpose_view_products_match_the_copy():
+    rng = np.random.default_rng(9)
+    for g in _odd_graphs():
+        _assert_transpose_view_products_match_the_copy(g, rng)
+
+
+def test_transition_transpose_view_products_match_the_copy_on_the_benchmark_graphs(bench_gen):
+    rng = np.random.default_rng(10)
+    for g in _bench_graphs(bench_gen):
+        _assert_transpose_view_products_match_the_copy(g, rng)
 
 
 # ------------------------------------------------------------- traversal

@@ -59,9 +59,12 @@ def test_config_round_trip():
 
 def test_config_hashes_one_levels_tuple_per_pick():
     # the scoring reads levels as a sorted set, so orders and repeats of the
-    # same set are one configuration with one hash
+    # same set are one configuration with one hash; from_dict and
+    # with_overrides hand levels to the constructor untouched
     same = [ExperimentConfig(levels=(4, 2, 2)), ExperimentConfig(levels=[2, 4]),
+            ExperimentConfig(levels=[4, 2, 2]), ExperimentConfig().with_overrides(levels=[4, 2, 2]),
             ExperimentConfig().with_overrides(levels=[4, 4, 2]),
+            ExperimentConfig.from_dict({"levels": [4, 2, 2]}),
             ExperimentConfig.from_dict({"levels": [4, 2]})]
     for cfg in same:
         assert cfg.levels == (2, 4)
@@ -70,6 +73,14 @@ def test_config_hashes_one_levels_tuple_per_pick():
     assert ExperimentConfig().levels == (2, 3, 4)
     assert config_hash(ExperimentConfig()) == "0b29ce1c5995cbf6"
     assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3))) == "0b29ce1c5995cbf6"
+
+
+def test_levels_none_fails_on_every_way_in():
+    for make in (lambda: ExperimentConfig(levels=None),
+                 lambda: ExperimentConfig.from_dict({"levels": None}),
+                 lambda: ExperimentConfig().with_overrides(levels=None)):
+        with pytest.raises(TypeError, match="'NoneType' object is not iterable"):
+            make()
 
 
 def test_config_rejects_unknown_fields():
