@@ -139,8 +139,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
     ds = load_dataset(config)
     grid = [("ctbca", f) for f in _parse_floats(args.ctbca_fractions)]
     grid += [("twpa", s) for s in _parse_floats(args.twpa_sigmas)]
-    if not grid:
-        raise ValueError("empty attack grid")
     reports = run_attack_comparison(ds, config, attack_grid=grid)
     emit_report(reports, args.out, stem=args.stem)
     _print_aggregates(reports)

@@ -56,9 +56,6 @@ class ExperimentConfig:
     sources: str = "all"  # "all" | "degree-range"
     degree_lo: int = 3
     degree_hi: int = 6
-    # attack (optional)
-    attack_kind: str | None = None  # "ctbca" | "twpa"
-    attack_intensity: float = 0.0
     # run
     runs: int = 10
     epochs: int = 200
@@ -82,10 +79,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown sources mode {self.sources!r}")
         if self.degree_lo > self.degree_hi:
             raise ValueError(f"degree_lo={self.degree_lo} exceeds degree_hi={self.degree_hi}")
-        if self.attack_kind is None and self.attack_intensity != 0.0:
-            # a clean cell would otherwise hash differently by a stray intensity
-            raise ValueError(f"attack_intensity is {self.attack_intensity}, but "
-                             "attack_kind is None; set a kind or leave the intensity at 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -108,9 +101,10 @@ class ExperimentConfig:
         return replace(self, **kwargs)
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    """sha256 over the canonical JSON form (first 16 hex chars)."""
-    canon = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+def config_hash(config: dict) -> str:
+    """sha256 over the canonical JSON form of a report's config dict (first
+    16 hex chars)."""
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

@@ -175,7 +175,7 @@ def _run_once(
             (dump_dir / f"negatives-run{run_index}.json").write_text(
                 json.dumps(
                     {
-                        "config_hash": config_hash(config),
+                        "config_hash": config_hash(config.to_dict()),
                         "run": run_index,
                         "negatives": {str(s): v for s, v in negatives.items()},
                     }
@@ -208,27 +208,21 @@ def _run_once(
     }
 
 
-_BASE_COLUMNS = [
-    "run",
-    "seed",
-    "accuracy",
-    "mad",
-    "best_epoch",
-    "split_seed",
-    "labelprop_seed",
-    "model_seed",
-]
-_METRIC_COLUMNS = ("accuracy", "mad")
+def _report(
+    label: str, config: dict, rows: list[dict], metrics: Iterable[str], timings: dict[str, float]
+) -> RunReport:
+    """The report of ``rows`` under ``config``, the dict its hash covers.
 
-
-def _aggregate(rows: list[dict], metrics: Iterable[str] = _METRIC_COLUMNS) -> dict:
-    out = {}
+    Its columns are the rows' keys and its aggregates the mean and std of
+    each metric.
+    """
+    aggregates = {}
     for m in metrics:
         vals = np.array([row[m] for row in rows], dtype=np.float64)
-        out[f"{m}_mean"] = float(vals.mean())
+        aggregates[f"{m}_mean"] = float(vals.mean())
         # sample standard deviation, matching mean +/- std reporting
-        out[f"{m}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return out
+        aggregates[f"{m}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+    return RunReport(label, config_hash(config), config, list(rows[0]), rows, aggregates, timings)
 
 
 def _run_clean(
@@ -242,14 +236,8 @@ def _run_clean(
     once for all of them and each report's "scoring" time is that fill.
     """
     configs = [cfg for _, cfg in variants]
-    config = configs[0]
-    if config.attack_kind is not None:
-        # the runs train on ds.graph, so the report would carry the attacked
-        # cell's config_hash for a clean-graph result
-        raise ValueError(f"attack_kind is {config.attack_kind!r}, but a baseline "
-                         "trains on the clean graph; unset it or run the attack comparison")
     shared: dict[str, float] = {}
-    fills = _score(ds.graph, configs, shared) if config.lam != 0.0 else [None] * len(configs)
+    fills = _score(ds.graph, configs, shared) if configs[0].lam != 0.0 else [None] * len(configs)
     reports = []
     for (label, cfg), candidates in zip(variants, fills):
         timings = dict(shared)
@@ -257,15 +245,7 @@ def _run_clean(
         for r in range(cfg.runs):
             rows.append(_run_once(ds, cfg, r, timings, candidates, dump_dir=dump_dir))
             log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
-        reports.append(RunReport(
-            label=label,
-            config_hash=config_hash(cfg),
-            config=cfg.to_dict(),
-            columns=list(_BASE_COLUMNS),
-            rows=rows,
-            aggregates=_aggregate(rows),
-            timings=timings,
-        ))
+        reports.append(_report(label, cfg.to_dict(), rows, ("accuracy", "mad"), timings))
     return reports
 
 
@@ -316,6 +296,8 @@ def run_attack_comparison(
     """Clean-vs-attacked accuracy for the negative-sampling model and the
     plain GCN under shared per-run seeds (retraining on the perturbed
     graph).  One report per attack, one paired row per run."""
+    if not attack_grid:
+        raise ValueError("empty attack grid")
     # every cell's attack of every run, built (and so checked) before the first run
     specs = [
         [
@@ -358,18 +340,14 @@ def run_attack_comparison(
         timings = dict(clean_timings)
         if kind == "ctbca":
             timings["betweenness"] = betweenness_s
-        attacked_cfg = config.with_overrides(
-            attack_kind=kind, attack_intensity=intensity
-        )
-        attacked_gcn_cfg = attacked_cfg.with_overrides(lam=0.0)
         rows = []
         for r, spec in enumerate(cell_specs):
             perturbed_graph = apply_attack(ds.graph, spec, scores=betweenness)
             perturbed = replace(ds, graph=perturbed_graph)
             att_rw = _run_once(
-                perturbed, attacked_cfg, r, timings, candidates_of(perturbed_graph, timings)
+                perturbed, config, r, timings, candidates_of(perturbed_graph, timings)
             )
-            att_gcn = _run_once(perturbed, attacked_gcn_cfg, r, timings, None)
+            att_gcn = _run_once(perturbed, gcn_config, r, timings, None)
             deg_rw = clean_rw[r]["accuracy"] - att_rw["accuracy"]
             deg_gcn = clean_gcn[r]["accuracy"] - att_gcn["accuracy"]
             rows.append(
@@ -386,26 +364,11 @@ def run_attack_comparison(
                     "rwnsgcn_no_worse": int(deg_rw <= deg_gcn),
                 }
             )
-        metric_cols = [
-            "clean_accuracy_rwnsgcn",
-            "attacked_accuracy_rwnsgcn",
-            "degradation_rwnsgcn",
-            "clean_accuracy_gcn",
-            "attacked_accuracy_gcn",
-            "degradation_gcn",
-            "rwnsgcn_no_worse",
-        ]
-        reports.append(
-            RunReport(
-                label=f"attack/{kind}@{intensity:g}",
-                config_hash=config_hash(attacked_cfg),
-                config=attacked_cfg.to_dict(),
-                columns=["run", "seed", "attack_seed"] + metric_cols,
-                rows=rows,
-                aggregates=_aggregate(rows, metrics=metric_cols),
-                timings=timings,
-            )
-        )
+        # the report, not the config, names the attack; every column after
+        # run, seed and attack_seed is a metric
+        attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
+        reports.append(_report(f"attack/{kind}@{intensity:g}", attacked, rows,
+                               list(rows[0])[3:], timings))
     return reports
 
 
@@ -426,20 +389,20 @@ def emit_report(
     float formatting are fixed, so equal inputs give equal bytes."""
     if not reports:
         raise ValueError("no reports to emit")
+    unknown = set(formats) - {"csv", "json"}
+    if unknown:
+        raise ValueError(f"unknown report formats: {sorted(unknown)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in formats:
-        columns: list[str] = []
-        for rep in reports:
-            for c in rep.columns:
-                if c not in columns:
-                    columns.append(c)
-        agg_cols = []
-        for rep in reports:
-            for key in rep.aggregates:
-                if key not in agg_cols:
-                    agg_cols.append(key)
+        columns = list(dict.fromkeys(c for rep in reports for c in rep.columns))
+        # in the order of the columns they summarise, not the aggregates'
+        # own order, which a report read back from its key-sorted JSON loses
+        agg_cols = [
+            key for c in columns for key in (f"{c}_mean", f"{c}_std")
+            if any(key in rep.aggregates for rep in reports)
+        ]
         path = out / f"{stem}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

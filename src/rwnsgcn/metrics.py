@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rwnsgcn.dpp import _row_scales
-
 __all__ = ["MadReport", "accuracy", "mad"]
 
 ZERO_DISTANCE_TOL = 1e-12
@@ -46,17 +44,19 @@ def mad(embeddings: np.ndarray) -> MadReport:
     rows with any surviving pair.  When no pair survives (every row zero
     or all rows parallel) MAD is 0 and the report is ``collapsed``.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    # C order: each row's norm then has the bits of the same row on its own
+    emb = np.ascontiguousarray(embeddings, dtype=np.float64)
     if emb.ndim != 2 or emb.shape[0] < 2:
         raise ValueError("need at least two embedding rows")
-    nonzero = np.linalg.norm(emb, axis=1) > 0
+    norms = np.linalg.norm(emb, axis=1)
+    nonzero = norms > 0
     unit = emb[nonzero]
     n = unit.shape[0]
     # the unit rows, made once in this copy (cosine_rows(emb, emb) makes two
-    # with the same bits); the copied second operand keeps the product on
-    # gemm, because ``a @ a.T`` on one buffer goes to syrk, whose last bits
-    # can differ
-    unit /= _row_scales(unit, np.arange(n))[0][:, None]
+    # with the same bits: each row's norm reduces on its own); the copied
+    # second operand keeps the product on gemm, because ``a @ a.T`` on one
+    # buffer goes to syrk, whose last bits can differ
+    unit /= norms[nonzero][:, None]
     dist = 1.0 - unit @ unit.copy().T
     offdiag = ~np.eye(n, dtype=bool)
     usable = offdiag & (dist >= ZERO_DISTANCE_TOL)

@@ -47,8 +47,8 @@ def fast_config(**overrides) -> ExperimentConfig:
 def test_config_hash_changes_with_seed():
     a = fast_config(base_seed=0)
     b = fast_config(base_seed=1)
-    assert config_hash(a) != config_hash(b)
-    assert config_hash(a) == config_hash(fast_config(base_seed=0))
+    assert config_hash(a.to_dict()) != config_hash(b.to_dict())
+    assert config_hash(a.to_dict()) == config_hash(fast_config(base_seed=0).to_dict())
 
 
 def test_config_round_trip():
@@ -68,11 +68,11 @@ def test_config_hashes_one_levels_tuple_per_pick():
             ExperimentConfig.from_dict({"levels": [4, 2]})]
     for cfg in same:
         assert cfg.levels == (2, 4)
-        assert config_hash(cfg) == "155071ada550fe43"
-    # the default was already sorted: its hash, and so every report's, is kept
+        assert config_hash(cfg.to_dict()) == "fb187b067f30e243"
+    # the default was already sorted, so sorting the levels leaves its hash alone
     assert ExperimentConfig().levels == (2, 3, 4)
-    assert config_hash(ExperimentConfig()) == "0b29ce1c5995cbf6"
-    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3))) == "0b29ce1c5995cbf6"
+    assert config_hash(ExperimentConfig().to_dict()) == "7c6e0ee34566c6b2"
+    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3)).to_dict()) == "7c6e0ee34566c6b2"
 
 
 def test_levels_none_fails_on_every_way_in():
@@ -115,20 +115,16 @@ def test_config_rejects_fewer_than_one(field, value, monkeypatch):
         ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
 
-@pytest.mark.parametrize("intensity", [0.1, -0.5])
-def test_config_rejects_an_attack_intensity_without_a_kind(intensity):
-    # the runs would be the clean baseline under a second config_hash
-    message = f"^attack_intensity is {intensity}, but attack_kind is None"
-    with pytest.raises(ValueError, match=message):
-        fast_config(attack_intensity=intensity)
-    with pytest.raises(ValueError, match=message):
-        fast_config().with_overrides(attack_intensity=intensity)
-    with pytest.raises(ValueError, match=message):
-        ExperimentConfig.from_dict({**fast_config().to_dict(), "attack_intensity": intensity})
-    with pytest.raises(ValueError, match=message):
-        fast_config(attack_kind="ctbca", attack_intensity=intensity).with_overrides(
-            attack_kind=None)
-    assert fast_config(attack_kind="twpa", attack_intensity=intensity).attack_intensity == intensity
+@pytest.mark.parametrize("field, value", [("attack_kind", "ctbca"), ("attack_intensity", 0.1)])
+def test_config_has_no_attack_fields(field, value):
+    # an attack cell's report names its attack; a config configures only
+    # the computation, so it cannot claim an attack its runs did not make
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+        fast_config(**{field: value})
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+        fast_config().with_overrides(**{field: value})
+    with pytest.raises(ValueError, match=rf"^unknown config fields: \['{field}'\]$"):
+        ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
 
 # (overrides, message): the scoring and sampler messages, raised when the
@@ -223,20 +219,29 @@ def test_identical_configs_give_identical_rows():
     assert r1.rows == r2.rows
 
 
-def test_baseline_rejects_an_attack_config(monkeypatch):
-    # a baseline trains on the clean graph; with an attack in its config it
-    # would report the attacked cell's config_hash
-    for work in ("score_all_sources", "score_picks"):
-        monkeypatch.setattr(harness, work, _unreachable)
+def test_an_attack_reports_config_is_the_config_plus_its_cell():
     ds = planted_dataset(seed=7)
-    cfg = fast_config(attack_kind="ctbca", attack_intensity=0.1)
-    message = "^attack_kind is 'ctbca', but a baseline trains on the clean graph"
-    with pytest.raises(ValueError, match=message):
-        run_baseline(ds, cfg)
-    with pytest.raises(ValueError, match=message):
-        run_ablation(ds, cfg)
-    with pytest.raises(ValueError, match=message):
-        run_l_sweep(ds, cfg, l_values=(5,))
+    cfg = fast_config(runs=1, epochs=4)
+    grid = [("ctbca", 0.1), ("twpa", 0.5)]
+    for rep, (kind, intensity) in zip(run_attack_comparison(ds, cfg, attack_grid=grid), grid):
+        assert rep.config == {**cfg.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
+        assert rep.config_hash == config_hash(rep.config)
+        # a baseline would train on the clean graph under the attacked
+        # cell's hash, so its config does not load
+        with pytest.raises(ValueError, match=r"^unknown config fields: \['attack_intensity', "
+                                             r"'attack_kind'\]$"):
+            ExperimentConfig.from_dict(rep.config)
+    # the default config's ctbca 0.1 cell keeps the hash its reports had
+    # while the attack was a config field
+    attacked = {**ExperimentConfig().to_dict(), "attack_kind": "ctbca", "attack_intensity": 0.1}
+    assert config_hash(attacked) == "40becf35d02364f4"
+
+
+def test_an_empty_attack_grid_trains_nothing(monkeypatch):
+    for work in ("score_all_sources", "train", "edge_betweenness"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    with pytest.raises(ValueError, match="^empty attack grid$"):
+        run_attack_comparison(planted_dataset(seed=7), fast_config(), attack_grid=[])
 
 
 def test_twpa_sigma_zero_matches_clean_bit_for_bit():
@@ -622,7 +627,7 @@ def test_negatives_dump_written(tmp_path):
     dumps = sorted((tmp_path / "dumps").glob("negatives-run*.json"))
     assert len(dumps) == 1
     payload = json.loads(dumps[0].read_text())
-    assert payload["config_hash"]
+    assert payload["config_hash"] == config_hash(cfg.to_dict())
     assert all(isinstance(v, list) for v in payload["negatives"].values())
 
 
@@ -639,6 +644,14 @@ def test_emit_report_deterministic_bytes(tmp_path):
 def test_emit_report_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path)
+
+
+def test_emit_report_rejects_unknown_formats_before_writing(tmp_path):
+    report = run_baseline(planted_dataset(seed=7), fast_config(runs=1, epochs=2))
+    for formats in (("xml",), ("csv", "json", "xml")):
+        with pytest.raises(ValueError, match=r"^unknown report formats: \['xml'\]$"):
+            emit_report([report], tmp_path / "out", formats=formats)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------- CLI
@@ -769,27 +782,27 @@ def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_prefix):
     res = run_cli("baseline", "--config", str(cfg_file), "--out", str(tmp_path / "res"))
     assert res.returncode == 1
     assert json.loads(res.stderr.strip().splitlines()[-1]) == {
-        "error": "ValueError: attack_kind is 'ctbca', but a baseline trains on the "
-                 "clean graph; unset it or run the attack comparison"
+        "error": "ValueError: unknown config fields: ['attack_intensity', 'attack_kind']"
     }
     assert not (tmp_path / "res").exists()
 
 
 def test_cli_report_round_trip(tmp_path, toy_prefix):
-    out = tmp_path / "first"
-    res = run_cli(
-        "baseline",
-        "--dataset-path", str(toy_prefix),
-        "--per-class", "3", "--num-val", "12", "--num-test", "24",
-        "--layers", "3", "--hidden", "12", "--epochs", "5", "--runs", "1",
-        "--out", str(out),
-    )
-    assert res.returncode == 0, res.stderr
-    re_out = tmp_path / "second"
-    res = run_cli(
-        "report", str(out / "baseline.json"), "--out", str(re_out), "--stem", "again"
-    )
-    assert res.returncode == 0, res.stderr
-    first_csv = (out / "baseline.csv").read_text()
-    again_csv = (re_out / "again.csv").read_text()
-    assert first_csv == again_csv
+    # the JSON stores each report's aggregates key-sorted; the attack
+    # report's are not sorted in their CSV order, the baseline's already are
+    for command in ("baseline", "attack"):
+        out = tmp_path / command
+        res = run_cli(
+            command,
+            "--dataset-path", str(toy_prefix),
+            "--per-class", "3", "--num-val", "12", "--num-test", "24",
+            "--layers", "3", "--hidden", "12", "--epochs", "5", "--runs", "2",
+            "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        re_out = tmp_path / f"{command}-again"
+        res = run_cli(
+            "report", str(out / f"{command}.json"), "--out", str(re_out), "--stem", "again"
+        )
+        assert res.returncode == 0, res.stderr
+        assert (re_out / "again.csv").read_bytes() == (out / f"{command}.csv").read_bytes()

@@ -192,6 +192,20 @@ def test_mad_bits_equal_the_two_copy_form():
         assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
 
 
+def test_mad_bits_do_not_depend_on_the_memory_order():
+    # a row's norm over Fortran-ordered or strided memory can differ in the
+    # last bits from the same row's norm over C-ordered memory
+    rng = np.random.default_rng(14)
+    for _ in range(200):  # about one Fortran-ordered case in 25 moved a bit
+        n, d = int(rng.integers(2, 40)), int(rng.integers(2, 300))
+        emb = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-100, 100)
+        emb[rng.random(n) < 0.2] = 0.0  # zero rows
+        for view in (np.asfortranarray(emb), emb[:, ::2], emb[::-1]):
+            got, want = mad(view), two_copy_mad(np.ascontiguousarray(view))
+            assert got == want
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+
+
 def test_mad_normalises_one_copy_of_its_rows():
     rng = np.random.default_rng(13)
     emb = np.maximum(rng.normal(size=(300, 3703)), 0.0)
