@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -25,6 +26,11 @@ __all__ = [
     "derive_seed",
     "substream",
 ]
+
+
+def check_dropout(dropout_p: float) -> None:
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {dropout_p}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.num_test < 2:
+            raise ValueError(f"num_test must be at least 2, the fewest rows MAD can take, "
+                             f"got {self.num_test}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and above 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and at least 0, got {self.lam}")
+        check_dropout(self.dropout)
         check_alpha(self.alpha)
         check_beta(self.beta)
         # the sorted, de-duplicated levels the scoring uses: one hash per pick

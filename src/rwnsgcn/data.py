@@ -323,6 +323,20 @@ def save_content_cites(ds: Dataset, prefix: str | Path) -> None:
     Path(f"{prefix}.cites").write_text(cites)
 
 
+def check_split(ds: Dataset, per_class: int, num_val: int, num_test: int) -> np.ndarray:
+    """The class sizes of ``ds`` if ``planetoid_split`` can cut this split
+    from it for every seed; raises ``ValueError`` otherwise."""
+    counts = np.bincount(ds.labels, minlength=ds.class_count)
+    for c, cnt in enumerate(counts):
+        if cnt < per_class:
+            raise ValueError(f"class {c} has only {cnt} nodes, fewer than per_class={per_class}")
+    rest = ds.num_nodes - per_class * counts.size  # each class gives per_class train nodes
+    if rest < num_val + num_test:
+        raise ValueError(f"not enough nodes left for val+test: have {rest}, "
+                         f"need {num_val + num_test}")
+    return counts
+
+
 def planetoid_split(
     ds: Dataset,
     per_class: int = 20,
@@ -337,12 +351,7 @@ def planetoid_split(
     become val / test.
     """
     labels = ds.labels
-    counts = np.bincount(labels, minlength=ds.class_count)
-    for c, cnt in enumerate(counts):
-        if cnt < per_class:
-            raise ValueError(
-                f"class {c} has only {cnt} nodes, fewer than per_class={per_class}"
-            )
+    counts = check_split(ds, per_class, num_val, num_test)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ds.num_nodes)
     # each node's rank inside its class along the shuffle: a stable sort
@@ -354,10 +363,6 @@ def planetoid_split(
     rank[by_class] = np.arange(perm.size) - class_start[shuffled[by_class]]
     in_train = rank < per_class
     rest = perm[~in_train]
-    if rest.size < num_val + num_test:
-        raise ValueError(
-            f"not enough nodes left for val+test: have {rest.size}, need {num_val + num_test}"
-        )
     return SplitMasks(
         train=np.sort(perm[in_train]),
         val=np.sort(rest[:num_val]),

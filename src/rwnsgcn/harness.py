@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from rwnsgcn import data as data_mod
 from rwnsgcn.attacks import AttackSpec, apply_attack, edge_betweenness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
-from rwnsgcn.data import Dataset, degree_filtered_nodes, planetoid_split
+from rwnsgcn.data import Dataset, check_split, degree_filtered_nodes, planetoid_split
 from rwnsgcn.dpp import (
     build_negative_graph,
     build_negative_kernels,
@@ -236,6 +236,8 @@ def _run_clean(
     once for all of them and each report's "scoring" time is that fill.
     """
     configs = [cfg for _, cfg in variants]
+    # the variants share one split: an impossible one fails before the fill
+    check_split(ds, configs[0].per_class, configs[0].num_val, configs[0].num_test)
     shared: dict[str, float] = {}
     fills = _score(ds.graph, configs, shared) if configs[0].lam != 0.0 else [None] * len(configs)
     reports = []
@@ -307,6 +309,8 @@ def run_attack_comparison(
         ]
         for kind, intensity in attack_grid
     ]
+    # every graph has ds's labels: an impossible split fails before any fill
+    check_split(ds, config.per_class, config.num_val, config.num_test)
     gcn_config = config.with_overrides(lam=0.0)
     clean_timings: dict[str, float] = {}
     # candidates by graph fingerprint, for this call only: a perturbed graph

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from rwnsgcn.config import ExperimentConfig
+from rwnsgcn.config import ExperimentConfig, check_dropout
 from rwnsgcn.graph import Graph, sym_normalized_operator
 
 __all__ = [
@@ -126,8 +126,7 @@ def init_params(
     The negative branch has a weight per hidden layer only, drawn after
     every positive-branch weight.
     """
-    if not 0.0 <= dropout_p < 1.0:
-        raise ValueError(f"dropout must be in [0, 1), got {dropout_p}")
+    check_dropout(dropout_p)
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
     if any(d <= 0 for d in layer_dims):

@@ -164,6 +164,52 @@ def test_config_rejects_unusable_scoring_and_sampling_fields(case, lam, monkeypa
         ExperimentConfig.from_dict({**fast_config(lam=lam).to_dict(), **overrides})
 
 
+# (overrides, message): values the harness would otherwise train on or
+# fail with late.  lr = 0 and lam = -1 trained to a reported accuracy,
+# dropout 1.0 and lr = nan failed only inside train after the candidate
+# fill, num_test = 1 only in mad after training, and an impossible split
+# only in planetoid_split after the fill
+UNUSABLE_RUNS = {
+    "lr-zero": ({"lr": 0.0}, r"^lr must be finite and above 0, got 0.0$"),
+    "lr-below": ({"lr": -1.0}, r"^lr must be finite and above 0, got -1.0$"),
+    "lr-nan": ({"lr": float("nan")}, r"^lr must be finite and above 0, got nan$"),
+    "lr-inf": ({"lr": float("inf")}, r"^lr must be finite and above 0, got inf$"),
+    "lam-below": ({"lam": -1.0}, r"^lam must be finite and at least 0, got -1.0$"),
+    "lam-nan": ({"lam": float("nan")}, r"^lam must be finite and at least 0, got nan$"),
+    "lam-inf": ({"lam": float("inf")}, r"^lam must be finite and at least 0, got inf$"),
+    "dropout-one": ({"dropout": 1.0}, r"^dropout must be in \[0, 1\), got 1.0$"),
+    "dropout-below": ({"dropout": -0.1}, r"^dropout must be in \[0, 1\), got -0.1$"),
+    "dropout-nan": ({"dropout": float("nan")}, r"^dropout must be in \[0, 1\), got nan$"),
+    "num-test-one": ({"num_test": 1},
+                     "^num_test must be at least 2, the fewest rows MAD can take, got 1$"),
+}
+# the planted dataset has 60 nodes in 3 classes of 20
+UNUSABLE_SPLITS = {
+    "per-class": ({"per_class": 21}, "^class 0 has only 20 nodes, fewer than per_class=21$"),
+    "val-test": ({"num_val": 30, "num_test": 30},
+                 "^not enough nodes left for val\\+test: have 51, need 60$"),
+}
+
+
+@pytest.mark.parametrize("case", [*UNUSABLE_RUNS, *UNUSABLE_SPLITS])
+def test_unusable_runs_fail_before_any_work(case, monkeypatch):
+    for work in ("score_all_sources", "score_picks", "train", "edge_betweenness"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    overrides, message = {**UNUSABLE_RUNS, **UNUSABLE_SPLITS}[case]
+    ds = planted_dataset(seed=7)
+    with pytest.raises(ValueError, match=message):
+        run_baseline(ds, fast_config(**overrides))
+    with pytest.raises(ValueError, match=message):
+        run_ablation(ds, fast_config().with_overrides(**overrides))
+    with pytest.raises(ValueError, match=message):
+        run_l_sweep(ds, fast_config().with_overrides(**overrides), l_values=(4, 5))
+    with pytest.raises(ValueError, match=message):
+        run_attack_comparison(ds, fast_config().with_overrides(**overrides))
+    if case in UNUSABLE_RUNS:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({**fast_config().to_dict(), **overrides})
+
+
 def test_load_dataset_rejects_another_format():
     # a config saved when JSON bundles were a second format
     cfg = ExperimentConfig(dataset_path="cache/cora.json", dataset_format="bundle")
@@ -755,6 +801,18 @@ def test_cli_rejects_an_unknown_sampler_in_one_line(tmp_path, toy_prefix):
     assert res.returncode == 1
     assert res.stderr.strip().splitlines() == [
         '{"error": "ValueError: unknown sampling method \'foo\'"}'
+    ]
+    assert not (tmp_path / "results").exists()
+
+
+def test_cli_rejects_a_zero_learning_rate_in_one_line(tmp_path, toy_prefix):
+    res = run_cli(
+        "baseline", "--dataset-path", str(toy_prefix), "--lr", "0",
+        "--out", str(tmp_path / "results"),
+    )
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines() == [
+        '{"error": "ValueError: lr must be finite and above 0, got 0.0"}'
     ]
     assert not (tmp_path / "results").exists()
 

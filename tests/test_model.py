@@ -415,7 +415,11 @@ def test_train_rejects_dropout_outside_unit_interval(dropout, monkeypatch):
     with pytest.raises(ValueError, match="dropout"):
         init_params([4, 3, 2], lam=0.1, seed=0, dropout_p=dropout)
     monkeypatch.setattr(model, "sym_normalized_operator", no_work)
-    config = ExperimentConfig(epochs=3, hidden=4, layers=2, dropout=dropout, lam=0.0)
+    with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\), got "):
+        ExperimentConfig(dropout=dropout)
+    # train keeps its own check for a config that skipped the constructor's
+    config = ExperimentConfig(epochs=3, hidden=4, layers=2, dropout=0.0, lam=0.0)
+    object.__setattr__(config, "dropout", dropout)
     with pytest.raises(ValueError, match="dropout"):
         train(two_clique_dataset(), two_clique_masks(), build_graph(10, []), config, seed=0)
 
