@@ -2,10 +2,11 @@
 
 Subcommands: ``prepare`` (write a dataset, or a BFS subgraph of it, as a
 new ``.content``/``.cites`` pair), ``baseline``, ``attack``, ``ablate``,
-``sweep-l``, ``report``.  Every experiment flag mirrors an
-ExperimentConfig field; a JSON config file may supply all of them and
-explicit flags win over file values.  Failures exit nonzero with a single
-machine-readable error line on stderr.
+``sweep-l``, ``report``.  Every ExperimentConfig field but
+``dataset_format`` has one experiment flag; a JSON config file may supply
+all of them and explicit flags win over file values.  Failures, a bad
+argument included, exit 1 with a single machine-readable error line on
+stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 _CONFIG_FLAGS = [
-    # (flag, ExperimentConfig field, type, help); bool gives a --flag/--no-flag pair
+    # (flag, ExperimentConfig field, type, help)
     ("--dataset-path", "dataset_path", str, "prefix of the .content/.cites pair"),
     ("--per-class", "per_class", int, "train nodes per class"),
     ("--num-val", "num_val", int, "validation pool size"),
@@ -50,26 +51,20 @@ _CONFIG_FLAGS = [
     ("--k-per-level", "k_per_level", int, "candidates kept per layer"),
     ("--k-dpp", "k_dpp", int, "negatives sampled per source"),
     ("--sampler", "sampler", str, "exact | greedy"),
-    ("--jitter", "jitter", float, "kernel diagonal jitter"),
     ("--resample-every", "resample_every", int, "re-draw negatives every N epochs (0 = static)"),
-    ("--sources", "sources", str, "all | degree-range"),
-    ("--degree-lo", "degree_lo", int, "min degree for degree-range sources"),
-    ("--degree-hi", "degree_hi", int, "max degree for degree-range sources"),
+    ("--sources", "sources", str, "all | degree-range (unweighted degree 3..6)"),
     ("--runs", "runs", int, "number of seeded runs"),
     ("--epochs", "epochs", int, "training epochs per run"),
     ("--lr", "lr", float, "learning rate"),
     ("--base-seed", "base_seed", int, "seed of run 0"),
     ("--levels", "levels", _ints, "comma-separated candidate layers, e.g. 2,3,4"),
-    ("--row-normalize", "row_normalize", bool, "normalize feature rows to sum 1"),
-    ("--gcn-self-loops", "gcn_self_loops", bool, "add self loops before symmetric normalization"),
 ]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        kind = {"action": argparse.BooleanOptionalAction} if typ is bool else {"type": typ}
-        parser.add_argument(flag, dest=dest, default=None, help=help_text, **kind)
+        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
     parser.add_argument("--out", type=str, default="results", help="output directory")
 
 
@@ -89,7 +84,7 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    # raw features: the experiment's row_normalize applies when the pair loads
+    # raw features: an experiment normalises the rows when it loads the pair
     ds = data_mod.load_content_cites_paths(args.content, args.cites, row_normalize=False)
     if args.subgraph_size:
         if args.subgraph_seed_node is None:
@@ -167,7 +162,7 @@ def cmd_sweep_l(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     reports = []
     for path in args.json_reports:
-        for entry in json.loads(Path(path).read_text()):
+        for entry in json.loads(Path(path).read_text(encoding="utf-8")):
             reports.append(
                 RunReport(
                     label=entry["label"],
@@ -184,8 +179,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad argument, so ``main`` reports it in one line
+    instead of exiting 2 after a usage block."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rwnsgcn",
         description="Negative-sampling GCN experiments on citation networks",
     )
@@ -252,13 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = build_parser().parse_args(argv)  # --help still exits 0
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except Exception as exc:  # surface a single machine-readable line
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rwnsgcn.dpp import check_jitter, check_method
+from rwnsgcn.dpp import check_method
 from rwnsgcn.scoring import check_alpha, check_beta, check_levels
 
 __all__ = [
@@ -38,7 +38,6 @@ class ExperimentConfig:
     # dataset
     dataset_path: str = ""
     dataset_format: str = "content-cites"  # the only format load_dataset reads
-    row_normalize: bool = True
     # split
     per_class: int = 20
     num_val: int = 500
@@ -48,7 +47,6 @@ class ExperimentConfig:
     hidden: int = 64
     dropout: float = 0.5
     lam: float = 0.1
-    gcn_self_loops: bool = True
     # scoring
     alpha: float = 0.85
     beta: float = 0.5
@@ -57,11 +55,8 @@ class ExperimentConfig:
     # sampling
     k_dpp: int = 3
     sampler: str = "exact"  # "exact" | "greedy"
-    jitter: float = 1e-8
     resample_every: int = 0  # re-draw negatives every N epochs (0 = static)
-    sources: str = "all"  # "all" | "degree-range"
-    degree_lo: int = 3
-    degree_hi: int = 6
+    sources: str = "all"  # "all" | "degree-range" (unweighted degree 3..6)
     # run
     runs: int = 10
     epochs: int = 200
@@ -88,11 +83,8 @@ class ExperimentConfig:
         # the sorted, de-duplicated levels the scoring uses: one hash per pick
         object.__setattr__(self, "levels", tuple(check_levels(self.levels, self.k_per_level)))
         check_method(self.sampler)
-        check_jitter(self.jitter)
         if self.sources not in ("all", "degree-range"):
             raise ValueError(f"unknown sources mode {self.sources!r}")
-        if self.degree_lo > self.degree_hi:
-            raise ValueError(f"degree_lo={self.degree_lo} exceeds degree_hi={self.degree_hi}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -109,7 +101,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

@@ -276,8 +276,8 @@ def load_content_cites_paths(
     cites_path: str | Path,
     row_normalize: bool = True,
 ) -> Dataset:
-    content = Path(content_path).read_text()
-    cites = Path(cites_path).read_text()
+    content = Path(content_path).read_text(encoding="utf-8")
+    cites = Path(cites_path).read_text(encoding="utf-8")
     return load_content_cites(content, cites, row_normalize=row_normalize)
 
 
@@ -319,8 +319,8 @@ def save_content_cites(ds: Dataset, prefix: str | Path) -> None:
         lines.append("\t".join([name, *row, classes[label]]) + "\n")
     content = "".join(lines)
     cites = "".join(f"{names[a]}\t{names[b]}\n" for a, b in zip(u.tolist(), v.tolist()))
-    Path(f"{prefix}.content").write_text(content)
-    Path(f"{prefix}.cites").write_text(cites)
+    Path(f"{prefix}.content").write_text(content, encoding="utf-8")
+    Path(f"{prefix}.cites").write_text(cites, encoding="utf-8")
 
 
 def check_split(ds: Dataset, per_class: int, num_val: int, num_test: int) -> np.ndarray:

@@ -84,22 +84,29 @@ def label_propagation(
     labels.
     """
     n = g.num_nodes
-    labels = np.arange(n, dtype=np.int64)
+    # Python lists: a visit costs O(degree), not a count over every label
+    indices, indptr = g.indices.tolist(), g.indptr.tolist()
+    neighbors = [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
+    labels = list(range(n))
     rng = np.random.default_rng(seed)
     for _ in range(max_iter):
         changed = False
-        for v in rng.permutation(n):
-            nbrs = g.neighbors(v)
-            if nbrs.size == 0:
+        for v in rng.permutation(n).tolist():
+            nbrs = neighbors[v]
+            if not nbrs:
                 continue
-            counts = np.bincount(labels[nbrs])
-            best = int(np.argmax(counts))  # argmax returns the smallest label on ties
+            counts = {}
+            for u in nbrs:
+                label = labels[u]
+                counts[label] = counts.get(label, 0) + 1
+            top = max(counts.values())
+            best = min(label for label, c in counts.items() if c == top)
             if labels[v] != best:
                 labels[v] = best
                 changed = True
         if not changed:
             break
-    uniq, compact = np.unique(labels, return_inverse=True)
+    uniq, compact = np.unique(np.array(labels, dtype=np.int64), return_inverse=True)
     compact = compact.astype(np.int64)
     comm_features = None
     if features is not None:

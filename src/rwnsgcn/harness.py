@@ -68,7 +68,8 @@ class RunReport:
 
 
 def load_dataset(config: ExperimentConfig) -> Dataset:
-    """Load the ``<dataset_path>.content`` / ``<dataset_path>.cites`` pair."""
+    """Load the ``<dataset_path>.content`` / ``<dataset_path>.cites`` pair,
+    feature rows normalised to sum 1."""
     path = config.dataset_path
     if not path:
         raise ValueError("config.dataset_path is empty")
@@ -77,9 +78,7 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
             f"dataset_format {config.dataset_format!r} is not supported; datasets are "
             "'content-cites' pairs (rwnsgcn prepare writes one)"
         )
-    return data_mod.load_content_cites_paths(
-        path + ".content", path + ".cites", row_normalize=config.row_normalize
-    )
+    return data_mod.load_content_cites_paths(path + ".content", path + ".cites")
 
 
 def _graph_fingerprint(g: Graph) -> str:
@@ -92,8 +91,8 @@ def _graph_fingerprint(g: Graph) -> str:
 
 
 def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
-    if config.sources == "degree-range":
-        return [int(v) for v in degree_filtered_nodes(g, config.degree_lo, config.degree_hi)]
+    if config.sources == "degree-range":  # unweighted degree 3..6
+        return [int(v) for v in degree_filtered_nodes(g)]
     return list(range(g.num_nodes))
 
 
@@ -143,7 +142,8 @@ def _run_once(
     negatives_schedule = None
     if config.lam != 0.0:
         t0 = time.perf_counter()
-        sampling = dict(k=config.k_dpp, method=config.sampler, jitter=config.jitter)
+        # dpp's default jitter of 1e-8
+        sampling = dict(k=config.k_dpp, method=config.sampler)
         # built once per run: every redraw samples from the same kernels.
         # Communities are found only if some draw chooses
         kernels = build_negative_kernels(
@@ -179,7 +179,8 @@ def _run_once(
                         "run": run_index,
                         "negatives": {str(s): v for s, v in negatives.items()},
                     }
-                )
+                ),
+                encoding="utf-8",
             )
     else:
         neg_graph = build_graph(n, np.empty((0, 2)))
@@ -408,7 +409,7 @@ def emit_report(
             if any(key in rep.aggregates for rep in reports)
         ]
         path = out / f"{stem}.csv"
-        with path.open("w", newline="") as fh:
+        with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["config_hash", "label", "row"] + columns + agg_cols)
             for rep in reports:
@@ -441,6 +442,6 @@ def emit_report(
             }
             for rep in reports
         ]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
         written.append(path)
     return written

@@ -434,7 +434,7 @@ def train(
         + [ds.class_count]
     )
     params = init_params(dims, config.lam, seed=seed, dropout_p=config.dropout)
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
+    pos_op = sym_normalized_operator(ds.graph, self_loops=True)
     neg_op = sym_normalized_operator(negatives, self_loops=False)
     state = init_adam_state(params, lr=config.lr)
     drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))

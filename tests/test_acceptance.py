@@ -269,7 +269,7 @@ def pubmed_attack_reports():
     ds = _load_named_dataset("pubmed")
     seed_node = int(np.argmax(ds.graph.unweighted_degrees()))
     sub = bfs_subgraph(ds, seed_node, 3000)
-    cfg = _repro_config(sources="degree-range", degree_lo=3, degree_hi=6)
+    cfg = _repro_config(sources="degree-range")  # unweighted degree 3..6
     print("\n[desk-scale] pubmed subgraph: paired attack comparison")
     return run_attack_comparison(
         sub, cfg, attack_grid=[("ctbca", 0.10), ("twpa", 0.5)]

@@ -99,6 +99,72 @@ def test_disjoint_cliques_one_community_each():
     assert comm.num_communities == 3
 
 
+def reference_label_propagation(g, seed, max_iter=100):
+    """The sweep as it was before Python neighbour lists: a numpy count
+    over every label at each visit, argmax ties to the smallest label.
+    Returns the compacted labels."""
+    n = g.num_nodes
+    labels = np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_iter):
+        changed = False
+        for v in rng.permutation(n):
+            nbrs = g.neighbors(v)
+            if nbrs.size == 0:
+                continue
+            best = int(np.argmax(np.bincount(labels[nbrs])))
+            if labels[v] != best:
+                labels[v] = best
+                changed = True
+        if not changed:
+            break
+    return np.unique(labels, return_inverse=True)[1].astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [501, 601])
+@pytest.mark.parametrize("scale", ["cora", "citeseer", "pubmed3k"])
+def test_label_propagation_matches_the_reference_sweep_on_the_benchmark_graphs(
+    bench_gen, scale, seed
+):
+    content, cites, _ = bench_gen.generate(bench_gen.SCALES[scale], seed)
+    g = load_content_cites(content.decode(), cites.decode()).graph
+    lp_seed = derive_seed(seed, "labelprop")  # the harness's seed for run 0
+    got = label_propagation(g, seed=lp_seed).labels
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_label_propagation(g, lp_seed))
+
+
+def _bridged_triangles(count):
+    # triangles t and t + 1 joined through one bridge node, which sees one
+    # neighbour in each: a tie that decides which side it joins
+    edges = []
+    for t in range(count):
+        a = 4 * t
+        edges += [(a, a + 1, 1.0), (a + 1, a + 2, 1.0), (a, a + 2, 1.0)]
+        if t + 1 < count:
+            edges += [(a + 2, a + 3, 1.0), (a + 3, a + 4, 1.0)]
+    return build_graph(4 * count - 1, edges)
+
+
+LP_GRAPHS = {
+    "isolated": lambda rng: build_graph(12, [(0, 1, 1.0), (1, 2, 1.0), (5, 6, 1.0)]),
+    "zero-weight": lambda rng: build_graph(
+        30, [(u, v, 0.0 if rng.random() < 0.5 else 1.0)
+             for u, v, _ in random_graph(rng, 30, 0.12).edges()]),
+    "ties": lambda rng: _bridged_triangles(5),
+    "star": lambda rng: build_graph(6, [(0, i, 1.0) for i in range(1, 6)]),
+    "random": lambda rng: random_graph(rng, 60, 0.05, weighted=True),
+}
+
+
+@pytest.mark.parametrize("case", LP_GRAPHS)
+def test_label_propagation_matches_the_reference_sweep_on_edge_cases(case):
+    for lp_seed in range(6):
+        g = LP_GRAPHS[case](np.random.default_rng(lp_seed))
+        got = label_propagation(g, seed=lp_seed).labels
+        assert np.array_equal(got, reference_label_propagation(g, lp_seed))
+
+
 def test_community_features_are_member_means():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     x = np.arange(8.0).reshape(4, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rwnsgcn import harness
+from rwnsgcn import cli, harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
 from rwnsgcn.data import load_content_cites, planetoid_split, save_content_cites
 from rwnsgcn.graph import sym_normalized_operator
@@ -68,11 +69,11 @@ def test_config_hashes_one_levels_tuple_per_pick():
             ExperimentConfig.from_dict({"levels": [4, 2]})]
     for cfg in same:
         assert cfg.levels == (2, 4)
-        assert config_hash(cfg.to_dict()) == "fb187b067f30e243"
+        assert config_hash(cfg.to_dict()) == "0c15f2a626bc331b"
     # the default was already sorted, so sorting the levels leaves its hash alone
     assert ExperimentConfig().levels == (2, 3, 4)
-    assert config_hash(ExperimentConfig().to_dict()) == "7c6e0ee34566c6b2"
-    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3)).to_dict()) == "7c6e0ee34566c6b2"
+    assert config_hash(ExperimentConfig().to_dict()) == "59e982be9641c9c0"
+    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3)).to_dict()) == "59e982be9641c9c0"
 
 
 def test_levels_none_fails_on_every_way_in():
@@ -130,13 +131,10 @@ def test_config_has_no_attack_fields(field, value):
 # (overrides, message): the scoring and sampler messages, raised when the
 # config is built.  Without these checks an unknown sampler failed only
 # after the candidate fill, beta 1.5 after PageRank and the first block's
-# walks, a nan jitter in eigh after label propagation, and with lam = 0 a
-# bad beta or level trained to the end and was hashed into the report
+# walks, and with lam = 0 a bad beta or level trained to the end and was
+# hashed into the report
 UNUSABLE = {
     "sampler": ({"sampler": "foo"}, "^unknown sampling method 'foo'$"),
-    "jitter-below": ({"jitter": -1.0}, "^jitter must be finite and at least 0, got -1.0$"),
-    "jitter-nan": ({"jitter": float("nan")}, "^jitter must be finite and at least 0, got nan$"),
-    "jitter-inf": ({"jitter": float("inf")}, "^jitter must be finite and at least 0, got inf$"),
     "sources": ({"sources": "foo"}, "^unknown sources mode 'foo'$"),
     "no-levels": ({"levels": ()}, "^levels must name at least one layer$"),
     "level-0": ({"levels": (0,)}, r"^level 0 is below 2 \(layer 1 is reserved for positives"),
@@ -145,7 +143,6 @@ UNUSABLE = {
     "beta-below": ({"beta": -0.1}, r"^beta must be in \[0, 1\]$"),
     "alpha-one": ({"alpha": 1.0}, r"^alpha must be in \[0, 1\)$"),
     "alpha-below": ({"alpha": -0.1}, r"^alpha must be in \[0, 1\)$"),
-    "degree-range": ({"degree_lo": 7, "degree_hi": 6}, "^degree_lo=7 exceeds degree_hi=6$"),
 }
 
 
@@ -277,10 +274,9 @@ def test_an_attack_reports_config_is_the_config_plus_its_cell():
         with pytest.raises(ValueError, match=r"^unknown config fields: \['attack_intensity', "
                                              r"'attack_kind'\]$"):
             ExperimentConfig.from_dict(rep.config)
-    # the default config's ctbca 0.1 cell keeps the hash its reports had
-    # while the attack was a config field
+    # the hash of the default config's ctbca 0.1 cell
     attacked = {**ExperimentConfig().to_dict(), "attack_kind": "ctbca", "attack_intensity": 0.1}
-    assert config_hash(attacked) == "40becf35d02364f4"
+    assert config_hash(attacked) == "2c851daa7401521c"
 
 
 def test_an_empty_attack_grid_trains_nothing(monkeypatch):
@@ -564,7 +560,7 @@ def _fresh_predict(ds, config, negatives, best):
     """The evaluation the harness ran before train() returned its best
     epoch's outputs: rebuild both operators and predict from the CSR
     features with the best weights over the given negative graph."""
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
+    pos_op = sym_normalized_operator(ds.graph, self_loops=True)
     neg_op = sym_normalized_operator(negatives, self_loops=False)
     return predict(best.params, ds.features, pos_op, neg_op)
 
@@ -703,9 +699,9 @@ def test_emit_report_rejects_unknown_formats_before_writing(tmp_path):
 # ---------------------------------------------------------------------- CLI
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, interpreter_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "rwnsgcn.cli", *args],
+        [sys.executable, *interpreter_flags, "-m", "rwnsgcn.cli", *map(str, args)],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -717,6 +713,32 @@ def toy_prefix(tmp_path_factory):
     prefix = tmp_path_factory.mktemp("toy") / "toy"
     save_content_cites(planted_dataset(seed=7), prefix)
     return prefix
+
+
+def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    # every text file names its encoding: with the locale's default an
+    # EncodingWarning, here an error, fails the command
+    ds = planted_dataset(seed=7)
+    ds = dataclasses.replace(ds, node_names=[f"nœud-{i}" for i in range(ds.num_nodes)],
+                             class_names=["théorie", "Übung", "数据"])
+    save_content_cites(ds, tmp_path / "toy")
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    res = run_cli("prepare", "--content", tmp_path / "toy.content",
+                  "--cites", tmp_path / "toy.cites", "--out", tmp_path / "prepared",
+                  interpreter_flags=strict)
+    assert res.returncode == 0, res.stderr
+    content = (tmp_path / "prepared.content").read_text(encoding="utf-8")
+    assert content.startswith("nœud-0\t") and "数据" in content
+    out = tmp_path / "res"
+    res = run_cli("baseline", "--dataset-path", tmp_path / "prepared", "--per-class", 3,
+                  "--num-val", 12, "--num-test", 24, "--layers", 3, "--hidden", 12,
+                  "--epochs", 5, "--runs", 2, "--k-dpp", 2, "--out", out,
+                  interpreter_flags=strict)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("report", out / "baseline.json", "--out", tmp_path / "again",
+                  interpreter_flags=strict)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "again" / "report.csv").read_bytes() == (out / "baseline.csv").read_bytes()
 
 
 def test_cli_prepare_and_baseline(tmp_path, toy_prefix):
@@ -767,6 +789,51 @@ def test_cli_error_is_machine_readable(tmp_path):
     assert "error" in err
 
 
+def test_config_flags_mirror_the_config_fields():
+    # one flag per field; dataset_format has none, since load_dataset
+    # reads one format only
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert len(fields) == 21
+    assert sorted(dest for _, dest, _, _ in cli._CONFIG_FLAGS) == sorted(
+        set(fields) - {"dataset_format"})
+
+
+RETIRED_FLAGS = [["--jitter", "1e-8"], ["--degree-lo", "3"], ["--degree-hi", "6"],
+                 ["--row-normalize"], ["--no-row-normalize"], ["--gcn-self-loops"],
+                 ["--no-gcn-self-loops"]]
+BAD_ARGV = {
+    "bad-int": (["baseline", "--runs", "abc"], "argument --runs: invalid int value: 'abc'"),
+    "bad-float": (["attack", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+    "bad-levels": (["ablate", "--levels", "2,x"],
+                   "argument --levels: invalid _ints value: '2,x'"),
+    "unknown-flag": (["baseline", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    "no-subcommand": ([], "the following arguments are required: command"),
+    **{flag[0]: (["baseline", *flag], f"unrecognized arguments: {' '.join(flag)}")
+       for flag in RETIRED_FLAGS},
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGV)
+def test_cli_argument_errors_are_one_json_line(case, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_dataset", _unreachable)
+    argv, message = BAD_ARGV[case]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [json.dumps({"error": f"ArgumentError: {message}"})]
+
+
+def test_cli_argument_error_exits_1_and_help_exits_0():
+    res = run_cli("baseline", "--runs", "abc")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.splitlines() == [
+        '{"error": "ArgumentError: argument --runs: invalid int value: \'abc\'"}'
+    ]
+    res = run_cli("baseline", "--help")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.startswith("usage: rwnsgcn baseline")
+
+
 def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_prefix):
     cfg_file = tmp_path / "cfg.json"
     raw = ExperimentConfig(dataset_path=str(toy_prefix), runs=1).to_dict()
@@ -778,10 +845,16 @@ def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_prefix):
     )
 
 
-@pytest.mark.parametrize("field, value", [("l_max", 5), ("pgr_mode", "converged")])
+@pytest.mark.parametrize("field, value", [
+    ("l_max", 5), ("pgr_mode", "converged"),
+    # retired with their defaults as constants: self loops on the positive
+    # operator, row-normalised features, jitter 1e-8, degree-range 3..6
+    ("gcn_self_loops", True), ("row_normalize", True), ("jitter", 1e-8),
+    ("degree_lo", 3), ("degree_hi", 6),
+])
 def test_cli_rejects_removed_scoring_fields(tmp_path, toy_prefix, field, value):
-    # a config saved before these fields were removed fails by name; its
-    # value is not dropped silently
+    # a config saved before these fields were removed fails by name, even
+    # with the value the program now fixes; it is not dropped silently
     cfg_file = tmp_path / "old.json"
     raw = ExperimentConfig(dataset_path=str(toy_prefix), runs=1).to_dict()
     cfg_file.write_text(json.dumps({**raw, field: value}))

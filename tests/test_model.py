@@ -629,7 +629,7 @@ def reference_adam_step(params, grads, state) -> None:
 
 
 def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None):
-    pos_op = sym_normalized_operator(ds.graph, self_loops=config.gcn_self_loops)
+    pos_op = sym_normalized_operator(ds.graph, self_loops=True)
     current_negatives = negatives
     neg_op = sym_normalized_operator(current_negatives, self_loops=False)
     dims = (
