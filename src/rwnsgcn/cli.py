@@ -2,11 +2,12 @@
 
 Subcommands: ``prepare`` (write a dataset, or a BFS subgraph of it, as a
 new ``.content``/``.cites`` pair), ``baseline``, ``attack``, ``ablate``,
-``sweep-l``, ``report``.  Every ExperimentConfig field but
-``dataset_format`` has one experiment flag; a JSON config file may supply
-all of them and explicit flags win over file values.  Failures, a bad
-argument included, exit 1 with a single machine-readable error line on
-stderr.
+``sweep-l``, ``report``.  The four experiments share ``cmd_experiment``:
+build the config, load the dataset, run, write the reports.  Every
+ExperimentConfig field but ``dataset_format`` has one experiment flag; a
+JSON config file may supply all of them and explicit flags win over file
+values.  Failures, a bad argument included, exit 1 with a single
+machine-readable error line on stderr.
 """
 
 from __future__ import annotations
@@ -32,8 +33,18 @@ from rwnsgcn.harness import (
 )
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _comma_list(kind: type):
+    """An argparse type: comma-separated ``kind`` items, blank items
+    skipped, so a bad item fails while parsing, before any work."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(",") if x.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}") from None
+
+    return parse
 
 
 _CONFIG_FLAGS = [
@@ -57,15 +68,21 @@ _CONFIG_FLAGS = [
     ("--epochs", "epochs", int, "training epochs per run"),
     ("--lr", "lr", float, "learning rate"),
     ("--base-seed", "base_seed", int, "seed of run 0"),
-    ("--levels", "levels", _ints, "comma-separated candidate layers, e.g. 2,3,4"),
+    ("--levels", "levels", _comma_list(int), "comma-separated candidate layers, e.g. 2,3,4"),
 ]
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_experiment(sub, name: str, help_text: str, run) -> argparse.ArgumentParser:
+    """The ``name`` subcommand: every config flag, ``--out`` and ``--stem``.
+    ``cmd_experiment`` writes the reports of ``run(dataset, config, args)``."""
+    parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
-    for flag, dest, typ, help_text in _CONFIG_FLAGS:
-        parser.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+    for flag, dest, typ, flag_help in _CONFIG_FLAGS:
+        parser.add_argument(flag, dest=dest, type=typ, default=None, help=flag_help)
     parser.add_argument("--out", type=str, default="results", help="output directory")
+    parser.add_argument("--stem", default=name, help="output file stem")
+    parser.set_defaults(func=cmd_experiment, run=run)
+    return parser
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -77,10 +94,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     # an unset flag is None and keeps the file's (or the default) value
     values = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
     return config.with_overrides(**{k: v for k, v in values.items() if v is not None})
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -115,65 +128,20 @@ def _print_aggregates(reports: list[RunReport]) -> None:
         print(json.dumps(summary))
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
+def cmd_experiment(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    ds = load_dataset(config)
-    report = run_baseline(
-        ds,
-        config,
-        label=args.label,
-        dump_negatives_dir=args.dump_negatives,
-    )
-    emit_report([report], args.out, stem=args.stem)
-    _print_aggregates([report])
-    return 0
-
-
-def cmd_attack(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    ds = load_dataset(config)
-    grid = [("ctbca", f) for f in _parse_floats(args.ctbca_fractions)]
-    grid += [("twpa", s) for s in _parse_floats(args.twpa_sigmas)]
-    reports = run_attack_comparison(ds, config, attack_grid=grid)
-    emit_report(reports, args.out, stem=args.stem)
-    _print_aggregates(reports)
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    ds = load_dataset(config)
-    reports = run_ablation(ds, config)
-    emit_report(reports, args.out, stem=args.stem)
-    _print_aggregates(reports)
-    return 0
-
-
-def cmd_sweep_l(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    ds = load_dataset(config)
-    l_values = [int(x) for x in args.l_values.split(",")]
-    reports = run_l_sweep(ds, config, l_values=l_values)
+    reports = args.run(load_dataset(config), config, args)
     emit_report(reports, args.out, stem=args.stem)
     _print_aggregates(reports)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = []
-    for path in args.json_reports:
-        for entry in json.loads(Path(path).read_text(encoding="utf-8")):
-            reports.append(
-                RunReport(
-                    label=entry["label"],
-                    config_hash=entry["config_hash"],
-                    config=entry["config"],
-                    columns=entry["columns"],
-                    rows=entry["rows"],
-                    aggregates=entry["aggregates"],
-                    timings=entry.get("timings", {}),
-                )
-            )
+    reports = [
+        RunReport(**entry)  # a missing or unknown key fails by name
+        for path in args.json_reports
+        for entry in json.loads(Path(path).read_text(encoding="utf-8"))
+    ]
     emit_report(reports, args.out, stem=args.stem)
     _print_aggregates(reports)
     return 0
@@ -217,34 +185,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("baseline", help="run the configured pipeline")
-    _add_config_flags(p)
+    p = _add_experiment(sub, "baseline", "run the configured pipeline", lambda ds, cfg, a: [
+        run_baseline(ds, cfg, label=a.label, dump_negatives_dir=a.dump_negatives)])
     p.add_argument("--label", default="baseline", help="report label")
-    p.add_argument("--stem", default="baseline", help="output file stem")
     p.add_argument(
         "--dump-negatives",
         default=None,
         help="directory for per-run sampled-negative JSON dumps",
     )
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("attack", help="paired clean/attacked comparison")
-    _add_config_flags(p)
-    p.add_argument("--ctbca-fractions", default="0.10", help="comma list of fractions")
-    p.add_argument("--twpa-sigmas", default="0.5", help="comma list of sigmas")
-    p.add_argument("--stem", default="attack", help="output file stem")
-    p.set_defaults(func=cmd_attack)
+    def attack(ds, cfg, a):
+        grid = [("ctbca", f) for f in a.ctbca_fractions] + [("twpa", s) for s in a.twpa_sigmas]
+        return run_attack_comparison(ds, cfg, attack_grid=grid)
 
-    p = sub.add_parser("ablate", help="combined vs single-score variants")
-    _add_config_flags(p)
-    p.add_argument("--stem", default="ablate", help="output file stem")
-    p.set_defaults(func=cmd_ablate)
+    p = _add_experiment(sub, "attack", "paired clean/attacked comparison", attack)
+    p.add_argument("--ctbca-fractions", type=_comma_list(float), default="0.10",
+                   help="comma list of fractions")
+    p.add_argument("--twpa-sigmas", type=_comma_list(float), default="0.5",
+                   help="comma list of sigmas")
 
-    p = sub.add_parser("sweep-l", help="sweep the maximum hop distance")
-    _add_config_flags(p)
-    p.add_argument("--l-values", default="5,6", help="comma list of L values")
-    p.add_argument("--stem", default="sweep-l", help="output file stem")
-    p.set_defaults(func=cmd_sweep_l)
+    _add_experiment(sub, "ablate", "combined vs single-score variants",
+                    lambda ds, cfg, a: run_ablation(ds, cfg))
+
+    p = _add_experiment(sub, "sweep-l", "sweep the maximum hop distance",
+                        lambda ds, cfg, a: run_l_sweep(ds, cfg, l_values=a.l_values))
+    p.add_argument("--l-values", type=_comma_list(int), default="5,6",
+                   help="comma list of L values")
 
     p = sub.add_parser("report", help="re-emit CSV/JSON from saved JSON reports")
     p.add_argument("json_reports", nargs="+", help="JSON report files")

@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -283,9 +283,11 @@ def run_l_sweep(
     """
     if not l_values:
         raise ValueError("no L values to sweep")
-    for l in l_values:  # all of them before the first run
+    for i, l in enumerate(l_values):  # all of them before the first run
         if l < 3:
             raise ValueError(f"L={l} leaves no candidate levels (levels are 2..L-1)")
+        if l in l_values[:i]:
+            raise ValueError(f"L={l} is repeated")
     return _run_clean(ds, [
         (f"sweep-l/L={l}", config.with_overrides(levels=tuple(range(2, l)))) for l in l_values
     ])
@@ -310,6 +312,9 @@ def run_attack_comparison(
         ]
         for kind, intensity in attack_grid
     ]
+    for i, (kind, intensity) in enumerate(attack_grid):
+        if (kind, intensity) in attack_grid[:i]:  # two reports under one label and hash
+            raise ValueError(f"attack cell {kind}@{intensity:g} is repeated")
     # every graph has ds's labels: an impossible split fails before any fill
     check_split(ds, config.per_class, config.num_val, config.num_test)
     gcn_config = config.with_overrides(lam=0.0)
@@ -430,18 +435,7 @@ def emit_report(
         written.append(path)
     if "json" in formats:
         path = out / f"{stem}.json"
-        payload = [
-            {
-                "label": rep.label,
-                "config_hash": rep.config_hash,
-                "config": rep.config,
-                "columns": rep.columns,
-                "rows": rep.rows,
-                "aggregates": rep.aggregates,
-                "timings": rep.timings,
-            }
-            for rep in reports
-        ]
+        payload = [asdict(rep) for rep in reports]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
         written.append(path)
     return written

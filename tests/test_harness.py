@@ -425,6 +425,10 @@ def test_l_sweep_rejects_degenerate_distance():
         ([("ctbca", 1.5)], "ctbca intensity must be a fraction"),
         ([("twpa", -0.5)], "twpa intensity"),
         ([("ctbca", 0.1), ("foo", 0.1)], "unknown attack kind 'foo'"),
+        # a repeated cell would train twice and write two reports under one
+        # label and hash, whose CSV rows cannot be told apart
+        ([("ctbca", 0.1), ("twpa", 0.5), ("ctbca", 0.10)],
+         r"^attack cell ctbca@0\.1 is repeated$"),
     ],
 )
 def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, grid, message):
@@ -439,6 +443,14 @@ def test_l_sweep_checks_every_distance_before_the_first_run(monkeypatch):
         monkeypatch.setattr(harness, work, _unreachable)
     with pytest.raises(ValueError, match="^L=2 leaves no candidate levels"):
         run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=(5, 2))
+
+
+def test_l_sweep_rejects_a_repeated_distance_before_any_work(monkeypatch):
+    # L=5 twice would write two sweep-l/L=5 reports under one hash
+    for work in ("score_all_sources", "score_picks", "train", "label_propagation"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    with pytest.raises(ValueError, match="^L=5 is repeated$"):
+        run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=[5, 6, 5])
 
 
 def test_resampling_schedule_is_deterministic_and_changes_draws():
@@ -683,6 +695,28 @@ def test_emit_report_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _oracle_json(reports) -> str:
+    # the report JSON built key by key
+    return json.dumps([
+        {"label": rep.label, "config_hash": rep.config_hash, "config": rep.config,
+         "columns": rep.columns, "rows": rep.rows, "aggregates": rep.aggregates,
+         "timings": rep.timings}
+        for rep in reports
+    ], indent=2, sort_keys=True)
+
+
+def test_emit_report_json_is_every_report_field(tmp_path):
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=3)
+    cases = {
+        "baseline": [run_baseline(ds, cfg)],
+        "attack": run_attack_comparison(ds, cfg, attack_grid=[("ctbca", 0.1), ("twpa", 0.5)]),
+    }
+    for stem, reports in cases.items():
+        _, json_path = emit_report(reports, tmp_path, stem=stem)
+        assert json_path.read_bytes() == _oracle_json(reports).encode("utf-8"), stem
+
+
 def test_emit_report_empty_rejected(tmp_path):
     with pytest.raises(ValueError):
         emit_report([], tmp_path)
@@ -805,7 +839,15 @@ BAD_ARGV = {
     "bad-int": (["baseline", "--runs", "abc"], "argument --runs: invalid int value: 'abc'"),
     "bad-float": (["attack", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
     "bad-levels": (["ablate", "--levels", "2,x"],
-                   "argument --levels: invalid _ints value: '2,x'"),
+                   "argument --levels: expected comma-separated ints, got '2,x'"),
+    "bad-l-values": (["sweep-l", "--l-values", "5,x"],
+                     "argument --l-values: expected comma-separated ints, got '5,x'"),
+    "bad-ctbca-fractions": (["attack", "--ctbca-fractions", "0.1,abc"],
+                            "argument --ctbca-fractions: expected comma-separated floats, "
+                            "got '0.1,abc'"),
+    "bad-twpa-sigmas": (["attack", "--twpa-sigmas", "0.5,x"],
+                        "argument --twpa-sigmas: expected comma-separated floats, "
+                        "got '0.5,x'"),
     "unknown-flag": (["baseline", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
     "no-subcommand": ([], "the following arguments are required: command"),
     **{flag[0]: (["baseline", *flag], f"unrecognized arguments: {' '.join(flag)}")
@@ -937,3 +979,22 @@ def test_cli_report_round_trip(tmp_path, toy_prefix):
         )
         assert res.returncode == 0, res.stderr
         assert (re_out / "again.csv").read_bytes() == (out / f"{command}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("change, key", [
+    (lambda entry: {**entry, "note": "hand-edited"}, "'note'"),
+    (lambda entry: {k: v for k, v in entry.items() if k != "label"}, "'label'"),
+], ids=["unknown-key", "missing-label"])
+def test_cli_report_refuses_an_unknown_or_missing_key(tmp_path, capsys, change, key):
+    report = run_baseline(planted_dataset(seed=7), fast_config(runs=1, epochs=2))
+    _, saved = emit_report([report], tmp_path / "saved")
+    entry = json.loads(saved.read_text())[0]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps([change(entry)]))
+    assert cli.main(["report", str(edited), "--out", str(tmp_path / "again")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    message = json.loads(line)["error"]
+    assert message.startswith("TypeError: ") and key in message
+    assert not (tmp_path / "again").exists()
