@@ -3,11 +3,12 @@
 Subcommands: ``prepare`` (write a dataset, or a BFS subgraph of it, as a
 new ``.content``/``.cites`` pair), ``baseline``, ``attack``, ``ablate``,
 ``sweep-l``, ``report``.  The four experiments share ``cmd_experiment``:
-build the config, load the dataset, run, write the reports.  Every
-ExperimentConfig field but ``dataset_format`` has one experiment flag; a
-JSON config file may supply all of them and explicit flags win over file
-values.  Failures, a bad argument included, exit 1 with a single
-machine-readable error line on stderr.
+build the config, check the subcommand's own lists, load the dataset,
+run, write the reports.  Every ExperimentConfig field but
+``dataset_format`` has one experiment flag; a JSON config file may supply
+all of them and explicit flags win over file values.  Failures, a bad
+argument included, exit 1 with a single machine-readable error line on
+stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from rwnsgcn import data as data_mod
 from rwnsgcn.config import ExperimentConfig
 from rwnsgcn.harness import (
     RunReport,
+    attack_labels,
+    check_l_values,
     emit_report,
     load_dataset,
     run_ablation,
@@ -72,16 +75,19 @@ _CONFIG_FLAGS = [
 ]
 
 
-def _add_experiment(sub, name: str, help_text: str, run) -> argparse.ArgumentParser:
+def _add_experiment(
+    sub, name: str, help_text: str, run, check=lambda args: None
+) -> argparse.ArgumentParser:
     """The ``name`` subcommand: every config flag, ``--out`` and ``--stem``.
-    ``cmd_experiment`` writes the reports of ``run(dataset, config, args)``."""
+    ``cmd_experiment`` calls ``check(args)`` before the dataset loads, then
+    writes the reports of ``run(dataset, config, args)``."""
     parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     for flag, dest, typ, flag_help in _CONFIG_FLAGS:
         parser.add_argument(flag, dest=dest, type=typ, default=None, help=flag_help)
     parser.add_argument("--out", type=str, default="results", help="output directory")
     parser.add_argument("--stem", default=name, help="output file stem")
-    parser.set_defaults(func=cmd_experiment, run=run)
+    parser.set_defaults(func=cmd_experiment, run=run, check=check)
     return parser
 
 
@@ -130,6 +136,7 @@ def _print_aggregates(reports: list[RunReport]) -> None:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    args.check(args)
     reports = args.run(load_dataset(config), config, args)
     emit_report(reports, args.out, stem=args.stem)
     _print_aggregates(reports)
@@ -194,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for per-run sampled-negative JSON dumps",
     )
 
-    def attack(ds, cfg, a):
-        grid = [("ctbca", f) for f in a.ctbca_fractions] + [("twpa", s) for s in a.twpa_sigmas]
-        return run_attack_comparison(ds, cfg, attack_grid=grid)
+    def grid(a):
+        return [("ctbca", f) for f in a.ctbca_fractions] + [("twpa", s) for s in a.twpa_sigmas]
 
-    p = _add_experiment(sub, "attack", "paired clean/attacked comparison", attack)
+    p = _add_experiment(sub, "attack", "paired clean/attacked comparison",
+                        lambda ds, cfg, a: run_attack_comparison(ds, cfg, attack_grid=grid(a)),
+                        check=lambda a: attack_labels(grid(a)))
     p.add_argument("--ctbca-fractions", type=_comma_list(float), default="0.10",
                    help="comma list of fractions")
     p.add_argument("--twpa-sigmas", type=_comma_list(float), default="0.5",
@@ -208,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                     lambda ds, cfg, a: run_ablation(ds, cfg))
 
     p = _add_experiment(sub, "sweep-l", "sweep the maximum hop distance",
-                        lambda ds, cfg, a: run_l_sweep(ds, cfg, l_values=a.l_values))
+                        lambda ds, cfg, a: run_l_sweep(ds, cfg, l_values=a.l_values),
+                        check=lambda a: check_l_values(a.l_values))
     p.add_argument("--l-values", type=_comma_list(int), default="5,6",
                    help="comma list of L values")
 

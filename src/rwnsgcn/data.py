@@ -101,7 +101,6 @@ class SplitMasks:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 # float64 bytes of one parsed row block: small next to the whole table, and
@@ -367,7 +366,6 @@ def planetoid_split(
         train=np.sort(perm[in_train]),
         val=np.sort(rest[:num_val]),
         test=np.sort(rest[num_val : num_val + num_test]),
-        seed=seed,
     )
 
 

@@ -68,20 +68,15 @@ class DppKernel:
     select: np.ndarray | None = None
 
 
-def label_propagation(
-    g: Graph,
-    features=None,
-    seed: int = 0,
-    max_iter: int = 100,
-) -> CommunityAssignment:
+def label_propagation(g: Graph, features=None, seed: int = 0) -> CommunityAssignment:
     """Asynchronous majority-label propagation.
 
     Every node starts in its own community; sweeps visit nodes in a
     seed-shuffled order and each node adopts the most frequent label
     among its neighbors (ties to the smallest label).  Stops after a
-    sweep with no change.  When ``features`` (dense or sparse) is given,
-    per-community dense mean feature rows are computed for the compacted
-    labels.
+    sweep with no change, or after 100 sweeps.  When ``features`` (dense
+    or sparse) is given, per-community dense mean feature rows are
+    computed for the compacted labels.
     """
     n = g.num_nodes
     # Python lists: a visit costs O(degree), not a count over every label
@@ -89,7 +84,7 @@ def label_propagation(
     neighbors = [indices[lo:hi] for lo, hi in zip(indptr, indptr[1:])]
     labels = list(range(n))
     rng = np.random.default_rng(seed)
-    for _ in range(max_iter):
+    for _ in range(100):
         changed = False
         for v in rng.permutation(n).tolist():
             nbrs = neighbors[v]

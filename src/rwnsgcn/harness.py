@@ -50,6 +50,8 @@ __all__ = [
     "run_ablation",
     "run_l_sweep",
     "run_attack_comparison",
+    "check_l_values",
+    "attack_labels",
     "emit_report",
 ]
 
@@ -273,6 +275,17 @@ def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
     return _run_clean(ds, [(label, config.with_overrides(beta=b)) for label, b in variants])
 
 
+def check_l_values(l_values: Sequence[int]) -> None:
+    """Refuse an empty sweep, a repeated L and an L below 3, before any work."""
+    if not l_values:
+        raise ValueError("no L values to sweep")
+    for i, l in enumerate(l_values):
+        if l < 3:
+            raise ValueError(f"L={l} leaves no candidate levels (levels are 2..L-1)")
+        if l in l_values[:i]:
+            raise ValueError(f"L={l} is repeated")
+
+
 def run_l_sweep(
     ds: Dataset, config: ExperimentConfig, l_values: Sequence[int] = (5, 6)
 ) -> list[RunReport]:
@@ -281,16 +294,28 @@ def run_l_sweep(
     Candidate levels follow the distance: levels = 2..L-1 (layer 1 is
     reserved for positives, so L must be at least 3).
     """
-    if not l_values:
-        raise ValueError("no L values to sweep")
-    for i, l in enumerate(l_values):  # all of them before the first run
-        if l < 3:
-            raise ValueError(f"L={l} leaves no candidate levels (levels are 2..L-1)")
-        if l in l_values[:i]:
-            raise ValueError(f"L={l} is repeated")
+    check_l_values(l_values)
     return _run_clean(ds, [
         (f"sweep-l/L={l}", config.with_overrides(levels=tuple(range(2, l)))) for l in l_values
     ])
+
+
+def attack_labels(attack_grid: Sequence[tuple[str, float]]) -> list[str]:
+    """The report label of each (kind, intensity) cell.  Refuses an empty
+    grid, a bad cell, and two cells under one label and hash."""
+    if not attack_grid:
+        raise ValueError("empty attack grid")
+    cells: dict[str, float] = {}
+    for kind, intensity in attack_grid:
+        AttackSpec(kind=kind, intensity=intensity)  # checks the cell
+        label = f"attack/{kind}@{intensity:g}"
+        if label in cells:
+            if cells[label] == intensity:
+                raise ValueError(f"attack cell {kind}@{intensity:g} is repeated")
+            raise ValueError(f"attack cells {kind}@{cells[label]!r} and {kind}@{intensity!r} "
+                             f"share the label {label}")
+        cells[label] = intensity
+    return list(cells)
 
 
 def run_attack_comparison(
@@ -301,20 +326,7 @@ def run_attack_comparison(
     """Clean-vs-attacked accuracy for the negative-sampling model and the
     plain GCN under shared per-run seeds (retraining on the perturbed
     graph).  One report per attack, one paired row per run."""
-    if not attack_grid:
-        raise ValueError("empty attack grid")
-    # every cell's attack of every run, built (and so checked) before the first run
-    specs = [
-        [
-            AttackSpec(kind=kind, intensity=intensity,
-                       seed=derive_seed(config.base_seed + r, "attack"))
-            for r in range(config.runs)
-        ]
-        for kind, intensity in attack_grid
-    ]
-    for i, (kind, intensity) in enumerate(attack_grid):
-        if (kind, intensity) in attack_grid[:i]:  # two reports under one label and hash
-            raise ValueError(f"attack cell {kind}@{intensity:g} is repeated")
+    labels = attack_labels(attack_grid)
     # every graph has ds's labels: an impossible split fails before any fill
     check_split(ds, config.per_class, config.num_val, config.num_test)
     gcn_config = config.with_overrides(lam=0.0)
@@ -345,13 +357,14 @@ def run_attack_comparison(
         betweenness_s = time.perf_counter() - t0
 
     reports = []
-    for (kind, intensity), cell_specs in zip(attack_grid, specs):
+    for label, (kind, intensity) in zip(labels, attack_grid):
         # each report times the clean runs plus its own cell only
         timings = dict(clean_timings)
         if kind == "ctbca":
             timings["betweenness"] = betweenness_s
         rows = []
-        for r, spec in enumerate(cell_specs):
+        for r in range(config.runs):
+            spec = AttackSpec(kind, intensity, seed=derive_seed(config.base_seed + r, "attack"))
             perturbed_graph = apply_attack(ds.graph, spec, scores=betweenness)
             perturbed = replace(ds, graph=perturbed_graph)
             att_rw = _run_once(
@@ -377,8 +390,7 @@ def run_attack_comparison(
         # the report, not the config, names the attack; every column after
         # run, seed and attack_seed is a metric
         attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
-        reports.append(_report(f"attack/{kind}@{intensity:g}", attacked, rows,
-                               list(rows[0])[3:], timings))
+        reports.append(_report(label, attacked, rows, list(rows[0])[3:], timings))
     return reports
 
 

@@ -39,15 +39,13 @@ __all__ = [
 
 @dataclass
 class ModelParams:
-    layer_dims: list[int]
-    W: list[np.ndarray]
+    W: list[np.ndarray]  # W[l] is (width in, width out) of layer l
     W_dpp: list[np.ndarray]  # hidden layers only: len(W) - 1
     lam: float
     dropout_p: float = 0.5
 
     def copy(self) -> "ModelParams":
         return ModelParams(
-            layer_dims=list(self.layer_dims),
             W=[w.copy() for w in self.W],
             W_dpp=[w.copy() for w in self.W_dpp],
             lam=self.lam,
@@ -88,17 +86,19 @@ class Gradients:
     dW_dpp: list[np.ndarray]
 
 
+# Adam's decay rates and denominator offset (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    m_W: list[np.ndarray] = field(default_factory=list)
-    v_W: list[np.ndarray] = field(default_factory=list)
-    m_Wd: list[np.ndarray] = field(default_factory=list)
-    v_Wd: list[np.ndarray] = field(default_factory=list)
+    # first and second moments, aligned with params.W + params.W_dpp
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
     # two flat work rows for the update, one chunk (or the largest weight) long
     scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
     # positions in W + W_dpp that have had a non-zero gradient; the others
@@ -109,8 +109,7 @@ class AdamState:
 @dataclass
 class TrainedModel:
     params: ModelParams
-    best_epoch: int
-    best_val_acc: float
+    best_epoch: int  # its validation accuracy is val_acc[best_epoch]
     # the best epoch's own evaluation pass (``ForwardTrace.outputs``)
     preds: np.ndarray
     embeddings: np.ndarray | sp.csr_array  # the CSR features when layers == 1
@@ -139,9 +138,7 @@ def init_params(
 
     W = [glorot(layer_dims[i], layer_dims[i + 1]) for i in range(len(layer_dims) - 1)]
     W_dpp = [glorot(layer_dims[i], layer_dims[i + 1]) for i in range(len(layer_dims) - 2)]
-    return ModelParams(
-        layer_dims=list(layer_dims), W=W, W_dpp=W_dpp, lam=lam, dropout_p=dropout_p
-    )
+    return ModelParams(W=W, W_dpp=W_dpp, lam=lam, dropout_p=dropout_p)
 
 
 def _negative_branch_active(params: ModelParams, neg_op: sp.csr_array) -> bool:
@@ -169,10 +166,10 @@ def forward(
     products with ``X``.
     """
     n = pos_op.shape[0]
-    if X.shape[0] != n or X.shape[1] != params.layer_dims[0]:
+    if X.shape[0] != n or X.shape[1] != params.W[0].shape[0]:
         raise ValueError(
             f"feature matrix {X.shape} incompatible with operator {pos_op.shape} "
-            f"and input dim {params.layer_dims[0]}"
+            f"and input dim {params.W[0].shape[0]}"
         )
     if neg_op.shape[0] != n:
         raise ValueError("negative operator size mismatch")
@@ -326,13 +323,9 @@ def backward(
 
 
 def init_adam_state(params: ModelParams, lr: float) -> AdamState:
-    return AdamState(
-        lr=lr,
-        m_W=[np.zeros_like(w) for w in params.W],
-        v_W=[np.zeros_like(w) for w in params.W],
-        m_Wd=[np.zeros_like(w) for w in params.W_dpp],
-        v_Wd=[np.zeros_like(w) for w in params.W_dpp],
-    )
+    weights = params.W + params.W_dpp
+    return AdamState(lr=lr, m=[np.zeros_like(w) for w in weights],
+                     v=[np.zeros_like(w) for w in weights])
 
 
 # elements per Adam chunk: the two work rows and the chunk's weight,
@@ -353,16 +346,16 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
     would subtract exactly 0, so it is skipped: with lam = 0 that is the
     whole negative branch.
     """
-    in_place = params.W + params.W_dpp + state.m_W + state.m_Wd + state.v_W + state.v_Wd
-    if not all(a.flags.c_contiguous for a in in_place):
+    weights = params.W + params.W_dpp
+    if not all(a.flags.c_contiguous for a in weights + state.m + state.v):
         raise ValueError("Adam updates the weights and moments in place as flat "
                          "chunks, so they must be C-contiguous")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    width = min(_ADAM_CHUNK, max(w.size for w in params.W + params.W_dpp))
+    width = min(_ADAM_CHUNK, max(w.size for w in weights))
     if state.scratch is None or state.scratch.shape[1] < width:
         state.scratch = np.empty((2, width))
 
@@ -378,17 +371,12 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState) -> None:
         step *= state.lr
         np.divide(v, corr2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
         w -= step
 
-    weights = zip(
-        params.W + params.W_dpp,
-        grads.dW + grads.dW_dpp,
-        state.m_W + state.m_Wd,
-        state.v_W + state.v_Wd,
-    )
-    for i, (w, g, m, v) in enumerate(weights):
+    moments = zip(weights, grads.dW + grads.dW_dpp, state.m, state.v)
+    for i, (w, g, m, v) in enumerate(moments):
         if i not in state.moving:
             if not g.any():
                 continue
@@ -471,8 +459,8 @@ def train(
         acc = float(np.mean(val_preds == labels[masks.val]))
         train_loss.append(loss)
         val_acc.append(acc)
-        if best is None or acc > best.best_val_acc:
-            best = TrainedModel(params.copy(), epoch, acc, *eval_trace.outputs(),
+        if best is None or acc > val_acc[best.best_epoch]:
+            best = TrainedModel(params.copy(), epoch, *eval_trace.outputs(),
                                 train_loss, val_acc)
     return best
 

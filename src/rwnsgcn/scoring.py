@@ -250,8 +250,6 @@ def score_picks(
     picks: Sequence[tuple[float, Sequence[int]]],
     alpha: float = 0.85,
     k_per_level: int = 1,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
 ) -> list[dict[int, CandidateSet]]:
     """Candidate sets for many sources under each (beta, levels) pick.
 
@@ -273,10 +271,10 @@ def score_picks(
         return outs
     depth = max(levels[-1] for _, levels in picks)
     pt = _transition_transpose(g)
-    pgr = pagerank_scores(g, alpha, tol=tol, max_iter=max_iter, _pt=pt)
+    pgr = pagerank_scores(g, alpha, _pt=pt)
     for hops, block in hop_blocks(g, source_arr):
         fronts = bfs_layers(g, block, depth, _hops=hops)
-        rwr = rwr_scores(g, block, alpha, tol, max_iter, _pt=pt)
+        rwr = rwr_scores(g, block, alpha, _pt=pt)
         for (beta, levels), out in zip(picks, outs):
             mixed = combined_scores(rwr, pgr, beta)
             out.update(select_candidates(fronts, mixed, block, levels, k_per_level))
@@ -290,8 +288,6 @@ def score_all_sources(
     beta: float = 0.5,
     levels: Sequence[int] = (2, 3, 4),
     k_per_level: int = 1,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
 ) -> dict[int, CandidateSet]:
     """Candidate sets for many sources under the one pick (beta, levels)."""
-    return score_picks(g, sources, [(beta, levels)], alpha, k_per_level, tol, max_iter)[0]
+    return score_picks(g, sources, [(beta, levels)], alpha, k_per_level)[0]

@@ -429,6 +429,9 @@ def test_l_sweep_rejects_degenerate_distance():
         # label and hash, whose CSV rows cannot be told apart
         ([("ctbca", 0.1), ("twpa", 0.5), ("ctbca", 0.10)],
          r"^attack cell ctbca@0\.1 is repeated$"),
+        # distinct cells that print alike would share one report label
+        ([("twpa", 0.5), ("twpa", 0.5000001)],
+         r"^attack cells twpa@0\.5 and twpa@0\.5000001 share the label attack/twpa@0\.5$"),
     ],
 )
 def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, grid, message):
@@ -618,7 +621,8 @@ def test_best_epoch_outputs_match_a_fresh_predict(case, bench_gen, monkeypatch):
     else:
         assert_same_bytes(best.embeddings, embeddings)
     assert len(best.train_loss) == len(best.val_acc) == cfg.epochs
-    assert best.val_acc[best.best_epoch] == best.best_val_acc == max(best.val_acc)
+    # the best epoch is the first with the highest validation accuracy
+    assert best.best_epoch == best.val_acc.index(max(best.val_acc))
     assert report.rows[0]["best_epoch"] == best.best_epoch
 
 
@@ -863,6 +867,23 @@ def test_cli_argument_errors_are_one_json_line(case, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [json.dumps({"error": f"ArgumentError: {message}"})]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep-l", "--l-values", ""], "no L values to sweep"),
+    (["sweep-l", "--l-values", "5,5"], "L=5 is repeated"),
+    (["attack", "--ctbca-fractions", "", "--twpa-sigmas", ""], "empty attack grid"),
+    (["attack", "--twpa-sigmas", "0.5,0.5000001"],
+     "attack cells twpa@0.5 and twpa@0.5000001 share the label attack/twpa@0.5"),
+])
+def test_cli_checks_its_lists_before_loading(argv, message, capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli, "load_dataset", loads.append)
+    assert cli.main([*argv, "--dataset-path", "/nonexistent"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [json.dumps({"error": f"ValueError: {message}"})]
+    assert loads == []
 
 
 def test_cli_argument_error_exits_1_and_help_exits_0():

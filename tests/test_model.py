@@ -142,10 +142,11 @@ def test_forward_two_node_hand_computation():
 
 
 def test_forward_dimension_mismatch():
+    # the input width is W[0]'s row count
     g = build_graph(2, [(0, 1, 1.0)])
     params = init_params([3, 2], lam=0.0, seed=0)
     pos, neg = ops_for(g)
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(ValueError, match="incompatible .* input dim 3"):
         forward(params, np.ones((2, 4)), pos, neg)
 
 
@@ -338,7 +339,6 @@ def two_clique_masks():
         train=np.array([0, 5]),
         val=np.array([1, 6]),
         test=np.array([2, 3, 4, 7, 8, 9]),
-        seed=0,
     )
 
 
@@ -400,8 +400,7 @@ def test_train_rejects_an_empty_validation_set(monkeypatch):
     monkeypatch.setattr(model, "init_params", no_work)
     monkeypatch.setattr(model, "sym_normalized_operator", no_work)
     masks = two_clique_masks()
-    masks = SplitMasks(train=masks.train, val=np.array([], dtype=np.int64),
-                       test=masks.test, seed=0)
+    masks = SplitMasks(train=masks.train, val=np.array([], dtype=np.int64), test=masks.test)
     config = ExperimentConfig(epochs=3, hidden=4, layers=2, dropout=0.0, lam=0.0)
     with pytest.raises(ValueError, match="validation set is empty"):
         train(two_clique_dataset(), masks, build_graph(10, []), config, seed=0)
@@ -516,10 +515,10 @@ def reference_forward(
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
     n = pos_op.shape[0]
-    if X.shape[0] != n or X.shape[1] != params.layer_dims[0]:
+    if X.shape[0] != n or X.shape[1] != params.W[0].shape[0]:
         raise ValueError(
             f"feature matrix {X.shape} incompatible with operator {pos_op.shape} "
-            f"and input dim {params.layer_dims[0]}"
+            f"and input dim {params.W[0].shape[0]}"
         )
     if neg_op.shape[0] != n:
         raise ValueError("negative operator size mismatch")
@@ -611,7 +610,7 @@ def reference_backward(trace, params, labels, mask) -> Gradients:
 def reference_adam_step(params, grads, state) -> None:
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = model.ADAM_BETA1, model.ADAM_BETA2
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
 
@@ -620,11 +619,10 @@ def reference_adam_step(params, grads, state) -> None:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        w -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        w -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + model.ADAM_EPS)
 
-    for w, g, m, v in zip(params.W, grads.dW, state.m_W, state.v_W):
-        update(w, g, m, v)
-    for w, g, m, v in zip(params.W_dpp, grads.dW_dpp, state.m_Wd, state.v_Wd):
+    weights = params.W + params.W_dpp
+    for w, g, m, v in zip(weights, grads.dW + grads.dW_dpp, state.m, state.v):
         update(w, g, m, v)
 
 
@@ -640,20 +638,15 @@ def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None)
     params = init_params(dims, config.lam, seed=seed, dropout_p=config.dropout)
     state = AdamState(
         lr=config.lr,
-        m_W=[np.zeros_like(w) for w in params.W],
-        v_W=[np.zeros_like(w) for w in params.W],
-        m_Wd=[np.zeros_like(w) for w in params.W_dpp],
-        v_Wd=[np.zeros_like(w) for w in params.W_dpp],
+        m=[np.zeros_like(w) for w in params.W + params.W_dpp],
+        v=[np.zeros_like(w) for w in params.W + params.W_dpp],
     )
     drop_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
 
     X = ds.features
     labels = ds.labels
     train_loss, val_accs = [], []
-    best = TrainedModel(
-        params=params.copy(), best_epoch=-1, best_val_acc=-1.0,
-        preds=None, embeddings=None, train_loss=train_loss, val_acc=val_accs,
-    )
+    best, best_val_acc = None, -1.0
     for epoch in range(config.epochs):
         if negatives_schedule is not None:
             refreshed = negatives_schedule(epoch)
@@ -672,12 +665,12 @@ def reference_train(ds, masks, negatives, config, seed, negatives_schedule=None)
         val_acc = float(np.mean(preds[masks.val] == labels[masks.val]))
         train_loss.append(loss)
         val_accs.append(val_acc)
-        if val_acc > best.best_val_acc:
+        if val_acc > best_val_acc:
+            best_val_acc = val_acc
             hidden = eval_trace.inputs[-1]  # the CSR features with one layer
             best = TrainedModel(
                 params=params.copy(),
                 best_epoch=epoch,
-                best_val_acc=val_acc,
                 preds=preds,
                 embeddings=hidden,
                 train_loss=train_loss,
@@ -705,7 +698,7 @@ def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
         class_count=classes, feature_dim=dim,
     )
     order = rng.permutation(n)
-    masks = SplitMasks(train=order[:12], val=order[12:30], test=order[30:], seed=0)
+    masks = SplitMasks(train=order[:12], val=order[12:30], test=order[30:])
 
     def negative_graph(seed: int, p: float = 0.08):
         return random_graph(np.random.default_rng(seed), n, p)
@@ -718,7 +711,6 @@ def assert_same_training(best, ref_best):
                     ref_best.params.W + ref_best.params.W_dpp):
         assert np.array_equal(a, b)
     assert best.best_epoch == ref_best.best_epoch
-    assert best.best_val_acc == ref_best.best_val_acc
     assert best.train_loss == ref_best.train_loss
     assert best.val_acc == ref_best.val_acc
     assert_same_bytes(best.preds, ref_best.preds)
@@ -791,7 +783,6 @@ def test_adam_step_matches_fresh_temporaries_formula(scratch):
     rng = np.random.default_rng(8)
     shapes = [(1, 1), (64, 7), (300, 16)]
     params = ModelParams(
-        layer_dims=[1, 1, 1, 1],
         W=[rng.normal(size=s) for s in shapes],
         W_dpp=[rng.normal(size=s) for s in reversed(shapes)],
         lam=0.1,
@@ -819,8 +810,8 @@ def test_adam_step_matches_fresh_temporaries_formula(scratch):
         )
         for got, want in (
             (params.W + params.W_dpp, ref_params.W + ref_params.W_dpp),
-            (state.m_W + state.m_Wd, ref_state.m_W + ref_state.m_Wd),
-            (state.v_W + state.v_Wd, ref_state.v_W + ref_state.v_Wd),
+            (state.m, ref_state.m),
+            (state.v, ref_state.v),
         ):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -842,7 +833,8 @@ def test_adam_leaves_an_inactive_branch_untouched():
         trace = forward(params, X, pos, neg, train_mode=True, rng=rng)
         adam_step(params, backward(trace, params, ds.labels, masks.train), state)
     assert state.moving == set(range(len(params.W)))
-    for w, w0, m, v in zip(params.W_dpp, init.W_dpp, state.m_Wd, state.v_Wd):
+    first_dpp = len(params.W)  # the W_dpp moments follow every W's
+    for w, w0, m, v in zip(params.W_dpp, init.W_dpp, state.m[first_dpp:], state.v[first_dpp:]):
         assert np.array_equal(w, w0) and not m.any() and not v.any()
     assert not any(np.array_equal(w, w0) for w, w0 in zip(params.W, init.W))
 
@@ -891,7 +883,6 @@ def test_adam_step_across_chunk_boundaries_matches_reference():
     shapes = [(chunk - 1, 1), (1, chunk), (chunk + 1, 1), (2 * chunk + 3, 1)]
     rng = np.random.default_rng(21)
     params = ModelParams(
-        layer_dims=[1, 1, 1, 1],
         W=[rng.normal(size=s) for s in shapes],
         W_dpp=[rng.normal(size=s) for s in reversed(shapes[:3])],
         lam=0.1,
@@ -910,8 +901,8 @@ def test_adam_step_across_chunk_boundaries_matches_reference():
         reference_adam_step(ref_params, Gradients(dW=dW, dW_dpp=dW_dpp), ref_state)
         for got, want in (
             (params.W + params.W_dpp, ref_params.W + ref_params.W_dpp),
-            (state.m_W + state.m_Wd, ref_state.m_W + ref_state.m_Wd),
-            (state.v_W + state.v_Wd, ref_state.v_W + ref_state.v_Wd),
+            (state.m, ref_state.m),
+            (state.v, ref_state.v),
         ):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -920,8 +911,7 @@ def test_adam_step_across_chunk_boundaries_matches_reference():
 
 
 def test_adam_step_rejects_a_weight_it_cannot_update_in_place():
-    params = ModelParams(layer_dims=[1, 1], W=[np.asfortranarray(np.ones((3, 4)))],
-                         W_dpp=[], lam=0.0)
+    params = ModelParams(W=[np.asfortranarray(np.ones((3, 4)))], W_dpp=[], lam=0.0)
     state = init_adam_state(params, lr=0.01)
     with pytest.raises(ValueError, match="C-contiguous"):
         adam_step(params, Gradients(dW=[np.ones((3, 4))], dW_dpp=[]), state)
