@@ -4,8 +4,10 @@ Communities come from asynchronous label propagation; a per-source PSD
 kernel couples candidate quality (similarity of the source to each
 candidate's community) with pairwise redundancy (node/community feature
 similarity); subsets are drawn either by an exact fixed-size determinantal
-sampler or by a deterministic greedy log-det maximizer.  The union of all
-sampled pairs forms the negative-sample graph the model propagates over.
+sampler or by a deterministic greedy log-det maximizer.  One record holds
+the candidates, k, sampler and kernels, and every draw reads only it.  The
+union of all sampled pairs forms the negative-sample graph the model
+propagates over.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from rwnsgcn.scoring import CandidateSet
 __all__ = [
     "CommunityAssignment",
     "DppKernel",
+    "NegativeKernels",
     "label_propagation",
     "cosine_rows",
     "build_dpp_kernel",
@@ -66,6 +69,18 @@ class DppKernel:
     eigvecs: np.ndarray | None = None
     rank: int | None = None
     select: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class NegativeKernels:
+    """What every negative draw over one candidate map reads, fixed at
+    build: the map, the draw size ``k``, the sampler ``method`` ("exact" or
+    "greedy") and the kernels of exactly the sources whose draw chooses."""
+
+    candidates: Mapping[int, CandidateSet]
+    k: int
+    method: str
+    by_source: dict[int, DppKernel]
 
 
 def label_propagation(g: Graph, features=None, seed: int = 0) -> CommunityAssignment:
@@ -491,19 +506,19 @@ def build_negative_kernels(
     k: int = 3,
     method: str = "exact",
     jitter: float = 1e-8,
-) -> dict[int, DppKernel]:
-    """Kernels of the sources whose draw actually chooses.
+) -> NegativeKernels:
+    """The record every negative draw over ``candidates`` reads.
 
-    Sources whose draw can only return every candidate (none included)
-    get none.  ``comm`` may be a zero-argument callable that returns the
-    communities; it is called once, and only if some source gets a
-    kernel.  The kernels are assembled in one pass, each feature and
-    community row normalised once, with the bits of ``build_dpp_kernel``;
-    for the exact sampler each gets its spectrum and selection table here,
-    stacked by candidate count.  Build once per candidate map and
-    community assignment, then pass the result to every
-    ``draw_negative_samples`` call with the same candidates, k, method and
-    jitter, so redraws reuse each kernel and its eigendecomposition.
+    Only the sources whose draw actually chooses get a kernel; a draw that
+    can only return every candidate (none included) needs none.  ``comm``
+    may be a zero-argument callable that returns the communities; it is
+    called once, and only if some source gets a kernel.  The kernels are
+    assembled in one pass, each feature and community row normalised once,
+    with the bits of ``build_dpp_kernel``; for the exact sampler each gets
+    its spectrum and selection table here, stacked by candidate count.
+    Build once per candidate map and community assignment, then hand the
+    record to every ``draw_negative_samples`` call, so redraws reuse each
+    kernel and its eigendecomposition.
     """
     check_method(method)
     check_jitter(jitter)
@@ -512,52 +527,35 @@ def build_negative_kernels(
         for src in sorted(candidates)
         if not _draw_is_forced(len(candidates[src]), k, method, jitter)
     ]
-    if not choosing:
-        return {}
-    if callable(comm):
-        comm = comm()
-    items = [candidates[src].nodes() for src in choosing]
-    kernels = _assemble_kernels(choosing, items, features, comm, jitter, method == "exact")
-    return dict(zip(choosing, kernels))
+    by_source: dict[int, DppKernel] = {}
+    if choosing:
+        if callable(comm):
+            comm = comm()
+        items = [candidates[src].nodes() for src in choosing]
+        kernels = _assemble_kernels(choosing, items, features, comm, jitter, method == "exact")
+        by_source = dict(zip(choosing, kernels))
+    return NegativeKernels(candidates, k, method, by_source)
 
 
-def draw_negative_samples(
-    candidates: Mapping[int, CandidateSet],
-    kernels: Mapping[int, DppKernel],
-    k: int = 3,
-    method: str = "exact",
-    jitter: float = 1e-8,
-    rng_for_source=None,
-) -> dict[int, list[int]]:
-    """Per-source negative draws over all candidate sets.
+def draw_negative_samples(kernels: NegativeKernels, rng_for_source=None) -> dict[int, list[int]]:
+    """One negative draw per source of the ``build_negative_kernels`` record.
 
-    ``kernels`` are ``build_negative_kernels`` of the same candidates, k,
-    method and jitter; build them once and pass them to every redraw.
-    ``k`` is clamped to each source's candidate count.  ``rng_for_source``
-    maps a source id to the generator used for its draw, so results do
-    not depend on iteration order; it is required for the exact sampler.
-    The exact draws run in lockstep, so every source needs a generator of
-    its own: one generator returned for two sources raises ``ValueError``.
-    A draw that can only return every candidate returns them, ascending,
-    without a kernel or a generator.  A source that chooses without a
-    usable kernel raises ``ValueError`` before any generator is asked for.
+    ``k`` is clamped to each source's candidate count, and a source without
+    a kernel takes every candidate, ascending.  ``rng_for_source`` maps a
+    source id to the generator of its exact draw, so results do not depend
+    on iteration order; the exact sampler requires it.  The exact draws run
+    in lockstep, so one generator returned for two sources raises
+    ``ValueError``.
     """
-    check_method(method)
+    candidates, k = kernels.candidates, kernels.k
     out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
     exact: list[int] = []
     for src in out:
-        cs = candidates[src]
-        if _draw_is_forced(len(cs), k, method, jitter):
-            out[src] = sorted(cs.nodes())
-            continue
-        kernel = kernels.get(src)
-        if kernel is None or (method == "exact" and kernel.select is None):
-            raise ValueError(f"source {src} has no kernel for the {method} sampler; the "
-                             "kernels were built with another k, method or jitter")
-        if kernel.items != cs.nodes():
-            raise ValueError(f"kernel for source {src} was built from other candidates")
-        if method == "greedy":
-            out[src] = dpp_map_greedy(kernel, min(k, len(cs)))
+        kernel = kernels.by_source.get(src)
+        if kernel is None:
+            out[src] = sorted(candidates[src].nodes())
+        elif kernels.method == "greedy":
+            out[src] = dpp_map_greedy(kernel, min(k, len(kernel.items)))
         else:
             exact.append(src)
     if exact:
@@ -569,6 +567,7 @@ def draw_negative_samples(
             first = owner.setdefault(id(rng), src)
             if first != src:
                 raise ValueError(f"sources {first} and {src} share one generator")
-        ks = [min(k, len(candidates[src])) for src in exact]
-        out.update(zip(exact, _kdpp_draws([kernels[s] for s in exact], ks, rngs)))
+        chosen = [kernels.by_source[src] for src in exact]
+        ks = [min(k, len(kernel.items)) for kernel in chosen]
+        out.update(zip(exact, _kdpp_draws(chosen, ks, rngs)))
     return out

@@ -125,24 +125,27 @@ def build_graph(
     counted on the result).
 
     Raises ValueError naming the first offending edge index for rows of
-    another length, out-of-range node ids, and NaN, infinite or negative
-    weights.
+    another length, out-of-range or non-integral node ids, and NaN,
+    infinite or negative weights.  Integral float ids are legal.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
     table, lengths = _edge_table(edge_list)
     u, v, w = table.T
     in_range = (0 <= u) & (u < num_nodes) & (0 <= v) & (v < num_nodes)
+    whole = (np.floor(u) == u) & (np.floor(v) == v)
     finite = np.isfinite(w)
-    bad = ~in_range | ~finite | (w < 0)
+    bad = ~in_range | ~whole | ~finite | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
         if lengths[k] not in (2, 3):
             raise ValueError(f"edge {k}: expected (u, v) or (u, v, w), got {lengths[k]} values")
         ids = (u[k], v[k])
-        pair = tuple(map(int if np.isfinite(ids).all() else float, ids))
+        pair = tuple(map(int if whole[k] and np.isfinite(ids).all() else float, ids))
         if not in_range[k]:
             raise ValueError(f"edge {k}: node id out of range for {pair} with {num_nodes} nodes")
+        if not whole[k]:
+            raise ValueError(f"edge {k}: non-integral node id in {pair}")
         if not finite[k]:
             raise ValueError(f"edge {k}: non-finite weight {w[k]} on {pair}")
         raise ValueError(f"edge {k}: negative weight {w[k]} on {pair}")

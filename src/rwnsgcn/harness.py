@@ -144,23 +144,20 @@ def _run_once(
     negatives_schedule = None
     if config.lam != 0.0:
         t0 = time.perf_counter()
-        # dpp's default jitter of 1e-8
-        sampling = dict(k=config.k_dpp, method=config.sampler)
-        # built once per run: every redraw samples from the same kernels.
-        # Communities are found only if some draw chooses
+        # built once per run, with dpp's default jitter of 1e-8: every
+        # redraw samples from the same kernels.  Communities are found only
+        # if some draw chooses
         kernels = build_negative_kernels(
             candidates,
             ds.features,
             lambda: label_propagation(ds.graph, features=ds.features, seed=lp_seed),
-            **sampling,
+            k=config.k_dpp,
+            method=config.sampler,
         )
 
         def draw(*rng_tags):
             sampled = draw_negative_samples(
-                candidates,
-                kernels,
-                **sampling,
-                rng_for_source=lambda src: substream(seed, "dpp", src, *rng_tags),
+                kernels, rng_for_source=lambda src: substream(seed, "dpp", src, *rng_tags)
             )
             return sampled, build_negative_graph(sampled, n)
 

@@ -9,6 +9,7 @@ from rwnsgcn.config import derive_seed, substream
 from rwnsgcn.data import load_content_cites
 from rwnsgcn.dpp import (
     RANK_TOL,
+    NegativeKernels,
     _stacked_kernels,
     build_dpp_kernel,
     build_negative_graph,
@@ -583,14 +584,14 @@ def test_kernels_built_once_give_the_draws_of_rebuilt_kernels():
     cands = {s: make_candidates(s, [(s + d) % 15 for d in (2, 5, 7, 9)]) for s in range(6)}
     cands[6] = make_candidates(6, [])
     kernels = build_negative_kernels(cands, x, comm, k=2)
-    assert sorted(kernels) == list(range(6))
+    assert sorted(kernels.by_source) == list(range(6))
     for tag in range(3):
         def rngs(src):
             return np.random.default_rng([tag, src])
 
         rebuilt = build_negative_kernels(cands, x, comm, k=2)
-        fresh = draw_negative_samples(cands, rebuilt, k=2, rng_for_source=rngs)
-        assert draw_negative_samples(cands, kernels, k=2, rng_for_source=rngs) == fresh
+        fresh = draw_negative_samples(rebuilt, rng_for_source=rngs)
+        assert draw_negative_samples(kernels, rng_for_source=rngs) == fresh
         assert fresh[6] == []
 
 
@@ -605,25 +606,22 @@ def test_communities_from_a_callable_are_found_only_when_a_draw_chooses():
         return comm
 
     forced = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [])}
-    assert build_negative_kernels(forced, x, communities, k=2) == {}
+    assert build_negative_kernels(forced, x, communities, k=2).by_source == {}
     assert calls == []
     cands = {**forced, 2: make_candidates(2, [5, 7, 9])}
     kernels = build_negative_kernels(cands, x, communities, k=2)
     assert calls == [1]
-    (kernel,) = kernels.values()
-    assert np.array_equal(kernel.L, build_negative_kernels(cands, x, comm, k=2)[2].L)
+    (kernel,) = kernels.by_source.values()
+    assert np.array_equal(kernel.L, build_negative_kernels(cands, x, comm, k=2).by_source[2].L)
 
 
-def test_kernel_from_other_candidates_rejected():
-    from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
-
+def test_the_record_carries_the_candidates_k_and_sampler_of_its_build():
     g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
-    kernels = build_negative_kernels({0: make_candidates(0, [2, 4, 6])}, x, comm, k=2)
-    with pytest.raises(ValueError, match="other candidates"):
-        draw_negative_samples(
-            {0: make_candidates(0, [2, 4, 7])}, kernels, k=2,
-            rng_for_source=np.random.default_rng,
-        )
+    cands = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [3, 5, 7, 9])}
+    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
+    assert (kernels.candidates, kernels.k, kernels.method) == (cands, 3, "greedy")
+    assert list(kernels.by_source) == [1]
+    assert draw_negative_samples(kernels) == {0: [2, 4], 1: dpp_map_greedy(kernels.by_source[1], 3)}
 
 
 def _no_kernels(monkeypatch):
@@ -647,8 +645,8 @@ def test_greedy_draw_of_every_candidate_builds_no_kernel(monkeypatch, jitter):
     cands = {0: make_candidates(0, [9, 3, 7]), 1: make_candidates(1, [4])}
     _no_kernels(monkeypatch)
     kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
-    assert kernels == {}
-    out = draw_negative_samples(cands, kernels, k=3, method="greedy", jitter=jitter)
+    assert kernels.by_source == {}
+    out = draw_negative_samples(kernels)
     assert out == {0: [3, 7, 9], 1: [4]}
 
 
@@ -666,8 +664,8 @@ def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeyp
 
     _no_kernels(monkeypatch)
     kernels = build_negative_kernels(cands, x, comm, k=3, jitter=100 * RANK_TOL)
-    assert kernels == {}
-    out = draw_negative_samples(cands, kernels, k=3, jitter=100 * RANK_TOL, rng_for_source=no_rng)
+    assert kernels.by_source == {}
+    out = draw_negative_samples(kernels, rng_for_source=no_rng)
     assert out == {0: [3, 7, 9]}
 
 
@@ -678,12 +676,10 @@ def test_exact_draw_below_jitter_bound_still_warns_and_clamps():
     x = np.ones((6, 4))  # identical candidates: rank one without jitter
     comm = label_propagation(g, features=x, seed=0)
     cands = {0: make_candidates(0, [3, 4])}
-    assert list(build_negative_kernels(cands, x, comm, k=2, jitter=99 * RANK_TOL)) == [0]
+    assert list(build_negative_kernels(cands, x, comm, k=2, jitter=99 * RANK_TOL).by_source) == [0]
     kernels = build_negative_kernels(cands, x, comm, k=2, jitter=0.0)
     with pytest.warns(UserWarning, match="rank"):
-        out = draw_negative_samples(
-            cands, kernels, k=2, jitter=0.0, rng_for_source=np.random.default_rng
-        )
+        out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
     assert len(out[0]) == 1
 
 
@@ -741,33 +737,37 @@ def per_source_kdpp_sample_exact(kernel, k, rng):
     return sorted(kernel.items[i] for i in chosen)
 
 
-def _per_source_draws(cands, kernels, k, jitter, rngs):
-    """``draw_negative_samples`` as one oracle draw per source, in id order."""
+def _per_source_draws(kernels, jitter, rngs):
+    """``draw_negative_samples`` as one oracle draw per source, in id order.
+    Whether a draw chooses is decided again from its candidate count, k,
+    sampler and ``jitter``, not read from the record."""
     from rwnsgcn.dpp import _draw_is_forced
 
-    return {
-        src: sorted(cs.nodes())
-        if _draw_is_forced(len(cs), k, "exact", jitter)
-        else per_source_kdpp_sample_exact(kernels[src], min(k, len(cs)), rngs[src])
-        for src, cs in sorted(cands.items())
-    }
+    k, method, out = kernels.k, kernels.method, {}
+    for src, cs in sorted(kernels.candidates.items()):
+        if _draw_is_forced(len(cs), k, method, jitter):
+            out[src] = sorted(cs.nodes())
+        elif method == "greedy":
+            out[src] = dpp_map_greedy(kernels.by_source[src], min(k, len(cs)))
+        else:
+            out[src] = per_source_kdpp_sample_exact(kernels.by_source[src], min(k, len(cs)), rngs[src])
+    return out
 
 
-def _assert_draws_match(cands, kernels, k, jitter, seeds, draws=2):
+def _assert_draws_match(kernels, jitter, seeds, draws=2):
     """Lockstep and per-source draws agree in picks, generator end states
     and rank warnings, over ``draws`` redraws from the same generators.
     Returns the number of rank warnings of the last draw."""
+    cands = kernels.candidates
     lock = {src: np.random.default_rng(seeds(src)) for src in cands}
     single = {src: np.random.default_rng(seeds(src)) for src in cands}
     for _ in range(draws):
         with warnings.catch_warnings(record=True) as lock_warned:
             warnings.simplefilter("always")
-            got = draw_negative_samples(
-                cands, kernels, k=k, jitter=jitter, rng_for_source=lock.__getitem__
-            )
+            got = draw_negative_samples(kernels, rng_for_source=lock.__getitem__)
         with warnings.catch_warnings(record=True) as single_warned:
             warnings.simplefilter("always")
-            want = _per_source_draws(cands, kernels, k, jitter, single)
+            want = _per_source_draws(kernels, jitter, single)
         assert list(got) == list(want)
         assert got == want
         assert [str(w.message) for w in lock_warned] == [str(w.message) for w in single_warned]
@@ -802,7 +802,8 @@ def test_lockstep_draws_match_per_source_draws_on_mixed_groups(k):
         ranks = [kernel.rank for kernel in kernels.values()]
         assert set(ranks) == set(range(8))
         # jitter 0: every source chooses, k >= n included, and low ranks clamp
-        warned = _assert_draws_match(cands, kernels, k, 0.0, lambda src: [seed, k, src])
+        record = NegativeKernels(cands, k, "exact", kernels)
+        warned = _assert_draws_match(record, 0.0, lambda src: [seed, k, src])
         assert warned == sum(min(k, len(cands[s])) > kernels[s].rank for s in cands)
         assert warned > 0
 
@@ -819,7 +820,7 @@ def test_lockstep_draws_match_per_source_draws_on_assembled_kernels(jitter):
         cands[src] = make_candidates(src, [pool[(7 * src + 3 * t) % len(pool)] for t in range(size)])
     for k in (2, 3, 5):
         kernels = build_negative_kernels(cands, x, comm, k=k, jitter=jitter)
-        warned = _assert_draws_match(cands, kernels, k, jitter, lambda src: [k, src], draws=3)
+        warned = _assert_draws_match(kernels, jitter, lambda src: [k, src], draws=3)
         assert (warned > 0) == (jitter == 0.0)
 
 
@@ -830,7 +831,9 @@ def test_shared_generator_is_rejected_naming_both_sources():
     gens[second] = gens[first]
     before = {src: gen.bit_generator.state for src, gen in gens.items()}
     with pytest.raises(ValueError, match=f"sources {first} and {second} share one generator"):
-        draw_negative_samples(cands, kernels, k=2, jitter=0.0, rng_for_source=gens.__getitem__)
+        draw_negative_samples(
+            NegativeKernels(cands, 2, "exact", kernels), rng_for_source=gens.__getitem__
+        )
     assert {src: gen.bit_generator.state for src, gen in gens.items()} == before
 
 
@@ -850,7 +853,8 @@ def test_pick_at_a_cdf_tie_goes_right_like_searchsorted():
     kernels = {0: make_kernel(np.ones((2, 2)), items=[10, 11])}
     assert per_source_kdpp_sample_exact(kernels[0], 1, _Uniforms([0.0, 0.5])) == [11]
     got = draw_negative_samples(
-        cands, kernels, k=1, jitter=0.0, rng_for_source=lambda src: _Uniforms([0.0, 0.5])
+        NegativeKernels(cands, 1, "exact", kernels),
+        rng_for_source=lambda src: _Uniforms([0.0, 0.5]),
     )
     assert got == {0: [11]}
 
@@ -860,32 +864,35 @@ def test_lockstep_draws_reject_k_below_one():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be positive"):
             draw_negative_samples(
-                cands, kernels, k=k, jitter=0.0, rng_for_source=np.random.default_rng
+                NegativeKernels(cands, k, "exact", kernels), rng_for_source=np.random.default_rng
             )
 
 
 def test_forced_sources_may_share_a_generator():
     cands = {s: make_candidates(s, [s + 1, s + 2]) for s in range(4)}
     shared = np.random.default_rng(0)
-    out = draw_negative_samples(cands, {}, k=3, rng_for_source=lambda src: shared)
+    out = draw_negative_samples(
+        NegativeKernels(cands, 3, "exact", {}), rng_for_source=lambda src: shared
+    )
     assert out == {s: [s + 1, s + 2] for s in range(4)}
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy"])
 @pytest.mark.parametrize("seed", [501, 601])
-def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen, seed):
+def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen, seed, method):
     content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
     ds = load_content_cites(content.decode(), cites.decode())
     cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
     comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
-    kernels = build_negative_kernels(cands, ds.features, comm, k=3)
-    assert len(kernels) > ds.num_nodes // 2  # most draws really choose
+    kernels = build_negative_kernels(cands, ds.features, comm, k=3, method=method)
+    assert len(kernels.by_source) > ds.num_nodes // 2  # most draws really choose
     # the first draw, then the redraws of resample_every=15 over 60 epochs
     for tags in [(), ("epoch", 15), ("epoch", 30), ("epoch", 45)]:
-        lock = {src: substream(seed, "dpp", src, *tags) for src in kernels}
-        single = {src: substream(seed, "dpp", src, *tags) for src in kernels}
-        got = draw_negative_samples(cands, kernels, k=3, rng_for_source=lock.__getitem__)
-        assert got == _per_source_draws(cands, kernels, 3, 1e-8, single)
-        for src in kernels:
+        lock = {src: substream(seed, "dpp", src, *tags) for src in kernels.by_source}
+        single = {src: substream(seed, "dpp", src, *tags) for src in kernels.by_source}
+        got = draw_negative_samples(kernels, rng_for_source=lock.__getitem__)
+        assert got == _per_source_draws(kernels, 1e-8, single)
+        for src in kernels.by_source:
             assert lock[src].bit_generator.state == single[src].bit_generator.state
 
 
@@ -925,14 +932,12 @@ def _same_bits(a, b):
 def _assert_lockstep_kernels_match(cands, features, comm, k=3, jitter=1e-8):
     """Kernels and spectra (built stacked by candidate count) equal the
     one-source-at-a-time ones bit for bit, and a draw from them runs."""
-    kernels = build_negative_kernels(cands, features, comm, k=k, jitter=jitter)
+    record = build_negative_kernels(cands, features, comm, k=k, jitter=jitter)
+    kernels = record.by_source
     assert sorted(kernels) == [s for s in sorted(cands) if len(cands[s]) > k]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # duplicated candidates may clamp
-        draw_negative_samples(
-            cands, kernels, k=k, jitter=jitter,
-            rng_for_source=lambda src: np.random.default_rng([src]),
-        )
+        draw_negative_samples(record, rng_for_source=lambda src: np.random.default_rng([src]))
     for src, kernel in kernels.items():
         L = per_source_kernel_L(src, cands[src].nodes(), features, comm, jitter)
         assert _same_bits(kernel.L, L), src
@@ -996,7 +1001,7 @@ def test_lockstep_kernels_match_with_an_all_zero_community_row(seed):
 def test_lockstep_kernels_keep_the_one_source_call():
     x, comm, cands = _random_assembly(11)
     kernels = build_negative_kernels(cands, x, comm, k=3)
-    for src, kernel in kernels.items():
+    for src, kernel in kernels.by_source.items():
         single = build_dpp_kernel(src, cands[src], x, comm)
         assert single.items == kernel.items and _same_bits(single.L, kernel.L)
 
@@ -1009,10 +1014,10 @@ def test_greedy_builds_never_eigendecompose(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
-    assert kernels
-    out = draw_negative_samples(cands, kernels, k=3, method="greedy")
+    assert kernels.by_source
+    out = draw_negative_samples(kernels)
     assert all(len(out[s]) == min(3, len(cands[s])) for s in cands)
-    for kernel in kernels.values():
+    for kernel in kernels.by_source.values():
         assert (kernel.eigvals, kernel.eigvecs, kernel.rank, kernel.select) == (None,) * 4
 
 
@@ -1027,13 +1032,11 @@ def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
     tracemalloc.start()
     try:
         kernels = build_negative_kernels(cands, ds.features, comm, k=3)
-        draw_negative_samples(
-            cands, kernels, k=3, rng_for_source=lambda src: np.random.default_rng([src])
-        )
+        draw_negative_samples(kernels, rng_for_source=lambda src: np.random.default_rng([src]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(kernels) > ds.num_nodes // 2
+    assert len(kernels.by_source) > ds.num_nodes // 2
     # a normalised dense copy of every feature row alone would be n * f * 8 bytes
     dense_nbytes = ds.num_nodes * ds.feature_dim * 8
     assert peak < 0.5 * dense_nbytes
@@ -1067,35 +1070,9 @@ def test_stacked_tables_match_the_per_kernel_oracle_on_the_benchmark_graph(bench
     ds = load_content_cites(content.decode(), cites.decode())
     cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
     comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
-    kernels = build_negative_kernels(cands, ds.features, comm, k=3)
+    kernels = build_negative_kernels(cands, ds.features, comm, k=3).by_source
     assert len(kernels) > ds.num_nodes // 2
     _assert_tables_match_oracle(kernels.values())
-
-
-def test_a_draw_without_a_usable_kernel_names_the_source_and_draws_nothing():
-    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
-    cands = {0: make_candidates(0, [2, 4, 6]), 1: make_candidates(1, [3, 5, 7, 9])}
-    # at k=3 the 3-candidate source 0 can only take all of them: no kernel
-    built_at_k3 = build_negative_kernels(cands, x, comm, k=3)
-    assert list(built_at_k3) == [1]
-    # greedy kernels carry no spectrum for the exact sampler
-    built_greedy = build_negative_kernels(cands, x, comm, k=2, method="greedy")
-    assert list(built_greedy) == [0, 1]
-    message = ("^source 0 has no kernel for the exact sampler; the kernels were built "
-               "with another k, method or jitter$")
-    for kernels in (built_at_k3, built_greedy):
-        gens = {src: np.random.default_rng(src) for src in cands}
-        before = {src: gen.bit_generator.state for src, gen in gens.items()}
-        asked = []
-
-        def rng_for_source(src):
-            asked.append(src)
-            return gens[src]
-
-        with pytest.raises(ValueError, match=message):
-            draw_negative_samples(cands, kernels, k=2, rng_for_source=rng_for_source)
-        assert asked == []
-        assert {src: gen.bit_generator.state for src, gen in gens.items()} == before
 
 
 def test_rank_clamp_warning_points_at_the_caller():
@@ -1104,7 +1081,7 @@ def test_rank_clamp_warning_points_at_the_caller():
         kdpp_sample_exact(kernel, 2, np.random.default_rng(0))
     with pytest.warns(UserWarning, match="rank") as drawn:
         draw_negative_samples(
-            {0: make_candidates(0, [4, 5, 6])}, {0: kernel}, k=2, jitter=0.0,
+            NegativeKernels({0: make_candidates(0, [4, 5, 6])}, 2, "exact", {0: kernel}),
             rng_for_source=np.random.default_rng,
         )
     assert [w.filename for w in direct] == [__file__]
@@ -1143,7 +1120,7 @@ def test_an_exact_draw_from_a_greedy_kernel_names_the_source_and_draws_nothing()
     # a kernel without a spectrum failed with a bare TypeError on its rank
     g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
     cands = {1: make_candidates(1, [3, 5, 7, 9])}
-    kernel = build_negative_kernels(cands, x, comm, k=2, method="greedy")[1]
+    kernel = build_negative_kernels(cands, x, comm, k=2, method="greedy").by_source[1]
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match="^source 1 has no spectrum for the exact sampler; "

@@ -41,11 +41,14 @@ def reference_build_graph(num_nodes, edge_list):
             w = 1.0
         else:
             u, v, w = entry
-        u, v, w = int(u), int(v), float(w)
+        whole = float(u).is_integer() and float(v).is_integer()
+        pair = (int(u), int(v)) if whole else (float(u), float(v))
+        w = float(w)
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(
-                f"edge {k}: node id out of range for ({u}, {v}) with {num_nodes} nodes"
-            )
+            raise ValueError(f"edge {k}: node id out of range for {pair} with {num_nodes} nodes")
+        if not whole:
+            raise ValueError(f"edge {k}: non-integral node id in {pair}")
+        u, v = pair
         if w < 0:
             raise ValueError(f"edge {k}: negative weight {w} on ({u}, {v})")
         if u == v:
@@ -231,6 +234,8 @@ def test_build_graph_first_bad_row_named():
         [(0, 9, -1.0), (0, 1)],                  # both in one row: range wins
         [(0, 1, 1.0), (2, 0, 2.0), (-1, 2)],
         [(2, 2, -3.0)],                          # a negative self loop still raises
+        [(0, 1), (0.5, 2), (0, 9)],              # a fractional id first
+        [(0, 9.5), (1.5, 2)],                    # fractional and out of range: range wins
     ]
     for rows in cases:
         with pytest.raises(ValueError) as expected:

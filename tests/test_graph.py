@@ -68,6 +68,14 @@ def test_non_finite_node_id_named(pair):
         build_graph(3, [(0, 1), pair])
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+def test_fractional_node_id_named(as_array):
+    # in range, so only the integral check keeps them from naming nodes 1 and 2
+    edges = [(0, 1), (0, 1.5), (1.9, 2)]
+    with pytest.raises(ValueError, match=r"^edge 1: non-integral node id in \(0\.0, 1\.5\)$"):
+        build_graph(3, np.array(edges) if as_array else edges)
+
+
 def test_rebuild_from_edges_is_identical():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 20, 0.2, weighted=True)

@@ -490,7 +490,7 @@ def test_resampling_builds_each_kernel_once_per_run(monkeypatch):
 
     def recording(*args, **kwargs):
         kernels = original(*args, **kwargs)
-        built.append(sorted(kernels))
+        built.append(sorted(kernels.by_source))
         return kernels
 
     monkeypatch.setattr(harness, "build_negative_kernels", recording)
