@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from golden import PERFBENCH_GEN, load_gen
 from rwnsgcn.data import Dataset
 from rwnsgcn.graph import Graph, build_graph
 
 DATA_DIR = Path(os.environ.get("RWNSGCN_DATA_DIR", Path(__file__).parent.parent / "data"))
-PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
 
 def random_edge_list(rng: np.random.Generator, n: int, p: float, weighted: bool = False):
@@ -133,8 +131,4 @@ def bench_gen():
     """The benchmark's seeded dataset generator, ``perfbench/gen.py``."""
     if not PERFBENCH_GEN.exists():
         pytest.skip("perfbench/gen.py is not present")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look the module up here
-    spec.loader.exec_module(module)
-    return module
+    return load_gen()
