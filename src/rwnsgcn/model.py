@@ -164,6 +164,12 @@ def forward(
     these params and operators; layer 0 has no dropout on its input, so
     that pair does not depend on the mode, and reusing it skips the two
     products with ``X``.
+
+    Each layer's ReLU and negative term are written into the two
+    pre-activation arrays this call computed for that layer, once the
+    train-mode gates have read them.  A passed ``first`` is never
+    overwritten, and neither is the eval-mode layer-0 pair, which the
+    trace returns as its ``first``.
     """
     n = pos_op.shape[0]
     if X.shape[0] != n or X.shape[1] != params.W[0].shape[0]:
@@ -189,14 +195,22 @@ def forward(
             inputs.append(x)
         if l == 0 and first is not None:
             z_pos, z_neg = first
+            owned = False
         else:
             z_pos = pos_op @ (x @ params.W[l])
             z_neg = neg_op @ (x @ params.W_dpp[l]) if use_neg else None
-        a = np.maximum(z_pos, 0.0)
+            # eval layer 0's pair outlives the call as the trace's first
+            owned = train_mode or l > 0
+        if train_mode:
+            gates.append((z_pos > 0, None if z_neg is None else z_neg > 0))
+        elif l == 0:
+            layer0 = (z_pos, z_neg)
+        a = np.maximum(z_pos, 0.0, out=z_pos if owned else None)
         if use_neg:
-            t = np.maximum(z_neg, 0.0)
+            t = np.maximum(z_neg, 0.0, out=z_neg if owned else None)
             t *= params.lam
             a -= t
+        z_pos = z_neg = t = None
         keep_mask = None
         if train_mode and params.dropout_p > 0:
             # times the bool, then times 1 / keep: the bits of multiplying by
@@ -205,10 +219,7 @@ def forward(
             a *= keep_mask
             a *= 1.0 / keep
         if train_mode:
-            gates.append((z_pos > 0, None if z_neg is None else z_neg > 0))
             keeps.append(keep_mask)
-        elif l == 0:
-            layer0 = (z_pos, z_neg)
         x = a
     inputs.append(x)
     logits = pos_op @ (x @ params.W[-1])
@@ -295,26 +306,31 @@ def backward(
     dx = du @ params.W[-1].T if num_layers > 1 else None
 
     for l in range(num_layers - 2, -1, -1):
-        # dx is a fresh product, so its buffer is free to overwrite
-        g = dx
+        # dx is a fresh product, so its buffer is free to overwrite; each
+        # n x hidden temporary below is released once read
+        g, dx = dx, None
         if trace.keeps[l] is not None:
             g *= trace.keeps[l]
             g *= 1.0 / trace.keep
         x_t = input_t(l)
         on_pos, on_neg = trace.gates[l]
         # a float gate multiplies faster than a bool one, to the same bits
-        dz_pos = on_pos.astype(np.float64)
-        dz_pos *= g
-        du_pos = op_pos @ dz_pos
+        dz = on_pos.astype(np.float64)
+        dz *= g
+        du_pos = op_pos @ dz
+        dz = None
         dW[l] = x_t @ du_pos
         du_neg = None
         if on_neg is not None:
-            dz_neg = on_neg.astype(np.float64)
-            dz_neg *= np.multiply(g, -params.lam, out=g)  # the positive gate has read g
-            du_neg = op_neg @ dz_neg
+            dz = on_neg.astype(np.float64)
+            dz *= np.multiply(g, -params.lam, out=g)  # the positive gate has read g
+            g = None
+            du_neg = op_neg @ dz
+            dz = None
             dW_dpp[l] = x_t @ du_neg
         else:
             dW_dpp[l] = np.zeros_like(params.W_dpp[l])
+        g = None
         if l > 0:
             dx = du_pos @ params.W[l].T
             if du_neg is not None:
@@ -410,6 +426,12 @@ def train(
     graph).  The trained weights are the same bit for bit as when every
     pass computes its own layer 0.  An empty validation set (no epoch
     could be chosen) raises ValueError before any work.
+
+    Each n x hidden array lives only while something reads it: that
+    layer-0 pair until the training pass has read it, the gradients
+    until Adam has applied them, and the train trace until the epoch's
+    eval pass is done; of the eval trace only the pair crosses into the
+    next epoch (and the best epoch's outputs into its snapshot).
     """
     if np.asarray(masks.val).size == 0:
         raise ValueError(
@@ -445,11 +467,13 @@ def train(
         trace = forward(
             params, X, pos_op, neg_op, train_mode=True, rng=drop_rng, first=first
         )
+        first = None
         loss = loss_cross_entropy(trace.logits, labels, masks.train)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged at epoch {epoch}: loss={loss}")
         grads = backward(trace, params, labels, masks.train, xt=X_T)
         adam_step(params, grads, state)
+        grads = None
 
         eval_trace = forward(params, X, pos_op, neg_op, train_mode=False)
         first = eval_trace.first  # None when layers == 1: no hidden layer to carry
@@ -462,6 +486,10 @@ def train(
         if best is None or acc > val_acc[best.best_epoch]:
             best = TrainedModel(params.copy(), epoch, *eval_trace.outputs(),
                                 train_loss, val_acc)
+        # only first crosses into the next epoch; the train trace lives
+        # through the eval pass, since freeing it earlier makes the
+        # allocator return the pages and fault them in again
+        trace = eval_trace = None
     return best
 
 

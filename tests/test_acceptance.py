@@ -23,7 +23,7 @@ import pytest
 
 from rwnsgcn.config import ExperimentConfig
 from rwnsgcn.data import bfs_subgraph, load_content_cites_paths
-from rwnsgcn.dpp import build_dpp_kernel, kdpp_sample_exact, label_propagation
+from rwnsgcn.dpp import build_dpp_kernel, label_propagation
 from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.harness import (
     emit_report,
@@ -36,7 +36,7 @@ from rwnsgcn.model import forward, init_params
 from rwnsgcn.scoring import bfs_layers, pagerank_scores, rwr_scores
 
 from conftest import DATA_DIR, floyd_warshall, planted_dataset, random_graph
-from test_dpp import enumerate_kdpp, make_candidates
+from test_dpp import enumerate_kdpp, lockstep_subset_counts, make_candidates
 from test_metrics import brute_force_mad
 from test_model import finite_difference_check, plain_gcn_reference
 
@@ -146,12 +146,8 @@ def _random_psd_kernel(seed, n):
 def test_kdpp_frequencies_match_enumeration(seed, n, k):
     kernel = _random_psd_kernel(seed, n)
     expected = enumerate_kdpp(kernel.L, k)
-    rng = np.random.default_rng(seed + 9000)
     n_draws = 150_000
-    counts = dict.fromkeys(expected, 0)
-    for _ in range(n_draws):
-        s = tuple(kdpp_sample_exact(kernel, k, rng))
-        counts[s] += 1
+    counts = lockstep_subset_counts(kernel, k, seed + 9000, n_draws)
     worst = 0.0
     checked = 0
     for subset, p in expected.items():

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rwnsgcn.data import load_content_cites
 from rwnsgcn.dpp import (
     RANK_TOL,
     NegativeKernels,
+    _kdpp_draws,
     _stacked_kernels,
     build_dpp_kernel,
     build_negative_graph,
@@ -61,6 +63,18 @@ def enumerate_kdpp(L, k):
         dets[subset] = max(np.linalg.det(sub), 0.0)
     total = sum(dets.values())
     return {s: d / total for s, d in dets.items()}
+
+
+def lockstep_subset_counts(kernel, k, seed, n_draws, chunk=10_000):
+    """How often each k-subset comes up in ``n_draws`` exact k-DPP draws
+    made in lockstep (``_kdpp_draws``, the production path), one generator
+    spawned from ``seed`` per draw, ``chunk`` draws per call."""
+    seeds = np.random.SeedSequence(seed)
+    counts = Counter()
+    for lo in range(0, n_draws, chunk):
+        rngs = [np.random.default_rng(s) for s in seeds.spawn(min(chunk, n_draws - lo))]
+        counts.update(tuple(s) for s in _kdpp_draws([kernel] * len(rngs), [k] * len(rngs), rngs))
+    return counts
 
 
 # ------------------------------------------------------------- communities
@@ -333,12 +347,8 @@ def test_kdpp_subset_frequencies_quick():
     L = b @ b.T + 0.5 * np.eye(4)
     kernel = make_kernel(L)
     expected = enumerate_kdpp(L, 2)
-    rng = np.random.default_rng(11)
-    counts = {s: 0 for s in expected}
     n_draws = 40000
-    for _ in range(n_draws):
-        s = tuple(kdpp_sample_exact(kernel, 2, rng))
-        counts[s] += 1
+    counts = lockstep_subset_counts(kernel, 2, 11, n_draws)
     for subset, p in expected.items():
         if p >= 0.05:
             assert abs(counts[subset] / n_draws - p) / p < 0.05
