@@ -210,7 +210,7 @@ def forward(
             t = np.maximum(z_neg, 0.0, out=z_neg if owned else None)
             t *= params.lam
             a -= t
-        z_pos = z_neg = t = None
+        z_pos = z_neg = t = None  # the negative term is spent: free it before the next layer
         keep_mask = None
         if train_mode and params.dropout_p > 0:
             # times the bool, then times 1 / keep: the bits of multiplying by

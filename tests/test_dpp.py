@@ -65,12 +65,13 @@ def enumerate_kdpp(L, k):
     return {s: d / total for s, d in dets.items()}
 
 
-def lockstep_subset_counts(kernel, k, seed, n_draws, chunk=10_000):
+def lockstep_subset_counts(kernel, k, seed, n_draws):
     """How often each k-subset comes up in ``n_draws`` exact k-DPP draws
     made in lockstep (``_kdpp_draws``, the production path), one generator
-    spawned from ``seed`` per draw, ``chunk`` draws per call."""
+    spawned from ``seed`` per draw."""
     seeds = np.random.SeedSequence(seed)
     counts = Counter()
+    chunk = 10_000  # draws per call, so that few generators are alive at once
     for lo in range(0, n_draws, chunk):
         rngs = [np.random.default_rng(s) for s in seeds.spawn(min(chunk, n_draws - lo))]
         counts.update(tuple(s) for s in _kdpp_draws([kernel] * len(rngs), [k] * len(rngs), rngs))
