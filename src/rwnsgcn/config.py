@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from rwnsgcn.dpp import check_method
-from rwnsgcn.scoring import check_alpha, check_beta, check_levels
+from rwnsgcn.scoring import check_alpha, check_beta, check_integer, check_levels
 
 __all__ = [
     "ExperimentConfig",
@@ -65,11 +65,19 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # checked when built, so an unusable config fails before any work
-        for name in ("runs", "epochs", "layers", "num_val", "num_test", "per_class",
-                     "hidden", "k_dpp", "k_per_level"):
+        counts = ("runs", "epochs", "layers", "num_val", "num_test", "per_class",
+                  "hidden", "k_dpp", "k_per_level")
+        for name in (*counts, "resample_every", "base_seed"):
+            value = getattr(self, name)
+            check_integer(name, value)
+            object.__setattr__(self, name, int(value))  # JSON, and so the hash, takes no numpy int
+        for name in counts:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.resample_every < 0:
+            raise ValueError(f"resample_every must be at least 0 (0 = static), "
+                             f"got {self.resample_every}")
         if self.num_test < 2:
             raise ValueError(f"num_test must be at least 2, the fewest rows MAD can take, "
                              f"got {self.num_test}")

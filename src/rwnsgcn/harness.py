@@ -5,8 +5,9 @@ Each run r uses seed base_seed + r; every stochastic phase (split,
 communities, sampling, init/dropout, attack) draws from a named
 sub-stream of that seed, so variants sharing a base seed share the
 randomness of every phase they have in common.  CSV output is a pure
-function of the configuration, so identical configs produce
-byte-identical files; wall-clock timings go to the JSON only.
+function of the configuration and the loaded data (the hash reads a
+digest of the data, not its path), so identical configs on equal data
+produce byte-identical files; wall-clock timings go to the JSON only.
 Candidates are scored once per graph per experiment call and handed to
 each run; nothing persists between calls.  The clean-graph variants of
 one call (the ablation's betas, the sweep's levels) share one walk of
@@ -83,13 +84,22 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     return data_mod.load_content_cites_paths(path + ".content", path + ".cites")
 
 
-def _graph_fingerprint(g: Graph) -> str:
-    h = hashlib.sha256()
-    h.update(np.int64(g.num_nodes).tobytes())
-    h.update(np.ascontiguousarray(g.indptr).tobytes())
-    h.update(np.ascontiguousarray(g.indices).tobytes())
-    h.update(np.ascontiguousarray(g.weights).tobytes())
+def _graph_fingerprint(g: Graph, *arrays: np.ndarray) -> str:
+    """sha256 of ``g`` and then of ``arrays``, each read in place."""
+    h = hashlib.sha256(np.int64(g.num_nodes).tobytes())
+    for a in (g.indptr, g.indices, g.weights, *arrays):
+        h.update(np.ascontiguousarray(a))
     return h.hexdigest()[:16]
+
+
+def _config_hash(ds: Dataset, config: dict) -> str:
+    """``config_hash`` of ``config`` with its ``dataset_path`` replaced by a
+    digest of the loaded graph, features and labels: equal data under two
+    paths gives one hash."""
+    x = ds.features  # a canonical CSR array
+    digest = _graph_fingerprint(ds.graph, np.array(x.shape), x.indptr, x.indices, x.data,
+                                ds.labels)
+    return config_hash({**config, "dataset_path": digest})
 
 
 def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
@@ -174,7 +184,7 @@ def _run_once(
             (dump_dir / f"negatives-run{run_index}.json").write_text(
                 json.dumps(
                     {
-                        "config_hash": config_hash(config.to_dict()),
+                        "config_hash": _config_hash(ds, config.to_dict()),
                         "run": run_index,
                         "negatives": {str(s): v for s, v in negatives.items()},
                     }
@@ -208,10 +218,9 @@ def _run_once(
     }
 
 
-def _report(
-    label: str, config: dict, rows: list[dict], metrics: Iterable[str], timings: dict[str, float]
-) -> RunReport:
-    """The report of ``rows`` under ``config``, the dict its hash covers.
+def _report(label: str, ds: Dataset, config: dict, rows: list[dict], metrics: Iterable[str],
+            timings: dict[str, float]) -> RunReport:
+    """The report of ``rows`` under ``config`` on ``ds``, hashed by ``_config_hash``.
 
     Its columns are the rows' keys and its aggregates the mean and std of
     each metric.
@@ -222,7 +231,8 @@ def _report(
         aggregates[f"{m}_mean"] = float(vals.mean())
         # sample standard deviation, matching mean +/- std reporting
         aggregates[f"{m}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-    return RunReport(label, config_hash(config), config, list(rows[0]), rows, aggregates, timings)
+    config_key = _config_hash(ds, config)
+    return RunReport(label, config_key, config, list(rows[0]), rows, aggregates, timings)
 
 
 def _run_clean(
@@ -247,7 +257,7 @@ def _run_clean(
         for r in range(cfg.runs):
             rows.append(_run_once(ds, cfg, r, timings, candidates, dump_dir=dump_dir))
             log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
-        reports.append(_report(label, cfg.to_dict(), rows, ("accuracy", "mad"), timings))
+        reports.append(_report(label, ds, cfg.to_dict(), rows, ("accuracy", "mad"), timings))
     return reports
 
 
@@ -387,7 +397,7 @@ def run_attack_comparison(
         # the report, not the config, names the attack; every column after
         # run, seed and attack_seed is a metric
         attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
-        reports.append(_report(label, attacked, rows, list(rows[0])[3:], timings))
+        reports.append(_report(label, ds, attacked, rows, list(rows[0])[3:], timings))
     return reports
 
 

@@ -14,6 +14,7 @@ walks each block once for any number of picks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -75,8 +76,16 @@ def check_beta(beta: float) -> None:
         raise ValueError("beta must be in [0, 1]")
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a value that is not an integer: a float, even 2.0, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_levels(levels: Sequence[int], k_per_level: int) -> list[int]:
     """The requested layers, sorted and de-duplicated, after checking them and k."""
+    for level in levels:
+        check_integer("level", level)
     levels = sorted({int(l) for l in levels})
     if not levels:
         raise ValueError("levels must name at least one layer")

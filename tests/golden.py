@@ -76,10 +76,7 @@ def behaviour(gen, name: str) -> dict:
     scale, entry, overrides = WORKLOADS[name]
     content, cites, _ = gen.generate(gen.SCALES[scale], SEED)
     ds = load_content_cites(content.decode(), cites.decode())
-    # a fixed path: the config hash, and so the CSV, must not depend on
-    # where the files would sit
-    config = ExperimentConfig(dataset_path=f"golden/{name}", base_seed=SEED, runs=1,
-                              epochs=EPOCHS, **overrides)
+    config = ExperimentConfig(base_seed=SEED, runs=1, epochs=EPOCHS, **overrides)
     with _recording() as calls:
         if entry == "baseline":
             reports = [harness.run_baseline(ds, config, label=name)]

@@ -3,12 +3,14 @@ generated graphs (``perfbench/gen.py``, seed 501).
 
 Each test calls ``cli.main`` with the sizes and flags of a README workflow
 and compares the bytes of what it writes: repeated runs of one
-configuration write equal CSVs, and ``report`` re-emits a saved report's
-CSV byte for byte.  ``perfbench/`` is only read.
+configuration write equal CSVs, so do copies of one pair under two paths,
+and ``report`` re-emits a saved report's CSV byte for byte.
+``perfbench/`` is only read.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,33 @@ def test_each_sampler_writes_equal_csvs_twice(generated, tmp_path):
         assert csv[0] == csv[1], sampler
 
 
+def test_the_hash_reads_the_data_not_its_path(generated, tmp_path):
+    # two copies of one pair under two paths write byte-equal CSVs, while
+    # their JSON reports keep each path; one changed feature value is
+    # another configuration, with another hash
+    stem = generated("cora")
+    content = stem.with_suffix(".content").read_bytes()
+    copies = {"copy": content, "elsewhere": content,
+              "changed": content.replace(b" 0 ", b" 1 ", 1)}  # the first feature of row 0
+    for name, text in copies.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cora.content").write_bytes(text)
+        (tmp_path / name / "cora.cites").write_bytes(stem.with_suffix(".cites").read_bytes())
+        run("baseline", "--dataset-path", tmp_path / name / "cora", "--num-val", "150",
+            "--num-test", "300", "--epochs", "2", "--runs", "1", "--out", tmp_path / name / "out")
+    csv = {name: (tmp_path / name / "out" / "baseline.csv").read_bytes() for name in copies}
+    assert csv["copy"] == csv["elsewhere"]
+    paths = {json.loads((tmp_path / name / "out" / "baseline.json").read_text())[0]["config"]
+             ["dataset_path"] for name in ("copy", "elsewhere")}
+    assert paths == {str(tmp_path / name / "cora") for name in ("copy", "elsewhere")}
+
+    def hashes(name: str) -> set[bytes]:
+        return {line.split(b",", 1)[0] for line in csv[name].splitlines()[1:]}
+
+    assert len(hashes("copy")) == len(hashes("changed")) == 1
+    assert hashes("copy") != hashes("changed")
+
+
 def test_attack_writes_equal_csvs_and_its_report_round_trips(generated, tmp_path):
     # the paired clean-vs-attacked comparison: two attack runs write equal
     # CSVs, and the report re-emitted from one run's JSON (whose aggregates
@@ -96,8 +125,8 @@ def test_one_layer_baseline(generated, tmp_path):
 
 def test_tab_and_space_separated_pairs_train_alike(generated, tmp_path):
     # the published Cora and CiteSeer .content files separate tokens with
-    # tabs; the same pair rewritten with tabs gives the same CSV in every
-    # column but the hash, which covers the dataset path
+    # tabs; the same pair rewritten with tabs, under another path, loads the
+    # same data and so writes the same CSV, hash included
     spaces = generated("citeseer")
     (tmp_path / "tabs").mkdir()
     tabs = tmp_path / "tabs" / "citeseer"
@@ -107,10 +136,5 @@ def test_tab_and_space_separated_pairs_train_alike(generated, tmp_path):
     small = ["--num-val", "150", "--num-test", "300", "--epochs", "5", "--runs", "1"]
     run("baseline", "--dataset-path", spaces, *small, "--out", tmp_path / "spaces")
     run("baseline", "--dataset-path", tabs, *small, "--out", tmp_path / "tabbed")
-
-    def after_hash(out: str) -> list[bytes]:
-        # `cut -d, -f2-`: a line without a comma is kept whole
-        lines = (tmp_path / out / "baseline.csv").read_bytes().splitlines()
-        return [line.split(b",", 1)[-1] for line in lines]
-
-    assert after_hash("spaces") == after_hash("tabbed")
+    csv = [(tmp_path / out / "baseline.csv").read_bytes() for out in ("spaces", "tabbed")]
+    assert csv[0] == csv[1]

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from rwnsgcn import cli, harness
 from rwnsgcn.config import ExperimentConfig, config_hash, derive_seed, substream
 from rwnsgcn.data import load_content_cites, planetoid_split, save_content_cites
-from rwnsgcn.graph import sym_normalized_operator
+from rwnsgcn.graph import build_graph, sym_normalized_operator
 from rwnsgcn.harness import (
     emit_report,
     run_ablation,
@@ -128,11 +128,13 @@ def test_config_has_no_attack_fields(field, value):
         ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
 
-# (overrides, message): the scoring and sampler messages, raised when the
-# config is built.  Without these checks an unknown sampler failed only
-# after the candidate fill, beta 1.5 after PageRank and the first block's
-# walks, and with lam = 0 a bad beta or level trained to the end and was
-# hashed into the report
+# (overrides, message): the scoring, sampling and integer messages, raised
+# when the config is built.  Without these checks an unknown sampler failed
+# only after the candidate fill, beta 1.5 after PageRank and the first
+# block's walks, and with lam = 0 a bad beta or level trained to the end
+# and was hashed into the report.  layers 2.0, runs 1.5 or hidden 8.5 ran
+# the whole fill before a TypeError, resample_every -2 trained as static
+# under its own hash, and level 2.5 was truncated to 2
 UNUSABLE = {
     "sampler": ({"sampler": "foo"}, "^unknown sampling method 'foo'$"),
     "sources": ({"sources": "foo"}, "^unknown sources mode 'foo'$"),
@@ -143,6 +145,16 @@ UNUSABLE = {
     "beta-below": ({"beta": -0.1}, r"^beta must be in \[0, 1\]$"),
     "alpha-one": ({"alpha": 1.0}, r"^alpha must be in \[0, 1\)$"),
     "alpha-below": ({"alpha": -0.1}, r"^alpha must be in \[0, 1\)$"),
+    "layers-float": ({"layers": 2.0}, "^layers must be an integer, got 2.0$"),
+    "runs-fraction": ({"runs": 1.5}, "^runs must be an integer, got 1.5$"),
+    "hidden-fraction": ({"hidden": 8.5}, "^hidden must be an integer, got 8.5$"),
+    "k-dpp-bool": ({"k_dpp": True}, "^k_dpp must be an integer, got True$"),
+    "seed-float": ({"base_seed": 3.0}, "^base_seed must be an integer, got 3.0$"),
+    "resample-text": ({"resample_every": "5"}, "^resample_every must be an integer, got '5'$"),
+    "resample-negative": ({"resample_every": -2},
+                          r"^resample_every must be at least 0 \(0 = static\), got -2$"),
+    "level-fraction": ({"levels": (2.5, 3)}, "^level must be an integer, got 2.5$"),
+    "level-bool": ({"levels": (True, 3)}, "^level must be an integer, got True$"),
 }
 
 
@@ -207,6 +219,14 @@ def test_unusable_runs_fail_before_any_work(case, monkeypatch):
             ExperimentConfig.from_dict({**fast_config().to_dict(), **overrides})
 
 
+def test_numpy_integers_are_kept_as_ints():
+    # a numpy integer is an integer, and one that stayed numpy failed only
+    # when the finished report was hashed
+    cfg = fast_config(runs=np.int64(2), levels=np.array([3, 2]), resample_every=np.int32(0))
+    assert (type(cfg.runs), cfg.levels, type(cfg.resample_every)) == (int, (2, 3), int)
+    assert config_hash(cfg.to_dict()) == config_hash(fast_config(levels=(2, 3)).to_dict())
+
+
 def test_load_dataset_rejects_another_format():
     # a config saved when JSON bundles were a second format
     cfg = ExperimentConfig(dataset_path="cache/cora.json", dataset_format="bundle")
@@ -268,7 +288,7 @@ def test_an_attack_reports_config_is_the_config_plus_its_cell():
     grid = [("ctbca", 0.1), ("twpa", 0.5)]
     for rep, (kind, intensity) in zip(run_attack_comparison(ds, cfg, attack_grid=grid), grid):
         assert rep.config == {**cfg.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
-        assert rep.config_hash == config_hash(rep.config)
+        assert rep.config_hash == harness._config_hash(ds, rep.config)
         # a baseline would train on the clean graph under the attacked
         # cell's hash, so its config does not load
         with pytest.raises(ValueError, match=r"^unknown config fields: \['attack_intensity', "
@@ -277,6 +297,24 @@ def test_an_attack_reports_config_is_the_config_plus_its_cell():
     # the hash of the default config's ctbca 0.1 cell
     attacked = {**ExperimentConfig().to_dict(), "attack_kind": "ctbca", "attack_intensity": 0.1}
     assert config_hash(attacked) == "2c851daa7401521c"
+
+
+def test_a_reports_hash_reads_the_data_not_its_path():
+    # equal data under two paths is one configuration; another graph, one
+    # other feature value or one other label is another
+    ds = planted_dataset(seed=7)
+    config = fast_config().to_dict()
+    key = harness._config_hash(ds, config)
+    assert harness._config_hash(ds, {**config, "dataset_path": "elsewhere/pair"}) == key
+    features = ds.features.copy()
+    features.data[0] += 0.25
+    labels = ds.labels.copy()
+    labels[0] = (labels[0] + 1) % 3
+    u, v, w = ds.graph.edge_arrays()
+    graph = build_graph(ds.num_nodes, np.column_stack((u, v, np.where(u == u[0], 2.0, w))))
+    for changed in (dataclasses.replace(ds, features=features),
+                    dataclasses.replace(ds, labels=labels), dataclasses.replace(ds, graph=graph)):
+        assert harness._config_hash(changed, config) != key
 
 
 def test_an_empty_attack_grid_trains_nothing(monkeypatch):
@@ -681,11 +719,11 @@ def test_emit_report_row_counts(tmp_path):
 def test_negatives_dump_written(tmp_path):
     ds = planted_dataset(seed=7)
     cfg = fast_config(runs=1, epochs=5)
-    run_baseline(ds, cfg, dump_negatives_dir=tmp_path / "dumps")
+    report = run_baseline(ds, cfg, dump_negatives_dir=tmp_path / "dumps")
     dumps = sorted((tmp_path / "dumps").glob("negatives-run*.json"))
     assert len(dumps) == 1
     payload = json.loads(dumps[0].read_text())
-    assert payload["config_hash"] == config_hash(cfg.to_dict())
+    assert payload["config_hash"] == report.config_hash
     assert all(isinstance(v, list) for v in payload["negatives"].values())
 
 
