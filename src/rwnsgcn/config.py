@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -71,6 +72,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             check_integer(name, value)
             object.__setattr__(self, name, int(value))  # JSON, and so the hash, takes no numpy int
+        for name in ("dropout", "lam", "alpha", "beta", "lr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))  # so lam=0 and lam=0.0 hash alike
+        for name in ("dataset_path", "dataset_format", "sampler", "sources"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         for name in counts:
             value = getattr(self, name)
             if value < 1:

@@ -55,20 +55,20 @@ class CommunityAssignment:
 class DppKernel:
     """Candidate-indexed PSD kernel of one source.
 
-    Built for the exact sampler, it also holds its eigenvalues clipped at
-    0 (ascending), eigenvectors, numerical rank and ``select[rem, m]``: the
-    probability that eigenvector m-1 is selected when rem of the first m
-    are still to be chosen, NaN where e_rem of the first m eigenvalues
-    vanishes (never selected).  Built for the greedy picker, these are None.
+    It also holds its eigenvalues clipped at 0 (ascending), eigenvectors,
+    numerical rank and ``select[rem, m]``: the probability that eigenvector
+    m-1 is selected when rem of the first m are still to be chosen, NaN
+    where e_rem of the first m eigenvalues vanishes (never selected).  The
+    greedy picker reads only ``L``.
     """
 
     source: int
     items: list[int]
     L: np.ndarray
-    eigvals: np.ndarray | None = None
-    eigvecs: np.ndarray | None = None
-    rank: int | None = None
-    select: np.ndarray | None = None
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+    rank: int
+    select: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +168,7 @@ def build_dpp_kernel(
     to roundoff before the jitter.
     """
     check_jitter(jitter)
-    return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter, True)[0]
+    return _assemble_kernels([source], [candidates.nodes()], features, comm, jitter)[0]
 
 
 _ROW_CHUNK = 64
@@ -230,10 +230,9 @@ def _assemble_kernels(
     features,
     comm: CommunityAssignment,
     jitter: float,
-    exact: bool,
 ) -> list[DppKernel]:
     """``build_dpp_kernel`` for each (source, candidate ids), in one pass,
-    then stacked by candidate count, with spectra when ``exact``.
+    then stacked by candidate count for their spectra.
 
     The norm of each needed feature row is taken once and each community
     row is normalised once; every kernel then builds its dense unit rows
@@ -277,7 +276,7 @@ def _assemble_kernels(
     for members in by_count.values():
         positions, matrices = zip(*members)
         group = _stacked_kernels([sources[p] for p in positions],
-                                 [item_lists[p] for p in positions], np.array(matrices), exact)
+                                 [item_lists[p] for p in positions], np.array(matrices))
         for pos, kernel in zip(positions, group):
             kernels[pos] = kernel
     return kernels
@@ -287,13 +286,11 @@ RANK_TOL = 1e-10
 
 
 def _stacked_kernels(
-    sources: list[int], item_lists: list[list[int]], stack: np.ndarray, exact: bool
+    sources: list[int], item_lists: list[list[int]], stack: np.ndarray
 ) -> list[DppKernel]:
-    """The kernels of a (B, n, n) stack, with spectra when ``exact``.  A
-    stacked ``eigh`` runs LAPACK on each matrix on its own, so every
-    spectrum has the bits of a single call."""
-    if not exact:
-        return [DppKernel(int(s), items, L) for s, items, L in zip(sources, item_lists, stack)]
+    """The kernels of a (B, n, n) stack, with their spectra.  A stacked
+    ``eigh`` runs LAPACK on each matrix on its own, so every spectrum has
+    the bits of a single call."""
     eigvals, eigvecs = np.linalg.eigh(stack)
     eigvals = np.maximum(eigvals, 0.0)
     ranks = (eigvals > RANK_TOL).sum(axis=1).tolist()
@@ -332,12 +329,8 @@ def kdpp_sample_exact(kernel: DppKernel, k: int, rng: np.random.Generator) -> li
     elementary symmetric polynomials, then sequential projection).
 
     If k exceeds the numerical rank of the kernel it is clamped with a
-    warning.  Returns the sampled node ids, ascending.  A kernel built for
-    the greedy picker has no spectrum and raises ``ValueError``.
+    warning.  Returns the sampled node ids, ascending.
     """
-    if kernel.select is None:
-        raise ValueError(f"source {kernel.source} has no spectrum for the exact sampler; "
-                         "its kernel was built for the greedy picker")
     return _kdpp_draws([kernel], [k], [rng])[0]
 
 
@@ -411,13 +404,10 @@ def _kdpp_draws(
     return out
 
 
-def dpp_map_greedy(
-    kernel: DppKernel, k: int, return_gains: bool = False
-) -> list[int] | tuple[list[int], list[float]]:
+def dpp_map_greedy(kernel: DppKernel, k: int) -> list[int]:
     """Deterministic greedy log-det maximization (ties to the smaller id).
 
-    Always returns k items even when extra picks add ~zero determinant
-    mass; per-pick log-det gains are available via ``return_gains``.
+    Always returns k items even when extra picks add ~zero determinant mass.
     """
     n = len(kernel.items)
     if k <= 0:
@@ -425,7 +415,6 @@ def dpp_map_greedy(
     if k > n:
         raise ValueError(f"k={k} exceeds candidate count {n}")
     selected: list[int] = []
-    gains: list[float] = []
     current = 0.0
     # candidate indices in ascending node-id order so strict > keeps ties minimal
     id_order = sorted(range(n), key=lambda i: kernel.items[i])
@@ -443,15 +432,10 @@ def dpp_map_greedy(
                 best_i = i
         if best_i is None:  # all remaining determinants vanish; take smallest id
             best_i = next(i for i in id_order if i not in selected)
-            best_gain = -np.inf
         selected.append(best_i)
-        gains.append(float(best_gain))
         if np.isfinite(best_gain):
             current += best_gain
-    ids = sorted(kernel.items[i] for i in selected)
-    if return_gains:
-        return ids, gains
-    return ids
+    return sorted(kernel.items[i] for i in selected)
 
 
 def build_negative_graph(
@@ -468,25 +452,23 @@ def build_negative_graph(
     return build_graph(num_nodes, np.column_stack((u, v)))
 
 
-def _draw_is_forced(n: int, k: int, method: str, jitter: float) -> bool:
+def _draw_is_forced(n: int, k: int, jitter: float) -> bool:
     """True when a size-min(k, n) draw from n candidates can only be all of them.
 
-    An empty set has only the empty draw, and the greedy picker always
-    returns k distinct items.  The exact sampler returns all n only when
-    the kernel has full numerical rank, which the jitter alone guarantees
-    here.  Weyl: lambda_min(C + E + jitter I) >= lambda_min(C) + jitter -
-    ||E||_2 for the PSD core C and its roundoff E (assembly and eigh).
-    Kernel entries are at most n in magnitude, so ||C||_2 <= n**2 and
-    ||E||_2 is of order n**3 eps.  With jitter >= 100 RANK_TOL and n**3 eps <=
-    jitter / 2, every eigenvalue is at least jitter / 2 > RANK_TOL.  Below
-    that bound the sampler runs, so a rank-deficient kernel still warns
-    and clamps.
+    An empty set has only the empty draw.  The greedy picker always returns
+    k distinct items; the exact sampler returns all n only when the kernel
+    has full numerical rank, which the jitter alone guarantees here, so
+    both samplers follow this one rule.  Weyl: lambda_min(C + E + jitter I)
+    >= lambda_min(C) + jitter - ||E||_2 for the PSD core C and its roundoff
+    E (assembly and eigh).  Kernel entries are at most n in magnitude, so
+    ||C||_2 <= n**2 and ||E||_2 is of order n**3 eps.  With jitter >= 100
+    RANK_TOL and n**3 eps <= jitter / 2, every eigenvalue is at least
+    jitter / 2 > RANK_TOL.  Below that bound the sampler runs, so a
+    rank-deficient kernel still warns and clamps.
     """
     if k < n:
         return False
-    if n == 0 or method == "greedy":
-        return True
-    return jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2
+    return n == 0 or (jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2)
 
 
 def check_method(method: str) -> None:
@@ -514,8 +496,8 @@ def build_negative_kernels(
     may be a zero-argument callable that returns the communities; it is
     called once, and only if some source gets a kernel.  The kernels are
     assembled in one pass, each feature and community row normalised once,
-    with the bits of ``build_dpp_kernel``; for the exact sampler each gets
-    its spectrum and selection table here, stacked by candidate count.
+    with the bits of ``build_dpp_kernel``, and each gets its spectrum and
+    selection table here, stacked by candidate count.
     Build once per candidate map and community assignment, then hand the
     record to every ``draw_negative_samples`` call, so redraws reuse each
     kernel and its eigendecomposition.
@@ -525,27 +507,26 @@ def build_negative_kernels(
     choosing = [
         src
         for src in sorted(candidates)
-        if not _draw_is_forced(len(candidates[src]), k, method, jitter)
+        if not _draw_is_forced(len(candidates[src]), k, jitter)
     ]
     by_source: dict[int, DppKernel] = {}
     if choosing:
         if callable(comm):
             comm = comm()
         items = [candidates[src].nodes() for src in choosing]
-        kernels = _assemble_kernels(choosing, items, features, comm, jitter, method == "exact")
+        kernels = _assemble_kernels(choosing, items, features, comm, jitter)
         by_source = dict(zip(choosing, kernels))
     return NegativeKernels(candidates, k, method, by_source)
 
 
-def draw_negative_samples(kernels: NegativeKernels, rng_for_source=None) -> dict[int, list[int]]:
+def draw_negative_samples(kernels: NegativeKernels, rng_for_source) -> dict[int, list[int]]:
     """One negative draw per source of the ``build_negative_kernels`` record.
 
     ``k`` is clamped to each source's candidate count, and a source without
     a kernel takes every candidate, ascending.  ``rng_for_source`` maps a
     source id to the generator of its exact draw, so results do not depend
-    on iteration order; the exact sampler requires it.  The exact draws run
-    in lockstep, so one generator returned for two sources raises
-    ``ValueError``.
+    on iteration order.  The exact draws run in lockstep, so one generator
+    returned for two sources raises ``ValueError``.
     """
     candidates, k = kernels.candidates, kernels.k
     out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
@@ -559,8 +540,6 @@ def draw_negative_samples(kernels: NegativeKernels, rng_for_source=None) -> dict
         else:
             exact.append(src)
     if exact:
-        if rng_for_source is None:
-            raise ValueError("exact sampling needs rng_for_source")
         rngs = [rng_for_source(src) for src in exact]
         owner: dict[int, int] = {}
         for src, rng in zip(exact, rngs):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from collections import Counter
@@ -38,7 +39,7 @@ def make_candidates(source, nodes, layer=2):
 def make_kernel(L, items=None):
     """Wrap a raw PSD matrix for the samplers."""
     items = list(range(L.shape[0])) if items is None else items
-    return _stacked_kernels([-1], [items], np.asarray(L, dtype=np.float64)[None], True)[0]
+    return _stacked_kernels([-1], [items], np.asarray(L, dtype=np.float64)[None])[0]
 
 
 def assemble_kernel(x, comm, source, items, jitter=1e-8):
@@ -376,9 +377,7 @@ def test_greedy_diag_picks_largest():
 def test_greedy_rank_one_still_returns_k():
     L = np.ones((2, 2)) + 1e-8 * np.eye(2)
     kernel = make_kernel(L)
-    ids, gains = dpp_map_greedy(kernel, 2, return_gains=True)
-    assert ids == [0, 1]
-    assert gains[1] < gains[0] - 5  # second pick adds ~zero determinant mass
+    assert dpp_map_greedy(kernel, 2) == [0, 1]
 
 
 def test_greedy_k_equals_n_id_order():
@@ -632,7 +631,8 @@ def test_the_record_carries_the_candidates_k_and_sampler_of_its_build():
     kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
     assert (kernels.candidates, kernels.k, kernels.method) == (cands, 3, "greedy")
     assert list(kernels.by_source) == [1]
-    assert draw_negative_samples(kernels) == {0: [2, 4], 1: dpp_map_greedy(kernels.by_source[1], 3)}
+    out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
+    assert out == {0: [2, 4], 1: dpp_map_greedy(kernels.by_source[1], 3)}
 
 
 def _no_kernels(monkeypatch):
@@ -648,7 +648,7 @@ def _no_kernels(monkeypatch):
     monkeypatch.setattr(dpp, "dpp_map_greedy", refuse)
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-8])
+@pytest.mark.parametrize("jitter", [1e-8, 1e-6])
 def test_greedy_draw_of_every_candidate_builds_no_kernel(monkeypatch, jitter):
     from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
 
@@ -657,8 +657,28 @@ def test_greedy_draw_of_every_candidate_builds_no_kernel(monkeypatch, jitter):
     _no_kernels(monkeypatch)
     kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
     assert kernels.by_source == {}
-    out = draw_negative_samples(kernels)
+    out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
     assert out == {0: [3, 7, 9], 1: [4]}
+
+
+def test_greedy_draw_of_every_candidate_below_the_jitter_bound_still_takes_them_all():
+    # below the bound both samplers build the kernel; greedy picks all n
+    g, x, comm = _scenario(seed=2)
+    cands = {0: make_candidates(0, [9, 3, 7]), 1: make_candidates(1, [4])}
+    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=0.0)
+    assert list(kernels.by_source) == [0, 1]
+    out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
+    assert out == {0: [3, 7, 9], 1: [4]}
+
+
+def test_the_forced_draw_rule_reads_only_n_k_and_the_jitter_bound():
+    from rwnsgcn.dpp import _draw_is_forced
+
+    assert _draw_is_forced(0, 3, 0.0)
+    assert not _draw_is_forced(4, 3, 1e-8)
+    # n**3 eps <= jitter / 2 holds up to n = 282 at jitter 1e-8
+    assert _draw_is_forced(282, 300, 1e-8) and not _draw_is_forced(283, 300, 1e-8)
+    assert not _draw_is_forced(3, 3, 99 * RANK_TOL)
 
 
 def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeypatch):
@@ -750,13 +770,13 @@ def per_source_kdpp_sample_exact(kernel, k, rng):
 
 def _per_source_draws(kernels, jitter, rngs):
     """``draw_negative_samples`` as one oracle draw per source, in id order.
-    Whether a draw chooses is decided again from its candidate count, k,
-    sampler and ``jitter``, not read from the record."""
+    Whether a draw chooses is decided again from its candidate count, k
+    and ``jitter``, not read from the record."""
     from rwnsgcn.dpp import _draw_is_forced
 
     k, method, out = kernels.k, kernels.method, {}
     for src, cs in sorted(kernels.candidates.items()):
-        if _draw_is_forced(len(cs), k, method, jitter):
+        if _draw_is_forced(len(cs), k, jitter):
             out[src] = sorted(cs.nodes())
         elif method == "greedy":
             out[src] = dpp_map_greedy(kernels.by_source[src], min(k, len(cs)))
@@ -802,7 +822,7 @@ def _mixed_kernels(seed, sources=150):
     kernels = {}
     for members in stacks.values():
         srcs, item_lists, matrices = map(list, zip(*members))
-        kernels.update(zip(srcs, _stacked_kernels(srcs, item_lists, np.array(matrices), True)))
+        kernels.update(zip(srcs, _stacked_kernels(srcs, item_lists, np.array(matrices))))
     return cands, kernels
 
 
@@ -1017,19 +1037,24 @@ def test_lockstep_kernels_keep_the_one_source_call():
         assert single.items == kernel.items and _same_bits(single.L, kernel.L)
 
 
-def test_greedy_builds_never_eigendecompose(monkeypatch):
+@pytest.mark.parametrize("jitter", [0.0, 1e-8])
+def test_greedy_and_exact_builds_give_one_kernel_record(jitter):
     x, comm, cands = _random_assembly(3)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a greedy build or draw called eigh")
-
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
-    assert kernels.by_source
-    out = draw_negative_samples(kernels)
-    assert all(len(out[s]) == min(3, len(cands[s])) for s in cands)
-    for kernel in kernels.by_source.values():
-        assert (kernel.eigvals, kernel.eigvecs, kernel.rank, kernel.select) == (None,) * 4
+    exact = build_negative_kernels(cands, x, comm, k=3, jitter=jitter)
+    greedy = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
+    assert list(greedy.by_source) == list(exact.by_source) != []
+    for src, kernel in greedy.by_source.items():
+        want = exact.by_source[src]
+        assert kernel.items == want.items and kernel.rank == want.rank, src
+        for field in ("L", "eigvals", "eigvecs", "select"):
+            assert _same_bits(getattr(kernel, field), getattr(want, field)), (src, field)
+    # an exact draw from the greedy build is the exact build's draw
+    from_greedy = dataclasses.replace(greedy, method="exact")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # duplicated candidates may clamp at jitter 0
+        got, want = (draw_negative_samples(record, lambda src: np.random.default_rng([src]))
+                     for record in (from_greedy, exact))
+    assert got == want
 
 
 def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
@@ -1125,16 +1150,3 @@ def test_one_kernel_build_rejects_an_unusable_jitter_before_eigh(monkeypatch, ji
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(ValueError, match=f"^jitter must be finite and at least 0, got {jitter}$"):
         build_dpp_kernel(0, make_candidates(0, [2, 4, 6]), x, comm, jitter=jitter)
-
-
-def test_an_exact_draw_from_a_greedy_kernel_names_the_source_and_draws_nothing():
-    # a kernel without a spectrum failed with a bare TypeError on its rank
-    g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
-    cands = {1: make_candidates(1, [3, 5, 7, 9])}
-    kernel = build_negative_kernels(cands, x, comm, k=2, method="greedy").by_source[1]
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    with pytest.raises(ValueError, match="^source 1 has no spectrum for the exact sampler; "
-                                         "its kernel was built for the greedy picker$"):
-        kdpp_sample_exact(kernel, 2, rng)
-    assert rng.bit_generator.state == before

@@ -38,8 +38,7 @@ FAST = dict(
 
 
 def fast_config(**overrides) -> ExperimentConfig:
-    merged = {**FAST, **overrides}
-    return ExperimentConfig(dataset_path="(in-memory)", **merged)
+    return ExperimentConfig(**{"dataset_path": "(in-memory)", **FAST, **overrides})
 
 
 # ------------------------------------------------------------------- config
@@ -155,6 +154,13 @@ UNUSABLE = {
                           r"^resample_every must be at least 0 \(0 = static\), got -2$"),
     "level-fraction": ({"levels": (2.5, 3)}, "^level must be an integer, got 2.5$"),
     "level-bool": ({"levels": (True, 3)}, "^level must be an integer, got True$"),
+    "beta-bool": ({"beta": True}, "^beta must be a real number, got True$"),
+    "alpha-bool": ({"alpha": False}, "^alpha must be a real number, got False$"),
+    "alpha-text": ({"alpha": "0.85"}, "^alpha must be a real number, got '0.85'$"),
+    "path-number": ({"dataset_path": 5}, "^dataset_path must be a string, got 5$"),
+    "format-number": ({"dataset_format": 1}, "^dataset_format must be a string, got 1$"),
+    "sampler-none": ({"sampler": None}, "^sampler must be a string, got None$"),
+    "sources-list": ({"sources": ["all"]}, r"^sources must be a string, got \['all'\]$"),
 }
 
 
@@ -191,6 +197,9 @@ UNUSABLE_RUNS = {
     "dropout-nan": ({"dropout": float("nan")}, r"^dropout must be in \[0, 1\), got nan$"),
     "num-test-one": ({"num_test": 1},
                      "^num_test must be at least 2, the fewest rows MAD can take, got 1$"),
+    "lr-text": ({"lr": "0.1"}, "^lr must be a real number, got '0.1'$"),
+    "lam-bool": ({"lam": True}, "^lam must be a real number, got True$"),
+    "dropout-bool": ({"dropout": False}, "^dropout must be a real number, got False$"),
 }
 # the planted dataset has 60 nodes in 3 classes of 20
 UNUSABLE_SPLITS = {
@@ -225,6 +234,16 @@ def test_numpy_integers_are_kept_as_ints():
     cfg = fast_config(runs=np.int64(2), levels=np.array([3, 2]), resample_every=np.int32(0))
     assert (type(cfg.runs), cfg.levels, type(cfg.resample_every)) == (int, (2, 3), int)
     assert config_hash(cfg.to_dict()) == config_hash(fast_config(levels=(2, 3)).to_dict())
+
+
+def test_an_integer_in_a_float_field_hashes_as_its_float():
+    # a JSON config's "lam": 0 and --lambda 0 ran one computation under two hashes
+    assert config_hash(ExperimentConfig(lam=0).to_dict()) == "73de3fb07562769a"
+    assert config_hash(ExperimentConfig(lam=0.0).to_dict()) == "73de3fb07562769a"
+    cfg = fast_config(dropout=0, lam=1, alpha=0, beta=1, lr=1)
+    assert {type(getattr(cfg, f)) for f in ("dropout", "lam", "alpha", "beta", "lr")} == {float}
+    want = fast_config(dropout=0.0, lam=1.0, alpha=0.0, beta=1.0, lr=1.0)
+    assert config_hash(cfg.to_dict()) == config_hash(want.to_dict())
 
 
 def test_load_dataset_rejects_another_format():
