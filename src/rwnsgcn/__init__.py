@@ -33,7 +33,6 @@ from rwnsgcn.dpp import (
     build_dpp_kernel,
     build_negative_graph,
     cosine_rows,
-    dpp_map_greedy,
     kdpp_sample_exact,
     label_propagation,
 )

@@ -9,6 +9,7 @@ graph is never modified.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ("ctbca", "twpa"):
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        value = self.intensity
+        # a nan sigma passes the sign check below and then adds no noise
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            name = "ctbca intensity" if self.kind == "ctbca" else "twpa intensity (sigma)"
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.kind == "ctbca" and not 0.0 <= self.intensity <= 1.0:
             raise ValueError("ctbca intensity must be a fraction in [0, 1]")
         if self.kind == "twpa" and self.intensity < 0:
@@ -145,8 +152,8 @@ def twpa_perturb(g: Graph, sigma: float, seed: int = 0) -> Graph:
     itself never changes, so a weight clamped to 0 silences the edge
     while leaving it structurally present.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     u, v, w = g.edge_arrays()
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=w.size) if sigma > 0 else np.zeros(w.size)

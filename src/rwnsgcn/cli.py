@@ -64,7 +64,6 @@ _CONFIG_FLAGS = [
     ("--beta", "beta", float, "restart-walk vs global-rank mix"),
     ("--k-per-level", "k_per_level", int, "candidates kept per layer"),
     ("--k-dpp", "k_dpp", int, "negatives sampled per source"),
-    ("--sampler", "sampler", str, "exact | greedy"),
     ("--resample-every", "resample_every", int, "re-draw negatives every N epochs (0 = static)"),
     ("--sources", "sources", str, "all | degree-range (unweighted degree 3..6)"),
     ("--runs", "runs", int, "number of seeded runs"),

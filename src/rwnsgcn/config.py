@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from rwnsgcn.dpp import check_method
 from rwnsgcn.scoring import check_alpha, check_beta, check_integer, check_levels
 
 __all__ = [
@@ -55,7 +54,6 @@ class ExperimentConfig:
     k_per_level: int = 1
     # sampling
     k_dpp: int = 3
-    sampler: str = "exact"  # "exact" | "greedy"
     resample_every: int = 0  # re-draw negatives every N epochs (0 = static)
     sources: str = "all"  # "all" | "degree-range" (unweighted degree 3..6)
     # run
@@ -77,7 +75,7 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))  # so lam=0 and lam=0.0 hash alike
-        for name in ("dataset_path", "dataset_format", "sampler", "sources"):
+        for name in ("dataset_path", "dataset_format", "sources"):
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string, got {value!r}")
@@ -100,7 +98,6 @@ class ExperimentConfig:
         check_beta(self.beta)
         # the sorted, de-duplicated levels the scoring uses: one hash per pick
         object.__setattr__(self, "levels", tuple(check_levels(self.levels, self.k_per_level)))
-        check_method(self.sampler)
         if self.sources not in ("all", "degree-range"):
             raise ValueError(f"unknown sources mode {self.sources!r}")
 

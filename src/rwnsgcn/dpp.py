@@ -3,11 +3,10 @@
 Communities come from asynchronous label propagation; a per-source PSD
 kernel couples candidate quality (similarity of the source to each
 candidate's community) with pairwise redundancy (node/community feature
-similarity); subsets are drawn either by an exact fixed-size determinantal
-sampler or by a deterministic greedy log-det maximizer.  One record holds
-the candidates, k, sampler and kernels, and every draw reads only it.  The
-union of all sampled pairs forms the negative-sample graph the model
-propagates over.
+similarity); subsets are drawn by an exact fixed-size determinantal
+sampler.  One record holds the candidates, k and kernels, and every draw
+reads only it.  The union of all sampled pairs forms the negative-sample
+graph the model propagates over.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "cosine_rows",
     "build_dpp_kernel",
     "kdpp_sample_exact",
-    "dpp_map_greedy",
     "build_negative_graph",
     "build_negative_kernels",
     "draw_negative_samples",
@@ -58,8 +56,7 @@ class DppKernel:
     It also holds its eigenvalues clipped at 0 (ascending), eigenvectors,
     numerical rank and ``select[rem, m]``: the probability that eigenvector
     m-1 is selected when rem of the first m are still to be chosen, NaN
-    where e_rem of the first m eigenvalues vanishes (never selected).  The
-    greedy picker reads only ``L``.
+    where e_rem of the first m eigenvalues vanishes (never selected).
     """
 
     source: int
@@ -74,12 +71,11 @@ class DppKernel:
 @dataclass(frozen=True, eq=False)
 class NegativeKernels:
     """What every negative draw over one candidate map reads, fixed at
-    build: the map, the draw size ``k``, the sampler ``method`` ("exact" or
-    "greedy") and the kernels of exactly the sources whose draw chooses."""
+    build: the map, the draw size ``k`` and the kernels of exactly the
+    sources whose draw chooses."""
 
     candidates: Mapping[int, CandidateSet]
     k: int
-    method: str
     by_source: dict[int, DppKernel]
 
 
@@ -404,40 +400,6 @@ def _kdpp_draws(
     return out
 
 
-def dpp_map_greedy(kernel: DppKernel, k: int) -> list[int]:
-    """Deterministic greedy log-det maximization (ties to the smaller id).
-
-    Always returns k items even when extra picks add ~zero determinant mass.
-    """
-    n = len(kernel.items)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > n:
-        raise ValueError(f"k={k} exceeds candidate count {n}")
-    selected: list[int] = []
-    current = 0.0
-    # candidate indices in ascending node-id order so strict > keeps ties minimal
-    id_order = sorted(range(n), key=lambda i: kernel.items[i])
-    for _ in range(k):
-        best_gain = -np.inf
-        best_i = None
-        for i in id_order:
-            if i in selected:
-                continue
-            trial = selected + [i]
-            sign, logdet = np.linalg.slogdet(kernel.L[np.ix_(trial, trial)])
-            gain = (logdet - current) if sign > 0 else -np.inf
-            if gain > best_gain:
-                best_gain = gain
-                best_i = i
-        if best_i is None:  # all remaining determinants vanish; take smallest id
-            best_i = next(i for i in id_order if i not in selected)
-        selected.append(best_i)
-        if np.isfinite(best_gain):
-            current += best_gain
-    return sorted(kernel.items[i] for i in selected)
-
-
 def build_negative_graph(
     samples: Mapping[int, Iterable[int]], num_nodes: int
 ) -> Graph:
@@ -455,10 +417,9 @@ def build_negative_graph(
 def _draw_is_forced(n: int, k: int, jitter: float) -> bool:
     """True when a size-min(k, n) draw from n candidates can only be all of them.
 
-    An empty set has only the empty draw.  The greedy picker always returns
-    k distinct items; the exact sampler returns all n only when the kernel
-    has full numerical rank, which the jitter alone guarantees here, so
-    both samplers follow this one rule.  Weyl: lambda_min(C + E + jitter I)
+    An empty set has only the empty draw.  The sampler returns all n only
+    when the kernel has full numerical rank, which the jitter alone
+    guarantees here.  Weyl: lambda_min(C + E + jitter I)
     >= lambda_min(C) + jitter - ||E||_2 for the PSD core C and its roundoff
     E (assembly and eigh).  Kernel entries are at most n in magnitude, so
     ||C||_2 <= n**2 and ||E||_2 is of order n**3 eps.  With jitter >= 100
@@ -471,11 +432,6 @@ def _draw_is_forced(n: int, k: int, jitter: float) -> bool:
     return n == 0 or (jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2)
 
 
-def check_method(method: str) -> None:
-    if method not in ("exact", "greedy"):
-        raise ValueError(f"unknown sampling method {method!r}")
-
-
 def check_jitter(jitter: float) -> None:
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and at least 0, got {jitter}")
@@ -486,7 +442,6 @@ def build_negative_kernels(
     features: np.ndarray,
     comm: CommunityAssignment | Callable[[], CommunityAssignment],
     k: int = 3,
-    method: str = "exact",
     jitter: float = 1e-8,
 ) -> NegativeKernels:
     """The record every negative draw over ``candidates`` reads.
@@ -502,7 +457,6 @@ def build_negative_kernels(
     record to every ``draw_negative_samples`` call, so redraws reuse each
     kernel and its eigendecomposition.
     """
-    check_method(method)
     check_jitter(jitter)
     choosing = [
         src
@@ -516,7 +470,7 @@ def build_negative_kernels(
         items = [candidates[src].nodes() for src in choosing]
         kernels = _assemble_kernels(choosing, items, features, comm, jitter)
         by_source = dict(zip(choosing, kernels))
-    return NegativeKernels(candidates, k, method, by_source)
+    return NegativeKernels(candidates, k, by_source)
 
 
 def draw_negative_samples(kernels: NegativeKernels, rng_for_source) -> dict[int, list[int]]:
@@ -524,29 +478,26 @@ def draw_negative_samples(kernels: NegativeKernels, rng_for_source) -> dict[int,
 
     ``k`` is clamped to each source's candidate count, and a source without
     a kernel takes every candidate, ascending.  ``rng_for_source`` maps a
-    source id to the generator of its exact draw, so results do not depend
-    on iteration order.  The exact draws run in lockstep, so one generator
-    returned for two sources raises ``ValueError``.
+    source id to the generator of its draw, so results do not depend on
+    iteration order.  The draws run in lockstep, so one generator returned
+    for two sources raises ``ValueError``.
     """
     candidates, k = kernels.candidates, kernels.k
     out: dict[int, list[int]] = dict.fromkeys(sorted(candidates))
-    exact: list[int] = []
+    drawn: list[int] = []
     for src in out:
-        kernel = kernels.by_source.get(src)
-        if kernel is None:
-            out[src] = sorted(candidates[src].nodes())
-        elif kernels.method == "greedy":
-            out[src] = dpp_map_greedy(kernel, min(k, len(kernel.items)))
+        if src in kernels.by_source:
+            drawn.append(src)
         else:
-            exact.append(src)
-    if exact:
-        rngs = [rng_for_source(src) for src in exact]
+            out[src] = sorted(candidates[src].nodes())
+    if drawn:
+        rngs = [rng_for_source(src) for src in drawn]
         owner: dict[int, int] = {}
-        for src, rng in zip(exact, rngs):
+        for src, rng in zip(drawn, rngs):
             first = owner.setdefault(id(rng), src)
             if first != src:
                 raise ValueError(f"sources {first} and {src} share one generator")
-        chosen = [kernels.by_source[src] for src in exact]
+        chosen = [kernels.by_source[src] for src in drawn]
         ks = [min(k, len(kernel.items)) for kernel in chosen]
-        out.update(zip(exact, _kdpp_draws(chosen, ks, rngs)))
+        out.update(zip(drawn, _kdpp_draws(chosen, ks, rngs)))
     return out

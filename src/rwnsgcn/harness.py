@@ -162,7 +162,6 @@ def _run_once(
             ds.features,
             lambda: label_propagation(ds.graph, features=ds.features, seed=lp_seed),
             k=config.k_dpp,
-            method=config.sampler,
         )
 
         def draw(*rng_tags):

@@ -84,6 +84,8 @@ def check_integer(name: str, value) -> None:
 
 def check_levels(levels: Sequence[int], k_per_level: int) -> list[int]:
     """The requested layers, sorted and de-duplicated, after checking them and k."""
+    if not isinstance(levels, Iterable):
+        raise ValueError(f"levels must be a sequence of integers, got {levels!r}")
     for level in levels:
         check_integer("level", level)
     levels = sorted({int(l) for l in levels})

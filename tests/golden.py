@@ -4,11 +4,11 @@ that writes it.
     PYTHONPATH=src python tests/golden.py
 
 rewrites ``tests/golden.json`` from the program in ``src``.  Each entry is
-one benchmark workload's experiment (or the greedy picker's run of one) on
-its ``perfbench/gen.py`` graph at seed 501, with a short epoch count: the
-digest of every candidate map, the negative-edge digest of every draw
-(redraws included), every training's per-epoch loss bits and best epoch,
-every test accuracy and MAD, and the report CSV.  Rewrite the file only in a change that says
+one benchmark workload's experiment on its ``perfbench/gen.py`` graph at
+seed 501, with a short epoch count: the digest of every candidate map,
+the negative-edge digest of every draw (redraws included), every
+training's per-epoch loss bits and best epoch, every test accuracy and
+MAD, and the report CSV.  Rewrite the file only in a change that says
 which bits moved and why, and shows that candidates and predictions did
 not.
 """
@@ -32,15 +32,12 @@ PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 SEED = 501
 EPOCHS = 20
 # (gen scale, harness entry point, overrides) of the benchmark workloads in
-# perfbench/workloads.py, plus citeseer-greedy: citeseer-dpp with the greedy
-# picker, which no benchmark workload runs.  citeseer-dpp redraws every 5
-# epochs instead of 15, so that the short run still draws four times, as
-# the long one does.
-CITESEER_DPP = {"k_per_level": 2, "resample_every": 5, "num_val": 150, "num_test": 300}
+# perfbench/workloads.py.  citeseer-dpp redraws every 5 epochs instead of
+# 15, so that the short run still draws four times, as the long one does.
 WORKLOADS = {
     "cora-train": ("cora", "baseline", {"num_val": 200, "num_test": 300}),
-    "citeseer-dpp": ("citeseer", "baseline", CITESEER_DPP),
-    "citeseer-greedy": ("citeseer", "baseline", {**CITESEER_DPP, "sampler": "greedy"}),
+    "citeseer-dpp": ("citeseer", "baseline",
+                     {"k_per_level": 2, "resample_every": 5, "num_val": 150, "num_test": 300}),
     "pubmed3k-attack": ("pubmed3k", "attack",
                         {"sources": "degree-range", "num_val": 150, "num_test": 300}),
 }

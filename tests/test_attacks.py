@@ -204,13 +204,33 @@ def test_zero_weight_edges_still_count_as_hops():
     assert sub.graph.edges() == [(0, 1, 0.0), (1, 2, g.edges()[-1][2])]
 
 
+# (kind, intensity, message) of the cells AttackSpec refuses.  A nan sigma
+# passed and then added no noise, so the "attacked" runs trained on the clean
+# graph; an inf sigma failed only in build_graph, after every clean run; and
+# True ran as sigma 1
+UNUSABLE_SPECS = [
+    ("other", 0.1, "^unknown attack kind 'other'$"),
+    ("ctbca", 1.5, r"^ctbca intensity must be a fraction in \[0, 1\]$"),
+    ("twpa", -1.0, r"^twpa intensity \(sigma\) must be nonnegative$"),
+    ("twpa", float("nan"), r"^twpa intensity \(sigma\) must be a finite real number, got nan$"),
+    ("twpa", float("inf"), r"^twpa intensity \(sigma\) must be a finite real number, got inf$"),
+    ("twpa", True, r"^twpa intensity \(sigma\) must be a finite real number, got True$"),
+    ("twpa", "0.5", r"^twpa intensity \(sigma\) must be a finite real number, got '0.5'$"),
+    ("ctbca", float("nan"), "^ctbca intensity must be a finite real number, got nan$"),
+    ("ctbca", False, "^ctbca intensity must be a finite real number, got False$"),
+]
+
+
 def test_attack_spec_validation():
-    with pytest.raises(ValueError):
-        AttackSpec(kind="other", intensity=0.1)
-    with pytest.raises(ValueError):
-        AttackSpec(kind="ctbca", intensity=1.5)
-    with pytest.raises(ValueError):
-        AttackSpec(kind="twpa", intensity=-1.0)
+    for kind, intensity, message in UNUSABLE_SPECS:
+        with pytest.raises(ValueError, match=message):
+            AttackSpec(kind=kind, intensity=intensity)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_twpa_refuses_a_sigma_that_is_not_finite_and_nonnegative(sigma):
+    with pytest.raises(ValueError, match=f"^sigma must be finite and nonnegative, got {sigma}$"):
+        twpa_perturb(bridge_of_triangles(), sigma)
 
 
 # ------------------------------------------------- block Brandes vs per source

@@ -60,17 +60,15 @@ def test_prepare_then_baseline_ablate_and_sweep_l(generated, tmp_path):
 
 def test_each_sampler_writes_equal_csvs_twice(generated, tmp_path):
     # k_per_level 2 gives up to 6 candidates for k = 3, so label
-    # propagation, kernel assembly and the redraws every 2 epochs all run
-    # from the CSR features the loader builds; the greedy picker runs end
-    # to end nowhere else
+    # propagation, kernel assembly, the exact k-DPP and the redraws every 2
+    # epochs all run from the CSR features the loader builds
     small = ["--dataset-path", prepare(generated("citeseer"), tmp_path / "citeseer-prepared"),
              "--k-per-level", "2", "--resample-every", "2", "--num-val", "150",
              "--num-test", "300", "--epochs", "5", "--runs", "1"]
-    for sampler in ("exact", "greedy"):
-        for copy in ("a", "b"):
-            run("baseline", *small, "--sampler", sampler, "--out", tmp_path / f"{sampler}-{copy}")
-        csv = [(tmp_path / f"{sampler}-{copy}" / "baseline.csv").read_bytes() for copy in "ab"]
-        assert csv[0] == csv[1], sampler
+    for copy in ("a", "b"):
+        run("baseline", *small, "--out", tmp_path / copy)
+    csv = [(tmp_path / copy / "baseline.csv").read_bytes() for copy in "ab"]
+    assert csv[0] == csv[1]
 
 
 def test_the_hash_reads_the_data_not_its_path(generated, tmp_path):

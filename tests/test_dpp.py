@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import warnings
 from collections import Counter
@@ -18,7 +17,6 @@ from rwnsgcn.dpp import (
     build_negative_graph,
     build_negative_kernels,
     cosine_rows,
-    dpp_map_greedy,
     draw_negative_samples,
     kdpp_sample_exact,
     label_propagation,
@@ -37,7 +35,7 @@ def make_candidates(source, nodes, layer=2):
 
 
 def make_kernel(L, items=None):
-    """Wrap a raw PSD matrix for the samplers."""
+    """Wrap a raw PSD matrix for the sampler."""
     items = list(range(L.shape[0])) if items is None else items
     return _stacked_kernels([-1], [items], np.asarray(L, dtype=np.float64)[None])[0]
 
@@ -366,41 +364,6 @@ def test_kdpp_never_repeats_items():
         assert len(set(s)) == 3
 
 
-# ------------------------------------------------------------ greedy picker
-
-
-def test_greedy_diag_picks_largest():
-    kernel = make_kernel(np.diag([3.0, 2.0, 1.0]))
-    assert dpp_map_greedy(kernel, 2) == [0, 1]
-
-
-def test_greedy_rank_one_still_returns_k():
-    L = np.ones((2, 2)) + 1e-8 * np.eye(2)
-    kernel = make_kernel(L)
-    assert dpp_map_greedy(kernel, 2) == [0, 1]
-
-
-def test_greedy_k_equals_n_id_order():
-    rng = np.random.default_rng(3)
-    b = rng.normal(size=(4, 4))
-    kernel = make_kernel(b @ b.T + np.eye(4))
-    assert dpp_map_greedy(kernel, 4) == [0, 1, 2, 3]
-
-
-def test_greedy_tie_prefers_smaller_id():
-    kernel = make_kernel(np.diag([1.0, 1.0, 1.0]))
-    assert dpp_map_greedy(kernel, 2) == [0, 1]
-
-
-def test_greedy_matches_enumeration_argmax_first_pick():
-    rng = np.random.default_rng(19)
-    b = rng.normal(size=(5, 5))
-    L = b @ b.T + 0.2 * np.eye(5)
-    kernel = make_kernel(L)
-    first = dpp_map_greedy(kernel, 1)[0]
-    assert first == int(np.argmax(np.diag(L)))
-
-
 # ------------------------------------------------- duplicated-item diversity
 
 
@@ -625,14 +588,15 @@ def test_communities_from_a_callable_are_found_only_when_a_draw_chooses():
     assert np.array_equal(kernel.L, build_negative_kernels(cands, x, comm, k=2).by_source[2].L)
 
 
-def test_the_record_carries_the_candidates_k_and_sampler_of_its_build():
+def test_the_record_carries_the_candidates_and_k_of_its_build():
     g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
     cands = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [3, 5, 7, 9])}
-    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy")
-    assert (kernels.candidates, kernels.k, kernels.method) == (cands, 3, "greedy")
+    kernels = build_negative_kernels(cands, x, comm, k=3)
+    assert (kernels.candidates, kernels.k) == (cands, 3)
     assert list(kernels.by_source) == [1]
     out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
-    assert out == {0: [2, 4], 1: dpp_map_greedy(kernels.by_source[1], 3)}
+    want = kdpp_sample_exact(kernels.by_source[1], 3, np.random.default_rng(1))
+    assert out == {0: [2, 4], 1: want}
 
 
 def _no_kernels(monkeypatch):
@@ -645,30 +609,6 @@ def _no_kernels(monkeypatch):
     monkeypatch.setattr(dpp, "_assemble_kernels", refuse)
     monkeypatch.setattr(dpp, "kdpp_sample_exact", refuse)
     monkeypatch.setattr(dpp, "_kdpp_draws", refuse)
-    monkeypatch.setattr(dpp, "dpp_map_greedy", refuse)
-
-
-@pytest.mark.parametrize("jitter", [1e-8, 1e-6])
-def test_greedy_draw_of_every_candidate_builds_no_kernel(monkeypatch, jitter):
-    from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
-
-    g, x, comm = _scenario(seed=2)
-    cands = {0: make_candidates(0, [9, 3, 7]), 1: make_candidates(1, [4])}
-    _no_kernels(monkeypatch)
-    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
-    assert kernels.by_source == {}
-    out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
-    assert out == {0: [3, 7, 9], 1: [4]}
-
-
-def test_greedy_draw_of_every_candidate_below_the_jitter_bound_still_takes_them_all():
-    # below the bound both samplers build the kernel; greedy picks all n
-    g, x, comm = _scenario(seed=2)
-    cands = {0: make_candidates(0, [9, 3, 7]), 1: make_candidates(1, [4])}
-    kernels = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=0.0)
-    assert list(kernels.by_source) == [0, 1]
-    out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
-    assert out == {0: [3, 7, 9], 1: [4]}
 
 
 def test_the_forced_draw_rule_reads_only_n_k_and_the_jitter_bound():
@@ -774,12 +714,10 @@ def _per_source_draws(kernels, jitter, rngs):
     and ``jitter``, not read from the record."""
     from rwnsgcn.dpp import _draw_is_forced
 
-    k, method, out = kernels.k, kernels.method, {}
+    k, out = kernels.k, {}
     for src, cs in sorted(kernels.candidates.items()):
         if _draw_is_forced(len(cs), k, jitter):
             out[src] = sorted(cs.nodes())
-        elif method == "greedy":
-            out[src] = dpp_map_greedy(kernels.by_source[src], min(k, len(cs)))
         else:
             out[src] = per_source_kdpp_sample_exact(kernels.by_source[src], min(k, len(cs)), rngs[src])
     return out
@@ -833,7 +771,7 @@ def test_lockstep_draws_match_per_source_draws_on_mixed_groups(k):
         ranks = [kernel.rank for kernel in kernels.values()]
         assert set(ranks) == set(range(8))
         # jitter 0: every source chooses, k >= n included, and low ranks clamp
-        record = NegativeKernels(cands, k, "exact", kernels)
+        record = NegativeKernels(cands, k, kernels)
         warned = _assert_draws_match(record, 0.0, lambda src: [seed, k, src])
         assert warned == sum(min(k, len(cands[s])) > kernels[s].rank for s in cands)
         assert warned > 0
@@ -863,7 +801,7 @@ def test_shared_generator_is_rejected_naming_both_sources():
     before = {src: gen.bit_generator.state for src, gen in gens.items()}
     with pytest.raises(ValueError, match=f"sources {first} and {second} share one generator"):
         draw_negative_samples(
-            NegativeKernels(cands, 2, "exact", kernels), rng_for_source=gens.__getitem__
+            NegativeKernels(cands, 2, kernels), rng_for_source=gens.__getitem__
         )
     assert {src: gen.bit_generator.state for src, gen in gens.items()} == before
 
@@ -884,7 +822,7 @@ def test_pick_at_a_cdf_tie_goes_right_like_searchsorted():
     kernels = {0: make_kernel(np.ones((2, 2)), items=[10, 11])}
     assert per_source_kdpp_sample_exact(kernels[0], 1, _Uniforms([0.0, 0.5])) == [11]
     got = draw_negative_samples(
-        NegativeKernels(cands, 1, "exact", kernels),
+        NegativeKernels(cands, 1, kernels),
         rng_for_source=lambda src: _Uniforms([0.0, 0.5]),
     )
     assert got == {0: [11]}
@@ -895,7 +833,7 @@ def test_lockstep_draws_reject_k_below_one():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be positive"):
             draw_negative_samples(
-                NegativeKernels(cands, k, "exact", kernels), rng_for_source=np.random.default_rng
+                NegativeKernels(cands, k, kernels), rng_for_source=np.random.default_rng
             )
 
 
@@ -903,19 +841,18 @@ def test_forced_sources_may_share_a_generator():
     cands = {s: make_candidates(s, [s + 1, s + 2]) for s in range(4)}
     shared = np.random.default_rng(0)
     out = draw_negative_samples(
-        NegativeKernels(cands, 3, "exact", {}), rng_for_source=lambda src: shared
+        NegativeKernels(cands, 3, {}), rng_for_source=lambda src: shared
     )
     assert out == {s: [s + 1, s + 2] for s in range(4)}
 
 
-@pytest.mark.parametrize("method", ["exact", "greedy"])
 @pytest.mark.parametrize("seed", [501, 601])
-def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen, seed, method):
+def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen, seed):
     content, cites, _ = bench_gen.generate(bench_gen.SCALES["citeseer"], seed)
     ds = load_content_cites(content.decode(), cites.decode())
     cands = score_all_sources(ds.graph, range(ds.num_nodes), k_per_level=2)
     comm = label_propagation(ds.graph, features=ds.features, seed=derive_seed(seed, "labelprop"))
-    kernels = build_negative_kernels(cands, ds.features, comm, k=3, method=method)
+    kernels = build_negative_kernels(cands, ds.features, comm, k=3)
     assert len(kernels.by_source) > ds.num_nodes // 2  # most draws really choose
     # the first draw, then the redraws of resample_every=15 over 60 epochs
     for tags in [(), ("epoch", 15), ("epoch", 30), ("epoch", 45)]:
@@ -1037,26 +974,6 @@ def test_lockstep_kernels_keep_the_one_source_call():
         assert single.items == kernel.items and _same_bits(single.L, kernel.L)
 
 
-@pytest.mark.parametrize("jitter", [0.0, 1e-8])
-def test_greedy_and_exact_builds_give_one_kernel_record(jitter):
-    x, comm, cands = _random_assembly(3)
-    exact = build_negative_kernels(cands, x, comm, k=3, jitter=jitter)
-    greedy = build_negative_kernels(cands, x, comm, k=3, method="greedy", jitter=jitter)
-    assert list(greedy.by_source) == list(exact.by_source) != []
-    for src, kernel in greedy.by_source.items():
-        want = exact.by_source[src]
-        assert kernel.items == want.items and kernel.rank == want.rank, src
-        for field in ("L", "eigvals", "eigvecs", "select"):
-            assert _same_bits(getattr(kernel, field), getattr(want, field)), (src, field)
-    # an exact draw from the greedy build is the exact build's draw
-    from_greedy = dataclasses.replace(greedy, method="exact")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # duplicated candidates may clamp at jitter 0
-        got, want = (draw_negative_samples(record, lambda src: np.random.default_rng([src]))
-                     for record in (from_greedy, exact))
-    assert got == want
-
-
 def test_lockstep_build_memory_stays_below_half_the_features(bench_gen):
     import tracemalloc
 
@@ -1117,7 +1034,7 @@ def test_rank_clamp_warning_points_at_the_caller():
         kdpp_sample_exact(kernel, 2, np.random.default_rng(0))
     with pytest.warns(UserWarning, match="rank") as drawn:
         draw_negative_samples(
-            NegativeKernels({0: make_candidates(0, [4, 5, 6])}, 2, "exact", {0: kernel}),
+            NegativeKernels({0: make_candidates(0, [4, 5, 6])}, 2, {0: kernel}),
             rng_for_source=np.random.default_rng,
         )
     assert [w.filename for w in direct] == [__file__]

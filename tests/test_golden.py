@@ -1,7 +1,6 @@
 """The fixed-seed behaviour fingerprint (``golden.py``) against the
 committed ``golden.json``: candidates, negative edges, loss bits, best
-epochs, accuracies, MAD and CSV bytes of the three benchmark workloads
-and of the greedy picker on the citeseer-scale graph."""
+epochs, accuracies, MAD and CSV bytes of the three benchmark workloads."""
 
 import json
 

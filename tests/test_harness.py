@@ -68,18 +68,18 @@ def test_config_hashes_one_levels_tuple_per_pick():
             ExperimentConfig.from_dict({"levels": [4, 2]})]
     for cfg in same:
         assert cfg.levels == (2, 4)
-        assert config_hash(cfg.to_dict()) == "0c15f2a626bc331b"
+        assert config_hash(cfg.to_dict()) == "ad150ca4f49fc6b8"
     # the default was already sorted, so sorting the levels leaves its hash alone
     assert ExperimentConfig().levels == (2, 3, 4)
-    assert config_hash(ExperimentConfig().to_dict()) == "59e982be9641c9c0"
-    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3)).to_dict()) == "59e982be9641c9c0"
+    assert config_hash(ExperimentConfig().to_dict()) == "8c2a28df615bc0f6"
+    assert config_hash(ExperimentConfig(levels=(4, 3, 2, 3)).to_dict()) == "8c2a28df615bc0f6"
 
 
 def test_levels_none_fails_on_every_way_in():
     for make in (lambda: ExperimentConfig(levels=None),
                  lambda: ExperimentConfig.from_dict({"levels": None}),
                  lambda: ExperimentConfig().with_overrides(levels=None)):
-        with pytest.raises(TypeError, match="'NoneType' object is not iterable"):
+        with pytest.raises(ValueError, match="^levels must be a sequence of integers, got None$"):
             make()
 
 
@@ -128,14 +128,13 @@ def test_config_has_no_attack_fields(field, value):
 
 
 # (overrides, message): the scoring, sampling and integer messages, raised
-# when the config is built.  Without these checks an unknown sampler failed
-# only after the candidate fill, beta 1.5 after PageRank and the first
-# block's walks, and with lam = 0 a bad beta or level trained to the end
-# and was hashed into the report.  layers 2.0, runs 1.5 or hidden 8.5 ran
-# the whole fill before a TypeError, resample_every -2 trained as static
-# under its own hash, and level 2.5 was truncated to 2
+# when the config is built.  Without these checks beta 1.5 failed only
+# after PageRank and the first block's walks, and with lam = 0 a bad beta
+# or level trained to the end and was hashed into the report.  layers 2.0,
+# runs 1.5 or hidden 8.5 ran the whole fill before a TypeError,
+# resample_every -2 trained as static under its own hash, level 2.5 was
+# truncated to 2, and levels 5 failed with a TypeError that named no field
 UNUSABLE = {
-    "sampler": ({"sampler": "foo"}, "^unknown sampling method 'foo'$"),
     "sources": ({"sources": "foo"}, "^unknown sources mode 'foo'$"),
     "no-levels": ({"levels": ()}, "^levels must name at least one layer$"),
     "level-0": ({"levels": (0,)}, r"^level 0 is below 2 \(layer 1 is reserved for positives"),
@@ -154,12 +153,13 @@ UNUSABLE = {
                           r"^resample_every must be at least 0 \(0 = static\), got -2$"),
     "level-fraction": ({"levels": (2.5, 3)}, "^level must be an integer, got 2.5$"),
     "level-bool": ({"levels": (True, 3)}, "^level must be an integer, got True$"),
+    "levels-int": ({"levels": 5}, "^levels must be a sequence of integers, got 5$"),
+    "levels-none": ({"levels": None}, "^levels must be a sequence of integers, got None$"),
     "beta-bool": ({"beta": True}, "^beta must be a real number, got True$"),
     "alpha-bool": ({"alpha": False}, "^alpha must be a real number, got False$"),
     "alpha-text": ({"alpha": "0.85"}, "^alpha must be a real number, got '0.85'$"),
     "path-number": ({"dataset_path": 5}, "^dataset_path must be a string, got 5$"),
     "format-number": ({"dataset_format": 1}, "^dataset_format must be a string, got 1$"),
-    "sampler-none": ({"sampler": None}, "^sampler must be a string, got None$"),
     "sources-list": ({"sources": ["all"]}, r"^sources must be a string, got \['all'\]$"),
 }
 
@@ -238,8 +238,8 @@ def test_numpy_integers_are_kept_as_ints():
 
 def test_an_integer_in_a_float_field_hashes_as_its_float():
     # a JSON config's "lam": 0 and --lambda 0 ran one computation under two hashes
-    assert config_hash(ExperimentConfig(lam=0).to_dict()) == "73de3fb07562769a"
-    assert config_hash(ExperimentConfig(lam=0.0).to_dict()) == "73de3fb07562769a"
+    assert config_hash(ExperimentConfig(lam=0).to_dict()) == "63d0cfcedc2670e8"
+    assert config_hash(ExperimentConfig(lam=0.0).to_dict()) == "63d0cfcedc2670e8"
     cfg = fast_config(dropout=0, lam=1, alpha=0, beta=1, lr=1)
     assert {type(getattr(cfg, f)) for f in ("dropout", "lam", "alpha", "beta", "lr")} == {float}
     want = fast_config(dropout=0.0, lam=1.0, alpha=0.0, beta=1.0, lr=1.0)
@@ -315,7 +315,7 @@ def test_an_attack_reports_config_is_the_config_plus_its_cell():
             ExperimentConfig.from_dict(rep.config)
     # the hash of the default config's ctbca 0.1 cell
     attacked = {**ExperimentConfig().to_dict(), "attack_kind": "ctbca", "attack_intensity": 0.1}
-    assert config_hash(attacked) == "2c851daa7401521c"
+    assert config_hash(attacked) == "a38d734844de842f"
 
 
 def test_a_reports_hash_reads_the_data_not_its_path():
@@ -888,7 +888,7 @@ def test_config_flags_mirror_the_config_fields():
     # one flag per field; dataset_format has none, since load_dataset
     # reads one format only
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
-    assert len(fields) == 21
+    assert len(fields) == 20
     assert sorted(dest for _, dest, _, _ in cli._CONFIG_FLAGS) == sorted(
         set(fields) - {"dataset_format"})
 
@@ -932,6 +932,8 @@ def test_cli_argument_errors_are_one_json_line(case, capsys, monkeypatch):
     (["attack", "--ctbca-fractions", "", "--twpa-sigmas", ""], "empty attack grid"),
     (["attack", "--twpa-sigmas", "0.5,0.5000001"],
      "attack cells twpa@0.5 and twpa@0.5000001 share the label attack/twpa@0.5"),
+    (["attack", "--twpa-sigmas", "nan"],
+     "twpa intensity (sigma) must be a finite real number, got nan"),
 ])
 def test_cli_checks_its_lists_before_loading(argv, message, capsys, monkeypatch):
     loads = []
@@ -971,6 +973,8 @@ def test_cli_rejects_removed_cache_dir_field(tmp_path, toy_prefix):
     # operator, row-normalised features, jitter 1e-8, degree-range 3..6
     ("gcn_self_loops", True), ("row_normalize", True), ("jitter", 1e-8),
     ("degree_lo", 3), ("degree_hi", 6),
+    # one sampler is left, the exact k-DPP
+    ("sampler", "exact"),
 ])
 def test_cli_rejects_removed_scoring_fields(tmp_path, toy_prefix, field, value):
     # a config saved before these fields were removed fails by name, even
@@ -984,18 +988,6 @@ def test_cli_rejects_removed_scoring_fields(tmp_path, toy_prefix, field, value):
         f'{{"error": "ValueError: unknown config fields: [\'{field}\']"}}'
     ]
     assert not (tmp_path / "res").exists()
-
-
-def test_cli_rejects_an_unknown_sampler_in_one_line(tmp_path, toy_prefix):
-    res = run_cli(
-        "ablate", "--dataset-path", str(toy_prefix), "--sampler", "foo",
-        "--out", str(tmp_path / "results"),
-    )
-    assert res.returncode == 1
-    assert res.stderr.strip().splitlines() == [
-        '{"error": "ValueError: unknown sampling method \'foo\'"}'
-    ]
-    assert not (tmp_path / "results").exists()
 
 
 def test_cli_rejects_a_zero_learning_rate_in_one_line(tmp_path, toy_prefix):
