@@ -313,7 +313,7 @@ def attack_labels(attack_grid: Sequence[tuple[str, float]]) -> list[str]:
         raise ValueError("empty attack grid")
     cells: dict[str, float] = {}
     for kind, intensity in attack_grid:
-        AttackSpec(kind=kind, intensity=intensity)  # checks the cell
+        intensity = AttackSpec(kind=kind, intensity=intensity).intensity  # checks the cell
         label = f"attack/{kind}@{intensity:g}"
         if label in cells:
             if cells[label] == intensity:
@@ -395,7 +395,7 @@ def run_attack_comparison(
             )
         # the report, not the config, names the attack; every column after
         # run, seed and attack_seed is a metric
-        attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": intensity}
+        attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": spec.intensity}
         reports.append(_report(label, ds, attacked, rows, list(rows[0])[3:], timings))
     return reports
 

@@ -143,8 +143,13 @@ def rwr_scores(
     Column i solves r = (1-alpha) (I - alpha P^T)^{-1} e_{sources[i]} by
     fixed-point iteration r <- alpha P^T r + (1-alpha) e_source on its own,
     and is copied out at the first iterate whose max-norm change drops
-    below ``tol``; converged columns leave the working block.  ``_pt`` is
-    a prebuilt P^T.
+    below ``tol``; converged columns leave the working block.  Each step
+    first tests one witness entry per column: the row of its largest
+    change at its last full check, at first its source row.  A column
+    whose witness changed by ``tol`` or more cannot stop, so only the
+    others get the full column check, which also moves their witness.
+    The stopping iterate, and so every score bit, is that of a full check
+    at every step.  ``_pt`` is a prebuilt P^T.
     """
     check_alpha(alpha)
     sources = np.asarray(sources, dtype=np.int64)
@@ -153,26 +158,38 @@ def rwr_scores(
     n = pt.shape[0]
     out = np.empty((sources.size, n))  # row i is column i of the result
     running = np.arange(sources.size)  # position in sources of each working column
-    restart = (sources, running)  # (source row, working column) pairs
+    cols = running  # working column of each running column
+    restart = (sources, cols)  # (source row, working column) pairs
+    witness = sources.copy()  # row tested first in each working column
     r = np.zeros((n, sources.size))
     r[restart] = 1.0
     residual = np.full(sources.size, np.inf)
-    for _ in range(max_iter):
+    for step in range(max_iter):
         if running.size == 0:
             break
         r_next = pt @ r
         r_next *= alpha
         r_next[restart] += 1.0 - alpha
-        r -= r_next  # r is not read again: its buffer holds |r - r_next|
-        residual = np.abs(r, out=r).max(axis=0)
+        if step == max_iter - 1:  # every residual, for the ConvergenceError
+            near = cols
+        else:
+            at = (witness, cols)
+            near = np.flatnonzero(np.abs(r[at] - r_next[at]) < tol)
+        if near.size:
+            change = r[:, near]
+            change -= r_next[:, near]
+            witness[near] = np.abs(change, out=change).argmax(axis=0)
+            residual = change[witness[near], np.arange(near.size)]
+            done = near[residual < tol]
+            if done.size:
+                out[running[done]] = r_next[:, done].T
+                keep = np.ones(running.size, dtype=bool)
+                keep[done] = False
+                running, witness = running[keep], witness[keep]
+                r_next = r_next[:, keep]
+                cols = np.arange(running.size)
+                restart = (sources[running], cols)
         r = r_next
-        done = residual < tol
-        if done.any():
-            out[running[done]] = r[:, done].T
-            keep = ~done
-            running = running[keep]
-            r = r[:, keep]
-            restart = (sources[running], np.arange(running.size))
     if running.size:
         # converged columns sit below tol, so the largest residual is a running one
         raise ConvergenceError("rwr_scores", float(residual.max()), max_iter)

@@ -318,6 +318,25 @@ def test_an_attack_reports_config_is_the_config_plus_its_cell():
     assert config_hash(attacked) == "a38d734844de842f"
 
 
+def test_numpy_and_integer_intensities_report_as_their_float_cells(tmp_path):
+    # a numpy float cannot be written as JSON, and an int hashes apart from
+    # its equal float: both enter the program as the float of the cell
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=1, epochs=4)
+    want = run_attack_comparison(ds, cfg, attack_grid=[("ctbca", 0.25), ("twpa", 1.0)])
+    emit_report(want, tmp_path / "float")
+    for name, grid in [("float32", [("ctbca", np.float32(0.25)), ("twpa", np.float32(1.0))]),
+                       ("int", [("ctbca", 0.25), ("twpa", 1)])]:
+        got = run_attack_comparison(ds, cfg, attack_grid=grid)
+        for rep, twin in zip(got, want):
+            assert type(rep.config["attack_intensity"]) is float
+            assert (rep.label, rep.config_hash, rep.config, rep.rows) == (
+                twin.label, twin.config_hash, twin.config, twin.rows)
+        emit_report(got, tmp_path / name)  # the JSON is written too
+        csv_bytes = (tmp_path / name / "report.csv").read_bytes()
+        assert csv_bytes == (tmp_path / "float" / "report.csv").read_bytes()
+
+
 def test_a_reports_hash_reads_the_data_not_its_path():
     # equal data under two paths is one configuration; another graph, one
     # other feature value or one other label is another

@@ -513,6 +513,82 @@ def test_rwr_block_nonconvergence_names_largest_running_residual():
         assert err.value.residual == max(residuals)
 
 
+def full_check_rwr(g, sources, alpha, tol=1e-8, max_iter=1000):
+    """The block walk with a full max-norm check of every running column at
+    every step.  Returns the scores, each column's stopping step, and
+    whether each column ran on at the first step its source row changed
+    by less than ``tol``."""
+    pt = _transition_transpose(g)
+    sources = np.asarray(sources, dtype=np.int64)
+    out = np.empty((g.num_nodes, sources.size))
+    stops = np.zeros(sources.size, dtype=np.int64)
+    quiet_seen = np.zeros(sources.size, dtype=bool)
+    ran_on = np.zeros(sources.size, dtype=bool)
+    running = np.arange(sources.size)
+    r = np.zeros((g.num_nodes, sources.size))
+    r[sources, running] = 1.0
+    residual = np.full(sources.size, np.inf)
+    for step in range(1, max_iter + 1):
+        if running.size == 0:
+            break
+        restart = (sources[running], np.arange(running.size))
+        r_next = pt @ r
+        r_next *= alpha
+        r_next[restart] += 1.0 - alpha
+        change = np.abs(r - r_next)
+        residual = change.max(axis=0)
+        quiet = change[restart] < tol
+        ran_on[running[quiet & ~quiet_seen[running] & (residual >= tol)]] = True
+        quiet_seen[running[quiet]] = True
+        done = residual < tol
+        out[:, running[done]] = r_next[:, done]
+        stops[running[done]] = step
+        running, r = running[~done], r_next[:, ~done]
+    if running.size:
+        raise ConvergenceError("rwr_scores", float(residual.max()), max_iter)
+    return out, stops, ran_on
+
+
+def witness_graph():
+    # a path 0..29, the isolated node 30 and the two-node component 31-32
+    return build_graph(33, [(i, i + 1, 1.0) for i in range(29)] + [(31, 32, 1.0)])
+
+
+def test_rwr_witness_check_stops_every_column_where_a_full_check_does():
+    g = witness_graph()
+    block = np.array([30, 0, 15, 29, 7, 31])
+    for alpha in (0.0, 0.5, 0.85):
+        want, stops, ran_on = full_check_rwr(g, block, alpha)
+        got = rwr_scores(g, block, alpha)
+        for i in range(block.size):
+            assert_same_bytes(got[:, i], want[:, i])
+        if alpha == 0.0:
+            assert stops.tolist() == [1] * block.size
+        else:
+            assert stops[0] == 2  # the isolated source
+            assert np.unique(stops).size >= 4  # columns stop at different steps
+            # the path ends' source rows settle first: their witness passes
+            # while another row still moves, so the full check runs and fails
+            assert ran_on[[1, 3]].all()
+    rng, graphs = oracle_graphs()
+    for g in graphs:
+        block = rng.integers(0, g.num_nodes, size=int(rng.integers(1, 80)))
+        alpha = float(rng.uniform(0.0, 0.95))
+        assert_same_bytes(rwr_scores(g, block, alpha), full_check_rwr(g, block, alpha)[0])
+
+
+def test_rwr_witness_check_raises_the_full_checks_residual():
+    g = witness_graph()
+    block = [30, 0, 15, 29, 7, 31]
+    for max_iter in range(27):
+        with pytest.raises(ConvergenceError) as want:
+            full_check_rwr(g, block, 0.5, max_iter=max_iter)
+        with pytest.raises(ConvergenceError, match="rwr_scores") as got:
+            rwr_scores(g, block, 0.5, max_iter=max_iter)
+        assert got.value.residual == want.value.residual
+        assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("bad", [-1, 6])
 def test_score_all_sources_rejects_out_of_range_source_before_work(monkeypatch, bad):
     import rwnsgcn.scoring as scoring
