@@ -1,5 +1,4 @@
-"""Experiment orchestration: baseline runs, attack comparisons, the
-scoring ablation, and the max-distance sweep, with CSV/JSON reporting.
+"""Experiment orchestration: one arms-by-cells runner, its four presets, and reports.
 
 Each run r uses seed base_seed + r; every stochastic phase (split,
 communities, sampling, init/dropout, attack) draws from a named
@@ -8,10 +7,14 @@ randomness of every phase they have in common.  CSV output is a pure
 function of the configuration and the loaded data (the hash reads a
 digest of the data, not its path), so identical configs on equal data
 produce byte-identical files; wall-clock timings go to the JSON only.
-Candidates are scored once per graph per experiment call and handed to
-each run; nothing persists between calls.  The clean-graph variants of
-one call (the ablation's betas, the sweep's levels) share one walk of
-the graph.
+
+``run_grid`` runs (label, config) arms, which differ at most in beta,
+levels and lam, on the clean graph and then on each (kind, intensity)
+attack cell.  One call checks the split once, computes betweenness once,
+perturbs each (cell, run) once and scores each distinct graph once for
+all arms with negatives; nothing persists between calls.  The baseline,
+the scoring ablation, the max-distance sweep and the attack comparison
+are presets of it that shape its rows into CSV/JSON reports.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from rwnsgcn.dpp import (
 from rwnsgcn.graph import Graph, build_graph, sym_normalized_operator
 from rwnsgcn.metrics import accuracy, mad
 from rwnsgcn.model import predict, train
-from rwnsgcn.scoring import CandidateSet, score_all_sources, score_picks
+from rwnsgcn.scoring import CandidateSet, check_integer, score_all_sources, score_picks
 
 __all__ = [
     "RunReport",
@@ -51,6 +54,7 @@ __all__ = [
     "run_ablation",
     "run_l_sweep",
     "run_attack_comparison",
+    "run_grid",
     "check_l_values",
     "attack_labels",
     "emit_report",
@@ -112,7 +116,7 @@ def _score(
     g: Graph, configs: Sequence[ExperimentConfig], timings: dict[str, float]
 ) -> list[dict[int, CandidateSet]]:
     """Candidates of every experiment source of ``g``, one map per config,
-    timed as "scoring".  The configs differ at most in beta and levels."""
+    timed as "scoring".  The configs share every scoring field but beta and levels."""
     config = configs[0]
     t0 = time.perf_counter()
     common = dict(alpha=config.alpha, k_per_level=config.k_per_level)
@@ -218,11 +222,11 @@ def _run_once(
 
 
 def _report(label: str, ds: Dataset, config: dict, rows: list[dict], metrics: Iterable[str],
-            timings: dict[str, float]) -> RunReport:
+            *timings: dict[str, float]) -> RunReport:
     """The report of ``rows`` under ``config`` on ``ds``, hashed by ``_config_hash``.
 
-    Its columns are the rows' keys and its aggregates the mean and std of
-    each metric.
+    Its columns are the rows' keys, its aggregates the mean and std of
+    each metric, and its timings those of ``timings`` added phase by phase.
     """
     aggregates = {}
     for m in metrics:
@@ -230,34 +234,74 @@ def _report(label: str, ds: Dataset, config: dict, rows: list[dict], metrics: It
         aggregates[f"{m}_mean"] = float(vals.mean())
         # sample standard deviation, matching mean +/- std reporting
         aggregates[f"{m}_std"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+    phases = dict.fromkeys(phase for part in timings for phase in part)
+    summed = {phase: sum(part.get(phase, 0.0) for part in timings) for phase in phases}
     config_key = _config_hash(ds, config)
-    return RunReport(label, config_key, config, list(rows[0]), rows, aggregates, timings)
+    return RunReport(label, config_key, config, list(rows[0]), rows, aggregates, summed)
 
 
-def _run_clean(
+def run_grid(
     ds: Dataset,
-    variants: Sequence[tuple[str, ExperimentConfig]],
+    arms: Sequence[tuple[str, ExperimentConfig]],
+    attack_grid: Sequence[tuple[str, float]] = (),
     dump_dir: Path | None = None,
-) -> list[RunReport]:
-    """One report per (label, config) variant, all on the clean graph.
+) -> dict[str, tuple[dict[str, float], list[tuple[list[dict], dict[str, float]]]]]:
+    """Every (label, config) arm, whose configs may differ only in beta, levels
+    and lam, on the clean graph and then on each (kind, intensity) attack cell.
 
-    The configs differ at most in beta and levels, so the graph is scored
-    once for all of them and each report's "scoring" time is that fill.
+    Returns, per cell label ("clean", then ``attack_labels``), the cell's own
+    timings (its fills and betweenness) and each arm's ``(rows, timings)``;
+    an attacked row also names its ``attack_seed``.  ``dump_dir`` gets one
+    negatives file per run, so it suits a single arm on the clean graph.
     """
-    configs = [cfg for _, cfg in variants]
-    # the variants share one split: an impossible one fails before the fill
-    check_split(ds, configs[0].per_class, configs[0].num_val, configs[0].num_test)
-    shared: dict[str, float] = {}
-    fills = _score(ds.graph, configs, shared) if configs[0].lam != 0.0 else [None] * len(configs)
-    reports = []
-    for (label, cfg), candidates in zip(variants, fills):
-        timings = dict(shared)
-        rows = []
-        for r in range(cfg.runs):
-            rows.append(_run_once(ds, cfg, r, timings, candidates, dump_dir=dump_dir))
-            log.info("%s run %d: accuracy=%.4f", label, r, rows[-1]["accuracy"])
-        reports.append(_report(label, ds, cfg.to_dict(), rows, ("accuracy", "mad"), timings))
-    return reports
+    if not arms:
+        raise ValueError("no arms to run")
+    first_label, first = arms[0]
+    for label, cfg in arms:
+        if cfg.with_overrides(beta=first.beta, levels=first.levels, lam=first.lam) != first:
+            raise ValueError(f"arm {label!r} differs from arm {first_label!r} beyond beta, "
+                             "levels and lam")
+    labels = ["clean", *(attack_labels(attack_grid) if attack_grid else ())]
+    # every graph has ds's labels: an impossible split fails before any fill
+    check_split(ds, first.per_class, first.num_val, first.num_test)
+    betweenness = None
+    if any(kind == "ctbca" for kind, _ in attack_grid):
+        t0 = time.perf_counter()
+        betweenness = edge_betweenness(ds.graph)
+        betweenness_s = time.perf_counter() - t0
+    scoring = [i for i, (_, cfg) in enumerate(arms) if cfg.lam != 0.0]
+    # candidates by graph fingerprint and arm, for this call only: a perturbed
+    # graph equal to one already scored (ctbca without ties gives the same
+    # graph in every run) is not scored again
+    scored: dict[str, dict[int, dict[int, CandidateSet]]] = {}
+    grid = {}
+    for label, cell in zip(labels, [None, *attack_grid]):
+        cell_timings = {"betweenness": betweenness_s} if cell and cell[0] == "ctbca" else {}
+        results: list[tuple[list[dict], dict[str, float]]] = [([], {}) for _ in arms]
+        for r in range(first.runs):
+            run_ds, attacked = ds, {}
+            if cell is not None:
+                spec = AttackSpec(*cell, seed=derive_seed(first.base_seed + r, "attack"))
+                run_ds = replace(ds, graph=apply_attack(ds.graph, spec, scores=betweenness))
+                attacked = {"attack_seed": spec.seed}
+            key = _graph_fingerprint(run_ds.graph)
+            if scoring and key not in scored:
+                fills = _score(run_ds.graph, [arms[i][1] for i in scoring], cell_timings)
+                scored[key] = dict(zip(scoring, fills))
+            for i, ((arm, cfg), (rows, timings)) in enumerate(zip(arms, results)):
+                row = _run_once(run_ds, cfg, r, timings, scored.get(key, {}).get(i), dump_dir)
+                rows.append({**row, **attacked})
+                log.info("%s %s run %d: accuracy=%.4f", label, arm, r, row["accuracy"])
+        grid[label] = (cell_timings, results)
+    return grid
+
+
+def _clean_reports(ds: Dataset, arms: Sequence[tuple[str, ExperimentConfig]],
+                   dump_dir: Path | None = None) -> list[RunReport]:
+    """One report per arm on the clean graph, each timed with the shared fill."""
+    fills, results = run_grid(ds, arms, dump_dir=dump_dir)["clean"]
+    return [_report(label, ds, cfg.to_dict(), rows, ("accuracy", "mad"), fills, timings)
+            for (label, cfg), (rows, timings) in zip(arms, results)]
 
 
 def run_baseline(
@@ -268,7 +312,7 @@ def run_baseline(
 ) -> RunReport:
     """Full pipeline for ``config.runs`` seeded runs, with aggregates."""
     dump = Path(dump_negatives_dir) if dump_negatives_dir else None
-    return _run_clean(ds, [(label, config)], dump_dir=dump)[0]
+    return _clean_reports(ds, [(label, config)], dump_dir=dump)[0]
 
 
 def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
@@ -278,14 +322,15 @@ def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
         ("ablate/rwr-only", 1.0),
         ("ablate/pgr-only", 0.0),
     ]
-    return _run_clean(ds, [(label, config.with_overrides(beta=b)) for label, b in variants])
+    return _clean_reports(ds, [(label, config.with_overrides(beta=b)) for label, b in variants])
 
 
 def check_l_values(l_values: Sequence[int]) -> None:
-    """Refuse an empty sweep, a repeated L and an L below 3, before any work."""
+    """Refuse an empty sweep, a non-integer, repeated or below-3 L, before any work."""
     if not l_values:
         raise ValueError("no L values to sweep")
     for i, l in enumerate(l_values):
+        check_integer("L", l)
         if l < 3:
             raise ValueError(f"L={l} leaves no candidate levels (levels are 2..L-1)")
         if l in l_values[:i]:
@@ -301,7 +346,7 @@ def run_l_sweep(
     reserved for positives, so L must be at least 3).
     """
     check_l_values(l_values)
-    return _run_clean(ds, [
+    return _clean_reports(ds, [
         (f"sweep-l/L={l}", config.with_overrides(levels=tuple(range(2, l)))) for l in l_values
     ])
 
@@ -332,71 +377,27 @@ def run_attack_comparison(
     """Clean-vs-attacked accuracy for the negative-sampling model and the
     plain GCN under shared per-run seeds (retraining on the perturbed
     graph).  One report per attack, one paired row per run."""
-    labels = attack_labels(attack_grid)
-    # every graph has ds's labels: an impossible split fails before any fill
-    check_split(ds, config.per_class, config.num_val, config.num_test)
-    gcn_config = config.with_overrides(lam=0.0)
-    clean_timings: dict[str, float] = {}
-    # candidates by graph fingerprint, for this call only: a perturbed graph
-    # equal to one already scored (ctbca without ties gives the same graph
-    # in every run) is not scored again
-    scored: dict[str, dict[int, CandidateSet]] = {}
-
-    def candidates_of(g: Graph, timings: dict[str, float]):
-        key = _graph_fingerprint(g)
-        if config.lam != 0.0 and key not in scored:
-            scored[key] = _score(g, [config], timings)[0]
-        return scored.get(key)
-
-    clean = candidates_of(ds.graph, clean_timings)
-    clean_rw = [
-        _run_once(ds, config, r, clean_timings, clean) for r in range(config.runs)
-    ]
-    clean_gcn = [
-        _run_once(ds, gcn_config, r, clean_timings, None) for r in range(config.runs)
-    ]
-
-    betweenness = None
-    if any(kind == "ctbca" for kind, _ in attack_grid):
-        t0 = time.perf_counter()
-        betweenness = edge_betweenness(ds.graph)
-        betweenness_s = time.perf_counter() - t0
-
+    attack_labels(attack_grid)  # refuses the empty grid, which run_grid runs clean only
+    arms = [("rwnsgcn", config), ("gcn", config.with_overrides(lam=0.0))]
+    grid = run_grid(ds, arms, attack_grid)
+    clean_timings, clean = grid.pop("clean")
     reports = []
-    for label, (kind, intensity) in zip(labels, attack_grid):
-        # each report times the clean runs plus its own cell only
-        timings = dict(clean_timings)
-        if kind == "ctbca":
-            timings["betweenness"] = betweenness_s
+    for (label, (cell_timings, cell_arms)), (kind, intensity) in zip(grid.items(), attack_grid):
         rows = []
-        for r in range(config.runs):
-            spec = AttackSpec(kind, intensity, seed=derive_seed(config.base_seed + r, "attack"))
-            perturbed_graph = apply_attack(ds.graph, spec, scores=betweenness)
-            perturbed = replace(ds, graph=perturbed_graph)
-            att_rw = _run_once(
-                perturbed, config, r, timings, candidates_of(perturbed_graph, timings)
-            )
-            att_gcn = _run_once(perturbed, gcn_config, r, timings, None)
-            deg_rw = clean_rw[r]["accuracy"] - att_rw["accuracy"]
-            deg_gcn = clean_gcn[r]["accuracy"] - att_gcn["accuracy"]
-            rows.append(
-                {
-                    "run": r,
-                    "seed": config.base_seed + r,
-                    "attack_seed": spec.seed,
-                    "clean_accuracy_rwnsgcn": clean_rw[r]["accuracy"],
-                    "attacked_accuracy_rwnsgcn": att_rw["accuracy"],
-                    "degradation_rwnsgcn": deg_rw,
-                    "clean_accuracy_gcn": clean_gcn[r]["accuracy"],
-                    "attacked_accuracy_gcn": att_gcn["accuracy"],
-                    "degradation_gcn": deg_gcn,
-                    "rwnsgcn_no_worse": int(deg_rw <= deg_gcn),
-                }
-            )
-        # the report, not the config, names the attack; every column after
-        # run, seed and attack_seed is a metric
-        attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": spec.intensity}
-        reports.append(_report(label, ds, attacked, rows, list(rows[0])[3:], timings))
+        for r, first in enumerate(cell_arms[0][0]):
+            row = {key: first[key] for key in ("run", "seed", "attack_seed")}
+            for (arm, _), (clean_rows, _), (attacked_rows, _) in zip(arms, clean, cell_arms):
+                before, after = clean_rows[r]["accuracy"], attacked_rows[r]["accuracy"]
+                row.update({f"clean_accuracy_{arm}": before, f"attacked_accuracy_{arm}": after,
+                            f"degradation_{arm}": before - after})
+            row["rwnsgcn_no_worse"] = int(row["degradation_rwnsgcn"] <= row["degradation_gcn"])
+            rows.append(row)
+        # the report, not the config, names the attack (as the float of its
+        # cell); every column after run, seed and attack_seed is a metric
+        attacked = {**config.to_dict(), "attack_kind": kind, "attack_intensity": float(intensity)}
+        # each report times the clean runs plus its own cell only
+        timings = [clean_timings, cell_timings, *(t for _, t in clean + cell_arms)]
+        reports.append(_report(label, ds, attacked, rows, list(rows[0])[3:], *timings))
     return reports
 
 

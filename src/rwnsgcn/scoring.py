@@ -14,6 +14,7 @@ walks each block once for any number of picks.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -80,6 +81,18 @@ def check_integer(name: str, value) -> None:
     """Refuse a value that is not an integer: a float, even 2.0, or a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_walk(tol: float, max_iter: int) -> None:
+    """Refuse limits a walk cannot iterate or stop by: ``max_iter`` not an
+    integer of at least 1, or ``tol`` not a finite real above 0."""
+    check_integer("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and above 0, got {tol}")
 
 
 def check_levels(levels: Sequence[int], k_per_level: int) -> list[int]:
@@ -152,6 +165,7 @@ def rwr_scores(
     at every step.  ``_pt`` is a prebuilt P^T.
     """
     check_alpha(alpha)
+    _check_walk(tol, max_iter)
     sources = np.asarray(sources, dtype=np.int64)
     _check_sources(g, sources)
     pt = _transition_transpose(g) if _pt is None else _pt
@@ -210,6 +224,7 @@ def pagerank_scores(
     redistributed uniformly at every step.
     """
     check_alpha(alpha)
+    _check_walk(tol, max_iter)
     n = g.num_nodes
     pt = _transition_transpose(g) if _pt is None else _pt
     dangling = g.degrees == 0

@@ -466,6 +466,61 @@ def test_ablation_and_sweep_walk_each_block_once(bench_gen, monkeypatch):
         assert (rep.config_hash, rep.rows) == (alone.config_hash, alone.rows)
 
 
+# preset -> (its call, arms, attack cells)
+PRESETS = {
+    "baseline": (lambda ds, cfg: [run_baseline(ds, cfg)], 1, 0),
+    "ablation": (run_ablation, 3, 0),
+    "sweep-l": (lambda ds, cfg: run_l_sweep(ds, cfg, l_values=(4, 5)), 2, 0),
+    "attack": (run_attack_comparison, 2, 2),  # the default grid: ctbca 0.1, twpa 0.5
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_each_preset_does_each_shared_step_once(preset, monkeypatch):
+    call, arms, attack_cells = PRESETS[preset]
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=4)
+    calls = {work: _recording(monkeypatch, work) for work in (
+        "train", "score_all_sources", "score_picks", "edge_betweenness", "apply_attack")}
+    call(ds, cfg)
+    fingerprint = harness._graph_fingerprint
+    graphs = {fingerprint(ds.graph), *(fingerprint(g) for _, g in calls["apply_attack"])}
+    assert len(calls["train"]) == cfg.runs * arms * (1 + attack_cells)
+    assert len(calls["score_all_sources"]) + len(calls["score_picks"]) == len(graphs)
+    assert len(calls["edge_betweenness"]) <= 1
+    assert len(calls["apply_attack"]) == cfg.runs * attack_cells
+
+
+def test_run_grid_clean_rows_are_each_arms_baseline():
+    ds = planted_dataset(seed=7)
+    cfg = fast_config(runs=2, epochs=4)
+    arms = [("mix", cfg), ("rwr", cfg.with_overrides(beta=1.0)),
+            ("gcn", cfg.with_overrides(lam=0.0)), ("near", cfg.with_overrides(levels=(2, 3)))]
+    grid = harness.run_grid(ds, arms, attack_grid=[("twpa", 0.5)])
+    assert list(grid) == ["clean", "attack/twpa@0.5"]
+    _, clean = grid["clean"]
+    for (label, arm), (rows, _) in zip(arms, clean):
+        assert rows == run_baseline(ds, arm, label=label).rows
+    _, attacked = grid["attack/twpa@0.5"]
+    seeds = [derive_seed(cfg.base_seed + r, "attack") for r in range(cfg.runs)]
+    assert all([row["attack_seed"] for row in rows] == seeds for rows, _ in attacked)
+
+
+@pytest.mark.parametrize("arms, message", [
+    ([], "^no arms to run$"),
+    ([("a", fast_config()), ("b", fast_config(beta=1.0, lam=0.0)), ("c", fast_config(runs=3))],
+     "^arm 'c' differs from arm 'a' beyond beta, levels and lam$"),
+    ([("a", fast_config()), ("eager", fast_config(lr=0.05))],
+     "^arm 'eager' differs from arm 'a' beyond beta, levels and lam$"),
+])
+def test_run_grid_refuses_unshareable_arms_before_any_work(arms, message, monkeypatch):
+    for work in ("score_all_sources", "score_picks", "train", "edge_betweenness",
+                 "apply_attack"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    with pytest.raises(ValueError, match=message):
+        harness.run_grid(planted_dataset(seed=7), arms, attack_grid=[("ctbca", 0.1)])
+
+
 def test_ablation_variants_share_per_run_seeds():
     ds = planted_dataset(seed=7)
     reports = run_ablation(ds, fast_config(runs=1, epochs=8))
@@ -520,8 +575,16 @@ def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, g
 def test_l_sweep_checks_every_distance_before_the_first_run(monkeypatch):
     for work in ("run_baseline", "score_all_sources", "score_picks", "train"):
         monkeypatch.setattr(harness, work, _unreachable)
-    with pytest.raises(ValueError, match="^L=2 leaves no candidate levels"):
-        run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=(5, 2))
+    # a non-integer L passed the check and failed in range() or at the "<"
+    for l_values, message in [
+        ((5, 2), "^L=2 leaves no candidate levels"),
+        ((5, 5.5), "^L must be an integer, got 5.5$"),
+        ((5.0,), "^L must be an integer, got 5.0$"),
+        (("5",), "^L must be an integer, got '5'$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_l_sweep(planted_dataset(seed=7), fast_config(), l_values=l_values)
+    harness.check_l_values((np.int64(5), 6))  # numpy integers stay legal
 
 
 def test_l_sweep_rejects_a_repeated_distance_before_any_work(monkeypatch):

@@ -153,6 +153,43 @@ def test_rwr_nonconvergence_reports_residual():
         rwr_scores(g, [0], alpha=0.99, tol=1e-14, max_iter=3)
 
 
+# max_iter=0 raised an UnboundLocalError in PageRank and reported "residual
+# inf" in the restart walk; tol=nan iterated to max_iter and then reported
+# "residual 0.000e+00"
+BAD_WALKS = {
+    "max-iter-zero": ({"max_iter": 0}, "^max_iter must be at least 1, got 0$"),
+    "max-iter-below": ({"max_iter": -3}, "^max_iter must be at least 1, got -3$"),
+    "max-iter-float": ({"max_iter": 10.0}, "^max_iter must be an integer, got 10.0$"),
+    "max-iter-bool": ({"max_iter": True}, "^max_iter must be an integer, got True$"),
+    "tol-nan": ({"tol": float("nan")}, "^tol must be finite and above 0, got nan$"),
+    "tol-inf": ({"tol": float("inf")}, "^tol must be finite and above 0, got inf$"),
+    "tol-zero": ({"tol": 0.0}, "^tol must be finite and above 0, got 0.0$"),
+    "tol-below": ({"tol": -1e-8}, "^tol must be finite and above 0, got -1e-08$"),
+    "tol-text": ({"tol": "1e-8"}, "^tol must be a real number, got '1e-8'$"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_WALKS)
+def test_walks_refuse_a_bad_tolerance_or_iteration_limit_by_name(case, monkeypatch):
+    import rwnsgcn.scoring as scoring
+
+    def unreachable(g):
+        raise AssertionError("P^T was built for an unusable walk")
+
+    monkeypatch.setattr(scoring, "_transition_transpose", unreachable)
+    kwargs, message = BAD_WALKS[case]
+    g = path_graph(5)
+    with pytest.raises(ValueError, match=message):
+        pagerank_scores(g, 0.85, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        rwr_scores(g, [0, 3], 0.85, **kwargs)
+    monkeypatch.undo()
+    # numpy integers stay legal limits
+    limit = {"max_iter": np.int64(200)}
+    assert pagerank_scores(g, 0.85, **limit).shape == (5,)
+    assert rwr_scores(g, [0], 0.85, **limit).shape == (5, 1)
+
+
 def test_pagerank_triangle_uniform():
     r = pagerank_scores(triangle(), alpha=0.85)
     assert np.allclose(r, 1 / 3, atol=1e-9)
@@ -580,7 +617,7 @@ def test_rwr_witness_check_stops_every_column_where_a_full_check_does():
 def test_rwr_witness_check_raises_the_full_checks_residual():
     g = witness_graph()
     block = [30, 0, 15, 29, 7, 31]
-    for max_iter in range(27):
+    for max_iter in range(1, 27):  # max_iter=0 is refused: see BAD_WALKS
         with pytest.raises(ConvergenceError) as want:
             full_check_rwr(g, block, 0.5, max_iter=max_iter)
         with pytest.raises(ConvergenceError, match="rwr_scores") as got:
