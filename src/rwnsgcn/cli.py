@@ -17,6 +17,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     # an unset flag is None and keeps the file's (or the default) value
     values = {dest: getattr(args, dest) for _, dest, _, _ in _CONFIG_FLAGS}
-    return config.with_overrides(**{k: v for k, v in values.items() if v is not None})
+    return replace(config, **{k: v for k, v in values.items() if v is not None})
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:

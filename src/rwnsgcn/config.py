@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +117,6 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 def config_hash(config: dict) -> str:

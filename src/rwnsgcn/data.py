@@ -79,19 +79,36 @@ def _features_csr(x) -> sp.csr_array:
 class Dataset:
     graph: Graph
     features: sp.csr_array  # N x F, float64, canonical; dense input is converted once
-    labels: np.ndarray  # N, int64, values in [0, class_count)
+    labels: np.ndarray  # N, integer, values in [0, class_count)
     class_count: int
-    feature_dim: int
     node_names: list[str] | None = None
     class_names: list[str] | None = None
     dropped_edges: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", _features_csr(self.features))
+        # checked when built, so an inconsistent record fails before any stage
+        n, labels = self.num_nodes, self.labels
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"
+                and labels.shape == (n,)):
+            got = (f"{labels.dtype} {labels.shape}" if isinstance(labels, np.ndarray)
+                   else type(labels).__name__)
+            raise ValueError(f"labels must be a 1-D integer array of {n} entries, got {got}")
+        outside = (labels < 0) | (labels >= self.class_count)
+        if outside.any():
+            raise ValueError(f"label {labels[outside][0]} is outside "
+                             f"[0, class_count={self.class_count})")
+        if self.features.shape[0] != n:
+            raise ValueError(f"features have {self.features.shape[0]} rows "
+                             f"for a graph of {n} nodes")
 
     @property
     def num_nodes(self) -> int:
         return self.graph.num_nodes
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,7 +280,6 @@ def load_content_cites(
         features=features,
         labels=labels,
         class_count=len(class_names),
-        feature_dim=features.shape[1],
         node_names=ids,
         class_names=class_names,
         dropped_edges=dropped,
@@ -423,7 +439,6 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
         features=ds.features[keep],
         labels=relabel[labels],
         class_count=len(class_names),
-        feature_dim=ds.feature_dim,
         node_names=[ds.node_names[i] for i in keep] if ds.node_names else None,
         class_names=class_names,
     )

@@ -44,10 +44,6 @@ class CommunityAssignment:
     labels: np.ndarray
     community_features: np.ndarray | None
 
-    @property
-    def num_communities(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
-
 
 @dataclass(frozen=True, eq=False)
 class DppKernel:
@@ -59,7 +55,6 @@ class DppKernel:
     where e_rem of the first m eigenvalues vanishes (never selected).
     """
 
-    source: int
     items: list[int]
     L: np.ndarray
     eigvals: np.ndarray
@@ -271,8 +266,7 @@ def _assemble_kernels(
     kernels: list[DppKernel] = [None] * len(index)
     for members in by_count.values():
         positions, matrices = zip(*members)
-        group = _stacked_kernels([sources[p] for p in positions],
-                                 [item_lists[p] for p in positions], np.array(matrices))
+        group = _stacked_kernels([item_lists[p] for p in positions], np.array(matrices))
         for pos, kernel in zip(positions, group):
             kernels[pos] = kernel
     return kernels
@@ -281,9 +275,7 @@ def _assemble_kernels(
 RANK_TOL = 1e-10
 
 
-def _stacked_kernels(
-    sources: list[int], item_lists: list[list[int]], stack: np.ndarray
-) -> list[DppKernel]:
+def _stacked_kernels(item_lists: list[list[int]], stack: np.ndarray) -> list[DppKernel]:
     """The kernels of a (B, n, n) stack, with their spectra.  A stacked
     ``eigh`` runs LAPACK on each matrix on its own, so every spectrum has
     the bits of a single call."""
@@ -292,8 +284,8 @@ def _stacked_kernels(
     ranks = (eigvals > RANK_TOL).sum(axis=1).tolist()
     tables = _selection_tables(eigvals)
     return [
-        DppKernel(int(s), items, *fields)
-        for s, items, *fields in zip(sources, item_lists, stack, eigvals, eigvecs, ranks, tables)
+        DppKernel(items, *fields)
+        for items, *fields in zip(item_lists, stack, eigvals, eigvecs, ranks, tables)
     ]
 
 

@@ -252,13 +252,19 @@ def run_grid(
     Returns, per cell label ("clean", then ``attack_labels``), the cell's own
     timings (its fills and betweenness) and each arm's ``(rows, timings)``;
     an attacked row also names its ``attack_seed``.  ``dump_dir`` gets one
-    negatives file per run, so it suits a single arm on the clean graph.
+    negatives file per run, ``negatives-run{r}.json``, so it takes a single
+    arm on the clean graph only.
     """
     if not arms:
         raise ValueError("no arms to run")
+    if dump_dir is not None and (len(arms) > 1 or attack_grid):
+        raise ValueError("dump_dir names its files by run only: one arm on the clean graph, "
+                         f"not {len(arms)} arm(s) and {len(attack_grid)} attack cell(s)")
     first_label, first = arms[0]
-    for label, cfg in arms:
-        if cfg.with_overrides(beta=first.beta, levels=first.levels, lam=first.lam) != first:
+    for i, (label, cfg) in enumerate(arms):
+        if label in (arm for arm, _ in arms[:i]):
+            raise ValueError(f"arm label {label!r} is repeated")
+        if replace(cfg, beta=first.beta, levels=first.levels, lam=first.lam) != first:
             raise ValueError(f"arm {label!r} differs from arm {first_label!r} beyond beta, "
                              "levels and lam")
     labels = ["clean", *(attack_labels(attack_grid) if attack_grid else ())]
@@ -322,7 +328,7 @@ def run_ablation(ds: Dataset, config: ExperimentConfig) -> list[RunReport]:
         ("ablate/rwr-only", 1.0),
         ("ablate/pgr-only", 0.0),
     ]
-    return _clean_reports(ds, [(label, config.with_overrides(beta=b)) for label, b in variants])
+    return _clean_reports(ds, [(label, replace(config, beta=b)) for label, b in variants])
 
 
 def check_l_values(l_values: Sequence[int]) -> None:
@@ -347,7 +353,7 @@ def run_l_sweep(
     """
     check_l_values(l_values)
     return _clean_reports(ds, [
-        (f"sweep-l/L={l}", config.with_overrides(levels=tuple(range(2, l)))) for l in l_values
+        (f"sweep-l/L={l}", replace(config, levels=tuple(range(2, l)))) for l in l_values
     ])
 
 
@@ -378,7 +384,7 @@ def run_attack_comparison(
     plain GCN under shared per-run seeds (retraining on the perturbed
     graph).  One report per attack, one paired row per run."""
     attack_labels(attack_grid)  # refuses the empty grid, which run_grid runs clean only
-    arms = [("rwnsgcn", config), ("gcn", config.with_overrides(lam=0.0))]
+    arms = [("rwnsgcn", config), ("gcn", replace(config, lam=0.0))]
     grid = run_grid(ds, arms, attack_grid)
     clean_timings, clean = grid.pop("clean")
     reports = []

@@ -69,7 +69,6 @@ class ForwardTrace:
     first: tuple | None  # eval mode: layer 0's (z_pos, z_neg), z_neg None when the branch is off
     gates: list  # train mode, per hidden layer: (z_pos > 0, z_neg > 0 or None) as bool arrays
     keeps: list  # train mode, per hidden layer: the bool dropout keep mask (None without dropout)
-    keep: float  # 1 - dropout_p: a kept activation is scaled by 1 / keep
     logits: np.ndarray
     pos_op: sp.csr_array
     neg_op: sp.csr_array
@@ -228,7 +227,6 @@ def forward(
         first=layer0,
         gates=gates,
         keeps=keeps,
-        keep=keep,
         logits=logits,
         pos_op=pos_op,
         neg_op=neg_op,
@@ -311,7 +309,7 @@ def backward(
         g, dx = dx, None
         if trace.keeps[l] is not None:
             g *= trace.keeps[l]
-            g *= 1.0 / trace.keep
+            g *= 1.0 / (1.0 - params.dropout_p)  # forward's scale of a kept activation
         x_t = input_t(l)
         on_pos, on_neg = trace.gates[l]
         # a float gate multiplies faster than a bool one, to the same bits

@@ -49,13 +49,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Selected negative candidates for one source node."""
+    """Selected negative candidates of one source, highest score first
+    within each layer."""
 
-    source: int
-    chosen: list[tuple[int, float, int]]  # (node, score, layer)
+    chosen: list[tuple[int, int]]  # (node, layer)
 
     def nodes(self) -> list[int]:
-        return [node for node, _, _ in self.chosen]
+        return [node for node, _ in self.chosen]
 
     def __len__(self) -> int:
         return len(self.chosen)
@@ -272,7 +272,7 @@ def select_candidates(
         raise ValueError(f"scores {scores.shape} do not match the block of "
                          f"{sources.size} sources with {fronts[0].shape[0]} nodes")
     cols = np.arange(sources.size)
-    chosen: list[list[tuple[int, float, int]]] = [[] for _ in cols]
+    chosen: list[list[tuple[int, int]]] = [[] for _ in cols]
     for l in levels:
         front = fronts[l - 1]
         masked = np.where(front, scores, -np.inf)
@@ -280,11 +280,10 @@ def select_candidates(
         for rank in range(min(k_per_level, int(count.max(initial=0)))):
             top = masked.argmax(axis=0)  # the first maximum: ties to the smaller id
             live = np.flatnonzero(count > rank)
-            picked = zip(live.tolist(), top[live].tolist(), masked[top[live], live].tolist())
-            for i, j, v in picked:
-                chosen[i].append((j, v, l))
+            for i, j in zip(live.tolist(), top[live].tolist()):
+                chosen[i].append((j, l))
             masked[top, cols] = -np.inf
-    return {src: CandidateSet(src, c) for src, c in zip(sources.tolist(), chosen)}
+    return {src: CandidateSet(c) for src, c in zip(sources.tolist(), chosen)}
 
 
 def score_picks(

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden import PERFBENCH_GEN, load_gen
+from golden import PERFBENCH, load_perfbench
 from rwnsgcn.data import Dataset
 from rwnsgcn.graph import Graph, build_graph
 
@@ -103,7 +103,6 @@ def planted_dataset(
         features=x,
         labels=labels,
         class_count=classes,
-        feature_dim=feature_dim,
     )
 
 
@@ -129,6 +128,6 @@ def require_dataset(name: str) -> tuple[Path, Path]:
 @pytest.fixture(scope="session")
 def bench_gen():
     """The benchmark's seeded dataset generator, ``perfbench/gen.py``."""
-    if not PERFBENCH_GEN.exists():
+    if not (PERFBENCH / "gen.py").exists():
         pytest.skip("perfbench/gen.py is not present")
-    return load_gen()
+    return load_perfbench("gen")

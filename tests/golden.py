@@ -5,8 +5,8 @@ that writes it.
 
 rewrites ``tests/golden.json`` from the program in ``src``.  Each entry is
 one benchmark workload's experiment on its ``perfbench/gen.py`` graph at
-seed 501, with a short epoch count: the digest of every candidate map,
-the negative-edge digest of every draw (redraws included), every
+seed 501, with a short epoch count: the digest of every candidate map
+(each source's ``(node, layer)`` picks), the negative-edge digest of every draw (redraws included), every
 training's per-epoch loss bits and best epoch, every test accuracy and
 MAD, and the report CSV.  Rewrite the file only in a change that says
 which bits moved and why, and shows that candidates and predictions did
@@ -28,7 +28,7 @@ from rwnsgcn.config import ExperimentConfig
 from rwnsgcn.data import load_content_cites
 
 GOLDEN = Path(__file__).with_name("golden.json")
-PERFBENCH_GEN = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 501
 EPOCHS = 20
 # (gen scale, harness entry point, overrides) of the benchmark workloads in
@@ -103,8 +103,9 @@ def behaviour(gen, name: str) -> dict:
     }
 
 
-def load_gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH_GEN)
+def load_perfbench(name: str):
+    """``perfbench/<name>.py``, loaded from its path as ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look the module up here
     spec.loader.exec_module(module)
@@ -112,7 +113,7 @@ def load_gen():
 
 
 def main() -> int:
-    gen = load_gen()
+    gen = load_perfbench("gen")
     golden = {name: behaviour(gen, name) for name in WORKLOADS}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -18,6 +18,8 @@ them as they complete.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_dpp_kernel_psd_1000_candidate_sets():
             nodes = rng.choice(15, size=size, replace=False)
             kernel = build_dpp_kernel(
                 int(rng.integers(0, 15)),
-                make_candidates(0, nodes),
+                make_candidates(nodes),
                 x,
                 comm,
                 jitter=0.0,  # pre-jitter PSD is the claim under test
@@ -232,10 +234,10 @@ def cora_reports():
     print("\n[desk-scale] cora: negative-sampling model (10 runs x 200 epochs)")
     out["baseline"] = run_baseline(ds, cfg, label="cora/baseline")
     print("[desk-scale] cora: plain GCN")
-    out["gcn"] = run_baseline(ds, cfg.with_overrides(lam=0.0), label="cora/gcn")
+    out["gcn"] = run_baseline(ds, replace(cfg, lam=0.0), label="cora/gcn")
     print("[desk-scale] cora: rwr-only / pgr-only")
-    out["rwr"] = run_baseline(ds, cfg.with_overrides(beta=1.0), label="cora/rwr-only")
-    out["pgr"] = run_baseline(ds, cfg.with_overrides(beta=0.0), label="cora/pgr-only")
+    out["rwr"] = run_baseline(ds, replace(cfg, beta=1.0), label="cora/rwr-only")
+    out["pgr"] = run_baseline(ds, replace(cfg, beta=0.0), label="cora/pgr-only")
     print("[desk-scale] cora: L=6 sweep point")
     out["l6"] = run_l_sweep(ds, cfg, l_values=(6,))[0]
     return out
@@ -249,13 +251,13 @@ def citeseer_reports():
     print("\n[desk-scale] citeseer: negative-sampling model")
     out["baseline"] = run_baseline(ds, cfg, label="citeseer/baseline")
     print("[desk-scale] citeseer: plain GCN")
-    out["gcn"] = run_baseline(ds, cfg.with_overrides(lam=0.0), label="citeseer/gcn")
+    out["gcn"] = run_baseline(ds, replace(cfg, lam=0.0), label="citeseer/gcn")
     print("[desk-scale] citeseer: rwr-only / pgr-only")
     out["rwr"] = run_baseline(
-        ds, cfg.with_overrides(beta=1.0), label="citeseer/rwr-only"
+        ds, replace(cfg, beta=1.0), label="citeseer/rwr-only"
     )
     out["pgr"] = run_baseline(
-        ds, cfg.with_overrides(beta=0.0), label="citeseer/pgr-only"
+        ds, replace(cfg, beta=0.0), label="citeseer/pgr-only"
     )
     return out
 

@@ -196,7 +196,6 @@ def test_zero_weight_edges_still_count_as_hops():
         features=np.eye(6),
         labels=np.zeros(6, dtype=np.int64),
         class_count=1,
-        feature_dim=6,
     )
     # skipping (3, 4) would restart the walk at node 0
     sub = bfs_subgraph(ds, 5, 3)

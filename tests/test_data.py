@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -104,7 +105,7 @@ def test_content_cites_round_trip_exact(tmp_path):
 @pytest.mark.parametrize("weight", [0.5, 0.0, 2.0])
 def test_save_content_cites_rejects_weighted_edges(tmp_path, weight):
     ds = Dataset(graph=build_graph(4, [(0, 1), (1, 2, weight), (2, 3)]), features=np.eye(4),
-                 labels=np.array([0, 1, 0, 1]), class_count=2, feature_dim=4)
+                 labels=np.array([0, 1, 0, 1]), class_count=2)
     message = f"edge (1, 2) has weight {weight}; .cites rows carry no weights"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         save_content_cites(ds, tmp_path / "ds")
@@ -114,7 +115,7 @@ def test_save_content_cites_rejects_weighted_edges(tmp_path, weight):
 def test_content_cites_bytes_match_the_expected_text(tmp_path):
     features = np.array([[0.1, -0.0], [1 / 3, 2.0], [0.0, 1e-300], [5e-324, 123456789.0]])
     ds = Dataset(graph=build_graph(4, [(2, 0), (1, 2), (0, 3)]), features=features,
-                 labels=np.array([1, 0, 1, 2]), class_count=3, feature_dim=2,
+                 labels=np.array([1, 0, 1, 2]), class_count=3,
                  node_names=["p", "q", "r", "s"], class_names=["a", "b", "c"])
     save_content_cites(ds, tmp_path / "ds")
     assert (tmp_path / "ds.content").read_text() == (
@@ -172,7 +173,7 @@ def test_subgraph_without_class_names_keeps_the_classes_it_has_in_id_order(tmp_p
     g = build_graph(ds.num_nodes, [(int(a), int(b)) for a, b in
                                    zip(*np.nonzero(np.triu(keep[:, None] & keep[None, :], 1)))])
     sub = bfs_subgraph(Dataset(graph=g, features=ds.features, labels=ds.labels,
-                               class_count=12, feature_dim=24), 0, int(keep.sum()))
+                               class_count=12), 0, int(keep.sum()))
     names = [f"{c:02d}" for c in range(12) if c not in (3, 10)]
     assert sub.class_count == 10 and sub.class_names == names
     assert sub.labels.tolist() == [names.index(f"{c:02d}") for c in ds.labels[keep]]
@@ -475,10 +476,44 @@ def test_binary_benchmark_graphs_load_without_the_c_parser(bench_gen, monkeypatc
     assert sum(calls) == ds.num_nodes
 
 
+def _with_label(ds, node, label):
+    labels = ds.labels.copy()
+    labels[node] = label
+    return labels
+
+
+# (changes to planted_dataset(seed=7): 60 nodes, 3 classes; the error they raise)
+BAD_DATASETS = {
+    "label-equals-class-count": (lambda ds: {"labels": _with_label(ds, 4, 3)},
+                                 r"^label 3 is outside \[0, class_count=3\)$"),
+    "negative-label": (lambda ds: {"labels": _with_label(ds, 0, -1)},
+                       r"^label -1 is outside \[0, class_count=3\)$"),
+    "short-labels": (lambda ds: {"labels": ds.labels[:55]},
+                     r"^labels must be a 1-D integer array of 60 entries, got int64 \(55,\)$"),
+    "float-labels": (lambda ds: {"labels": ds.labels.astype(np.float64)},
+                     r"^labels must be a 1-D integer array of 60 entries, got float64 \(60,\)$"),
+    "list-labels": (lambda ds: {"labels": ds.labels.tolist()},
+                    "^labels must be a 1-D integer array of 60 entries, got list$"),
+    "short-features": (lambda ds: {"features": ds.features[:55]},
+                       "^features have 55 rows for a graph of 60 nodes$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_dataset_refuses_labels_or_features_that_do_not_fit_by_name(case):
+    # each used to pass the split and fail later, unnamed: an IndexError in
+    # the loss or the split, bincount's negative-element error, or the
+    # model's operator mismatch
+    ds = planted_dataset(seed=7)
+    changes, message = BAD_DATASETS[case]
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(ds, **changes(ds))
+
+
 def test_dense_features_are_stored_with_their_signed_zeros():
     x = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [-1.5, 0.0, 0.25]])
     ds = Dataset(graph=build_graph(3, []), features=x, labels=np.zeros(3, dtype=np.int64),
-                 class_count=1, feature_dim=3)
+                 class_count=1)
     assert_canonical_csr(ds.features)
     assert ds.features.indptr.tolist() == [0, 2, 2, 4]
     assert_same_bytes(dense_bits(ds.features), x)
@@ -487,7 +522,7 @@ def test_dense_features_are_stored_with_their_signed_zeros():
                              np.array([0, 3, 3, 4])), shape=(3, 3))
     assert not unsorted.has_canonical_format
     summed = Dataset(graph=ds.graph, features=unsorted, labels=ds.labels,
-                     class_count=1, feature_dim=3).features
+                     class_count=1).features
     assert_canonical_csr(summed)
     assert summed.indices.tolist() == [0, 2, 1]
     assert unsorted.indices.tolist() == [2, 0, 2, 1]  # the argument is not reordered
@@ -611,7 +646,6 @@ def _line_dataset(n):
         features=np.eye(n),
         labels=np.zeros(n, dtype=np.int64),
         class_count=1,
-        feature_dim=n,
     )
 
 
@@ -625,7 +659,6 @@ def test_bfs_subgraph_restart_rule():
         features=np.eye(6),
         labels=np.zeros(6, dtype=np.int64),
         class_count=1,
-        feature_dim=6,
     )
     sub = bfs_subgraph(ds, 0, 4)
     assert sub.num_nodes == 4
@@ -644,7 +677,6 @@ def test_bfs_subgraph_matches_induced_oracle():
             features=np.eye(n),
             labels=np.zeros(n, dtype=np.int64),
             class_count=1,
-            feature_dim=n,
         )
         size = int(rng.integers(1, n + 1))
         sub = bfs_subgraph(ds, int(rng.integers(0, n)), size)

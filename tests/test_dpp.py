@@ -27,17 +27,14 @@ from rwnsgcn.scoring import CandidateSet, score_all_sources
 from conftest import random_graph
 
 
-def make_candidates(source, nodes, layer=2):
-    return CandidateSet(
-        source=source,
-        chosen=[(int(n), 0.0, layer) for n in nodes],
-    )
+def make_candidates(nodes, layer=2):
+    return CandidateSet([(int(n), layer) for n in nodes])
 
 
 def make_kernel(L, items=None):
     """Wrap a raw PSD matrix for the sampler."""
     items = list(range(L.shape[0])) if items is None else items
-    return _stacked_kernels([-1], [items], np.asarray(L, dtype=np.float64)[None])[0]
+    return _stacked_kernels([items], np.asarray(L, dtype=np.float64)[None])[0]
 
 
 def assemble_kernel(x, comm, source, items, jitter=1e-8):
@@ -83,7 +80,7 @@ def lockstep_subset_counts(kernel, k, seed, n_draws):
 def test_two_triangles_two_communities():
     g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
     comm = label_propagation(g, seed=0)
-    assert comm.num_communities == 2
+    assert np.unique(comm.labels).tolist() == [0, 1]
     assert len(set(comm.labels[:3])) == 1
     assert len(set(comm.labels[3:])) == 1
 
@@ -91,13 +88,12 @@ def test_two_triangles_two_communities():
 def test_single_edge_one_community():
     g = build_graph(2, [(0, 1, 1.0)])
     comm = label_propagation(g, seed=3)
-    assert comm.num_communities == 1
+    assert comm.labels.tolist() == [0, 0]
 
 
 def test_empty_graph_singletons():
     g = build_graph(4, [])
     comm = label_propagation(g, seed=0)
-    assert comm.num_communities == 4
     assert list(comm.labels) == [0, 1, 2, 3]
 
 
@@ -111,7 +107,7 @@ def test_disjoint_cliques_one_community_each():
         offset += size
     g = build_graph(offset, edges)
     comm = label_propagation(g, seed=11)
-    assert comm.num_communities == 3
+    assert np.unique(comm.labels).tolist() == [0, 1, 2]
 
 
 def reference_label_propagation(g, seed, max_iter=100):
@@ -184,7 +180,7 @@ def test_community_features_are_member_means():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     x = np.arange(8.0).reshape(4, 2)
     comm = label_propagation(g, features=x, seed=0)
-    for c in range(comm.num_communities):
+    for c in np.unique(comm.labels):
         members = np.flatnonzero(comm.labels == c)
         assert np.allclose(
             comm.community_features[c], x[members].mean(axis=0), atol=1e-9
@@ -229,7 +225,7 @@ def _scenario(seed=0, n_nodes=12, feat=6):
 
 def test_kernel_scalar_case_matches_formula():
     g, x, comm = _scenario(seed=1)
-    cand = make_candidates(0, [5])
+    cand = make_candidates([5])
     jitter = 1e-8
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=jitter)
     q = cosine_rows(x[0][None, :], comm.community_features[comm.labels[[5]]])[0, 0]
@@ -243,7 +239,7 @@ def test_kernel_identical_candidates_near_singular():
     g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
     x = np.ones((6, 4))
     comm = label_propagation(g, features=x, seed=0)
-    cand = make_candidates(0, [3, 4])
+    cand = make_candidates([3, 4])
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=1e-8)
     det = np.linalg.det(kernel.L)
     assert det < 1e-6  # jitter-scale mass only
@@ -262,7 +258,7 @@ def test_kernel_orthogonal_features_hand_value():
         labels=labels,
         community_features=np.array([[1.0, 1.0]]),
     )
-    cand = make_candidates(0, [1, 2])
+    cand = make_candidates([1, 2])
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=0.0)
     # q = [1, 1], S_com = all-ones -> core = S_com S_com^T = all-2s;
     # S_node = I -> off-diagonal damped by e^{-1}
@@ -280,7 +276,7 @@ def test_kernel_psd_on_random_candidate_sets():
             size = int(rng.integers(1, 8))
             nodes = rng.choice(15, size=size, replace=False)
             kernel = build_dpp_kernel(
-                int(rng.integers(0, 15)), make_candidates(0, nodes), x, comm, jitter=0.0
+                int(rng.integers(0, 15)), make_candidates(nodes), x, comm, jitter=0.0
             )
             assert np.allclose(kernel.L, kernel.L.T, atol=1e-10)
             assert np.linalg.eigvalsh(kernel.L).min() >= -1e-8
@@ -290,7 +286,7 @@ def test_kernel_psd_on_random_candidate_sets():
 
 def test_kernel_snode_diagonal_is_one():
     g, x, comm = _scenario(seed=5)
-    kernel = build_dpp_kernel(0, make_candidates(0, [2, 7, 9]), x, comm)
+    kernel = build_dpp_kernel(0, make_candidates([2, 7, 9]), x, comm)
     L, s_node = assemble_kernel(x, comm, 0, [2, 7, 9])
     assert np.array_equal(kernel.L, L)
     assert np.allclose(np.diag(s_node), 1.0, atol=1e-9)
@@ -299,7 +295,7 @@ def test_kernel_snode_diagonal_is_one():
 def test_kernel_empty_candidates_rejected():
     g, x, comm = _scenario(seed=2)
     with pytest.raises(ValueError, match="empty"):
-        build_dpp_kernel(0, make_candidates(0, []), x, comm)
+        build_dpp_kernel(0, make_candidates([]), x, comm)
 
 
 # ------------------------------------------------------------ exact sampler
@@ -370,10 +366,7 @@ def test_kdpp_never_repeats_items():
 def test_duplicate_item_coselection_probability_vanishes():
     g, x, comm = _scenario(seed=4)
     # duplicate node 3 in the candidate list
-    cand = CandidateSet(
-        source=0,
-        chosen=[(3, 0.0, 2), (3, 0.0, 3), (7, 0.0, 4)],
-    )
+    cand = CandidateSet([(3, 2), (3, 3), (7, 4)])
     kernel = build_dpp_kernel(0, cand, x, comm, jitter=1e-8)
     probs = enumerate_kdpp(kernel.L, 2)
     both_copies = probs[(0, 1)]  # kernel indices of the two copies
@@ -433,7 +426,7 @@ def test_kernel_factors_equal_cosine_rows_bit_for_bit():
         comm = CommunityAssignment(labels=labels, community_features=cf)
         items = [int(v) for v in rng.choice(n_nodes, size=int(rng.integers(1, 7)), replace=False)]
         src = int(rng.integers(0, n_nodes))
-        kernel = build_dpp_kernel(src, make_candidates(src, items), x, comm)
+        kernel = build_dpp_kernel(src, make_candidates(items), x, comm)
         assert np.array_equal(kernel.L, assemble_kernel(x, comm, src, items)[0])
 
 
@@ -536,7 +529,7 @@ def test_kdpp_matches_per_draw_reference_bit_for_bit():
 def test_reused_kernel_draws_equal_fresh_kernel_draws():
     for seed in range(8):
         g, x, comm = _scenario(seed=seed, n_nodes=15, feat=5)
-        cand = make_candidates(0, [3, 5, 8, 11, 14][: 3 + seed % 3])
+        cand = make_candidates([3, 5, 8, 11, 14][: 3 + seed % 3])
         for k in range(1, len(cand) + 1):
             _redraws_match(lambda: build_dpp_kernel(0, cand, x, comm), k)
 
@@ -545,7 +538,7 @@ def test_reused_rank_deficient_kernel_clamps_like_fresh():
     g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
     x = np.ones((6, 4))
     comm = label_propagation(g, features=x, seed=0)
-    cand = make_candidates(0, [3, 4, 5])
+    cand = make_candidates([3, 4, 5])
     with pytest.warns(UserWarning, match="rank"):
         _redraws_match(lambda: build_dpp_kernel(0, cand, x, comm, jitter=0.0), 2)
 
@@ -554,8 +547,8 @@ def test_kernels_built_once_give_the_draws_of_rebuilt_kernels():
     from rwnsgcn.dpp import build_negative_kernels, draw_negative_samples
 
     g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
-    cands = {s: make_candidates(s, [(s + d) % 15 for d in (2, 5, 7, 9)]) for s in range(6)}
-    cands[6] = make_candidates(6, [])
+    cands = {s: make_candidates([(s + d) % 15 for d in (2, 5, 7, 9)]) for s in range(6)}
+    cands[6] = make_candidates([])
     kernels = build_negative_kernels(cands, x, comm, k=2)
     assert sorted(kernels.by_source) == list(range(6))
     for tag in range(3):
@@ -578,10 +571,10 @@ def test_communities_from_a_callable_are_found_only_when_a_draw_chooses():
         calls.append(1)
         return comm
 
-    forced = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [])}
+    forced = {0: make_candidates([2, 4]), 1: make_candidates([])}
     assert build_negative_kernels(forced, x, communities, k=2).by_source == {}
     assert calls == []
-    cands = {**forced, 2: make_candidates(2, [5, 7, 9])}
+    cands = {**forced, 2: make_candidates([5, 7, 9])}
     kernels = build_negative_kernels(cands, x, communities, k=2)
     assert calls == [1]
     (kernel,) = kernels.by_source.values()
@@ -590,7 +583,7 @@ def test_communities_from_a_callable_are_found_only_when_a_draw_chooses():
 
 def test_the_record_carries_the_candidates_and_k_of_its_build():
     g, x, comm = _scenario(seed=3, n_nodes=15, feat=5)
-    cands = {0: make_candidates(0, [2, 4]), 1: make_candidates(1, [3, 5, 7, 9])}
+    cands = {0: make_candidates([2, 4]), 1: make_candidates([3, 5, 7, 9])}
     kernels = build_negative_kernels(cands, x, comm, k=3)
     assert (kernels.candidates, kernels.k) == (cands, 3)
     assert list(kernels.by_source) == [1]
@@ -625,7 +618,7 @@ def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeyp
     from rwnsgcn.dpp import RANK_TOL, build_negative_kernels, draw_negative_samples
 
     g, x, comm = _scenario(seed=2)
-    cands = {0: make_candidates(0, [9, 3, 7])}
+    cands = {0: make_candidates([9, 3, 7])}
     # the skipped draw is the one the sampler would have made
     kernel = build_dpp_kernel(0, cands[0], x, comm, jitter=100 * RANK_TOL)
     assert kdpp_sample_exact(kernel, 3, np.random.default_rng(0)) == [3, 7, 9]
@@ -646,7 +639,7 @@ def test_exact_draw_below_jitter_bound_still_warns_and_clamps():
     g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
     x = np.ones((6, 4))  # identical candidates: rank one without jitter
     comm = label_propagation(g, features=x, seed=0)
-    cands = {0: make_candidates(0, [3, 4])}
+    cands = {0: make_candidates([3, 4])}
     assert list(build_negative_kernels(cands, x, comm, k=2, jitter=99 * RANK_TOL).by_source) == [0]
     kernels = build_negative_kernels(cands, x, comm, k=2, jitter=0.0)
     with pytest.warns(UserWarning, match="rank"):
@@ -755,12 +748,12 @@ def _mixed_kernels(seed, sources=150):
         rank = int(rng.integers(0, n + 1))
         b = rng.normal(size=(n, rank)) * rng.choice([1e-2, 1.0, 1e2])
         items = [int(v) for v in rng.choice(500, size=n, replace=False)]
-        cands[int(src)] = make_candidates(int(src), items)
+        cands[int(src)] = make_candidates(items)
         stacks.setdefault(n, []).append((int(src), items, b @ b.T))
     kernels = {}
     for members in stacks.values():
         srcs, item_lists, matrices = map(list, zip(*members))
-        kernels.update(zip(srcs, _stacked_kernels(srcs, item_lists, np.array(matrices))))
+        kernels.update(zip(srcs, _stacked_kernels(item_lists, np.array(matrices))))
     return cands, kernels
 
 
@@ -786,7 +779,7 @@ def test_lockstep_draws_match_per_source_draws_on_assembled_kernels(jitter):
     for src in range(40):
         pool = list(range(20, 30)) if src % 3 == 0 else [v for v in range(40) if v != src]
         size = 2 + src % 6
-        cands[src] = make_candidates(src, [pool[(7 * src + 3 * t) % len(pool)] for t in range(size)])
+        cands[src] = make_candidates([pool[(7 * src + 3 * t) % len(pool)] for t in range(size)])
     for k in (2, 3, 5):
         kernels = build_negative_kernels(cands, x, comm, k=k, jitter=jitter)
         warned = _assert_draws_match(kernels, jitter, lambda src: [k, src], draws=3)
@@ -818,7 +811,7 @@ class _Uniforms:
 
 def test_pick_at_a_cdf_tie_goes_right_like_searchsorted():
     # rank one, eigenvector (1, 1)/sqrt(2): the cdf is exactly [0.5, 1.0]
-    cands = {0: make_candidates(0, [10, 11])}
+    cands = {0: make_candidates([10, 11])}
     kernels = {0: make_kernel(np.ones((2, 2)), items=[10, 11])}
     assert per_source_kdpp_sample_exact(kernels[0], 1, _Uniforms([0.0, 0.5])) == [11]
     got = draw_negative_samples(
@@ -838,7 +831,7 @@ def test_lockstep_draws_reject_k_below_one():
 
 
 def test_forced_sources_may_share_a_generator():
-    cands = {s: make_candidates(s, [s + 1, s + 2]) for s in range(4)}
+    cands = {s: make_candidates([s + 1, s + 2]) for s in range(4)}
     shared = np.random.default_rng(0)
     out = draw_negative_samples(
         NegativeKernels(cands, 3, {}), rng_for_source=lambda src: shared
@@ -936,7 +929,7 @@ def _random_assembly(seed, n_nodes=30, feat=40, communities=5):
     comm = CommunityAssignment(labels=labels, community_features=cf)
     # candidate counts 4, 5 and 6 in one call, and forced sources besides
     cands = {
-        s: make_candidates(s, [int(v) for v in rng.choice(n_nodes, size=[2, 3, 4, 5, 6][s % 5])])
+        s: make_candidates([int(v) for v in rng.choice(n_nodes, size=[2, 3, 4, 5, 6][s % 5])])
         for s in range(n_nodes)
     }
     return x, comm, cands
@@ -946,7 +939,7 @@ def _random_assembly(seed, n_nodes=30, feat=40, communities=5):
 def test_lockstep_kernels_match_on_duplicated_candidates(seed):
     x, comm, cands = _random_assembly(seed)
     # rng.choice above draws with replacement; make sure repeats are in
-    cands[4] = make_candidates(4, [7, 7, 9, 7, 11])
+    cands[4] = make_candidates([7, 7, 9, 7, 11])
     assert any(len(set(cs.nodes())) < len(cs) for cs in cands.values())
     _assert_lockstep_kernels_match(cands, x, comm)
 
@@ -1007,7 +1000,7 @@ def _assert_tables_match_oracle(kernels):
         assert kernel.select.shape == (n + 1, n + 1)
         for k in range(1, n + 1):
             want = np.array(per_kernel_selection(kernel.eigvals, k), dtype=np.float64)
-            assert _same_bits(kernel.select[: k + 1], want), (kernel.source, k)
+            assert _same_bits(kernel.select[: k + 1], want), (kernel.items, k)
 
 
 def test_stacked_tables_match_the_per_kernel_oracle_on_mixed_ranks():
@@ -1034,7 +1027,7 @@ def test_rank_clamp_warning_points_at_the_caller():
         kdpp_sample_exact(kernel, 2, np.random.default_rng(0))
     with pytest.warns(UserWarning, match="rank") as drawn:
         draw_negative_samples(
-            NegativeKernels({0: make_candidates(0, [4, 5, 6])}, 2, {0: kernel}),
+            NegativeKernels({0: make_candidates([4, 5, 6])}, 2, {0: kernel}),
             rng_for_source=np.random.default_rng,
         )
     assert [w.filename for w in direct] == [__file__]
@@ -1052,7 +1045,7 @@ def test_unusable_jitter_is_rejected_before_communities_are_found(jitter):
 
     with pytest.raises(ValueError, match=f"^jitter must be finite and at least 0, got {jitter}$"):
         build_negative_kernels(
-            {0: make_candidates(0, [2, 4, 6])}, x, communities, k=2, jitter=jitter
+            {0: make_candidates([2, 4, 6])}, x, communities, k=2, jitter=jitter
         )
 
 
@@ -1066,4 +1059,4 @@ def test_one_kernel_build_rejects_an_unusable_jitter_before_eigh(monkeypatch, ji
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     with pytest.raises(ValueError, match=f"^jitter must be finite and at least 0, got {jitter}$"):
-        build_dpp_kernel(0, make_candidates(0, [2, 4, 6]), x, comm, jitter=jitter)
+        build_dpp_kernel(0, make_candidates([2, 4, 6]), x, comm, jitter=jitter)

@@ -417,7 +417,7 @@ def test_bfs_subgraph_matches_reference():
         g = build_graph(n, [(u, v, 0.0 if rng.random() < 0.2 else w)
                             for u, v, w in random_edge_list(rng, n, 0.15, weighted=True)])
         ds = Dataset(graph=g, features=rng.random((n, 3)),
-                     labels=rng.integers(0, 2, n), class_count=2, feature_dim=3)
+                     labels=rng.integers(0, 2, n), class_count=2)
         seed_node, size = int(rng.integers(0, n)), int(rng.integers(1, n + 1))
         expected, keep = reference_bfs_subgraph(ds, seed_node, size)
         sub = bfs_subgraph(ds, seed_node, size)

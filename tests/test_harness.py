@@ -60,10 +60,11 @@ def test_config_round_trip():
 def test_config_hashes_one_levels_tuple_per_pick():
     # the scoring reads levels as a sorted set, so orders and repeats of the
     # same set are one configuration with one hash; from_dict and
-    # with_overrides hand levels to the constructor untouched
+    # dataclasses.replace hand levels to the constructor untouched
     same = [ExperimentConfig(levels=(4, 2, 2)), ExperimentConfig(levels=[2, 4]),
-            ExperimentConfig(levels=[4, 2, 2]), ExperimentConfig().with_overrides(levels=[4, 2, 2]),
-            ExperimentConfig().with_overrides(levels=[4, 4, 2]),
+            ExperimentConfig(levels=[4, 2, 2]),
+            dataclasses.replace(ExperimentConfig(), levels=[4, 2, 2]),
+            dataclasses.replace(ExperimentConfig(), levels=[4, 4, 2]),
             ExperimentConfig.from_dict({"levels": [4, 2, 2]}),
             ExperimentConfig.from_dict({"levels": [4, 2]})]
     for cfg in same:
@@ -78,7 +79,7 @@ def test_config_hashes_one_levels_tuple_per_pick():
 def test_levels_none_fails_on_every_way_in():
     for make in (lambda: ExperimentConfig(levels=None),
                  lambda: ExperimentConfig.from_dict({"levels": None}),
-                 lambda: ExperimentConfig().with_overrides(levels=None)):
+                 lambda: dataclasses.replace(ExperimentConfig(), levels=None)):
         with pytest.raises(ValueError, match="^levels must be a sequence of integers, got None$"):
             make()
 
@@ -110,7 +111,7 @@ def test_config_rejects_fewer_than_one(field, value, monkeypatch):
     with pytest.raises(ValueError, match=message):
         run_baseline(ds, fast_config(**{field: value}))
     with pytest.raises(ValueError, match=message):
-        run_attack_comparison(ds, fast_config().with_overrides(**{field: value}))
+        run_attack_comparison(ds, dataclasses.replace(fast_config(), **{field: value}))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
@@ -122,7 +123,7 @@ def test_config_has_no_attack_fields(field, value):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
         fast_config(**{field: value})
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
-        fast_config().with_overrides(**{field: value})
+        dataclasses.replace(fast_config(), **{field: value})
     with pytest.raises(ValueError, match=rf"^unknown config fields: \['{field}'\]$"):
         ExperimentConfig.from_dict({**fast_config().to_dict(), field: value})
 
@@ -174,7 +175,7 @@ def test_config_rejects_unusable_scoring_and_sampling_fields(case, lam, monkeypa
     with pytest.raises(ValueError, match=message):
         run_baseline(ds, fast_config(lam=lam, **overrides))
     with pytest.raises(ValueError, match=message):
-        run_ablation(ds, fast_config(lam=lam).with_overrides(**overrides))
+        run_ablation(ds, dataclasses.replace(fast_config(lam=lam), **overrides))
     with pytest.raises(ValueError, match=message):
         ExperimentConfig.from_dict({**fast_config(lam=lam).to_dict(), **overrides})
 
@@ -218,11 +219,11 @@ def test_unusable_runs_fail_before_any_work(case, monkeypatch):
     with pytest.raises(ValueError, match=message):
         run_baseline(ds, fast_config(**overrides))
     with pytest.raises(ValueError, match=message):
-        run_ablation(ds, fast_config().with_overrides(**overrides))
+        run_ablation(ds, dataclasses.replace(fast_config(), **overrides))
     with pytest.raises(ValueError, match=message):
-        run_l_sweep(ds, fast_config().with_overrides(**overrides), l_values=(4, 5))
+        run_l_sweep(ds, dataclasses.replace(fast_config(), **overrides), l_values=(4, 5))
     with pytest.raises(ValueError, match=message):
-        run_attack_comparison(ds, fast_config().with_overrides(**overrides))
+        run_attack_comparison(ds, dataclasses.replace(fast_config(), **overrides))
     if case in UNUSABLE_RUNS:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({**fast_config().to_dict(), **overrides})
@@ -494,8 +495,9 @@ def test_each_preset_does_each_shared_step_once(preset, monkeypatch):
 def test_run_grid_clean_rows_are_each_arms_baseline():
     ds = planted_dataset(seed=7)
     cfg = fast_config(runs=2, epochs=4)
-    arms = [("mix", cfg), ("rwr", cfg.with_overrides(beta=1.0)),
-            ("gcn", cfg.with_overrides(lam=0.0)), ("near", cfg.with_overrides(levels=(2, 3)))]
+    arms = [("mix", cfg), ("rwr", dataclasses.replace(cfg, beta=1.0)),
+            ("gcn", dataclasses.replace(cfg, lam=0.0)),
+            ("near", dataclasses.replace(cfg, levels=(2, 3)))]
     grid = harness.run_grid(ds, arms, attack_grid=[("twpa", 0.5)])
     assert list(grid) == ["clean", "attack/twpa@0.5"]
     _, clean = grid["clean"]
@@ -512,6 +514,7 @@ def test_run_grid_clean_rows_are_each_arms_baseline():
      "^arm 'c' differs from arm 'a' beyond beta, levels and lam$"),
     ([("a", fast_config()), ("eager", fast_config(lr=0.05))],
      "^arm 'eager' differs from arm 'a' beyond beta, levels and lam$"),
+    ([("same", fast_config()), ("same", fast_config())], "^arm label 'same' is repeated$"),
 ])
 def test_run_grid_refuses_unshareable_arms_before_any_work(arms, message, monkeypatch):
     for work in ("score_all_sources", "score_picks", "train", "edge_betweenness",
@@ -519,6 +522,24 @@ def test_run_grid_refuses_unshareable_arms_before_any_work(arms, message, monkey
         monkeypatch.setattr(harness, work, _unreachable)
     with pytest.raises(ValueError, match=message):
         harness.run_grid(planted_dataset(seed=7), arms, attack_grid=[("ctbca", 0.1)])
+
+
+@pytest.mark.parametrize("arms, attack_grid", [
+    ([("a", fast_config()), ("b", fast_config(beta=1.0))], ()),
+    ([("a", fast_config())], [("twpa", 0.5)]),
+], ids=["two-arms", "attack-cell"])
+def test_run_grid_refuses_a_dump_that_later_arms_or_cells_would_overwrite(
+        arms, attack_grid, tmp_path, monkeypatch):
+    # the dumps are named by run only: before, later arms and cells wrote
+    # over the earlier ones' negatives-run{r}.json
+    for work in ("check_split", "score_all_sources", "score_picks", "train",
+                 "edge_betweenness", "apply_attack"):
+        monkeypatch.setattr(harness, work, _unreachable)
+    message = (r"^dump_dir names its files by run only: one arm on the clean graph, "
+               rf"not {len(arms)} arm\(s\) and {len(attack_grid)} attack cell\(s\)$")
+    with pytest.raises(ValueError, match=message):
+        harness.run_grid(planted_dataset(seed=7), arms, attack_grid, dump_dir=tmp_path / "dump")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ablation_variants_share_per_run_seeds():
@@ -678,7 +699,7 @@ def test_attack_comparison_plain_gcn_arms_neither_score_nor_propagate(monkeypatc
     grid = [("ctbca", 0.1), ("twpa", 0.5)]
     fills = _recording(monkeypatch, "score_all_sources")
     communities = _recording(monkeypatch, "label_propagation")
-    run_attack_comparison(ds, cfg.with_overrides(lam=0.0), attack_grid=grid)
+    run_attack_comparison(ds, dataclasses.replace(cfg, lam=0.0), attack_grid=grid)
     assert fills == [] and communities == []
     run_attack_comparison(ds, cfg, attack_grid=grid)
     # one community search per negative-sampling run: the clean runs and
@@ -703,7 +724,7 @@ def test_label_propagation_runs_only_when_some_draw_chooses(monkeypatch):
     monkeypatch.undo()
 
     communities = _recording(monkeypatch, "label_propagation")
-    run_baseline(ds, cfg.with_overrides(k_per_level=2))
+    run_baseline(ds, dataclasses.replace(cfg, k_per_level=2))
     assert len(communities) == cfg.runs
 
 
@@ -1099,7 +1120,7 @@ def test_cli_baseline_rejects_zero_layers(tmp_path, toy_prefix):
 
 
 def test_cli_baseline_rejects_an_attack_reports_config(tmp_path, toy_prefix):
-    cfg = fast_config(runs=1, epochs=2).with_overrides(dataset_path=str(toy_prefix))
+    cfg = dataclasses.replace(fast_config(runs=1, epochs=2), dataset_path=str(toy_prefix))
     reports = run_attack_comparison(planted_dataset(seed=7), cfg, attack_grid=[("ctbca", 0.1)])
     _, report_json = emit_report(reports, tmp_path / "attack")
     cfg_file = tmp_path / "cfg.json"

@@ -331,7 +331,7 @@ def two_clique_dataset():
     g = build_graph(10, edges)
     x = np.eye(10)
     labels = np.array([0] * 5 + [1] * 5)
-    return Dataset(graph=g, features=x, labels=labels, class_count=2, feature_dim=10)
+    return Dataset(graph=g, features=x, labels=labels, class_count=2)
 
 
 def two_clique_masks():
@@ -430,7 +430,6 @@ def test_train_aborts_on_nonfinite_loss():
         features=ds.features * np.nan,
         labels=ds.labels,
         class_count=2,
-        feature_dim=10,
     )
     masks = two_clique_masks()
     config = ExperimentConfig(epochs=5, lr=0.01, hidden=4, layers=2, dropout=0.0, lam=0.0)
@@ -554,7 +553,6 @@ def reference_forward(
         first=None,
         gates=gates,
         keeps=keeps,
-        keep=keep,
         logits=logits,
         pos_op=pos_op,
         neg_op=neg_op,
@@ -589,7 +587,7 @@ def reference_backward(trace, params, labels, mask) -> Gradients:
     for l in range(num_layers - 2, -1, -1):
         g = dx
         if trace.keeps[l] is not None:  # the float mask of 0 and 1 / keep
-            g = g * (trace.keeps[l].astype(np.float64) / trace.keep)
+            g = g * (trace.keeps[l].astype(np.float64) / (1.0 - params.dropout_p))
         x = trace.inputs[l]
         on_pos, on_neg = trace.gates[l]
         dz_pos = g * on_pos
@@ -695,7 +693,7 @@ def oracle_problem(sparse: bool, n: int = 48, dim: int = 40, classes: int = 3):
         x *= rng.random((n, dim)) < 0.1
     ds = Dataset(
         graph=build_graph(n, edges), features=x, labels=labels,
-        class_count=classes, feature_dim=dim,
+        class_count=classes,
     )
     order = rng.permutation(n)
     masks = SplitMasks(train=order[:12], val=order[12:30], test=order[30:])
