@@ -37,7 +37,7 @@ def check_dropout(dropout_p: float) -> None:
 class ExperimentConfig:
     # dataset
     dataset_path: str = ""
-    dataset_format: str = "content-cites"  # the only format load_dataset reads
+    dataset_format: str = "content-cites"  # the only format there is
     # split
     per_class: int = 20
     num_val: int = 500
@@ -100,6 +100,11 @@ class ExperimentConfig:
         object.__setattr__(self, "levels", tuple(check_levels(self.levels, self.k_per_level)))
         if self.sources not in ("all", "degree-range"):
             raise ValueError(f"unknown sources mode {self.sources!r}")
+        if self.dataset_format != "content-cites":
+            raise ValueError(
+                f"dataset_format {self.dataset_format!r} is not supported; datasets are "
+                "'content-cites' pairs (rwnsgcn prepare writes one)"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)

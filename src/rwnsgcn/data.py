@@ -62,9 +62,13 @@ def _features_csr(x) -> sp.csr_array:
 
     A dense ``x`` stores every entry that is not +0.0, so a -0.0 keeps its
     sign (``toarray()`` adds stored entries to zeros and loses it; assigning
-    them keeps it).  A sparse ``x`` is copied, so the caller's arrays are
-    never reordered.
+    them keeps it).  A float64 CSR array already in canonical format is
+    returned as it is given, so a dataset rebuilt with ``replace`` shares
+    it; any other sparse ``x`` is copied, so the caller's arrays are never
+    reordered.
     """
+    if isinstance(x, sp.csr_array) and x.dtype == np.float64 and x.has_canonical_format:
+        return x
     if sp.issparse(x):
         x = sp.csr_array(x, dtype=np.float64, copy=True)
         x.sum_duplicates()

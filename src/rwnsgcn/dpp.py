@@ -67,7 +67,7 @@ class DppKernel:
 class NegativeKernels:
     """What every negative draw over one candidate map reads, fixed at
     build: the map, the draw size ``k`` and the kernels of exactly the
-    sources whose draw chooses."""
+    sources with more than ``k`` candidates, whose draw chooses."""
 
     candidates: Mapping[int, CandidateSet]
     k: int
@@ -406,24 +406,6 @@ def build_negative_graph(
     return build_graph(num_nodes, np.column_stack((u, v)))
 
 
-def _draw_is_forced(n: int, k: int, jitter: float) -> bool:
-    """True when a size-min(k, n) draw from n candidates can only be all of them.
-
-    An empty set has only the empty draw.  The sampler returns all n only
-    when the kernel has full numerical rank, which the jitter alone
-    guarantees here.  Weyl: lambda_min(C + E + jitter I)
-    >= lambda_min(C) + jitter - ||E||_2 for the PSD core C and its roundoff
-    E (assembly and eigh).  Kernel entries are at most n in magnitude, so
-    ||C||_2 <= n**2 and ||E||_2 is of order n**3 eps.  With jitter >= 100
-    RANK_TOL and n**3 eps <= jitter / 2, every eigenvalue is at least
-    jitter / 2 > RANK_TOL.  Below that bound the sampler runs, so a
-    rank-deficient kernel still warns and clamps.
-    """
-    if k < n:
-        return False
-    return n == 0 or (jitter >= 100 * RANK_TOL and n**3 * np.finfo(np.float64).eps <= jitter / 2)
-
-
 def check_jitter(jitter: float) -> None:
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and at least 0, got {jitter}")
@@ -438,23 +420,19 @@ def build_negative_kernels(
 ) -> NegativeKernels:
     """The record every negative draw over ``candidates`` reads.
 
-    Only the sources whose draw actually chooses get a kernel; a draw that
-    can only return every candidate (none included) needs none.  ``comm``
-    may be a zero-argument callable that returns the communities; it is
-    called once, and only if some source gets a kernel.  The kernels are
-    assembled in one pass, each feature and community row normalised once,
-    with the bits of ``build_dpp_kernel``, and each gets its spectrum and
-    selection table here, stacked by candidate count.
+    Only the sources with more than ``k`` candidates get a kernel: a k-DPP
+    over n <= k items has one draw, all of them (none included), whatever
+    the jitter.  ``comm`` may be a zero-argument callable that returns the
+    communities; it is called once, and only if some source gets a kernel.
+    The kernels are assembled in one pass, each feature and community row
+    normalised once, with the bits of ``build_dpp_kernel``, and each gets
+    its spectrum and selection table here, stacked by candidate count.
     Build once per candidate map and community assignment, then hand the
     record to every ``draw_negative_samples`` call, so redraws reuse each
     kernel and its eigendecomposition.
     """
     check_jitter(jitter)
-    choosing = [
-        src
-        for src in sorted(candidates)
-        if not _draw_is_forced(len(candidates[src]), k, jitter)
-    ]
+    choosing = [src for src in sorted(candidates) if len(candidates[src]) > k]
     by_source: dict[int, DppKernel] = {}
     if choosing:
         if callable(comm):

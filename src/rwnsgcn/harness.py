@@ -80,11 +80,6 @@ def load_dataset(config: ExperimentConfig) -> Dataset:
     path = config.dataset_path
     if not path:
         raise ValueError("config.dataset_path is empty")
-    if config.dataset_format != "content-cites":
-        raise ValueError(
-            f"dataset_format {config.dataset_format!r} is not supported; datasets are "
-            "'content-cites' pairs (rwnsgcn prepare writes one)"
-        )
     return data_mod.load_content_cites_paths(path + ".content", path + ".cites")
 
 
@@ -107,7 +102,12 @@ def _config_hash(ds: Dataset, config: dict) -> str:
 
 
 def _experiment_sources(g: Graph, config: ExperimentConfig) -> list[int]:
-    if config.sources == "degree-range":  # unweighted degree 3..6
+    """The sources a fill of ``g`` scores: every node, or with
+    ``sources="degree-range"`` the nodes of unweighted degree 3..6 in ``g``
+    itself.  So a ctbca cell, whose removed edges change degrees, scores
+    another source set than the clean cell; a twpa cell, which keeps the
+    topology, scores the same one."""
+    if config.sources == "degree-range":
         return [int(v) for v in degree_filtered_nodes(g)]
     return list(range(g.num_nodes))
 
@@ -160,7 +160,7 @@ def _run_once(
         t0 = time.perf_counter()
         # built once per run, with dpp's default jitter of 1e-8: every
         # redraw samples from the same kernels.  Communities are found only
-        # if some draw chooses
+        # if some source has more than k_dpp candidates
         kernels = build_negative_kernels(
             candidates,
             ds.features,

@@ -529,6 +529,24 @@ def test_dense_features_are_stored_with_their_signed_zeros():
     assert_same_bytes(summed.toarray(), np.array([[2.0, 0, 4.0], [0, 0, 0], [0, 4.0, 0]]))
 
 
+@pytest.mark.parametrize("indices, data, want", [
+    ([0, 0, 1, 2], [1.0, 2.0, 3.0, 4.0], [[3.0, 0, 0], [0, 0, 0], [0, 3.0, 4.0]]),  # repeated
+    ([2, 0, 1, 2], [1.0, 2.0, 3.0, 4.0], [[2.0, 0, 1.0], [0, 0, 0], [0, 3.0, 4.0]]),  # unsorted
+])
+def test_a_canonical_csr_is_kept_and_any_other_is_copied_canonical(indices, data, want):
+    ds = planted_dataset(seed=7, n_per_class=1, classes=3)
+    given = sp.csr_array((np.array(data), np.array(indices), np.array([0, 2, 2, 4])),
+                         shape=(3, 3))
+    assert not given.has_canonical_format
+    features = dataclasses.replace(ds, features=given).features
+    assert_canonical_csr(features)
+    assert_same_bytes(features.toarray(), np.array(want))
+    # the caller's arrays are not reordered or summed
+    assert given.indices.tolist() == indices and given.data.tolist() == data
+    # a canonical float64 CSR array is stored as it is given
+    assert dataclasses.replace(ds, features=features).features is features
+
+
 @pytest.mark.parametrize("content, message", [
     ("\nn1 1\nn2 0\n", "content row 2: expected at least id, one feature and a label"),
     ("n1 1 0 a\n\nn2 0 b\n", "content row 3: 3 columns, expected 4"),

@@ -604,14 +604,41 @@ def _no_kernels(monkeypatch):
     monkeypatch.setattr(dpp, "_kdpp_draws", refuse)
 
 
-def test_the_forced_draw_rule_reads_only_n_k_and_the_jitter_bound():
-    from rwnsgcn.dpp import _draw_is_forced
+@pytest.mark.parametrize("jitter", [0.0, 99 * RANK_TOL, 1e-8])
+def test_only_sources_with_more_than_k_candidates_choose_at_any_jitter(monkeypatch, jitter):
+    from rwnsgcn import dpp
 
-    assert _draw_is_forced(0, 3, 0.0)
-    assert not _draw_is_forced(4, 3, 1e-8)
-    # n**3 eps <= jitter / 2 holds up to n = 282 at jitter 1e-8
-    assert _draw_is_forced(282, 300, 1e-8) and not _draw_is_forced(283, 300, 1e-8)
-    assert not _draw_is_forced(3, 3, 99 * RANK_TOL)
+    x = np.random.default_rng(8).random((12, 4))
+    x[6:9] = x[6]  # identical candidates of one community: rank one at jitter 0
+    comm = dpp.CommunityAssignment(
+        labels=np.array([0] * 6 + [1] * 3 + [0] * 3), community_features=np.eye(4)[:2]
+    )
+    cands = {
+        0: make_candidates([]),
+        1: make_candidates([5, 3]),
+        2: make_candidates([8, 6, 7]),
+        3: make_candidates([11, 1, 4, 9]),
+    }
+    assert build_dpp_kernel(2, cands[2], x, comm, jitter=0.0).rank == 1
+    assembled = []
+    assemble = dpp._assemble_kernels
+
+    def recording(sources, *args):
+        assembled.append(list(sources))
+        return assemble(sources, *args)
+
+    def rngs(src):
+        assert src == 3, f"source {src} cannot choose but asked for a generator"
+        return np.random.default_rng(src)
+
+    monkeypatch.setattr(dpp, "_assemble_kernels", recording)
+    kernels = build_negative_kernels(cands, x, comm, k=3, jitter=jitter)
+    assert assembled == [[3]] and list(kernels.by_source) == [3]
+    out = draw_negative_samples(kernels, rng_for_source=rngs)
+    assert out == {
+        0: [], 1: [3, 5], 2: [6, 7, 8],
+        3: kdpp_sample_exact(kernels.by_source[3], 3, np.random.default_rng(3)),
+    }
 
 
 def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeypatch):
@@ -631,20 +658,6 @@ def test_exact_draw_of_every_candidate_skips_when_jitter_guarantees_rank(monkeyp
     assert kernels.by_source == {}
     out = draw_negative_samples(kernels, rng_for_source=no_rng)
     assert out == {0: [3, 7, 9]}
-
-
-def test_exact_draw_below_jitter_bound_still_warns_and_clamps():
-    from rwnsgcn.dpp import RANK_TOL, build_negative_kernels, draw_negative_samples
-
-    g = build_graph(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
-    x = np.ones((6, 4))  # identical candidates: rank one without jitter
-    comm = label_propagation(g, features=x, seed=0)
-    cands = {0: make_candidates([3, 4])}
-    assert list(build_negative_kernels(cands, x, comm, k=2, jitter=99 * RANK_TOL).by_source) == [0]
-    kernels = build_negative_kernels(cands, x, comm, k=2, jitter=0.0)
-    with pytest.warns(UserWarning, match="rank"):
-        out = draw_negative_samples(kernels, rng_for_source=np.random.default_rng)
-    assert len(out[0]) == 1
 
 
 # ------------------------------------------------------ lockstep draws
@@ -701,22 +714,20 @@ def per_source_kdpp_sample_exact(kernel, k, rng):
     return sorted(kernel.items[i] for i in chosen)
 
 
-def _per_source_draws(kernels, jitter, rngs):
+def _per_source_draws(kernels, rngs):
     """``draw_negative_samples`` as one oracle draw per source, in id order.
-    Whether a draw chooses is decided again from its candidate count, k
-    and ``jitter``, not read from the record."""
-    from rwnsgcn.dpp import _draw_is_forced
-
+    A source draws with the oracle sampler when it has a kernel in
+    ``kernels.by_source`` and takes every candidate otherwise."""
     k, out = kernels.k, {}
     for src, cs in sorted(kernels.candidates.items()):
-        if _draw_is_forced(len(cs), k, jitter):
-            out[src] = sorted(cs.nodes())
-        else:
+        if src in kernels.by_source:
             out[src] = per_source_kdpp_sample_exact(kernels.by_source[src], min(k, len(cs)), rngs[src])
+        else:
+            out[src] = sorted(cs.nodes())
     return out
 
 
-def _assert_draws_match(kernels, jitter, seeds, draws=2):
+def _assert_draws_match(kernels, seeds, draws=2):
     """Lockstep and per-source draws agree in picks, generator end states
     and rank warnings, over ``draws`` redraws from the same generators.
     Returns the number of rank warnings of the last draw."""
@@ -729,7 +740,7 @@ def _assert_draws_match(kernels, jitter, seeds, draws=2):
             got = draw_negative_samples(kernels, rng_for_source=lock.__getitem__)
         with warnings.catch_warnings(record=True) as single_warned:
             warnings.simplefilter("always")
-            want = _per_source_draws(kernels, jitter, single)
+            want = _per_source_draws(kernels, single)
         assert list(got) == list(want)
         assert got == want
         assert [str(w.message) for w in lock_warned] == [str(w.message) for w in single_warned]
@@ -763,9 +774,10 @@ def test_lockstep_draws_match_per_source_draws_on_mixed_groups(k):
         cands, kernels = _mixed_kernels(seed)
         ranks = [kernel.rank for kernel in kernels.values()]
         assert set(ranks) == set(range(8))
-        # jitter 0: every source chooses, k >= n included, and low ranks clamp
+        # every source has a kernel, so every source chooses, k >= n
+        # included, and low ranks clamp
         record = NegativeKernels(cands, k, kernels)
-        warned = _assert_draws_match(record, 0.0, lambda src: [seed, k, src])
+        warned = _assert_draws_match(record, lambda src: [seed, k, src])
         assert warned == sum(min(k, len(cands[s])) > kernels[s].rank for s in cands)
         assert warned > 0
 
@@ -782,7 +794,7 @@ def test_lockstep_draws_match_per_source_draws_on_assembled_kernels(jitter):
         cands[src] = make_candidates([pool[(7 * src + 3 * t) % len(pool)] for t in range(size)])
     for k in (2, 3, 5):
         kernels = build_negative_kernels(cands, x, comm, k=k, jitter=jitter)
-        warned = _assert_draws_match(kernels, jitter, lambda src: [k, src], draws=3)
+        warned = _assert_draws_match(kernels, lambda src: [k, src], draws=3)
         assert (warned > 0) == (jitter == 0.0)
 
 
@@ -852,7 +864,7 @@ def test_lockstep_draws_match_per_source_draws_on_the_benchmark_graph(bench_gen,
         lock = {src: substream(seed, "dpp", src, *tags) for src in kernels.by_source}
         single = {src: substream(seed, "dpp", src, *tags) for src in kernels.by_source}
         got = draw_negative_samples(kernels, rng_for_source=lock.__getitem__)
-        assert got == _per_source_draws(kernels, 1e-8, single)
+        assert got == _per_source_draws(kernels, single)
         for src in kernels.by_source:
             assert lock[src].bit_generator.state == single[src].bit_generator.state
 

@@ -247,12 +247,17 @@ def test_an_integer_in_a_float_field_hashes_as_its_float():
     assert config_hash(cfg.to_dict()) == config_hash(want.to_dict())
 
 
-def test_load_dataset_rejects_another_format():
+def test_config_rejects_another_dataset_format_when_built(tmp_path):
     # a config saved when JSON bundles were a second format
-    cfg = ExperimentConfig(dataset_path="cache/cora.json", dataset_format="bundle")
+    raw = {"dataset_path": "cache/cora.json", "dataset_format": "bundle"}
+    (tmp_path / "old.json").write_text(json.dumps(raw), encoding="utf-8")
     message = "^dataset_format 'bundle' is not supported; datasets are 'content-cites' pairs"
     with pytest.raises(ValueError, match=message):
-        harness.load_dataset(cfg)
+        ExperimentConfig(**raw)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json_file(tmp_path / "old.json")
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -693,6 +698,35 @@ def test_attack_comparison_scores_each_distinct_graph_once(monkeypatch):
     assert set(scored[1:]) == distinct
 
 
+def test_every_attacked_run_shares_the_loaded_features(tmp_path, monkeypatch):
+    save_content_cites(planted_dataset(seed=7), tmp_path / "ds")
+    ds = harness.load_dataset(fast_config(dataset_path=str(tmp_path / "ds")))
+    runs = _recording(monkeypatch, "_run_once")
+    grid = [("ctbca", 0.1), ("twpa", 0.5)]
+    cfg = fast_config(runs=2, epochs=2)
+    run_attack_comparison(ds, cfg, attack_grid=grid)
+    # the two arms' runs on the clean graph and on each cell
+    assert len(runs) == 2 * cfg.runs * (1 + len(grid))
+    assert all(args[0].features is ds.features for args, _ in runs)
+
+
+def test_a_degree_range_fill_scores_the_sources_of_its_own_graph(monkeypatch):
+    # two 4-cliques joined through node 8, which also holds the leaf 9: the
+    # two edges at 8 into the cliques carry the most shortest paths, and
+    # ctbca 0.1 removes ceil(1.5) = 2 edges, which leaves 8 with degree 1
+    edges = [(a, b, 1.0) for clique in ((0, 1, 2, 3), (4, 5, 6, 7))
+             for i, a in enumerate(clique) for b in clique[i + 1:]]
+    g = build_graph(10, edges + [(3, 8, 1.0), (8, 4, 1.0), (8, 9, 1.0)])
+    ds = dataclasses.replace(planted_dataset(seed=7, n_per_class=5, classes=2), graph=g)
+    cfg = fast_config(runs=1, epochs=2, per_class=1, num_val=2, num_test=2,
+                      sources="degree-range")
+    fills = _recording(monkeypatch, "score_all_sources")
+    harness.run_grid(ds, [("rwnsgcn", cfg)], [("ctbca", 0.1)])
+    (clean, _), (attacked, _) = fills
+    assert list(clean[1]) == list(range(9))
+    assert list(attacked[1]) == list(range(8))  # node 8 left the degree range
+
+
 def test_attack_comparison_plain_gcn_arms_neither_score_nor_propagate(monkeypatch):
     ds = planted_dataset(seed=7)
     cfg = fast_config(runs=2, epochs=4, k_per_level=2)
@@ -988,8 +1022,8 @@ def test_cli_error_is_machine_readable(tmp_path):
 
 
 def test_config_flags_mirror_the_config_fields():
-    # one flag per field; dataset_format has none, since load_dataset
-    # reads one format only
+    # one flag per field; dataset_format has none, since a config takes
+    # one format only
     fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert len(fields) == 20
     assert sorted(dest for _, dest, _, _ in cli._CONFIG_FLAGS) == sorted(
