@@ -44,8 +44,8 @@ class AttackSpec:
             raise ValueError("ctbca intensity must be a fraction in [0, 1]")
         if self.kind == "twpa" and self.intensity < 0:
             raise ValueError("twpa intensity (sigma) must be nonnegative")
-        # so 1 and 1.0, or a numpy float and its value, are one cell under one hash
-        object.__setattr__(self, "intensity", float(value))
+        # one cell under one hash for 1 and 1.0, -0.0 and 0.0, a numpy float and its value
+        object.__setattr__(self, "intensity", float(value) + 0.0)
 
 
 # Scores closer than TIE_RTOL * (largest score) to their descending

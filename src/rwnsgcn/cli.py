@@ -105,6 +105,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_prepare(args: argparse.Namespace) -> int:
     # raw features: an experiment normalises the rows when it loads the pair
     ds = data_mod.load_content_cites_paths(args.content, args.cites, row_normalize=False)
+    dropped = ds.dropped_edges  # the loaded pair's rows; a subgraph drops none
     if args.subgraph_size:
         if args.subgraph_seed_node is None:
             seed_node = int(np.argmax(ds.graph.unweighted_degrees()))
@@ -120,7 +121,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
                 "num_edges": ds.graph.num_edges,
                 "classes": int(np.unique(ds.labels).size),  # the classes the pair loads with
                 "feature_dim": ds.feature_dim,
-                "dropped_edges": ds.dropped_edges,
+                "dropped_edges": dropped,
             }
         )
     )

@@ -74,7 +74,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))  # so lam=0 and lam=0.0 hash alike
+            object.__setattr__(self, name, float(value) + 0.0)  # lam=0, 0.0 and -0.0 hash alike
         for name in ("dataset_path", "dataset_format", "sources"):
             value = getattr(self, name)
             if not isinstance(value, str):

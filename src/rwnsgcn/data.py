@@ -448,9 +448,12 @@ def bfs_subgraph(ds: Dataset, seed_node: int, target_size: int) -> Dataset:
     )
 
 
-def degree_filtered_nodes(g: Graph, lo: int = 3, hi: int = 6) -> np.ndarray:
-    """Node ids whose unweighted degree d satisfies lo <= d <= hi."""
-    if lo > hi:
-        raise ValueError(f"lo={lo} exceeds hi={hi}")
+# the unweighted degrees of the nodes ``sources="degree-range"`` scores, both ends kept
+DEGREE_RANGE = (3, 6)
+
+
+def degree_filtered_nodes(g: Graph) -> np.ndarray:
+    """Node ids whose unweighted degree lies in DEGREE_RANGE, both ends included."""
+    lo, hi = DEGREE_RANGE
     deg = g.unweighted_degrees()
     return np.flatnonzero((deg >= lo) & (deg <= hi))

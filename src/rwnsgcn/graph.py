@@ -1,8 +1,10 @@
 """Sparse undirected graphs and the linear operators built from them.
 
-The graph is stored once as a symmetric CSR matrix; every other module
-(scoring, sampling, the model, the attacks) consumes either the raw
-adjacency or one of two derived operators, each a ``scipy.sparse.csr_array``:
+``build_graph`` takes one edge form, an (m, 2) array of (u, v) or an
+(m, 3) array of (u, v, w), and stores the graph once as a symmetric CSR
+matrix.  Every other module (scoring, sampling, the model, the attacks)
+consumes the raw adjacency or one of two operators, each a
+``scipy.sparse.csr_array``:
 
 * ``sym_normalized_operator``: D^{-1/2} A D^{-1/2}, optionally over A + I
 * ``transition_operator``: the random-walk transition matrix P = D^{-1} A
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,20 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Symmetric weighted adjacency in CSR form.
-
-    ``degrees`` holds weighted degrees (row sums of the adjacency).
-    ``duplicates_collapsed`` / ``self_loops_dropped`` record how much the
-    input edge list was cleaned up during construction.
-    """
+    """Symmetric weighted adjacency in CSR form; ``degrees`` holds weighted
+    degrees (row sums of the adjacency)."""
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
     degrees: np.ndarray
-    duplicates_collapsed: int = 0
-    self_loops_dropped: int = 0
 
     @property
     def num_edges(self) -> int:
@@ -92,54 +87,39 @@ class Graph:
         return list(zip(*(a.tolist() for a in self.edge_arrays())))
 
 
-def _edge_table(edge_list) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as an (m, 3) float64 table of (u, v, w), and each row's length.
+def build_graph(num_nodes: int, edges) -> Graph:
+    """Build a symmetric, deduplicated CSR graph from an edge array.
 
-    (u, v) rows get w = 1.0; rows of any other length are all NaN.
-    """
-    if isinstance(edge_list, np.ndarray) and edge_list.ndim == 2:
-        lengths = np.full(len(edge_list), edge_list.shape[1])
-        flat = edge_list.astype(np.float64).ravel()
-    else:
-        rows = list(edge_list)
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=int(lengths.sum()))
-    table = np.full((lengths.size, 3), np.nan)
-    ok = (lengths == 2) | (lengths == 3)
-    at = (np.cumsum(lengths) - lengths)[ok]
-    table[ok, 0], table[ok, 1] = flat[at], flat[at + 1]
-    # clamped: a trailing (u, v) row has no third value, and where() drops it
-    table[ok, 2] = np.where(lengths[ok] == 3, flat[np.minimum(at + 2, flat.size - 1)], 1.0)
-    return table, lengths
+    ``edges`` is an (m, 2) array of (u, v), whose weights are 1.0, or an
+    (m, 3) array of (u, v, w); a list of equal-length rows converts, and
+    ``[]`` is the empty graph.  Duplicate (u, v) pairs collapse keeping the
+    last weight seen, and self loops are dropped with a warning that
+    counts them.
 
-
-def build_graph(
-    num_nodes: int,
-    edge_list: Iterable[Sequence] | np.ndarray,
-) -> Graph:
-    """Build a symmetric, deduplicated CSR graph from an edge list.
-
-    Entries are (u, v) or (u, v, w) rows, or an (m, 2) / (m, 3) array;
-    missing weights default to 1.0.  Duplicate (u, v) pairs collapse
-    keeping the last weight seen, and self loops are dropped (both are
-    counted on the result).
-
-    Raises ValueError naming the first offending edge index for rows of
-    another length, out-of-range or non-integral node ids, and NaN,
-    infinite or negative weights.  Integral float ids are legal.
+    Raises ValueError naming the shape for any other input (ragged or
+    mixed-width rows, an iterator, another shape), and naming the first
+    offending edge index for out-of-range or non-integral node ids and
+    NaN, infinite or negative weights.  Integral float ids are legal.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be nonnegative")
-    table, lengths = _edge_table(edge_list)
-    u, v, w = table.T
+    try:
+        table = np.asarray(edges, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or mixed-width rows, an iterator
+        table = np.asarray(edges, dtype=object)
+    if table.shape == (0,):
+        table = table.reshape(0, 2)
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] not in (2, 3):
+        raise ValueError(f"edges must be an (m, 2) array of (u, v) or an (m, 3) array of "
+                         f"(u, v, w), got {type(edges).__name__} of shape {table.shape}")
+    u, v = table[:, 0], table[:, 1]
+    w = table[:, 2] if table.shape[1] == 3 else np.ones(len(table))
     in_range = (0 <= u) & (u < num_nodes) & (0 <= v) & (v < num_nodes)
     whole = (np.floor(u) == u) & (np.floor(v) == v)
     finite = np.isfinite(w)
     bad = ~in_range | ~whole | ~finite | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
-        if lengths[k] not in (2, 3):
-            raise ValueError(f"edge {k}: expected (u, v) or (u, v, w), got {lengths[k]} values")
         ids = (u[k], v[k])
         pair = tuple(map(int if whole[k] and np.isfinite(ids).all() else float, ids))
         if not in_range[k]:
@@ -151,9 +131,8 @@ def build_graph(
         raise ValueError(f"edge {k}: negative weight {w[k]} on {pair}")
     u, v = u.astype(np.int64), v.astype(np.int64)
     loop = u == v
-    loops = int(loop.sum())
-    if loops:
-        warnings.warn(f"dropped {loops} self-loop edge(s)", stacklevel=2)
+    if loop.any():
+        warnings.warn(f"dropped {int(loop.sum())} self-loop edge(s)", stacklevel=2)
 
     keys = (np.minimum(u, v) * num_nodes + np.maximum(u, v))[~loop]
     # first occurrence in the reversed list = the last weight seen
@@ -170,15 +149,8 @@ def build_graph(
     indptr = np.cumsum(indptr)
     degrees = np.zeros(num_nodes, dtype=np.float64)
     np.add.at(degrees, rows, vals)
-    return Graph(
-        num_nodes=num_nodes,
-        indptr=indptr,
-        indices=cols,
-        weights=vals,
-        degrees=degrees,
-        duplicates_collapsed=int(loop.size - loops - keys.size),
-        self_loops_dropped=loops,
-    )
+    return Graph(num_nodes=num_nodes, indptr=indptr, indices=cols, weights=vals,
+                 degrees=degrees)
 
 
 # Sources searched together by the level-product searches (scoring's BFS

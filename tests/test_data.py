@@ -10,6 +10,7 @@ import rwnsgcn.data as data_mod
 from rwnsgcn.data import (
     _digit_rows,
     _parse_rows,
+    DEGREE_RANGE,
     Dataset,
     bfs_subgraph,
     degree_filtered_nodes,
@@ -104,8 +105,8 @@ def test_content_cites_round_trip_exact(tmp_path):
 
 @pytest.mark.parametrize("weight", [0.5, 0.0, 2.0])
 def test_save_content_cites_rejects_weighted_edges(tmp_path, weight):
-    ds = Dataset(graph=build_graph(4, [(0, 1), (1, 2, weight), (2, 3)]), features=np.eye(4),
-                 labels=np.array([0, 1, 0, 1]), class_count=2)
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, weight), (2, 3, 1.0)])
+    ds = Dataset(graph=g, features=np.eye(4), labels=np.array([0, 1, 0, 1]), class_count=2)
     message = f"edge (1, 2) has weight {weight}; .cites rows carry no weights"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         save_content_cites(ds, tmp_path / "ds")
@@ -727,19 +728,28 @@ def test_bfs_subgraph_zero_size_rejected():
         bfs_subgraph(ds, 0, 0)
 
 
+def star_hubs(*degrees, weight=1.0):
+    """Disjoint stars, one per entry of ``degrees``: hub i has that many leaves."""
+    edges, n = [], 0
+    for d in degrees:
+        edges += [(n, n + j, weight) for j in range(1, d + 1)]
+        n += d + 1
+    return build_graph(n, edges)
+
+
 def test_degree_filter_star():
-    g = build_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-    assert list(degree_filtered_nodes(g, 3, 6)) == [0]
+    # the range is 3..6 with both ends kept: hubs of degree 3 and 6 only
+    assert DEGREE_RANGE == (3, 6)
+    assert list(degree_filtered_nodes(star_hubs(2, 3, 6, 7))) == [3, 7]
 
 
 def test_degree_filter_path_empty():
     g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    assert degree_filtered_nodes(g, 3, 6).size == 0
+    assert degree_filtered_nodes(g).size == 0
 
 
 def test_degree_filter_counts_zero_weight_edges():
-    g = build_graph(4, [(0, 1, 0.0), (0, 2, 0.0), (0, 3, 0.0)])
-    assert list(degree_filtered_nodes(g, 3, 3)) == [0]
+    assert list(degree_filtered_nodes(star_hubs(3, 6, weight=0.0))) == [0, 4]
 
 
 def test_cora_statistics():
@@ -762,5 +772,5 @@ def test_citeseer_statistics():
 def test_pubmed_degree_band_share():
     content, cites = require_dataset("pubmed")
     ds = load_content_cites_paths(content, cites)
-    share = degree_filtered_nodes(ds.graph, 3, 6).size / ds.num_nodes
+    share = degree_filtered_nodes(ds.graph).size / ds.num_nodes
     assert 0.05 <= share <= 0.2  # "about 10%" of all nodes

@@ -22,8 +22,8 @@ def test_path_graph_degrees():
 def test_symmetric_duplicate_collapses():
     g = build_graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
     assert g.num_edges == 1
+    assert g.edges() == [(0, 1, 1.0)]
     assert np.array_equal(g.degrees, [1.0, 1.0])
-    assert g.duplicates_collapsed == 1
 
 
 def test_star_degrees():
@@ -32,16 +32,17 @@ def test_star_degrees():
 
 
 def test_duplicate_last_weight_wins():
-    g = build_graph(2, [(0, 1, 1.0), (0, 1, 3.5)])
-    assert g.edges() == [(0, 1, 3.5)]
-    assert g.duplicates_collapsed == 1
+    # in either orientation: (1, 0) is the edge (0, 1)
+    g = build_graph(3, [(0, 1, 1.0), (1, 2, 2.0), (1, 0, 0.5), (0, 1, 3.5), (2, 1, 0.0)])
+    assert g.edges() == [(0, 1, 3.5), (1, 2, 0.0)]
+    assert np.array_equal(g.degrees, [3.5, 3.5, 0.0])
 
 
 def test_self_loops_dropped_with_count():
-    with pytest.warns(UserWarning, match="self-loop"):
-        g = build_graph(3, [(0, 0, 1.0), (0, 1, 1.0)])
-    assert g.self_loops_dropped == 1
-    assert g.num_edges == 1
+    with pytest.warns(UserWarning, match=r"^dropped 2 self-loop edge\(s\)$"):
+        g = build_graph(3, [(0, 0, 1.0), (0, 1, 1.0), (2, 2, 0.5)])
+    assert g.edges() == [(0, 1, 1.0)]
+    assert np.array_equal(g.degrees, [1.0, 1.0, 0.0])
 
 
 def test_out_of_range_id_names_edge_index():

@@ -241,6 +241,8 @@ def test_an_integer_in_a_float_field_hashes_as_its_float():
     # a JSON config's "lam": 0 and --lambda 0 ran one computation under two hashes
     assert config_hash(ExperimentConfig(lam=0).to_dict()) == "63d0cfcedc2670e8"
     assert config_hash(ExperimentConfig(lam=0.0).to_dict()) == "63d0cfcedc2670e8"
+    # -0.0 == 0.0, so a config of either is one config under one hash
+    assert config_hash(ExperimentConfig(lam=-0.0).to_dict()) == "63d0cfcedc2670e8"
     cfg = fast_config(dropout=0, lam=1, alpha=0, beta=1, lr=1)
     assert {type(getattr(cfg, f)) for f in ("dropout", "lam", "alpha", "beta", "lr")} == {float}
     want = fast_config(dropout=0.0, lam=1.0, alpha=0.0, beta=1.0, lr=1.0)
@@ -589,6 +591,8 @@ def test_l_sweep_rejects_degenerate_distance():
         # distinct cells that print alike would share one report label
         ([("twpa", 0.5), ("twpa", 0.5000001)],
          r"^attack cells twpa@0\.5 and twpa@0\.5000001 share the label attack/twpa@0\.5$"),
+        # -0.0 is 0.0: one cell, not two under the labels @0 and @-0
+        ([("ctbca", 0.0), ("ctbca", -0.0)], r"^attack cell ctbca@0 is repeated$"),
     ],
 )
 def test_attack_comparison_checks_every_cell_before_the_first_run(monkeypatch, grid, message):
@@ -973,6 +977,18 @@ def test_cli_reads_and_writes_utf8_whatever_the_locale(tmp_path):
     assert (tmp_path / "again" / "report.csv").read_bytes() == (out / "baseline.csv").read_bytes()
 
 
+@pytest.mark.parametrize("flags", [[], ["--subgraph-size", "3"]])
+def test_cli_prepare_reports_the_rows_the_loaded_pair_dropped(tmp_path, capsys, flags):
+    # one .cites row names an unknown id; a subgraph of the loaded pair drops none
+    (tmp_path / "p.content").write_text("a 1 0 x\nb 0 1 y\nc 1 1 x\nd 0 0 y\n")
+    (tmp_path / "p.cites").write_text("a b\nb c\nc d\nzz a\n")
+    assert cli.main(["prepare", "--content", str(tmp_path / "p.content"),
+                     "--cites", str(tmp_path / "p.cites"),
+                     "--out", str(tmp_path / "out"), *flags]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert (info["num_nodes"], info["dropped_edges"]) == (int(flags[1]) if flags else 4, 1)
+
+
 def test_cli_prepare_and_baseline(tmp_path, toy_prefix):
     prepared = tmp_path / "toy50"
     res = run_cli(
@@ -1071,6 +1087,8 @@ def test_cli_argument_errors_are_one_json_line(case, capsys, monkeypatch):
      "attack cells twpa@0.5 and twpa@0.5000001 share the label attack/twpa@0.5"),
     (["attack", "--twpa-sigmas", "nan"],
      "twpa intensity (sigma) must be a finite real number, got nan"),
+    (["attack", "--ctbca-fractions", "0,-0", "--twpa-sigmas", ""],
+     "attack cell ctbca@0 is repeated"),
 ])
 def test_cli_checks_its_lists_before_loading(argv, message, capsys, monkeypatch):
     loads = []
